@@ -18,6 +18,9 @@ import argparse
 import json
 import os
 import sys
+import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +46,8 @@ class RunConfig:
     out: str | None = None
     fmt: str = "text"
     exhaustive: bool = False
-    deep: bool = False
     p_tensor: bool = False
     allow_large: bool = False
-
-
-def _field_for(q, modulus=None):
-    return field(q, modulus=modulus)
 
 
 def _parse_modulus(text):
@@ -114,31 +112,62 @@ def build_named_scheme(fld, name, kind="pairs", allow_large=False, cache_dir=Non
     return sc.group_orbital_scheme(fld, gid, dom, allow_large=allow_large)
 
 
+# Bumped whenever the cached data or its meaning changes, so that files
+# written under an older key scheme are never read.
+CACHE_FORMAT = 2
+
+
 def _cache_path(cache_dir, fld, gid, kind):
+    """The cache file for one build, keyed by every input that changes
+    the relation matrix: q, the field modulus, the group and the domain."""
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
-    return os.path.join(cache_dir, f"relmat_q{fld.q}_{gid}_{kind}.npz")
+    mod = "-".join(str(c) for c in fld.modulus) if fld.modulus else "prime"
+    name = f"relmat_v{CACHE_FORMAT}_q{fld.q}_mod{mod}_{gid}_{kind}.npz"
+    return os.path.join(cache_dir, name)
 
 
 def _cache_load(cache_dir, fld, gid, kind):
+    """The cached scheme, or None on a miss.  A file that cannot be read,
+    lacks the matrix, has the wrong shape or type, or does not relabel
+    cleanly also counts as a miss; the caller rebuilds and overwrites it."""
     path = _cache_path(cache_dir, fld, gid, kind)
     if not path or not os.path.exists(path):
         return None
-    data = np.load(path)
-    M = data["relation_matrix"]
-    dom = fi.pairs_for(fld)
-    if M.shape != (dom.n, dom.n):
+    try:
+        with np.load(path) as data:
+            M = data["relation_matrix"]
+    except (
+        OSError, EOFError, KeyError, ValueError, NotImplementedError,
+        zipfile.BadZipFile, zlib.error,
+    ):
         return None
-    S = sc.Scheme(M, domain=dom, check=False)
-    S.labels = _relabel(fld, gid, S)
+    dom = fi.pairs_for(fld)
+    if M.shape != (dom.n, dom.n) or M.dtype.kind != "u":
+        return None
+    try:
+        S = sc.Scheme(M, domain=dom, check=False)
+        S.labels = _relabel(fld, gid, S)
+    except (sc.NotASchemeError, fi.TheoremViolationError):
+        return None
     return S
 
 
 def _cache_save(cache_dir, fld, gid, kind, S):
+    """Write the relation matrix through a temporary file in the cache
+    directory, so readers only ever see a complete file."""
     path = _cache_path(cache_dir, fld, gid, kind)
-    if path:
-        np.savez_compressed(path, relation_matrix=S.relation_matrix)
+    if not path:
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez_compressed(fh, relation_matrix=S.relation_matrix)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _relabel(fld, gid, S):
@@ -193,7 +222,7 @@ def cmd_build(args):
         p_tensor=args.p_tensor,
         allow_large=args.allow_large,
     )
-    fld = _field_for(cfg.q, cfg.modulus)
+    fld = field(cfg.q, cfg.modulus)
     cache_dir = os.environ.get("SCHEME_FORGE_CACHE_DIR")
     S = build_named_scheme(fld, cfg.group, cfg.domain, cfg.allow_large, cache_dir)
     if cfg.exhaustive:
@@ -224,7 +253,7 @@ def cmd_verify(args):
     else:
         raise ValueError("verify paper needs --q <q> (repeatable) or --all-q")
     for q in qs:
-        _field_for(q)  # validates q before any work
+        field(q)  # validates q before any work
     reports = fi.verify_paper(qs, deep=args.deep, exhaustive=args.exhaustive or None)
     reports.sort(key=lambda r: (r.q, r.theorem_id))
     failed = [r for r in reports if not r.passed]
@@ -249,7 +278,7 @@ def cmd_verify(args):
 
 
 def cmd_geometry(args):
-    fld = _field_for(args.q, _parse_modulus(args.modulus))
+    fld = field(args.q, _parse_modulus(args.modulus))
     pl = fi.plane_for(fld)
 
     def coords(v):
@@ -271,7 +300,7 @@ def cmd_geometry(args):
 
 
 def cmd_group(args):
-    fld = _field_for(args.q, _parse_modulus(args.modulus))
+    fld = field(args.q, _parse_modulus(args.modulus))
     gid = mo.check_group_defined(fld, args.group)
     gens = mo.generators(fld, gid)
     stab = mo.base_pair_stabilizer(fld, gid)
@@ -298,7 +327,7 @@ def cmd_group(args):
 
 
 def cmd_labels(args):
-    fld = _field_for(args.q, _parse_modulus(args.modulus))
+    fld = field(args.q, _parse_modulus(args.modulus))
     cache_dir = os.environ.get("SCHEME_FORGE_CACHE_DIR")
     S = build_named_scheme(fld, args.group, "pairs", args.allow_large, cache_dir)
     pg1 = S.domain.plane.pg1
@@ -330,7 +359,7 @@ def cmd_labels(args):
 
 
 def cmd_fusion(args):
-    fld = _field_for(args.q, _parse_modulus(args.modulus))
+    fld = field(args.q, _parse_modulus(args.modulus))
     cache_dir = os.environ.get("SCHEME_FORGE_CACHE_DIR")
     fine = build_named_scheme(fld, args.fine, "pairs", args.allow_large, cache_dir)
     coarse = build_named_scheme(fld, args.coarse, "pairs", args.allow_large, cache_dir)

@@ -87,25 +87,20 @@ class RelationLabel:
 
 
 # -- plane/domain caches -----------------------------------------------------------
-
-_PLANES = {}
+# Kept on the field object itself, so each lives exactly as long as its
+# field and can never be handed to a later field that reuses its id().
 
 
 def plane_for(fld):
-    key = id(fld)
-    if key not in _PLANES:
-        _PLANES[key] = Plane(fld)
-    return _PLANES[key]
-
-
-_DOMS = {}
+    if not hasattr(fld, "_plane"):
+        fld._plane = Plane(fld)
+    return fld._plane
 
 
 def pairs_for(fld):
-    key = id(fld)
-    if key not in _DOMS:
-        _DOMS[key] = pairs_domain(plane_for(fld))
-    return _DOMS[key]
+    if not hasattr(fld, "_pairs_domain"):
+        fld._pairs_domain = pairs_domain(plane_for(fld))
+    return fld._pairs_domain
 
 
 # -- FT(q+1): the cross-ratio fission of the triangular scheme ----------------------
@@ -584,8 +579,8 @@ def report_transpose_rules(fld):
             details["label_crossing"] = f"class {k} transposes across labels"
     dt = time.perf_counter() - t0
     predicted = {"all_rules_hold": True}
-    computed = {"all_rules_hold": bool(ok), "details": details}
-    return TheoremReport("transpose-rules", q, predicted, {"all_rules_hold": bool(ok)}, bool(ok), dt, note=str(details))
+    computed = {"all_rules_hold": bool(ok)}
+    return TheoremReport("transpose-rules", q, predicted, computed, bool(ok), dt, note=str(details))
 
 
 def report_three_domain_isomorphism(fld, gid):
@@ -650,7 +645,7 @@ def report_q9_fusion_diagram():
         "t_fuses_ft": sc.is_fusion(tri, ft, sc.fusion_map(tri, ft)),
     }
     computed = {
-        "ft_classes": 5,
+        "ft_classes": ft.d,
         "ft_label_set_ok": ft_classes == ft_expected,
         "psl_classes": psl.d,
         "psl_split_ok": psl_split == expected_split,
@@ -661,7 +656,6 @@ def report_q9_fusion_diagram():
         ),
         **{k: bool(v) for k, v in edges.items()},
     }
-    computed["ft_classes"] = ft.d
     predicted = {
         "ft_classes": 5,
         "ft_label_set_ok": True,

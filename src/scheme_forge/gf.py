@@ -40,17 +40,6 @@ class NoInvolutionError(ValueError):
     """Raised when the involutory automorphism is requested but m is odd."""
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _factor_prime_power(q):
     """Return (p, m) with q = p^m and p prime, or raise ValueError."""
     for p in range(2, q + 1):

@@ -50,7 +50,26 @@ def _class_dtype(nclasses):
 
 
 def _renumber_first_occurrence(raw):
-    """Renumber class ids by first appearance in row-major order."""
+    """Renumber class ids by first appearance in row-major order.
+
+    When row 0 holds every class id, as it does for any transitive
+    action, first appearance in row-major order is first appearance in
+    row 0, so the order is read off that row alone and applied with one
+    gather.  Ids missing from row 0 map to a sentinel (the largest value
+    of the output dtype, which no renumbered class can take); if the
+    sentinel shows up anywhere, or an id is negative, the full
+    row-major sort below gives the answer instead.  Both routes return
+    the same values in the same dtype.
+    """
+    ids, first = np.unique(raw[0], return_index=True)
+    dtype = _class_dtype(len(ids))
+    missing = np.iinfo(dtype).max
+    if len(ids) <= missing and raw.min() >= 0:
+        remap = np.full(int(raw.max()) + 1, missing, dtype=dtype)
+        remap[ids[np.argsort(first, kind="stable")]] = np.arange(len(ids), dtype=dtype)
+        out = remap[raw]
+        if out.max() != missing:
+            return out
     flat = raw.ravel()
     uniq, first = np.unique(flat, return_index=True)
     order = np.argsort(first, kind="stable")
@@ -60,7 +79,14 @@ def _renumber_first_occurrence(raw):
 
 
 class Scheme:
-    """An association scheme on an enumerated domain."""
+    """An association scheme on an enumerated domain.
+
+    `class_reps[k]` is the least pair of class k in row-major order.  When
+    the matrix has integer entries with least entry 0 and row 0 holds all
+    d+1 values, as in any transitive scheme, every class occurs in row 0,
+    so the representatives are read off that row; otherwise the whole
+    matrix is sorted.  The two give the same pairs and the same errors.
+    """
 
     def __init__(self, relation_matrix, domain=None, labels=None, check=True, sample=10):
         M = np.ascontiguousarray(relation_matrix)
@@ -75,7 +101,9 @@ class Scheme:
         self._p_sample = 0
 
         flat = M.ravel()
-        uniq, first = np.unique(flat, return_index=True)
+        uniq, first = np.unique(M[0], return_index=True)
+        if len(uniq) != self.d + 1 or not np.issubdtype(M.dtype, np.integer) or M.min() != 0:
+            uniq, first = np.unique(flat, return_index=True)
         if len(uniq) != self.d + 1 or uniq[0] != 0:
             raise NotASchemeError("class indices must be 0..d with none missing")
         self.class_reps = [divmod(int(i), self.n) for i in first]
@@ -89,7 +117,7 @@ class Scheme:
         tmap = np.empty(self.d + 1, dtype=np.int32)
         for k, (x, y) in enumerate(self.class_reps):
             tmap[k] = M[y, x]
-        if check and not np.array_equal(tmap[M], M.T):
+        if check and not np.array_equal(tmap.astype(M.dtype)[M], M.T):
             raise NotASchemeError("classes are not closed under transposition")
         self.transpose_map = tmap
 
@@ -398,12 +426,39 @@ def _graph_distances(adj, cap):
     return D
 
 
+def _class_distances_form_a_path(P, c):
+    """Whether breadth-first search over classes, stepping from class i to
+    every unseen class j with P[j, i, c] > 0, adds exactly one class per
+    layer and reaches all of them."""
+    seen = np.zeros(P.shape[0], dtype=bool)
+    nxt = np.array([0])
+    while len(nxt) == 1:
+        seen[nxt] = True
+        nxt = np.flatnonzero((P[:, nxt[0], c] > 0) & ~seen)
+    return len(nxt) == 0 and bool(seen.all())
+
+
 def p_polynomial_orderings(S):
     """All symmetric classes whose graph realizes S as its distance scheme.
 
     Returns a list of dicts with the generating relation, the induced
     class ordering, and the intersection array ({b_0..b_{d-1}}, {c_1..c_d}).
     Empty list means the scheme is not P-polynomial.
+
+    A candidate class c is first screened on the intersection numbers
+    (Bannai-Ito, Algebraic Combinatorics I, III.1): the class breadth-first
+    search of `_class_distances_form_a_path` must meet the classes one
+    per layer.  Only survivors get the dense all-pairs distance check.
+    The screen never drops a class the dense check keeps, even when S is
+    not a scheme.  Suppose the dense check accepts c, and let dist(k) be
+    the distance in the graph of c across any pair of class k.  At the
+    representative (x, y) from which P[k] was counted, P[k, i, c] > 0
+    gives a z with (x, z) in class i and z -> y an edge, so by the
+    triangle inequality dist(k) <= dist(i) + 1.  If dist(k) > 0, the
+    last step of a shortest path from x to y gives an i with
+    dist(i) = dist(k) - 1 and P[k, i, c] > 0.  By induction layer e of
+    the search is exactly the classes at distance e, and as dist is a
+    bijection onto 0..d, each layer holds one class.
     """
     if not S.is_commutative():
         return []
@@ -411,7 +466,7 @@ def p_polynomial_orderings(S):
     P = S.p_tensor()
     M = S.relation_matrix
     for c in range(1, S.d + 1):
-        if S.transpose_map[c] != c:
+        if S.transpose_map[c] != c or not _class_distances_form_a_path(P, c):
             continue
         D = _graph_distances(M == c, cap=S.d)
         if D is None:

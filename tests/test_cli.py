@@ -188,6 +188,42 @@ def test_cache_roundtrip(tmp_path, monkeypatch, capsys):
     assert out1 == out2
 
 
+def test_cache_is_keyed_by_modulus(tmp_path, monkeypatch, capsys):
+    commands = [
+        ("scheme", "labels", "--q", "9", "--group", "psl"),
+        ("scheme", "labels", "--q", "9", "--group", "psl", "--modulus", "1,0,1"),
+    ]
+    monkeypatch.delenv("SCHEME_FORGE_CACHE_DIR", raising=False)
+    uncached = [run(capsys, *argv) for argv in commands]
+    assert uncached[0][1] != uncached[1][1]
+    monkeypatch.setenv("SCHEME_FORGE_CACHE_DIR", str(tmp_path))
+    for _ in range(2):  # the second round reads the files the first wrote
+        for argv, want in zip(commands, uncached):
+            assert run(capsys, *argv) == want
+    assert len(list(tmp_path.glob("*.npz"))) == 2
+
+
+@pytest.mark.parametrize("damage", ["truncate", "garbage", "other-key"])
+def test_damaged_cache_file_is_a_miss(tmp_path, monkeypatch, capsys, damage):
+    import numpy as np
+
+    argv = ("scheme", "labels", "--q", "9", "--group", "m")
+    monkeypatch.delenv("SCHEME_FORGE_CACHE_DIR", raising=False)
+    want = run(capsys, *argv)
+    monkeypatch.setenv("SCHEME_FORGE_CACHE_DIR", str(tmp_path))
+    assert run(capsys, *argv) == want
+    (path,) = tmp_path.glob("*.npz")
+    if damage == "truncate":
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    elif damage == "garbage":
+        path.write_bytes(b"not a zip archive")
+    else:
+        np.savez(path, other=np.zeros((45, 45), dtype=np.uint8))
+    assert run(capsys, *argv) == want
+    assert run(capsys, *argv) == want  # the rebuilt file was written back
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_module_entry_point():
     import subprocess
     import sys

@@ -5,7 +5,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from scheme_forge.gf import field
+from scheme_forge.gf import GF, field
 from scheme_forge.geometry import Plane, pairs_domain
 from scheme_forge.schemes import (
     fusion_map,
@@ -16,6 +16,23 @@ from scheme_forge.schemes import (
     triangular_scheme,
 )
 from scheme_forge import fission as fi
+
+
+# -- per-field plane and domain caches ---------------------------------------------
+
+
+def test_plane_and_pairs_caches_live_as_long_as_their_field():
+    import gc
+    import weakref
+
+    fld = GF(7)
+    dom = fi.pairs_for(fld)
+    assert dom.field is fld and dom.plane is fi.plane_for(fld)
+    assert fi.pairs_for(fld) is dom
+    ref = weakref.ref(fld)
+    del fld, dom
+    gc.collect()
+    assert ref() is None
 
 
 # -- the cross-ratio fission scheme -----------------------------------------------

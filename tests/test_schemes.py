@@ -6,6 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from scheme_forge import fission as fi
+from scheme_forge import schemes as sc
 from scheme_forge.gf import field
 from scheme_forge.geometry import Plane, domain, pairs_domain
 from scheme_forge.moebius import domain_perm, generators
@@ -243,6 +245,136 @@ def test_p_polynomial_matches_bfs_oracle(t10):
             frontier = nxt
         for y in range(n):
             assert dist[y] == {0: 0, 1: 1, 2: 2}[t10.relation(start, y)]
+
+
+def _dense_p_polynomial_orderings(S):
+    """Reference: the dense distance check on every symmetric class,
+    with no screening on the intersection numbers."""
+    if not S.is_commutative():
+        return []
+    out = []
+    P = S.p_tensor()
+    M = S.relation_matrix
+    for c in range(1, S.d + 1):
+        if S.transpose_map[c] != c:
+            continue
+        D = sc._graph_distances(M == c, cap=S.d)
+        if D is None:
+            continue
+        dist_of_class = np.array([D[x, y] for (x, y) in S.class_reps], dtype=np.int64)
+        if sorted(dist_of_class.tolist()) != list(range(S.d + 1)):
+            continue
+        if not np.array_equal(D, dist_of_class[M]):
+            continue
+        order = np.argsort(dist_of_class)
+        bs = [int(P[order[e], c, order[e + 1]]) for e in range(S.d)]
+        cs = [int(P[order[e], c, order[e - 1]]) for e in range(1, S.d + 1)]
+        out.append(
+            {
+                "relation": c,
+                "ordering": [int(k) for k in order],
+                "intersection_array": (bs, cs),
+            }
+        )
+    return out
+
+
+def _circulant_distance_classes():
+    """Distance classes of the circulant graph C_14(1, 6), relabelled so
+    that the sampled constancy check passes.  It is not a scheme, yet the
+    dense check accepts classes 1 and 2."""
+    n = 14
+    relabel = [10, 9, 7, 11, 1, 4, 13, 0, 5, 12, 8, 2, 6, 3]
+    steps = np.minimum(np.arange(n), n - np.arange(n))
+    dist_of_step = np.array([0, 1, 2, 3, 3, 2, 1, 2])
+    D = dist_of_step[steps[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]]
+    return D[np.ix_(relabel, relabel)].astype(np.uint8)
+
+
+def test_circulant_distance_classes_are_not_a_scheme():
+    S = Scheme(_circulant_distance_classes(), check=False)
+    with pytest.raises(NotASchemeError):
+        S.verify_exhaustive()
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_p_polynomial_screen_matches_dense_reference(q, t10, monkeypatch):
+    fld = field(q)
+    dom_ = pairs_domain(Plane(fld))
+    # the 4-cycle as a scheme: class 2 is the cycle, class 1 the
+    # disconnected graph of antipodal pairs
+    c4 = Scheme(np.array([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]], dtype=np.uint8))
+    cases = [t10, c4, fi.build_ft(fld), Scheme(_circulant_distance_classes(), check=False)]
+    cases += [orbital_scheme_via_stabilizer(fld, gid, dom_) for gid in ("psl", "m", "pgammal")]
+    dense_calls = []
+    real = sc._graph_distances
+    monkeypatch.setattr(sc, "_graph_distances", lambda adj, cap: dense_calls.append(1) or real(adj, cap))
+    accepted = kept = 0
+    for S in cases:
+        want = _dense_p_polynomial_orderings(S)
+        dense_calls.clear()
+        assert p_polynomial_orderings(S) == want
+        accepted += len(want)
+        kept += len(dense_calls)
+    assert accepted >= 5  # both classes of T(10) and of the circulant, the 4-cycle
+    # the screen passes one class the dense check then rejects: class 3 of
+    # the circulant, which is not a scheme
+    assert kept == accepted + 1
+
+
+def _renumber_reference(raw):
+    uniq, first = np.unique(raw.ravel(), return_index=True)
+    order = np.argsort(first, kind="stable")
+    remap = np.empty(int(uniq.max()) + 1, dtype=np.uint8 if len(uniq) <= 255 else np.uint16)
+    remap[uniq[order]] = np.arange(len(uniq), dtype=remap.dtype)
+    return remap[raw]
+
+
+def _assert_renumbered_like_reference(raw):
+    got = sc._renumber_first_occurrence(raw)
+    want = _renumber_reference(raw)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    return got
+
+
+def test_renumber_transitive_input():
+    fld = field(9)
+    M = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld))).relation_matrix
+    ids = np.random.default_rng(3).permutation(50)[: int(M.max()) + 1] * 7
+    _assert_renumbered_like_reference(ids[M].astype(np.int32))
+
+
+def test_renumber_row0_missing_a_class_falls_back():
+    raw = np.array([[5, 3, 3], [3, 5, 9], [3, 9, 5]], dtype=np.int64)
+    out = _assert_renumbered_like_reference(raw)
+    assert out.tolist() == [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
+
+
+@pytest.mark.parametrize("nclasses", [255, 256])
+@pytest.mark.parametrize("row0_complete", [True, False])
+def test_renumber_dtype_at_the_uint8_boundary(nclasses, row0_complete):
+    n = 260
+    raw = ((np.arange(n)[:, None] + np.arange(n)[None, :]) % nclasses).astype(np.int32)
+    raw = np.random.default_rng(nclasses).permutation(nclasses)[raw].astype(np.int32)
+    if not row0_complete:
+        raw[0, raw[0] == raw[1, n - 1]] = raw[0, 0]
+    out = _assert_renumbered_like_reference(raw)
+    assert out.dtype == (np.uint8 if nclasses == 255 else np.uint16)
+
+
+def test_class_reps_when_row0_misses_a_class():
+    M = np.array([[0, 1, 1, 1], [1, 0, 1, 2], [1, 1, 0, 2], [1, 2, 2, 0]], dtype=np.uint8)
+    S = Scheme(M, check=False)
+    _, first = np.unique(M.ravel(), return_index=True)
+    assert S.class_reps == [divmod(int(i), 4) for i in first] == [(0, 0), (0, 1), (1, 3)]
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_negative_entry_outside_row0_rejected(check):
+    M = np.array([[0, 1, 1], [1, 0, -1], [1, 1, 0]], dtype=np.int8)
+    with pytest.raises(NotASchemeError):
+        Scheme(M, check=check)
 
 
 def test_p_polynomial_absent_for_psl9():
