@@ -156,14 +156,17 @@ def _cache_load(cache_dir, fld, gid, kind):
 
 def _cache_save(cache_dir, fld, gid, kind, S):
     """Write the relation matrix through a temporary file in the cache
-    directory, so readers only ever see a complete file."""
+    directory, so readers only ever see a complete file.  The file is
+    stored uncompressed: compressing costs more time than reading the
+    larger file saves.  `np.load` reads compressed files written by
+    earlier versions all the same, so the format tag is unchanged."""
     path = _cache_path(cache_dir, fld, gid, kind)
     if not path:
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, relation_matrix=S.relation_matrix)
+            np.savez(fh, relation_matrix=S.relation_matrix)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -77,6 +77,14 @@ class PG1:
     def points(self):
         return [self.point(i) for i in range(self.n_points)]
 
+    def pair_perms(self, point_perms):
+        """Lift permutations of positions, shape (..., q+1), to the pairs:
+        entry x of a row is the index of the image of pair x."""
+        P = np.asarray(point_perms, dtype=np.intp)
+        codes = np.take(P * self.n_points, self.pairs[:, 0], axis=-1)
+        codes += np.take(P, self.pairs[:, 1], axis=-1)
+        return self.pair_table.take(codes)
+
     # -- cross-ratio ---------------------------------------------------------
 
     def _homog(self, pt):

@@ -192,15 +192,7 @@ class Moebius:
 
     def rho(self):
         """The induced semilinear transformation of PG(2,q)."""
-        f = self.field
-        a, b, c, d = self.a, self.b, self.c, self.d
-        two = f.add(1, 1)
-        M = (
-            (f.mul(a, a), f.mul(two, f.mul(a, b)), f.mul(b, b)),
-            (f.mul(a, c), f.add(f.mul(a, d), f.mul(b, c)), f.mul(b, d)),
-            (f.mul(c, c), f.mul(two, f.mul(c, d)), f.mul(d, d)),
-        )
-        return Semilinear3(f, M, self.j)
+        return Semilinear3(self.field, _rho(self.field, coefficients([self]))[0], self.j)
 
 
 class Semilinear3:
@@ -232,19 +224,8 @@ class Semilinear3:
 
     def cofactor_matrix(self):
         """The matrix of cofactors; its transpose is the adjugate."""
-        f = self.field
-        m = self.matrix
-
-        def minor(r, s):
-            rows = [i for i in range(3) if i != r]
-            cols = [j for j in range(3) if j != s]
-            v = f.sub(
-                f.mul(m[rows[0]][cols[0]], m[rows[1]][cols[1]]),
-                f.mul(m[rows[0]][cols[1]], m[rows[1]][cols[0]]),
-            )
-            return v if (r + s) % 2 == 0 else f.neg(v)
-
-        return tuple(tuple(minor(r, s) for s in range(3)) for r in range(3))
+        cof = _cofactors(self.field, np.array([self.matrix], dtype=np.int32))[0]
+        return tuple(tuple(int(v) for v in row) for row in cof)
 
     def _apply(self, mat, v, plane):
         f = self.field
@@ -336,80 +317,155 @@ def base_pair_stabilizer(fld, gid):
     return out
 
 
-def transporter_to_base(fld, pair, gid):
-    """A deterministic element of the group sending the 2-subset to {0, oo}.
+def transporters_to_base(fld, gid, pairs):
+    """Canonical coefficients of one transporter per 2-subset, in one pass.
 
-    `pair` holds two distinct PG(1,q) positions.  The fractional map
-    t -> (t - alpha)/(t - beta) lands the subset on {0, oo}; when the
-    group needs a square determinant the canonical non-square scaling
-    t -> z*t is composed in front.
+    `pairs` is a (k, 2) array of PG(1,q) positions, each row two distinct
+    points.  Row r of the result holds (a, b, c, d, j) of the map
+    t -> (t - alpha)/(t - beta) that sends the r-th subset {alpha, beta}
+    to {0, oo}, with the limit forms t -> 1/(t - beta) at alpha = oo and
+    t -> t - alpha at beta = oo.  For `psl` and `m`, a map with a
+    non-square determinant is composed after the canonical non-square
+    scaling t -> z*t, which makes the determinant square.  Coefficients
+    are scaled so the first nonzero one is 1, as in `Moebius`.
     """
     gid = check_group_defined(fld, gid)
     q = fld.q
-    i, jpos = pair
-    if i == jpos:
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    alpha, beta = pairs.T
+    if (alpha == beta).any():
         raise ValueError("a transporter needs a genuine 2-subset")
-    alpha = None if i == q else int(fld.BY_RANK[i])
-    beta = None if jpos == q else int(fld.BY_RANK[jpos])
-    if alpha is None:
-        h = Moebius(fld, 0, 1, 1, fld.neg(beta))
-    elif beta is None:
-        h = Moebius(fld, 1, fld.neg(alpha), 0, 1)
-    else:
-        h = Moebius(fld, 1, fld.neg(alpha), 1, fld.neg(beta))
-    if gid in ("psl", "m") and not h.det_is_square:
-        h = Moebius(fld, fld.fixed_nonsquare(), 0, 0, 1) * h
-    return h
+    a_inf, b_inf = alpha == q, beta == q
+    neg_alpha = fld.NEG[fld.BY_RANK[np.where(a_inf, 0, alpha)]]
+    neg_beta = fld.NEG[fld.BY_RANK[np.where(b_inf, 0, beta)]]
+    a = np.where(a_inf, 0, 1)
+    b = np.where(a_inf, 1, neg_alpha)
+    c = np.where(b_inf, 0, 1)
+    d = np.where(b_inf, 1, neg_beta)
+    if gid in ("psl", "m"):
+        det = fld.ADD[fld.MUL[a, d], fld.NEG[fld.MUL[b, c]]]
+        z = np.where(fld.SQUARE[det], 1, fld.fixed_nonsquare())
+        a, b = fld.MUL[z, a], fld.MUL[z, b]
+    # a is 1, z or 0, and b is nonzero when a is 0
+    s = fld.INV[np.where(a != 0, a, b)]
+    coeffs = [fld.MUL[s, v] for v in (a, b, c, d)]
+    return np.stack(coeffs + [np.zeros_like(a)], axis=1).astype(np.int64)
 
 
-# -- bulk permutation builders ---------------------------------------------------
+def transporter_to_base(fld, pair, gid):
+    """A deterministic element of the group sending the 2-subset to {0, oo}.
+
+    `pair` holds two distinct PG(1,q) positions; the map is the one
+    `transporters_to_base` gives for it.
+    """
+    return Moebius(fld, *transporters_to_base(fld, gid, [pair])[0])
+
+
+# -- the batched action kernel ---------------------------------------------------
+#
+# A batch of k maps is a (k, 5) integer array whose rows are (a, b, c, d, j),
+# as `coefficients` builds it; `transporters_to_base` returns one directly.
+
+
+def coefficients(gs):
+    """The maps `gs` as a (k, 5) array of rows (a, b, c, d, j)."""
+    return np.array([(g.a, g.b, g.c, g.d, g.j) for g in gs], dtype=np.int64).reshape(-1, 5)
+
+
+def point_perms(fld, maps):
+    """Permutation arrays of k maps on PG(1,q) positions, shape (k, q+1)."""
+    q = fld.q
+    a, b, c, d, j = np.asarray(maps).T[:, :, None]
+    x = fld.FROB[j, fld.BY_RANK]
+    num = fld.ADD[fld.MUL[a, x], b]
+    den = fld.ADD[fld.MUL[c, x], d]
+    out = np.empty((len(x), q + 1), dtype=np.int32)
+    out[:, :q] = np.where(den != 0, fld.RANK[fld.MUL[num, fld.INV[den]]], q)
+    a, c = a[:, 0], c[:, 0]
+    out[:, q] = np.where(c != 0, fld.RANK[fld.MUL[a, fld.INV[c]]], q)
+    return out
+
+
+def _rho(fld, maps):
+    """The matrices of `Moebius.rho` for k maps, unscaled, shape (k, 3, 3)."""
+    M, A = fld.MUL, fld.ADD
+    a, b, c, d = np.asarray(maps)[:, :4].T
+    two = A[1, 1]
+    entries = (
+        M[a, a], M[two, M[a, b]], M[b, b],
+        M[a, c], A[M[a, d], M[b, c]], M[b, d],
+        M[c, c], M[two, M[c, d]], M[d, d],
+    )
+    return np.stack(entries, axis=1).reshape(-1, 3, 3)
+
+
+def _cofactors(fld, mats):
+    """Cofactor matrices of a (k, 3, 3) stack; the transposes are adjugates.
+
+    With cyclic row and column indices the signs of a 3x3 cofactor
+    expansion need no separate factor.
+    """
+    M, A, N = fld.MUL, fld.ADD, fld.NEG
+    out = np.empty_like(mats)
+    for r in range(3):
+        r1, r2 = (r + 1) % 3, (r + 2) % 3
+        for s in range(3):
+            s1, s2 = (s + 1) % 3, (s + 2) % 3
+            out[:, r, s] = A[M[mats[:, r1, s1], mats[:, r2, s2]], N[M[mats[:, r1, s2], mats[:, r2, s1]]]]
+    return out
+
+
+def _coords_transform(fld, mats, js, coords):
+    """Apply k 3x3 matrices, each after its entrywise Frobenius, to every
+    row of `coords` and normalize: a (k, len(coords), 3) array.
+
+    Field operations are lookups x * q + y in the flattened tables, as
+    one `take` on a flat index is much faster than two-array indexing.
+    """
+    q = fld.q
+    mul, add = fld.MUL.ravel(), fld.ADD.ravel()
+    C = fld.FROB.ravel().take(np.asarray(js, dtype=np.intp)[:, None, None] * q + coords[None])
+    mq = np.asarray(mats, dtype=np.intp) * q
+    out = np.empty(C.shape, dtype=np.intp)
+    for r in range(3):
+        s = mul.take(mq[:, r, 0, None] + C[:, :, 0]) * q
+        s = add.take(s + mul.take(mq[:, r, 1, None] + C[:, :, 1])) * q
+        out[:, :, r] = add.take(s + mul.take(mq[:, r, 2, None] + C[:, :, 2]))
+    lead = np.argmax(out != 0, axis=2)[:, :, None]
+    inv = fld.INV.take(np.take_along_axis(out, lead, axis=2))
+    return mul.take(out + inv * q)
+
+
+def domain_perms(maps, dom):
+    """Permutation arrays of k maps on an enumerated domain, shape (k, n).
+
+    On `pairs` the maps act through their point images.  On the plane
+    domains they act through `rho`: points by the matrix, lines by its
+    cofactor matrix (the inverse transpose up to a scalar), after the
+    Frobenius of the map's exponent, and the image coordinates are
+    normalized and looked up.  Every temporary has k * n entries, times
+    three on the plane domains, so callers bound memory by the size of
+    the batches they pass.
+    """
+    fld = dom.field
+    maps = np.asarray(maps)
+    if dom.kind == "pairs":
+        return dom.plane.pg1.pair_perms(point_perms(fld, maps))
+    mats = _rho(fld, maps)
+    if dom.kind != "hyp-points":
+        mats = _cofactors(fld, mats)
+    moved = _coords_transform(fld, mats, maps[:, 4], dom.coords)
+    return dom.index_of_coords(moved.reshape(-1, 3)).reshape(len(maps), dom.n)
 
 
 def point_perm(g):
     """Permutation array of g on PG(1,q) positions (length q+1)."""
-    f = g.field
-    q = f.q
-    x = f.FROB[g.j][f.BY_RANK]
-    num = f.ADD[f.MUL[g.a, x], g.b]
-    den = f.ADD[f.MUL[g.c, x], g.d]
-    out = np.empty(q + 1, dtype=np.int32)
-    finite = den != 0
-    vals = f.MUL[num, f.INV[den]]
-    out[:q][finite] = f.RANK[vals[finite]]
-    out[:q][~finite] = q
-    out[q] = q if g.c == 0 else f.RANK[f.div(g.a, g.c)]
-    return out
-
-
-def _coords_transform(fld, mat, j, coords):
-    """Apply a 3x3 matrix after entrywise Frobenius to rows of `coords`."""
-    C = fld.FROB[j][coords]
-    cols = []
-    for row in mat:
-        s = fld.MUL[row[0], C[:, 0]]
-        s = fld.ADD[s, fld.MUL[row[1], C[:, 1]]]
-        s = fld.ADD[s, fld.MUL[row[2], C[:, 2]]]
-        cols.append(s)
-    out = np.stack(cols, axis=1)
-    lead = np.argmax(out != 0, axis=1)
-    scale = fld.INV[out[np.arange(len(out)), lead]]
-    return fld.MUL[out, scale[:, None]]
+    return point_perms(g.field, coefficients([g]))[0]
 
 
 def domain_perm(g, dom):
     """Permutation array of the map g on an enumerated domain."""
-    if dom.kind == "pairs":
-        pp = point_perm(g)
-        a = pp[dom.plane.pg1.pairs[:, 0]]
-        b = pp[dom.plane.pg1.pairs[:, 1]]
-        return dom.plane.pg1.pair_table[np.minimum(a, b), np.maximum(a, b)].astype(np.int32)
-    r = g.rho()
-    if dom.kind == "hyp-points":
-        mat = r.matrix
-    else:
-        mat = r.cofactor_matrix()
-    moved = _coords_transform(dom.field, mat, r.j, dom.coords)
-    return dom.index_of_coords(moved).astype(np.int32)
+    return domain_perms(coefficients([g]), dom)[0]
 
 
 # -- whole-group enumeration (small q) --------------------------------------------

@@ -65,6 +65,18 @@ def test_build_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("kind", ["hyp-lines", "hyp-points"])
+def test_build_on_the_conic_domains_matches_pairs(capsys, kind):
+    args = ("build", "--q", "9", "--group", "psl", "--format", "json", "--p-tensor")
+    code, out, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args, "--domain", kind)
+    assert code == code2 == 0
+    a, b = json.loads(out), json.loads(out2)
+    assert b["domain"] == kind
+    for key in ("n", "d", "valencies", "transpose_map", "p_tensor"):
+        assert a[key] == b[key], key
+
+
 def test_modulus_override_is_isomorphic(capsys):
     code, out1, _ = run(capsys, "build", "--q", "9", "--group", "m", "--format", "json")
     code2, out2, _ = run(

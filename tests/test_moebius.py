@@ -7,19 +7,22 @@ import numpy as np
 import pytest
 
 from scheme_forge.gf import field
-from scheme_forge.geometry import INFINITY, Plane
+from scheme_forge.geometry import INFINITY, Plane, domain
 from scheme_forge.moebius import (
     InvalidGroupError,
     Moebius,
     base_pair_stabilizer,
+    coefficients,
     conic_param,
     domain_perm,
+    domain_perms,
     enumerate_group,
     generators,
     group_order,
     membership,
     point_perm,
     transporter_to_base,
+    transporters_to_base,
 )
 
 SMALL_Q = [5, 7, 9]
@@ -373,3 +376,67 @@ def test_domain_perm_consistency():
         p3 = domain_perm(g, dpoints)
         assert np.array_equal(p1, p2)
         assert np.array_equal(p1, p3)
+
+
+def _transporter_reference(fld, pair, gid):
+    """One transporter at a time with Moebius objects: t -> (t - alpha) /
+    (t - beta), after t -> z*t when the group needs a square determinant."""
+    q = fld.q
+    alpha, beta = (None if p == q else int(fld.BY_RANK[p]) for p in pair)
+    if alpha is None:
+        h = Moebius(fld, 0, 1, 1, fld.neg(beta))
+    elif beta is None:
+        h = Moebius(fld, 1, fld.neg(alpha), 0, 1)
+    else:
+        h = Moebius(fld, 1, fld.neg(alpha), 1, fld.neg(beta))
+    if gid in ("psl", "m") and not h.det_is_square:
+        h = Moebius(fld, fld.fixed_nonsquare(), 0, 0, 1) * h
+    return h
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 25, 27, 49])
+def test_batched_transporters_match_one_at_a_time(q):
+    fld = field(q)
+    pairs = Plane(fld).pg1.pairs
+    # both orders of each pair, so that alpha = oo is covered too
+    both = np.concatenate([pairs, pairs[:, ::-1]])
+    for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
+        batch = transporters_to_base(fld, gid, both)
+        assert batch.shape == (len(both), 5)
+        for row, pair in zip(batch.tolist(), both.tolist()):
+            g = transporter_to_base(fld, pair, gid)
+            assert g == _transporter_reference(fld, pair, gid)
+            assert row == [g.a, g.b, g.c, g.d, g.j]
+
+
+def test_batched_transporter_rejects_a_repeated_point():
+    with pytest.raises(ValueError):
+        transporters_to_base(field(9), "pgl", [[0, 9], [3, 3]])
+
+
+def _scalar_perm(g, dom):
+    """Permutation of g on the domain, one element at a time."""
+    pl = dom.plane
+    if dom.kind == "pairs":
+        tab = pl.pg1.pair_table
+        return [int(tab[g.apply_pos(int(i)), g.apply_pos(int(j))]) for i, j in pl.pg1.pairs]
+    r = g.rho()
+    act = r.apply_point if dom.kind == "hyp-points" else r.apply_line
+    return [dom.index[act(e, pl)] for e in dom.elements]
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_batched_domain_perms_match_per_map(q):
+    fld = field(q)
+    pl = Plane(fld)
+    for kind in ("pairs", "hyp-lines", "hyp-points"):
+        dom = domain(pl, kind)
+        for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
+            maps = base_pair_stabilizer(fld, gid) + generators(fld, gid)
+            batch = domain_perms(coefficients(maps), dom)
+            assert batch.shape == (len(maps), dom.n) and batch.dtype == np.int32
+            for g, row in zip(maps, batch):
+                assert np.array_equal(row, domain_perm(g, dom))
+            if q == 9:
+                for g, row in zip(maps, batch):
+                    assert row.tolist() == _scalar_perm(g, dom)

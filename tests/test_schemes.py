@@ -1,12 +1,15 @@
 """Scheme engine: orbital construction both ways, axioms, intersection
 numbers against brute-force oracles, fusions, and distance-regularity."""
 
+import hashlib
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from scheme_forge import fission as fi
+from scheme_forge import moebius as mo
 from scheme_forge import schemes as sc
 from scheme_forge.gf import field
 from scheme_forge.geometry import Plane, domain, pairs_domain
@@ -87,6 +90,72 @@ def test_generic_and_stabilizer_paths_agree(q):
             a = group_orbital_scheme(fld, gid, dom_)
             b = orbital_scheme_via_stabilizer(fld, gid, dom_)
             assert np.array_equal(a.relation_matrix, b.relation_matrix), (q, gid, kind)
+
+
+def test_stabilizer_list_that_is_not_closed_is_rejected(monkeypatch):
+    fld = field(9)
+    pl = Plane(fld)
+    full = mo.base_pair_stabilizer
+    monkeypatch.setattr(mo, "base_pair_stabilizer", lambda f, gid: full(f, gid)[1::2])
+    for kind in ("pairs", "hyp-lines", "hyp-points"):
+        dom_ = domain(pl, kind)
+        for gid in GROUPS_FOR(fld):
+            with pytest.raises(RuntimeError, match="stabilizer list is not closed"):
+                orbital_scheme_via_stabilizer(fld, gid, dom_, check=False)
+
+
+# sha256 of the q = 81 relation matrices on pairs, all uint8, as built by
+# the earlier one-row-at-a-time construction
+Q81_DIGESTS = {
+    "psl": "5d00423a469566226d167670b5982a83bdcdf3ac0fd817eb550a09fec681d3e2",
+    "m": "b18e67118d5da8979dcff03c950fc0ba7a3e8c1ced5dc2bc9ba64660300bb4b4",
+    "pgammal": "491022298fead6f176eea010b9a08371f0f63ce07d0a4583ea9777338d05dc5d",
+}
+
+
+@pytest.fixture(scope="module")
+def q81():
+    """The q = 81 schemes on pairs, built with check=True, and the
+    tracemalloc peak of the psl build, made first with nothing else held."""
+    fld = field(81)
+    dom_ = pairs_domain(Plane(fld))
+    tracemalloc.start()
+    try:
+        builds = {"psl": orbital_scheme_via_stabilizer(fld, "psl", dom_)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for gid in ("m", "pgammal"):
+        builds[gid] = orbital_scheme_via_stabilizer(fld, gid, dom_)
+    return builds, peak
+
+
+@pytest.mark.parametrize("gid", sorted(Q81_DIGESTS))
+def test_q81_matrices_keep_their_bytes(q81, gid):
+    M = q81[0][gid].relation_matrix
+    assert M.dtype == np.uint8
+    assert hashlib.sha256(M.tobytes()).hexdigest() == Q81_DIGESTS[gid]
+
+
+def test_q81_build_memory_stays_near_the_matrix(q81):
+    # measured 1.23 n^2 bytes: the uint8 matrix plus row-block temporaries
+    builds, peak = q81
+    n = builds["psl"].n
+    assert peak <= 1.5 * n * n
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("transpose", "transposition"), ("diagonal", "exactly the diagonal")],
+)
+def test_blocked_checks_reach_the_last_row_block(fault, message):
+    fld = field(49)
+    M = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld))).relation_matrix.copy()
+    n = M.shape[0]
+    assert len(sc._row_blocks(n, n)) > 1
+    M[n - 1, n - 2] = 0 if fault == "diagonal" else M[n - 1, n - 2] % M.max() + 1
+    with pytest.raises(NotASchemeError, match=message):
+        Scheme(M)
 
 
 def test_stabilizer_path_rejects_baseless_domain():
