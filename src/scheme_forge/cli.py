@@ -9,7 +9,8 @@ Subcommands:
   scheme labels   class labels with representative pairs
   fusion check    test whether one named scheme fuses onto another
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
+Exit codes: 0 success, 1 verification failure, 2 usage error or OS
+error (an unwritable --out or cache directory).  Output is
 deterministic for a fixed configuration; elapsed times only ever appear
 in the dedicated `elapsed` field of verification reports.
 """
@@ -21,33 +22,18 @@ import sys
 import tempfile
 import zipfile
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fission as fi
 from . import moebius as mo
 from . import schemes as sc
-from .geometry import domain as build_domain
+from .geometry import Domain, domain as build_domain
 from .gf import field
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
-DOMAINS = ("pairs", "hyp-lines", "hyp-points", "tangent-lines", "elliptic-lines")
-SCHEME_NAMES = ("t", "ft", "pgl", "psl", "m", "pgammal")
-
-
-@dataclass
-class RunConfig:
-    q: int
-    group: str = "pgl"
-    domain: str = "pairs"
-    modulus: tuple | None = None
-    out: str | None = None
-    fmt: str = "text"
-    exhaustive: bool = False
-    p_tensor: bool = False
-    allow_large: bool = False
+SCHEME_NAMES = ("t", "ft") + mo.GROUPS
 
 
 def _parse_modulus(text):
@@ -75,8 +61,10 @@ def _moebius_dict(g):
     }
 
 
-def build_named_scheme(fld, name, kind="pairs", allow_large=False, cache_dir=None):
-    """Construct one of the named schemes on the requested domain."""
+def build_named_scheme(fld, name, kind="pairs", allow_large=False):
+    """Construct one of the named schemes on the requested domain.  Group
+    schemes on pairs go through the cache directory named by the
+    environment variable SCHEME_FORGE_CACHE_DIR, when it is set."""
     name = name.lower()
     if name == "t":
         dom = build_domain(fi.plane_for(fld), kind)
@@ -89,16 +77,11 @@ def build_named_scheme(fld, name, kind="pairs", allow_large=False, cache_dir=Non
         return fi.build_ft(fld, allow_large=allow_large)
     gid = mo.check_group_defined(fld, name)
     if kind == "pairs":
+        cache_dir = os.environ.get("SCHEME_FORGE_CACHE_DIR")
         cached = _cache_load(cache_dir, fld, gid, kind)
         if cached is not None:
             return cached
-        builder = {
-            "pgl": fi.pgl_scheme,
-            "psl": fi.psl_scheme,
-            "m": fi.m_scheme,
-            "pgammal": fi.pgammal_scheme,
-        }[gid]
-        S = builder(fld, allow_large=allow_large)
+        S = fi._labeled_scheme(fld, gid, allow_large=allow_large)
         _cache_save(cache_dir, fld, gid, kind, S)
         return S
     dom = build_domain(fi.plane_for(fld), kind)
@@ -130,8 +113,9 @@ def _cache_path(cache_dir, fld, gid, kind):
 
 def _cache_load(cache_dir, fld, gid, kind):
     """The cached scheme, or None on a miss.  A file that cannot be read,
-    lacks the matrix, has the wrong shape or type, or does not relabel
-    cleanly also counts as a miss; the caller rebuilds and overwrites it."""
+    lacks the matrix, has the wrong shape or type, or whose base row does
+    not match the group's labels and theorems also counts as a miss; the
+    caller rebuilds and overwrites it."""
     path = _cache_path(cache_dir, fld, gid, kind)
     if not path or not os.path.exists(path):
         return None
@@ -147,11 +131,9 @@ def _cache_load(cache_dir, fld, gid, kind):
     if M.shape != (dom.n, dom.n) or M.dtype.kind != "u":
         return None
     try:
-        S = sc.Scheme(M, domain=dom, check=False)
-        S.labels = _relabel(fld, gid, S)
+        return fi.label_scheme(fld, gid, sc.Scheme(M, domain=dom, check=False))
     except (sc.NotASchemeError, fi.TheoremViolationError):
         return None
-    return S
 
 
 def _cache_save(cache_dir, fld, gid, kind, S):
@@ -173,22 +155,12 @@ def _cache_save(cache_dir, fld, gid, kind, S):
         raise
 
 
-def _relabel(fld, gid, S):
-    label_of = {
-        "pgl": fi._ft_label_of_pair,
-        "psl": fi.psl_orbit_label,
-        "m": fi.m_orbit_label,
-        "pgammal": fi.pgammal_orbit_label,
-    }[gid]
-    return fi._labels_from_base_row(fld, S.relation_matrix, S.domain, label_of)
-
-
-def scheme_dict(fld, S, cfg):
+def scheme_dict(fld, S, args):
     out = {
         "schema": 1,
         "q": fld.q,
-        "group": cfg.group,
-        "domain": cfg.domain,
+        "group": args.group,
+        "domain": args.domain,
         "n": S.n,
         "d": S.d,
         "valencies": [int(v) for v in S.valencies],
@@ -197,7 +169,7 @@ def scheme_dict(fld, S, cfg):
         "symmetric": S.is_symmetric(),
         "commutative": S.is_commutative(),
     }
-    if cfg.p_tensor:
+    if args.p_tensor:
         out["p_tensor"] = S.p_tensor().tolist()
     return out
 
@@ -214,37 +186,25 @@ def _p_tensor_csv(S):
 
 
 def cmd_build(args):
-    cfg = RunConfig(
-        q=args.q,
-        group=args.group,
-        domain=args.domain,
-        modulus=_parse_modulus(args.modulus),
-        out=args.out,
-        fmt=args.format,
-        exhaustive=args.exhaustive,
-        p_tensor=args.p_tensor,
-        allow_large=args.allow_large,
-    )
-    fld = field(cfg.q, cfg.modulus)
-    cache_dir = os.environ.get("SCHEME_FORGE_CACHE_DIR")
-    S = build_named_scheme(fld, cfg.group, cfg.domain, cfg.allow_large, cache_dir)
-    if cfg.exhaustive:
+    fld = field(args.q, _parse_modulus(args.modulus))
+    S = build_named_scheme(fld, args.group, args.domain, args.allow_large)
+    if args.exhaustive:
         S.verify_exhaustive()
-    if cfg.fmt == "json":
-        _emit(json.dumps(scheme_dict(fld, S, cfg), sort_keys=True, indent=2) + "\n", cfg.out)
-    elif cfg.fmt == "csv":
-        _emit(_p_tensor_csv(S), cfg.out)
+    if args.format == "json":
+        _emit(json.dumps(scheme_dict(fld, S, args), sort_keys=True, indent=2) + "\n", args.out)
+    elif args.format == "csv":
+        _emit(_p_tensor_csv(S), args.out)
     else:
         vals = ", ".join(str(int(v)) for v in S.valencies[1:])
         lines = [
-            f"scheme q={fld.q} group={cfg.group} domain={cfg.domain}",
+            f"scheme q={fld.q} group={args.group} domain={args.domain}",
             f"n = {S.n}   classes d = {S.d}",
             f"valencies: {vals}",
             f"symmetric: {'yes' if S.is_symmetric() else 'no'}   "
             f"commutative: {'yes' if S.is_commutative() else 'no'}",
             "labels: " + "  ".join(S.label_text()[1:]),
         ]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -331,8 +291,7 @@ def cmd_group(args):
 
 def cmd_labels(args):
     fld = field(args.q, _parse_modulus(args.modulus))
-    cache_dir = os.environ.get("SCHEME_FORGE_CACHE_DIR")
-    S = build_named_scheme(fld, args.group, "pairs", args.allow_large, cache_dir)
+    S = build_named_scheme(fld, args.group, "pairs", args.allow_large)
     pg1 = S.domain.plane.pg1
     base = S.domain.base_index
     rows = []
@@ -363,9 +322,8 @@ def cmd_labels(args):
 
 def cmd_fusion(args):
     fld = field(args.q, _parse_modulus(args.modulus))
-    cache_dir = os.environ.get("SCHEME_FORGE_CACHE_DIR")
-    fine = build_named_scheme(fld, args.fine, "pairs", args.allow_large, cache_dir)
-    coarse = build_named_scheme(fld, args.coarse, "pairs", args.allow_large, cache_dir)
+    fine = build_named_scheme(fld, args.fine, "pairs", args.allow_large)
+    coarse = build_named_scheme(fld, args.coarse, "pairs", args.allow_large)
     part = sc.fusion_map(coarse, fine)
     ok = part is not None and sc.is_fusion(coarse, fine, part)
     payload = {
@@ -405,7 +363,7 @@ def make_parser():
     b = sub.add_parser("build", help="construct one scheme")
     _add_common(b)
     b.add_argument("--group", choices=SCHEME_NAMES, required=True)
-    b.add_argument("--domain", choices=DOMAINS, default="pairs")
+    b.add_argument("--domain", choices=Domain.KINDS, default="pairs")
     b.add_argument("--p-tensor", action="store_true")
     b.add_argument("--exhaustive", action="store_true")
     b.set_defaults(fn=cmd_build)
@@ -432,7 +390,7 @@ def make_parser():
     grsub = gr.add_subparsers(dest="info_cmd", required=True)
     gi = grsub.add_parser("info")
     _add_common(gi)
-    gi.add_argument("--group", choices=("pgl", "psl", "m", "pgammal"), required=True)
+    gi.add_argument("--group", choices=mo.GROUPS, required=True)
     gi.set_defaults(fn=cmd_group)
 
     s = sub.add_parser("scheme", help="scheme inspection")
@@ -461,7 +419,7 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ValueError, mo.InvalidGroupError, sc.UnsupportedDomainError, sc.DomainSizeError) as e:
+    except (ValueError, OSError, sc.DomainSizeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (sc.NotASchemeError, sc.NotTransitiveError, fi.TheoremViolationError) as e:

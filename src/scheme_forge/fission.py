@@ -166,13 +166,28 @@ def _ft_label_of_pair(fld, pair):
 
 
 def _labels_from_base_row(fld, M, dom, label_of_pair):
-    base = dom.base_index
-    pairs = dom.plane.pg1.pairs
+    """Class labels read off the row of the base pair {0, oo}.
+
+    Every pair y is labeled in closed form against the base pair; the
+    labels must partition the row exactly as the matrix does, one label
+    per class and every class labeled, or TheoremViolationError is
+    raised.
+    """
     labels = [None] * (int(M.max()) + 1)
-    for y in range(dom.n):
-        k = int(M[base, y])
+    seen = {}
+    for k, pair in zip(M[dom.base_index].tolist(), dom.plane.pg1.pairs.tolist()):
+        lab = label_of_pair(fld, tuple(pair))
         if labels[k] is None:
-            labels[k] = label_of_pair(fld, tuple(int(v) for v in pairs[y]))
+            if lab.key() in seen:
+                raise TheoremViolationError(
+                    f"label {lab} appears in two distinct computed orbits"
+                )
+            labels[k] = lab
+            seen[lab.key()] = k
+        elif labels[k].key() != lab.key():
+            raise TheoremViolationError(
+                f"computed orbit {k} mixes labels {labels[k]} and {lab}"
+            )
     if any(l is None for l in labels):
         raise TheoremViolationError("some class has no representative at the base pair")
     return labels
@@ -312,45 +327,8 @@ def count_pgammal_classes(fld):
 # -- labeled scheme builders ----------------------------------------------------------
 
 
-def _labeled_scheme(fld, gid, label_of_pair, check=True, allow_large=False):
-    """Stabilizer-path scheme with labels; the label partition is
-    re-derived from the closed form and must match the computed orbits."""
-    dom = pairs_for(fld)
-    S = sc.orbital_scheme_via_stabilizer(fld, gid, dom, check=check, allow_large=allow_large)
-    pairs = dom.plane.pg1.pairs
-    base = dom.base_index
-    labels = [None] * (S.d + 1)
-    seen = {}
-    for y in range(dom.n):
-        k = int(S.relation_matrix[base, y])
-        lab = label_of_pair(fld, tuple(int(v) for v in pairs[y]))
-        if labels[k] is None:
-            if lab.key() in seen:
-                raise TheoremViolationError(
-                    f"label {lab} appears in two distinct computed orbits"
-                )
-            labels[k] = lab
-            seen[lab.key()] = k
-        elif labels[k].key() != lab.key():
-            raise TheoremViolationError(
-                f"computed orbit {k} mixes labels {labels[k]} and {lab}"
-            )
-    S.labels = labels
-    return S
-
-
-def pgl_scheme(fld, check=True, allow_large=False):
-    """The full fractional-linear group scheme, labeled by cross-ratio."""
-    return _labeled_scheme(fld, "pgl", _ft_label_of_pair, check, allow_large)
-
-
-def psl_scheme(fld, check=True, allow_large=False):
-    return _labeled_scheme(fld, "psl", psl_orbit_label, check, allow_large)
-
-
-def m_scheme(fld, check=True, allow_large=False):
-    """The twisted-group scheme with Delta labels and orbit bookkeeping."""
-    S = _labeled_scheme(fld, "m", m_orbit_label, check, allow_large)
+def _m_theorems(fld, S):
+    """Orbit bookkeeping of the twisted-group scheme."""
     q = fld.q
     root = _int_sqrt(q)
     split = [k for k, l in enumerate(S.labels) if l.kind == "ratio" and l.sign != 0]
@@ -375,16 +353,58 @@ def m_scheme(fld, check=True, allow_large=False):
             raise TheoremViolationError("non-square ratio classes must have valency 2(q-1)")
     if q > 9 and S.d != (3 * q + 5) // 8:
         raise TheoremViolationError(f"class count {S.d} != (3q+5)/8 = {(3 * q + 5) // 8}")
-    return S
 
 
-def pgammal_scheme(fld, check=True, allow_large=False):
-    S = _labeled_scheme(fld, "pgammal", pgammal_orbit_label, check, allow_large)
+def _pgammal_theorems(fld, S):
     if not S.is_symmetric():
         raise TheoremViolationError("the semilinear-group scheme must be symmetric")
     if S.d != count_pgammal_classes(fld):
         raise TheoremViolationError("class count disagrees with the direct orbit count")
+
+
+# group id -> (label of a pair against {0, oo}, theorem check or None)
+GROUP_SCHEMES = {
+    "pgl": (_ft_label_of_pair, None),
+    "psl": (psl_orbit_label, None),
+    "m": (m_orbit_label, _m_theorems),
+    "pgammal": (pgammal_orbit_label, _pgammal_theorems),
+}
+
+
+def label_scheme(fld, gid, S):
+    """Attach the closed-form labels of group `gid` to its scheme on pairs
+    and run the group's theorem check; TheoremViolationError if the
+    labels or the theorems disagree with the relation matrix."""
+    label_of_pair, theorems = GROUP_SCHEMES[gid]
+    S.labels = _labels_from_base_row(fld, S.relation_matrix, S.domain, label_of_pair)
+    if theorems is not None:
+        theorems(fld, S)
     return S
+
+
+def _labeled_scheme(fld, gid, check=True, allow_large=False):
+    """Stabilizer-path scheme of a group on pairs, labeled and checked."""
+    dom = pairs_for(fld)
+    S = sc.orbital_scheme_via_stabilizer(fld, gid, dom, check=check, allow_large=allow_large)
+    return label_scheme(fld, gid, S)
+
+
+def pgl_scheme(fld, check=True, allow_large=False):
+    """The full fractional-linear group scheme, labeled by cross-ratio."""
+    return _labeled_scheme(fld, "pgl", check, allow_large)
+
+
+def psl_scheme(fld, check=True, allow_large=False):
+    return _labeled_scheme(fld, "psl", check, allow_large)
+
+
+def m_scheme(fld, check=True, allow_large=False):
+    """The twisted-group scheme with Delta labels and orbit bookkeeping."""
+    return _labeled_scheme(fld, "m", check, allow_large)
+
+
+def pgammal_scheme(fld, check=True, allow_large=False):
+    return _labeled_scheme(fld, "pgammal", check, allow_large)
 
 
 def _int_sqrt(q):

@@ -33,10 +33,10 @@ class InvalidGroupError(ValueError):
 
 def normalize_group(gid):
     g = str(gid).lower().replace("(", "").replace(")", "")
-    aliases = {"pgl": "pgl", "psl": "psl", "m": "m", "pgammal": "pgammal", "pgamma": "pgammal"}
-    if g not in aliases:
+    g = "pgammal" if g == "pgamma" else g
+    if g not in GROUPS:
         raise InvalidGroupError(f"unknown group {gid!r}; choose from {GROUPS}")
-    return aliases[g]
+    return g
 
 
 def check_group_defined(fld, gid):

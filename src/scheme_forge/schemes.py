@@ -7,11 +7,12 @@ diagonal is class 0 and nothing else is, transposes of classes are
 classes, and the intersection numbers p^k_ij are representative
 independent (sampled by default, exhaustively on request).
 
-Two independent construction routes are provided for group actions: a
-generic orbital breadth-first search over ordered pairs, and the fast
-path through base-pair stabilizer orbits plus explicit transporters.
-Both number classes by their least ordered-pair representative in
-row-major order, so equal actions give byte-identical matrices.
+Two independent construction routes are provided for group actions:
+generic least-element orbit labels of the group on ordered pairs, and
+the fast path through base-pair stabilizer orbits plus explicit
+transporters.  Both number classes by their least ordered-pair
+representative in row-major order, so equal actions give byte-identical
+matrices.
 """
 
 import numpy as np
@@ -198,11 +199,12 @@ class Scheme:
         M = self.relation_matrix
         P = self.p_tensor()
         d1 = self.d + 1
-        B = [(M == i).astype(np.int64) for i in range(d1)]
+        # Two indicators are alive at a time.  The float64 products are
+        # exact: every entry and partial sum counts at most n < 2^53 ones.
         for i in range(d1):
+            Bi = (M == i).astype(np.float64)
             for j in range(d1):
-                prod = B[i] @ B[j]
-                if not np.array_equal(prod, P[:, i, j][M]):
+                if not np.array_equal(Bi @ (M == j).astype(np.float64), P[:, i, j][M]):
                     raise NotASchemeError(
                         f"p^k_({i},{j}) is not constant over all representatives"
                     )
@@ -233,55 +235,54 @@ class Scheme:
 # -- construction from group actions ------------------------------------------------
 
 
-def _transitive(perms, n):
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        nxt = []
-        for s in perms:
-            cand = s[frontier]
-            cand = cand[~seen[cand]]
-            if cand.size:
-                cand = np.unique(cand)
-                seen[cand] = True
-                nxt.append(cand)
-        frontier = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
-    return bool(seen.all())
+def _orbits(perms, shape):
+    """Least-element orbit labels of the group that `perms` generate.
+
+    The points are the flat indices of an array of the given shape, and
+    each p in `perms` indexes such an array so that lab[p] holds, at every
+    point, the label of its image: a permutation array for a 1-d shape,
+    or an `np.ix_` pair for the diagonal action on the entries of a
+    square.  Starting from lab[x] = x, each round lowers lab to
+    min(lab, lab[p]) for every p in turn and then jumps lab = lab[lab],
+    until a round leaves the sum of the labels unchanged.  Every step
+    keeps lab[x] in the orbit of x and can only lower it, so the loop
+    ends, and at the end no step changed anything: lab[x] <= lab[p(x)]
+    for every generator p, and following the cycle of p through x gives
+    equality, so lab is constant on orbits, and the least element m of
+    an orbit has lab[m] = m.  So lab[x] is the least element of the
+    orbit of x.  Two label arrays are alive at a time.
+    """
+    lab = np.arange(np.prod(shape)).reshape(shape)
+    total = lab.sum()
+    while True:
+        for p in perms:
+            np.minimum(lab, lab[p], out=lab)
+        lab = lab.ravel()[lab]
+        lowered = lab.sum()
+        if lowered == total:
+            return lab
+        total = lowered
 
 
 def orbital_scheme(perms, dom, check=True, allow_large=False, labels=None):
-    """Scheme of the diagonal action on ordered pairs, by plain BFS.
+    """Scheme of the diagonal action on ordered pairs, from orbit labels.
 
     `perms` are permutation arrays of the domain for a generating set of
-    the acting group, which must be transitive on the domain.
+    the acting group, which must be transitive on the domain.  Classes
+    are the orbits on the entries (x, y) of the n x n matrix, numbered by
+    least pair in row-major order.  The diagonal is one orbit exactly
+    when the group is transitive on the domain.
     """
     _guard_size(dom, allow_large)
     n = dom.n
-    perms = [np.asarray(p, dtype=np.int64) for p in perms]
-    if not _transitive(perms, n):
+    lab = _orbits([np.ix_(p, p) for p in perms], (n, n))
+    if np.diagonal(lab).any():
         raise NotTransitiveError("the generated group is not transitive on the domain")
-    raw = np.full(n * n, -1, dtype=np.int32)
-    cls = 0
-    for seed in range(n * n):
-        if raw[seed] >= 0:
-            continue
-        raw[seed] = cls
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            xs, ys = np.divmod(frontier, n)
-            nxt = []
-            for s in perms:
-                cand = s[xs] * n + s[ys]
-                cand = cand[raw[cand] < 0]
-                if cand.size:
-                    cand = np.unique(cand)
-                    raw[cand] = cls
-                    nxt.append(cand)
-            frontier = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
-        cls += 1
-    M = raw.reshape(n, n).astype(_class_dtype(cls))
-    return Scheme(M, domain=dom, labels=labels, check=check)
+    least = np.flatnonzero(lab.ravel() == np.arange(n * n))
+    dtype = _class_dtype(len(least))
+    number = np.zeros(n * n, dtype=dtype)
+    number[least] = np.arange(len(least), dtype=dtype)
+    return Scheme(number[lab], domain=dom, labels=labels, check=check)
 
 
 def _stabilizer_orbits(fld, gid, dom):
@@ -408,8 +409,8 @@ def fusion_map(coarse, fine):
 
 def is_fusion(coarse, fine, partition):
     """Whether `partition` (fine class -> coarse class) realizes coarse
-    as a fusion scheme of fine: admissible and reproducing the coarse
-    relations exactly.  The coarse scheme's own axioms are re-verified.
+    as a fusion scheme of fine: admissible, reproducing the coarse
+    relations exactly, and with constant fused intersection numbers.
     """
     part = np.asarray(partition, dtype=np.int64)
     if part.shape != (fine.d + 1,):
@@ -425,17 +426,28 @@ def is_fusion(coarse, fine, partition):
         return False
     if not np.array_equal(part[fine.relation_matrix], coarse.relation_matrix):
         return False
-    try:
-        coarse.p_tensor()
-    except NotASchemeError:
-        return False
-    return True
+    return _sums_are_constant(fine, part)
+
+
+def _sums_are_constant(fine, part):
+    """Whether fusing the classes of the scheme `fine` along `part` gives
+    constant intersection numbers: for all coarse classes I, J, K, the
+    sum of p^k_ij over i in I, j in J is the same for every k in K
+    (Bannai-Ito, Algebraic Combinatorics I, 2.2).  The sums are read off
+    the fine p-tensor, so no pair of the coarse matrix is sampled."""
+    _, first, blocks = np.unique(part, return_index=True, return_inverse=True)
+    E = np.zeros((fine.d + 1, len(first)), dtype=np.int64)
+    E[np.arange(fine.d + 1), blocks] = 1
+    sums = E.T @ fine.p_tensor() @ E
+    return bool(np.array_equal(sums, sums[first[blocks]]))
 
 
 def fuse(fine, partition, check=True):
     """Build the fused scheme; raises NotASchemeError if the admissible
     partition does not actually yield an association scheme."""
     part = np.asarray(partition, dtype=np.int64)
+    if check and not _sums_are_constant(fine, part):
+        raise NotASchemeError("the fused intersection numbers are not constant")
     M = _renumber_first_occurrence(part[fine.relation_matrix])
     return Scheme(M, domain=fine.domain, check=check)
 

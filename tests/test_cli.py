@@ -247,3 +247,56 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "classes d = 5" in proc.stdout
+
+
+def test_misfiled_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
+    """A pgl matrix under the psl name: every pgl class holds pairs of two
+    psl labels, so the checked labeling rejects it and the scheme is rebuilt."""
+    import numpy as np
+
+    from scheme_forge import cli
+    from scheme_forge.fission import pgl_scheme
+    from scheme_forge.gf import field
+
+    argv = ("scheme", "labels", "--q", "9", "--group", "psl")
+    monkeypatch.delenv("SCHEME_FORGE_CACHE_DIR", raising=False)
+    want = run(capsys, *argv)
+    fld = field(9)
+    path = cli._cache_path(str(tmp_path), fld, "psl", "pairs")
+    np.savez(path, relation_matrix=pgl_scheme(fld).relation_matrix)
+    monkeypatch.setenv("SCHEME_FORGE_CACHE_DIR", str(tmp_path))
+    assert run(capsys, *argv) == want
+    assert run(capsys, *argv) == want  # the rebuilt file was written back
+
+
+def _run_module(argv, **env):
+    import os
+    import subprocess
+    import sys
+
+    import scheme_forge
+
+    src = os.path.dirname(os.path.dirname(scheme_forge.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "scheme_forge", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+
+
+def test_unwritable_out_file_is_a_usage_error(tmp_path):
+    out = tmp_path / "missing-dir" / "x"
+    proc = _run_module(["build", "--q", "9", "--group", "psl", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_cache_dir_under_a_file_is_a_usage_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = _run_module(
+        ["build", "--q", "9", "--group", "psl"], SCHEME_FORGE_CACHE_DIR=str(blocker / "cache")
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -74,6 +74,72 @@ def test_not_transitive_rejected():
         orbital_scheme(ident, dom)
 
 
+def _union_find_least(perms, n):
+    """Least element of each orbit, by plain union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in perms:
+        for x in range(n):
+            a, b = find(x), find(int(p[x]))
+            parent[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
+
+
+def test_orbits_of_a_non_transitive_group_match_union_find():
+    # the generators permute the members of three interleaved blocks among
+    # themselves and fix the rest of the points
+    rng = np.random.default_rng(7)
+    n = 300
+    block = rng.integers(0, 4, n)
+    perms = []
+    for _ in range(3):
+        p = np.arange(n)
+        for b in range(3):
+            members = np.flatnonzero(block == b)
+            p[members] = rng.permutation(members)
+        perms.append(p)
+    lab = sc._orbits(perms, (n,))
+    want = _union_find_least(perms, n)
+    assert lab.tolist() == want
+    assert len(set(want)) > 4
+
+
+# sha256 of the generic-path relation matrices (dtype tag, then bytes) of
+# every group defined at q, in the order of GROUPS_FOR, as built by the
+# earlier breadth-first construction
+GENERIC_DIGESTS = {
+    (5, "pairs"): "9d69d8e7b94d1b3e91d63d2718f2e5e16e041b9f8c04bcc5d7d8c09587266db0",
+    (5, "hyp-lines"): "9d69d8e7b94d1b3e91d63d2718f2e5e16e041b9f8c04bcc5d7d8c09587266db0",
+    (5, "hyp-points"): "9d69d8e7b94d1b3e91d63d2718f2e5e16e041b9f8c04bcc5d7d8c09587266db0",
+    (9, "pairs"): "9b0623008a50e458b2c2c8608bdcac3e2ba32991ab7a1f7347cd5ea6be0df38d",
+    (9, "hyp-lines"): "9b0623008a50e458b2c2c8608bdcac3e2ba32991ab7a1f7347cd5ea6be0df38d",
+    (9, "hyp-points"): "9b0623008a50e458b2c2c8608bdcac3e2ba32991ab7a1f7347cd5ea6be0df38d",
+    (13, "pairs"): "4dae40bae1316b700e898d6645de31478bebddaa4876f52d853a7e32d7527326",
+    (13, "hyp-lines"): "4dae40bae1316b700e898d6645de31478bebddaa4876f52d853a7e32d7527326",
+    (13, "hyp-points"): "4dae40bae1316b700e898d6645de31478bebddaa4876f52d853a7e32d7527326",
+    (9, "tangent-lines"): "1f7d9068c76fd2754d678880bc2542fc4cca74b934f5ce250c22069a54481471",
+    (9, "elliptic-lines"): "515c3b5abe6347eb9d3e10567a40c1905cfef1f1f3dae1705385780e5ec17428",
+}
+
+
+@pytest.mark.parametrize("q, kind", sorted(GENERIC_DIGESTS))
+def test_generic_matrices_keep_their_bytes(q, kind):
+    fld = field(q)
+    dom_ = domain(Plane(fld), kind)
+    h = hashlib.sha256()
+    for gid in GROUPS_FOR(fld):
+        M = group_orbital_scheme(fld, gid, dom_).relation_matrix
+        h.update(M.dtype.str.encode())
+        h.update(M.tobytes())
+    assert h.hexdigest() == GENERIC_DIGESTS[q, kind]
+
+
 def test_pgl9_has_five_classes():
     fld = field(9)
     S = group_orbital_scheme(fld, "pgl", pairs_domain(Plane(fld)))
@@ -199,6 +265,22 @@ def test_exhaustive_constancy(q):
         orbital_scheme_via_stabilizer(fld, gid, dom_).verify_exhaustive()
 
 
+def test_exhaustive_check_memory_is_bounded():
+    # one float64 indicator, the product and the expected counts, plus
+    # the second indicator while it is made: measured 3.2 arrays of 8n^2
+    # bytes (23 at the earlier all-indicators-at-once check)
+    fld = field(25)
+    S = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld)))
+    S.p_tensor()
+    tracemalloc.start()
+    try:
+        S.verify_exhaustive()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * S.n * S.n
+
+
 def test_scheme_rejects_broken_matrices():
     M = np.zeros((4, 4), dtype=np.uint8)
     with pytest.raises(NotASchemeError):
@@ -242,6 +324,22 @@ def test_admissible_partition_need_not_give_a_scheme():
     part = np.array([0, 1, 1, 2, 2])
     with pytest.raises(NotASchemeError):
         fuse(ft, part)
+
+
+def test_fusion_check_is_not_fooled_by_sampled_rows():
+    """At q = 9, class 3 of the psl scheme alone and every other
+    nontrivial class together form an admissible partition whose fused
+    numbers look constant on the sampled rows, yet the fused matrix is
+    not a scheme."""
+    fine = fi.psl_scheme(field(9))
+    part = np.array([0, 1, 1, 2, 1, 1, 1, 1, 1])
+    coarse = Scheme(part[fine.relation_matrix].astype(np.uint8), check=False)
+    coarse.p_tensor()
+    with pytest.raises(NotASchemeError):
+        coarse.verify_exhaustive()
+    assert not is_fusion(coarse, fine, part)
+    with pytest.raises(NotASchemeError):
+        fuse(fine, part)
 
 
 def test_is_fusion_rejects_transpose_open_partition():
