@@ -26,7 +26,7 @@ import numpy as np
 
 from . import moebius as mo
 from . import schemes as sc
-from .geometry import Plane, pairs_domain, hyperbolic_lines_domain, hyperbolic_points_domain
+from .geometry import Plane, domain
 from .gf import field
 
 
@@ -89,6 +89,7 @@ class RelationLabel:
 # -- plane/domain caches -----------------------------------------------------------
 # Kept on the field object itself, so each lives exactly as long as its
 # field and can never be handed to a later field that reuses its id().
+# A domain is O(n) arrays plus, on the plane domains, a q^3 lookup table.
 
 
 def plane_for(fld):
@@ -97,10 +98,57 @@ def plane_for(fld):
     return fld._plane
 
 
-def pairs_for(fld):
-    if not hasattr(fld, "_pairs_domain"):
-        fld._pairs_domain = pairs_domain(plane_for(fld))
-    return fld._pairs_domain
+def domain_for(fld, kind):
+    """The enumerated domain of this kind over the field, built once."""
+    if not hasattr(fld, "_domains"):
+        fld._domains = {}
+    if kind not in fld._domains:
+        fld._domains[kind] = domain(plane_for(fld), kind)
+    return fld._domains[kind]
+
+
+# -- the build memo of one verify_paper call ------------------------------------------
+
+
+def _memoized(fld, key, build):
+    """The scheme `build()` returns, reused while the key repeats.
+
+    While verify_paper runs the reports of one q, the field carries a
+    one-entry memo, removed when those reports end, so the process-wide
+    field cache never keeps a matrix alive; elsewhere this is `build()`.
+    `key` is (builder, gid, domain kind, check).  The held scheme is
+    returned when its key equals `key`; otherwise it is dropped *before*
+    `build` runs, so no memoized matrix is alive while another scheme is
+    built and peak memory cannot rise.  A hit returns the same object,
+    p-tensor included: the reports only read the schemes they are given.
+    """
+    memo = getattr(fld, "_build_memo", None)
+    if memo is None:
+        return build()
+    if key in memo:
+        return memo[key]
+    memo.clear()
+    memo[key] = scheme = build()
+    return scheme
+
+
+def _ft(fld):
+    return _memoized(fld, ("ft", None, "pairs", True), lambda: build_ft(fld))
+
+
+def _generic(fld, gid, kind):
+    """Generic-path scheme of a group on a domain, through the memo."""
+    return _memoized(
+        fld,
+        ("generic", gid, kind, True),
+        lambda: sc.group_orbital_scheme(fld, gid, domain_for(fld, kind)),
+    )
+
+
+def _triangular(fld):
+    return _memoized(
+        fld, ("t", None, "pairs", True), lambda: sc.triangular_scheme(domain_for(fld, "pairs"))
+    )
 
 
 # -- FT(q+1): the cross-ratio fission of the triangular scheme ----------------------
@@ -113,7 +161,7 @@ def build_ft(fld, check=True, allow_large=False):
     pairs by the unordered cross-ratio class {r, 1/r}.  Classes are
     numbered by least representative, labels attached.
     """
-    dom = pairs_for(fld)
+    dom = domain_for(fld, "pairs")
     sc._guard_size(dom, allow_large)
     pg1 = dom.plane.pg1
     n = dom.n
@@ -196,8 +244,8 @@ def _labels_from_base_row(fld, M, dom, label_of_pair):
 def ft_equals_orbital(fld):
     """Whether the cross-ratio construction equals the group-orbital one,
     under a unique relabeling of classes."""
-    ft = build_ft(fld)
-    orb = sc.group_orbital_scheme(fld, "pgl", pairs_for(fld))
+    ft = _ft(fld)
+    orb = _generic(fld, "pgl", "pairs")
     return sc.partition_bijection(ft, orb) is not None
 
 
@@ -384,27 +432,33 @@ def label_scheme(fld, gid, S):
 
 def _labeled_scheme(fld, gid, check=True, allow_large=False):
     """Stabilizer-path scheme of a group on pairs, labeled and checked."""
-    dom = pairs_for(fld)
+    dom = domain_for(fld, "pairs")
     S = sc.orbital_scheme_via_stabilizer(fld, gid, dom, check=check, allow_large=allow_large)
     return label_scheme(fld, gid, S)
 
 
+def _group_scheme(fld, gid, check, allow_large):
+    return _memoized(
+        fld, ("labeled", gid, "pairs", check), lambda: _labeled_scheme(fld, gid, check, allow_large)
+    )
+
+
 def pgl_scheme(fld, check=True, allow_large=False):
     """The full fractional-linear group scheme, labeled by cross-ratio."""
-    return _labeled_scheme(fld, "pgl", check, allow_large)
+    return _group_scheme(fld, "pgl", check, allow_large)
 
 
 def psl_scheme(fld, check=True, allow_large=False):
-    return _labeled_scheme(fld, "psl", check, allow_large)
+    return _group_scheme(fld, "psl", check, allow_large)
 
 
 def m_scheme(fld, check=True, allow_large=False):
     """The twisted-group scheme with Delta labels and orbit bookkeeping."""
-    return _labeled_scheme(fld, "m", check, allow_large)
+    return _group_scheme(fld, "m", check, allow_large)
 
 
 def pgammal_scheme(fld, check=True, allow_large=False):
-    return _labeled_scheme(fld, "pgammal", check, allow_large)
+    return _group_scheme(fld, "pgammal", check, allow_large)
 
 
 def _int_sqrt(q):
@@ -504,7 +558,7 @@ def report_ft(fld):
     }
 
     def run():
-        ft = build_ft(fld)
+        ft = _ft(fld)
         v = {lab.kind: int(ft.valencies[k]) for k, lab in enumerate(ft.labels) if k}
         return {
             "classes": ft.d,
@@ -611,9 +665,7 @@ def report_three_domain_isomorphism(fld, gid):
     predicted = {"isomorphic": True}
 
     def run():
-        pl = plane_for(fld)
-        doms = [pairs_for(fld), hyperbolic_lines_domain(pl), hyperbolic_points_domain(pl)]
-        built = [sc.group_orbital_scheme(fld, gid, dmn) for dmn in doms]
+        built = [_generic(fld, gid, kind) for kind in ("pairs", "hyp-lines", "hyp-points")]
         maps = [sc.partition_bijection(built[0], built[i]) for i in (1, 2)]
         return {"isomorphic": all(m is not None for m in maps)}
 
@@ -631,12 +683,11 @@ def report_q9_fusion_diagram():
     g3 = fld.mul(g2, g)
     t0 = time.perf_counter()
 
-    ft = build_ft(fld)
+    ft = _ft(fld)
     psl = psl_scheme(fld)
     msch = m_scheme(fld)
     pgl = pgammal_scheme(fld)
-    dom = pairs_for(fld)
-    tri = sc.triangular_scheme(dom)
+    tri = _triangular(fld)
 
     def ratio_rep(r):
         return min(r, fld.inv(r), key=fld.rank)
@@ -697,9 +748,8 @@ def report_fusion_lattice(fld):
     """Every edge of the group lattice gives a fusion of schemes."""
     q = fld.q
     t0 = time.perf_counter()
-    dom = pairs_for(fld)
-    tri = sc.triangular_scheme(dom)
-    ft = build_ft(fld)
+    tri = _triangular(fld)
+    ft = _ft(fld)
     psl = psl_scheme(fld)
     pgml = pgammal_scheme(fld)
     edges = {
@@ -809,7 +859,11 @@ def report_scheme_axioms(fld, exhaustive=None):
     notes = []
     gids = ["pgl", "psl", "pgammal"] + (["m"] if fld.m % 2 == 0 else [])
     for gid in gids:
-        S = sc.orbital_scheme_via_stabilizer(fld, gid, pairs_for(fld))
+        S = _memoized(
+            fld,
+            ("stabilizer", gid, "pairs", True),
+            lambda: sc.orbital_scheme_via_stabilizer(fld, gid, domain_for(fld, "pairs")),
+        )
         P = S.p_tensor()
         d1 = S.d + 1
         k = S.valencies
@@ -859,28 +913,42 @@ def default_q_list(deep=False):
 
 
 def verify_paper(qs, deep=False, exhaustive=None):
-    """Run every verifier applicable to each q; returns TheoremReports."""
+    """Run every verifier applicable to each q; returns TheoremReports.
+
+    The reports of one q share that field's one-entry build memo (see
+    `_memoized`), which is removed when they end, also on an error.
+    """
     reports = []
     for q in sorted(qs):
         fld = field(q)
-        small = q <= 13
-        if small:
-            reports.append(report_geometry(fld))
-            reports.append(report_embedding(fld))
-            reports.append(report_ft(fld))
-            reports.append(report_scheme_axioms(fld, exhaustive=exhaustive))
-            reports.append(report_fusion_lattice(fld))
-            for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
-                reports.append(report_three_domain_isomorphism(fld, gid))
-        reports.append(report_psl_class_count(fld))
-        reports.append(report_transpose_rules(fld))
-        reports.append(report_pgammal(fld))
-        if fld.m % 2 == 0:
-            if q > 9:
-                reports.append(report_m_class_count(fld))
-            if q in (9, 25, 49, 81):
-                reports.append(report_commutativity(fld))
-        if q == 9:
-            reports.append(report_m9_octagon())
-            reports.append(report_q9_fusion_diagram())
+        fld._build_memo = {}
+        try:
+            reports += _reports_at(fld, exhaustive)
+        finally:
+            del fld._build_memo
+    return reports
+
+
+def _reports_at(fld, exhaustive):
+    q = fld.q
+    reports = []
+    if q <= 13:
+        reports.append(report_geometry(fld))
+        reports.append(report_embedding(fld))
+        reports.append(report_ft(fld))
+        reports.append(report_scheme_axioms(fld, exhaustive=exhaustive))
+        reports.append(report_fusion_lattice(fld))
+        for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
+            reports.append(report_three_domain_isomorphism(fld, gid))
+    reports.append(report_psl_class_count(fld))
+    reports.append(report_transpose_rules(fld))
+    reports.append(report_pgammal(fld))
+    if fld.m % 2 == 0:
+        if q > 9:
+            reports.append(report_m_class_count(fld))
+        if q in (9, 25, 49, 81):
+            reports.append(report_commutativity(fld))
+    if q == 9:
+        reports.append(report_m9_octagon())
+        reports.append(report_q9_fusion_diagram())
     return reports

@@ -369,7 +369,7 @@ def triangular_scheme(dom, check=True):
 
 def group_orbital_scheme(fld, gid, dom, check=True, allow_large=False):
     """Generic-path scheme of one of the named groups on a domain."""
-    perms = [mo.domain_perm(g, dom) for g in mo.generators(fld, gid)]
+    perms = mo.domain_perms(mo.coefficients(mo.generators(fld, gid)), dom)
     return orbital_scheme(perms, dom, check=check, allow_large=allow_large)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scheme_forge.gf import GF, field
-from scheme_forge.geometry import Plane, pairs_domain
+from scheme_forge.geometry import Plane, domain, pairs_domain
 from scheme_forge.schemes import (
     fusion_map,
     group_orbital_scheme,
@@ -16,6 +16,7 @@ from scheme_forge.schemes import (
     triangular_scheme,
 )
 from scheme_forge import fission as fi
+from scheme_forge import schemes as sc
 
 
 # -- per-field plane and domain caches ---------------------------------------------
@@ -26,13 +27,23 @@ def test_plane_and_pairs_caches_live_as_long_as_their_field():
     import weakref
 
     fld = GF(7)
-    dom = fi.pairs_for(fld)
+    dom = fi.domain_for(fld, "pairs")
     assert dom.field is fld and dom.plane is fi.plane_for(fld)
-    assert fi.pairs_for(fld) is dom
+    assert fi.domain_for(fld, "pairs") is dom
     ref = weakref.ref(fld)
     del fld, dom
     gc.collect()
     assert ref() is None
+
+
+def test_domain_for_builds_each_kind_once():
+    fld = GF(9)
+    dom = fi.domain_for(fld, "hyp-lines")
+    assert fi.domain_for(fld, "hyp-lines") is dom
+    fresh = domain(fi.plane_for(fld), "hyp-lines")
+    assert dom.kind == fresh.kind == "hyp-lines"
+    assert dom.elements == fresh.elements and dom.base_index == fresh.base_index
+    assert fi.domain_for(fld, "pairs") is not dom
 
 
 # -- the cross-ratio fission scheme -----------------------------------------------
@@ -446,3 +457,122 @@ def test_verify_paper_aggregate():
     for r in reports:
         d = r.to_dict()
         assert {"theorem", "q", "predicted", "computed", "passed", "elapsed", "note"} <= set(d)
+
+
+# -- the build memo of one verify_paper call ------------------------------------------
+
+
+def _stripped(reports):
+    out = []
+    for r in reports:
+        d = r.to_dict()
+        del d["elapsed"]
+        out.append(d)
+    return out
+
+
+def _reports_called_directly(q):
+    """What verify_paper([q]) runs at q = 9 or 25, in its order, with no memo."""
+    fld = field(q)
+    if q == 25:
+        return [
+            fi.report_psl_class_count(fld),
+            fi.report_transpose_rules(fld),
+            fi.report_pgammal(fld),
+            fi.report_m_class_count(fld),
+            fi.report_commutativity(fld),
+        ]
+    return [
+        fi.report_geometry(fld),
+        fi.report_embedding(fld),
+        fi.report_ft(fld),
+        fi.report_scheme_axioms(fld),
+        fi.report_fusion_lattice(fld),
+        *(fi.report_three_domain_isomorphism(fld, gid) for gid in ("pgl", "psl", "pgammal", "m")),
+        fi.report_psl_class_count(fld),
+        fi.report_transpose_rules(fld),
+        fi.report_pgammal(fld),
+        fi.report_commutativity(fld),
+        fi.report_m9_octagon(),
+        fi.report_q9_fusion_diagram(),
+    ]
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_verify_paper_equals_the_reports_called_directly(q):
+    assert _stripped(fi.verify_paper([q])) == _stripped(_reports_called_directly(q))
+    assert not hasattr(field(q), "_build_memo")
+
+
+def _spy(monkeypatch, module, name, seen):
+    """Replace module.name by a wrapper that passes (args, result) to `seen`."""
+    orig = getattr(module, name)
+
+    def spied(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        seen(args, out)
+        return out
+
+    monkeypatch.setattr(module, name, spied)
+
+
+def test_verify_paper_builds_each_q49_scheme_once(monkeypatch):
+    gids = []
+    _spy(monkeypatch, sc, "orbital_scheme_via_stabilizer", lambda args, S: gids.append(args[1]))
+    assert all(r.passed for r in fi.verify_paper([49]))
+    # the class-count reports build psl and m, the transpose rules and the
+    # commutativity survey get the same schemes back
+    assert sorted(gids) == ["m", "pgammal", "psl"]
+
+
+def test_the_memo_holds_nothing_while_a_scheme_is_built(monkeypatch):
+    fld = field(9)
+    held = []
+    for module, name in [
+        (sc, "orbital_scheme_via_stabilizer"),
+        (sc, "group_orbital_scheme"),
+        (sc, "triangular_scheme"),
+        (fi, "build_ft"),
+    ]:
+        orig = getattr(module, name)
+
+        def guarded(*args, _orig=orig, **kwargs):
+            held.append(len(fld._build_memo))
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, guarded)
+    assert all(r.passed for r in fi.verify_paper([9]))
+    assert len(held) > 20 and not any(held)
+
+
+def _weakrefs_to_stabilizer_builds(monkeypatch):
+    import weakref
+
+    refs = []
+    _spy(
+        monkeypatch, sc, "orbital_scheme_via_stabilizer", lambda args, S: refs.append(weakref.ref(S))
+    )
+    return refs
+
+
+def test_the_memo_and_its_schemes_die_with_the_call(monkeypatch):
+    refs = _weakrefs_to_stabilizer_builds(monkeypatch)
+    fi.verify_paper([9])
+    assert not hasattr(field(9), "_build_memo")
+    assert refs and all(r() is None for r in refs)
+
+
+def test_the_memo_and_its_schemes_die_when_a_report_raises(monkeypatch):
+    refs = _weakrefs_to_stabilizer_builds(monkeypatch)
+    held = []
+
+    def failing_report(fld):
+        held.append(len(fld._build_memo))
+        raise RuntimeError("report failed")
+
+    monkeypatch.setattr(fi, "report_pgammal", failing_report)
+    with pytest.raises(RuntimeError, match="report failed"):
+        fi.verify_paper([9])
+    assert held == [1]
+    assert not hasattr(field(9), "_build_memo")
+    assert refs and all(r() is None for r in refs)

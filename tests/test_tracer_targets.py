@@ -37,3 +37,20 @@ def test_tracer_installs_and_restores_every_attribute(monkeypatch):
         assert after[name].keys() == attrs.keys(), name
         for key, value in attrs.items():
             assert after[name][key] is value, f"{name}.{key}"
+
+
+def test_memo_hits_are_not_traced_as_builds(monkeypatch):
+    """The build memo of `verify_paper` sits above the traced builders, so
+    the benchmark counts only real builds: at q = 25 one stabilizer build
+    per group, where the class-count, transpose and commutativity reports
+    would otherwise build psl and m twice each."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.tracer import Tracer
+    from scheme_forge import fission
+
+    with Tracer() as tracer:
+        reports = fission.verify_paper([25])
+    assert all(r.passed for r in reports)
+    builds = [row for row in tracer.rows() if row[5] is not None and row[5][0] == "build"]
+    assert {row[0] for row in builds} == {"schemes.orbital_scheme_via_stabilizer"}
+    assert sorted(row[5][3] for row in builds) == ["m", "pgammal", "psl"]
