@@ -219,7 +219,7 @@ def cmd_verify(args):
         raise ValueError("verify paper needs --q <q> (repeatable) or --all-q")
     for q in qs:
         field(q)  # validates q before any work
-    reports = fi.verify_paper(qs, deep=args.deep, exhaustive=args.exhaustive or None)
+    reports = fi.verify_paper(qs, exhaustive=args.exhaustive or None)
     reports.sort(key=lambda r: (r.q, r.theorem_id))
     failed = [r for r in reports if not r.passed]
     if args.format == "json":

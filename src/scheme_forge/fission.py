@@ -158,52 +158,44 @@ def build_ft(fld, check=True, allow_large=False):
     """The cross-ratio fission scheme on pairs, built with no group at all.
 
     Pairs meeting in a point are related by the "share" class; disjoint
-    pairs by the unordered cross-ratio class {r, 1/r}.  Classes are
-    numbered by least representative, labels attached.
+    pairs by the unordered cross-ratio class {r, 1/r}.  Each pair x gets
+    the code 0 against itself, 1 against a pair it meets and 2 + the rank
+    of the lesser of r, 1/r otherwise, computed for a block of rows at a
+    time (`schemes._row_blocks`).  The codes of row 0 are numbered by
+    first occurrence, which numbers the classes by least pair, and every
+    block is written straight into the final matrix; labels attached.
     """
     dom = domain_for(fld, "pairs")
     sc._guard_size(dom, allow_large)
-    pg1 = dom.plane.pg1
     n = dom.n
     q = fld.q
+    MUL, ADD, NEG, INV, RANK = fld.MUL, fld.ADD, fld.NEG, fld.INV, fld.RANK
 
+    # homogeneous coordinates of the two points of every pair
     homog = np.zeros((q + 1, 2), dtype=np.int32)
     homog[:q, 0] = fld.BY_RANK
     homog[:q, 1] = 1
     homog[q] = (1, 0)
+    z, w = homog[dom.plane.pg1.pairs[:, 0]], homog[dom.plane.pg1.pairs[:, 1]]
 
-    pairs = pg1.pairs
-    MUL, ADD, NEG, INV = fld.MUL, fld.ADD, fld.NEG, fld.INV
+    def codes(r0, r1):
+        def det(u, v):
+            # u[i] . v[j] determinants of rows r0..r1 of u against all of v
+            return ADD[MUL[u[r0:r1, 0, None], v[:, 1]], NEG[MUL[u[r0:r1, 1, None], v[:, 0]]]]
 
-    def det_vec(u, V):
-        # u fixed homogeneous pair, V an (n,2) array of them
-        return ADD[MUL[u[0], V[:, 1]], NEG[MUL[u[1], V[:, 0]]]]
+        num = MUL[det(z, z), det(w, w)]
+        den = MUL[det(z, w), det(w, z)]
+        c = MUL[num, INV[den]]
+        out = 2 + np.minimum(RANK[c], RANK[INV[c]])
+        out[(num == 0) | (den == 0)] = 1
+        out[np.arange(r1 - r0), np.arange(r0, r1)] = 0
+        return out
 
-    # canonical code of the unordered cross-ratio class {c, 1/c}
-    rank = fld.RANK
-    inv_code = INV
-
-    Vz = homog[pairs[:, 0]]
-    Vw = homog[pairs[:, 1]]
-    raw = np.empty((n, n), dtype=np.int32)
-    for xidx in range(n):
-        ux = homog[pairs[xidx, 0]]
-        uy = homog[pairs[xidx, 1]]
-        num = MUL[det_vec(ux, Vz), det_vec(uy, Vw)]
-        den = MUL[det_vec(ux, Vw), det_vec(uy, Vz)]
-        touching = (num == 0) | (den == 0)
-        c = MUL[num, inv_code[den]]
-        cinv = inv_code[c]
-        rep = np.where(rank[c] <= rank[cinv], c, cinv)
-        row = 2 + rank[rep]
-        row[touching] = 1
-        row[xidx] = 0
-        raw[xidx] = row
-    M = sc._renumber_first_occurrence(raw)
-
-    labels = _labels_from_base_row(fld, M, dom, _ft_label_of_pair)
-    scheme = sc.Scheme(M, domain=dom, labels=labels, check=check)
-    return scheme
+    remap, _ = sc._renumber_first_occurrence(codes(0, 1)[0], q + 2)
+    M = np.empty((n, n), dtype=remap.dtype)
+    for r0, r1 in sc._row_blocks(n, n):
+        M[r0:r1] = remap[codes(r0, r1)]
+    return label_scheme(fld, "pgl", sc.Scheme(M, domain=dom, check=check))
 
 
 def _ft_label_of_pair(fld, pair):
@@ -859,11 +851,7 @@ def report_scheme_axioms(fld, exhaustive=None):
     notes = []
     gids = ["pgl", "psl", "pgammal"] + (["m"] if fld.m % 2 == 0 else [])
     for gid in gids:
-        S = _memoized(
-            fld,
-            ("stabilizer", gid, "pairs", True),
-            lambda: sc.orbital_scheme_via_stabilizer(fld, gid, domain_for(fld, "pairs")),
-        )
+        S = _group_scheme(fld, gid, True, False)
         P = S.p_tensor()
         d1 = S.d + 1
         k = S.valencies
@@ -912,7 +900,7 @@ def default_q_list(deep=False):
     return qs
 
 
-def verify_paper(qs, deep=False, exhaustive=None):
+def verify_paper(qs, exhaustive=None):
     """Run every verifier applicable to each q; returns TheoremReports.
 
     The reports of one q share that field's one-entry build memo (see

@@ -277,9 +277,6 @@ class Plane:
                 out.append((1, a, b))
         return out
 
-    def points_on_line(self, l):
-        return [P for P in self.all_points() if self.incident(P, l)]
-
 
 class Domain:
     """An enumerated domain for scheme construction, with stable indices."""

@@ -2,16 +2,18 @@
 
 A Scheme wraps a dense n x n relation matrix of small class indices:
 entry (x, y) is the index of the relation containing the ordered pair,
-0 being the diagonal.  Construction re-verifies the scheme axioms: the
-diagonal is class 0 and nothing else is, transposes of classes are
-classes, and the intersection numbers p^k_ij are representative
-independent (sampled by default, exhaustively on request).
+0 being the diagonal.  Construction re-verifies the scheme axioms: row 0
+holds every class (every row of a scheme does), the diagonal is class 0
+and nothing else is, transposes of classes are classes, and the
+intersection numbers p^k_ij are representative independent (sampled by
+default, exhaustively on request).
 
-Two independent construction routes are provided for group actions:
-generic least-element orbit labels of the group on ordered pairs, and
-the fast path through base-pair stabilizer orbits plus explicit
-transporters.  Both number classes by their least ordered-pair
-representative in row-major order, so equal actions give byte-identical
+Classes are numbered one way, by `_renumber_first_occurrence`: in order
+of first occurrence in row 0, which is their least ordered pair in
+row-major order.  Every builder goes through it: the generic least-element
+orbit labels of a group on ordered pairs, the fast path through
+base-pair stabilizer orbits plus explicit transporters, fusions, and
+the cross-ratio scheme in `fission`; equal actions give byte-identical
 matrices.
 """
 
@@ -46,10 +48,6 @@ def _guard_size(dom, allow_large):
         )
 
 
-def _class_dtype(nclasses):
-    return np.uint8 if nclasses <= 255 else np.uint16
-
-
 # The block budget: row blocks hold about this many entries, so blocked
 # passes over an n x n matrix need temporaries of a few hundred kB (index
 # arrays take eight bytes an entry) instead of multiples of n^2, and the
@@ -66,43 +64,37 @@ def _row_blocks(k, n):
     return [(r0, min(k, r0 + step)) for r0 in range(0, k, step)]
 
 
-def _renumber_first_occurrence(raw):
-    """Renumber class ids by first appearance in row-major order.
+def _renumber_first_occurrence(row, size):
+    """The class numbering of every builder: first occurrence in row 0.
 
-    When row 0 holds every class id, as it does for any transitive
-    action, first appearance in row-major order is first appearance in
-    row 0, so the order is read off that row alone and applied with one
-    gather.  Ids missing from row 0 map to a sentinel (the largest value
-    of the output dtype, which no renumbered class can take); if the
-    sentinel shows up anywhere, or an id is negative, the full
-    row-major sort below gives the answer instead.  Both routes return
-    the same values in the same dtype.
+    `row` is row 0 of a relation matrix, or the values it would hold.
+    Returns (remap, first): remap, of length `size` and in the final
+    class dtype (uint8 for up to 255 classes, else uint16), numbers each
+    value of the row by its first occurrence,
+    and first[k] is the column where class k first occurs.  A value in
+    0..size-1 that the row misses maps to the largest value of the
+    dtype, which no class number takes, so a matrix holding it fails the
+    row-0 check of `Scheme`: in a scheme every row holds every class, so
+    numbering row 0 is numbering the matrix in row-major order.
     """
-    ids, first = np.unique(raw[0], return_index=True)
-    dtype = _class_dtype(len(ids))
-    missing = np.iinfo(dtype).max
-    if len(ids) <= missing and raw.min() >= 0:
-        remap = np.full(int(raw.max()) + 1, missing, dtype=dtype)
-        remap[ids[np.argsort(first, kind="stable")]] = np.arange(len(ids), dtype=dtype)
-        out = remap[raw]
-        if out.max() != missing:
-            return out
-    flat = raw.ravel()
-    uniq, first = np.unique(flat, return_index=True)
+    if not np.issubdtype(row.dtype, np.integer) or row.min() < 0:
+        raise NotASchemeError("class indices must be non-negative integers")
+    ids, first = np.unique(row, return_index=True)
     order = np.argsort(first, kind="stable")
-    remap = np.empty(int(uniq.max()) + 1, dtype=_class_dtype(len(uniq)))
-    remap[uniq[order]] = np.arange(len(uniq), dtype=remap.dtype)
-    return remap[raw]
+    dtype = np.uint8 if len(ids) <= 255 else np.uint16
+    remap = np.full(size, np.iinfo(dtype).max, dtype=dtype)
+    remap[ids[order]] = np.arange(len(ids), dtype=dtype)
+    return remap, first[order]
 
 
 class Scheme:
     """An association scheme on an enumerated domain.
 
-    `class_reps[k]` is the least pair of class k in row-major order.  When
-    the matrix has integer entries with least entry 0 and row 0 holds all
-    d+1 values, as in any transitive scheme, every class occurs in row 0,
-    so the representatives are read off that row; otherwise the whole
-    matrix is sorted.  The two give the same pairs and the same errors.
+    Row 0 must hold every class 0..d, as every row of a scheme does, and
+    `class_reps[k]` is the first pair (0, y) of class k: its least pair
+    in row-major order.  A matrix whose row 0 misses a class, or with a
+    negative or non-integer entry, raises NotASchemeError whatever
+    `check` says.
     """
 
     def __init__(self, relation_matrix, domain=None, labels=None, check=True, sample=10):
@@ -117,13 +109,10 @@ class Scheme:
         self._p_tensor = None
         self._p_sample = 0
 
-        flat = M.ravel()
-        uniq, first = np.unique(M[0], return_index=True)
-        if len(uniq) != self.d + 1 or not np.issubdtype(M.dtype, np.integer) or M.min() != 0:
-            uniq, first = np.unique(flat, return_index=True)
-        if len(uniq) != self.d + 1 or uniq[0] != 0:
-            raise NotASchemeError("class indices must be 0..d with none missing")
-        self.class_reps = [divmod(int(i), self.n) for i in first]
+        remap, first = _renumber_first_occurrence(M[0], self.d + 1)
+        if len(first) != self.d + 1 or M.min() < 0:
+            raise NotASchemeError("row 0 must hold every class 0..d, and nothing else may occur")
+        self.class_reps = [(0, int(first[k])) for k in remap.tolist()]
 
         if (np.diagonal(M) != 0).any():
             raise NotASchemeError("the diagonal must be relation 0")
@@ -269,20 +258,19 @@ def orbital_scheme(perms, dom, check=True, allow_large=False, labels=None):
 
     `perms` are permutation arrays of the domain for a generating set of
     the acting group, which must be transitive on the domain.  Classes
-    are the orbits on the entries (x, y) of the n x n matrix, numbered by
-    least pair in row-major order.  The diagonal is one orbit exactly
-    when the group is transitive on the domain.
+    are the orbits on the entries (x, y) of the n x n matrix.  The
+    diagonal is one orbit exactly when the group is transitive on the
+    domain, and then every orbit meets row 0, so each label is the
+    column of its orbit's least pair in row 0 and numbering row 0 by
+    first occurrence numbers the classes by least pair.
     """
     _guard_size(dom, allow_large)
     n = dom.n
     lab = _orbits([np.ix_(p, p) for p in perms], (n, n))
     if np.diagonal(lab).any():
         raise NotTransitiveError("the generated group is not transitive on the domain")
-    least = np.flatnonzero(lab.ravel() == np.arange(n * n))
-    dtype = _class_dtype(len(least))
-    number = np.zeros(n * n, dtype=dtype)
-    number[least] = np.arange(len(least), dtype=dtype)
-    return Scheme(number[lab], domain=dom, labels=labels, check=check)
+    remap, _ = _renumber_first_occurrence(lab[0], n)
+    return Scheme(remap[lab], domain=dom, labels=labels, check=check)
 
 
 def _stabilizer_orbits(fld, gid, dom):
@@ -297,8 +285,8 @@ def _stabilizer_orbits(fld, gid, dom):
     so x and mn[x] share an orbit, and elements with equal mn do too.
     So the result is exact even for a list that is not closed: the
     orbits of <S>, or an error.  For the full stabilizer, mn[x] is the
-    least element of the orbit of x and the check passes.  Labels are
-    numbered by least element.
+    least element of the orbit of x and the check passes.  Returns mn:
+    each element labeled by the least element of its orbit.
     """
     stab = mo.coefficients(mo.base_pair_stabilizer(fld, gid))
     S = np.empty((len(stab), dom.n), dtype=np.int32)
@@ -307,7 +295,7 @@ def _stabilizer_orbits(fld, gid, dom):
     mn = S.min(axis=0)
     if not (mn[S] == mn).all():
         raise RuntimeError("least stabilizer images are not invariant: the stabilizer list is not closed")
-    return np.unique(mn, return_inverse=True)[1]
+    return mn
 
 
 def orbital_scheme_via_stabilizer(fld, gid, dom, check=True, allow_large=False):
@@ -317,9 +305,8 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, check=True, allow_large=False):
     of the base-pair stabilizer and T_x is the transporter sending pair x
     to the base pair.  All transporters come from one vectorized
     `transporters_to_base` call and act through `moebius.domain_perms`,
-    one row block at a time.  Classes are numbered by first occurrence in
-    row 0 before the fill: row 0 holds every class, so this is their
-    first occurrence in row-major order, as in ``orbital_scheme``, and
+    one row block at a time.  Classes are numbered from row 0 before the
+    fill (`_renumber_first_occurrence`), as in ``orbital_scheme``, and
     the rows are written straight into the final dtype.  Produces the
     identical relation matrix to ``orbital_scheme`` for the same action
     (cross-validated in the test suite for small q).
@@ -338,17 +325,10 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, check=True, allow_large=False):
         raise RuntimeError("stabilizer does not fix the base pair alone")
 
     transporters = mo.transporters_to_base(fld, gid, dom.plane.pg1.pairs)
-    row0 = lab[mo.domain_perms(transporters[:1], dom)[0]]
-    ids, first = np.unique(row0, return_index=True)
-    nclasses = int(lab.max()) + 1
-    if len(ids) != nclasses:
-        raise RuntimeError("row 0 misses a stabilizer orbit")
-    dtype = _class_dtype(nclasses)
-    remap = np.empty(nclasses, dtype=dtype)
-    remap[ids[np.argsort(first, kind="stable")]] = np.arange(nclasses, dtype=dtype)
+    remap, _ = _renumber_first_occurrence(lab[mo.domain_perms(transporters[:1], dom)[0]], n)
     row_of_base = remap[lab]
 
-    M = np.empty((n, n), dtype=dtype)
+    M = np.empty((n, n), dtype=remap.dtype)
     for r0, r1 in _row_blocks(n, n):
         sigma = mo.domain_perms(transporters[r0:r1], dom)
         if (sigma[np.arange(r1 - r0), np.arange(r0, r1)] != base).any():
@@ -377,22 +357,22 @@ def group_orbital_scheme(fld, gid, dom, check=True, allow_large=False):
 
 
 def partition_bijection(A, B):
-    """Class bijection if A and B define the same pair partition, else None."""
-    MA = A.relation_matrix
-    MB = B.relation_matrix
-    if MA.shape != MB.shape or A.d != B.d:
+    """Class bijection if A and B define the same pair partition, else None.
+
+    With equal class counts, B is a fusion of A exactly when the two
+    partitions agree, and the fusion map is then a bijection."""
+    if A.d != B.d:
         return None
-    code = MA.ravel().astype(np.int64) * (B.d + 1) + MB.ravel()
-    uniq = np.unique(code)
-    if len(uniq) != A.d + 1:
-        return None
-    amap = uniq // (B.d + 1)
-    bmap = uniq % (B.d + 1)
-    if len(np.unique(amap)) != A.d + 1 or len(np.unique(bmap)) != B.d + 1:
-        return None
-    out = np.empty(A.d + 1, dtype=np.int64)
-    out[amap] = bmap
-    return out
+    return fusion_map(B, A)
+
+
+def _fuses_onto(coarse, fine, part):
+    """Whether part[fine] is the coarse matrix, compared in the coarse
+    dtype so the fused copy takes n^2 bytes, not an int64 n x n array."""
+    C = coarse.relation_matrix
+    if part.min() < 0 or part.max() > coarse.d:
+        return False
+    return np.array_equal(part.astype(C.dtype)[fine.relation_matrix], C)
 
 
 def fusion_map(coarse, fine):
@@ -402,9 +382,7 @@ def fusion_map(coarse, fine):
     part = np.empty(fine.d + 1, dtype=np.int64)
     for k, (x, y) in enumerate(fine.class_reps):
         part[k] = coarse.relation_matrix[x, y]
-    if not np.array_equal(part[fine.relation_matrix], coarse.relation_matrix):
-        return None
-    return part
+    return part if _fuses_onto(coarse, fine, part) else None
 
 
 def is_fusion(coarse, fine, partition):
@@ -424,7 +402,7 @@ def is_fusion(coarse, fine, partition):
     by_members = {frozenset(blk) for blk in blocks.values()}
     if any(frozenset(t) not in by_members for t in tposed.values()):
         return False
-    if not np.array_equal(part[fine.relation_matrix], coarse.relation_matrix):
+    if not _fuses_onto(coarse, fine, part):
         return False
     return _sums_are_constant(fine, part)
 
@@ -448,8 +426,8 @@ def fuse(fine, partition, check=True):
     part = np.asarray(partition, dtype=np.int64)
     if check and not _sums_are_constant(fine, part):
         raise NotASchemeError("the fused intersection numbers are not constant")
-    M = _renumber_first_occurrence(part[fine.relation_matrix])
-    return Scheme(M, domain=fine.domain, check=check)
+    remap, _ = _renumber_first_occurrence(part[fine.relation_matrix[0]], int(part.max()) + 1)
+    return Scheme(remap[part][fine.relation_matrix], domain=fine.domain, check=check)
 
 
 # -- P-polynomial structure ----------------------------------------------------------

@@ -315,6 +315,48 @@ def test_fusion_positive_cases():
     assert fusion_map(psl, pgl) is None
 
 
+# sha256 of fused relation matrices, all uint8, as built when fuse renumbered
+# an int64 n x n copy of the fused classes
+FUSE_DIGESTS = {
+    (9, "ft"): "e4b01fc7c1b0e9d146933ea36b58b60268a86c323af7a4a6a4308fa4f1c05d68",
+    (9, "m"): "482886e86c675d4e129a4c7114588d92c03b0afd78e1613c7d5d2648703cb620",
+    (9, "t"): "11bc169d0c94a7ad655c7c3b16f864e22f2589ecdd24218562bb366ccd11e2c7",
+    (25, "ft"): "1a888bd2977bc4daa9cfd8f98c19fb53b5859d10f3f16cd4e8110d935e480f77",
+    (25, "m"): "7d6505c1f0766e5fe3b25095804eece3b0739e3e4623f52b0e63e918a308b408",
+    (25, "t"): "e0f0e0519c17d406ece9dba887b94502deaf07f3c6953e6cb2fca6c18ed49220",
+}
+
+
+@pytest.mark.parametrize("q, coarse", sorted(FUSE_DIGESTS))
+def test_fuse_keeps_its_bytes(q, coarse):
+    fld = field(q)
+    ft = fi.build_ft(fld)
+    if coarse == "t":
+        fused = fuse(ft, fi.triangular_partition(ft))
+    else:
+        psl = fi.psl_scheme(fld)
+        fused = fuse(psl, fusion_map(ft if coarse == "ft" else fi.m_scheme(fld), psl))
+    M = fused.relation_matrix
+    assert M.dtype == np.uint8
+    assert hashlib.sha256(M.tobytes()).hexdigest() == FUSE_DIGESTS[q, coarse]
+
+
+def test_fusion_checks_compare_in_the_coarse_dtype():
+    # measured 2.0 n^2 bytes: the fused uint8 copy and the comparison
+    # (9.0 with an int64 n x n copy)
+    fld = field(49)
+    ft, psl = fi.build_ft(fld), fi.psl_scheme(fld)
+    part = fusion_map(ft, psl)
+    tracemalloc.start()
+    try:
+        assert np.array_equal(fusion_map(ft, psl), part)
+        assert is_fusion(ft, psl, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * ft.n * ft.n
+
+
 def test_admissible_partition_need_not_give_a_scheme():
     """Merging the touching and harmonic classes of the q=7 cross-ratio
     scheme is admissible but the intersection numbers are not constant."""
@@ -369,6 +411,9 @@ def test_is_fusion_rejects_wrong_matrix():
     bad = part.copy()
     bad[1], bad[2] = 2, 1
     assert not is_fusion(tri, pgl, bad)
+    # classes past the coarse ones, equal to them modulo 256
+    assert is_fusion(tri, pgl, part)
+    assert not is_fusion(tri, pgl, np.where(part > 0, part + 256, 0))
 
 
 def test_partition_bijection_detects_relabelings():
@@ -497,25 +542,20 @@ def _renumber_reference(raw):
     return remap[raw]
 
 
-def _assert_renumbered_like_reference(raw):
-    got = sc._renumber_first_occurrence(raw)
-    want = _renumber_reference(raw)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
-    return got
+def _renumbered(raw):
+    remap, first = sc._renumber_first_occurrence(raw[0], int(raw.max()) + 1)
+    assert np.array_equal(remap[raw[0, first]], np.arange(len(first)))
+    return remap[raw]
 
 
 def test_renumber_transitive_input():
     fld = field(9)
     M = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld))).relation_matrix
     ids = np.random.default_rng(3).permutation(50)[: int(M.max()) + 1] * 7
-    _assert_renumbered_like_reference(ids[M].astype(np.int32))
-
-
-def test_renumber_row0_missing_a_class_falls_back():
-    raw = np.array([[5, 3, 3], [3, 5, 9], [3, 9, 5]], dtype=np.int64)
-    out = _assert_renumbered_like_reference(raw)
-    assert out.tolist() == [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
+    raw = ids[M].astype(np.int32)
+    got, want = _renumbered(raw), _renumber_reference(raw)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("nclasses", [255, 256])
@@ -524,17 +564,35 @@ def test_renumber_dtype_at_the_uint8_boundary(nclasses, row0_complete):
     n = 260
     raw = ((np.arange(n)[:, None] + np.arange(n)[None, :]) % nclasses).astype(np.int32)
     raw = np.random.default_rng(nclasses).permutation(nclasses)[raw].astype(np.int32)
-    if not row0_complete:
-        raw[0, raw[0] == raw[1, n - 1]] = raw[0, 0]
-    out = _assert_renumbered_like_reference(raw)
-    assert out.dtype == (np.uint8 if nclasses == 255 else np.uint16)
+    if row0_complete:
+        got, want = _renumbered(raw), _renumber_reference(raw)
+        assert got.dtype == want.dtype == (np.uint8 if nclasses == 255 else np.uint16)
+        assert np.array_equal(got, want)
+        return
+    # one class missing from row 0: the dtype follows the classes row 0
+    # holds, and the missing one takes the dtype's largest value, which
+    # no numbered class can take
+    missing = raw[1, n - 1]
+    raw[0, raw[0] == missing] = raw[0, 0]
+    got = _renumbered(raw)
+    assert got.dtype == np.uint8
+    assert (got[raw == missing] == 255).all() and (got[raw != missing] < nclasses - 1).all()
 
 
-def test_class_reps_when_row0_misses_a_class():
-    M = np.array([[0, 1, 1, 1], [1, 0, 1, 2], [1, 1, 0, 2], [1, 2, 2, 0]], dtype=np.uint8)
-    S = Scheme(M, check=False)
-    _, first = np.unique(M.ravel(), return_index=True)
-    assert S.class_reps == [divmod(int(i), 4) for i in first] == [(0, 0), (0, 1), (1, 3)]
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize(
+    "M",
+    [
+        # class 2 occurs, but not in row 0
+        np.array([[0, 1, 1, 1], [1, 0, 1, 2], [1, 1, 0, 2], [1, 2, 2, 0]], dtype=np.uint8),
+        np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.float64),
+        np.array([[0, -1, -1], [-1, 0, -1], [-1, -1, 0]], dtype=np.int8),
+    ],
+    ids=["row0-misses-a-class", "float", "negative"],
+)
+def test_row0_must_hold_every_class_of_integer_type(M, check):
+    with pytest.raises(NotASchemeError):
+        Scheme(M, check=check)
 
 
 @pytest.mark.parametrize("check", [True, False])
