@@ -115,9 +115,10 @@ def _cache_path(cache_dir, fld, gid, kind):
 
 def _cache_load(cache_dir, fld, gid, kind):
     """The cached scheme, or None on a miss.  A file that cannot be read,
-    lacks the matrix, has the wrong shape or type, or whose base row does
-    not match the group's labels and theorems also counts as a miss; the
-    caller rebuilds and overwrites it."""
+    lacks the matrix, has the wrong shape or type, is not certified a
+    scheme by the group's generators, or whose base row does not match
+    the group's labels and theorems also counts as a miss; the caller
+    rebuilds and overwrites it."""
     path = _cache_path(cache_dir, fld, gid, kind)
     if not path or not os.path.exists(path):
         return None
@@ -132,8 +133,9 @@ def _cache_load(cache_dir, fld, gid, kind):
     dom = fi.domain_for(fld, "pairs")
     if M.shape != (dom.n, dom.n) or M.dtype.kind != "u":
         return None
+    perms = mo.domain_perms(mo.coefficients(mo.generators(fld, gid)), dom)
     try:
-        return fi.label_scheme(fld, gid, sc.Scheme(M, domain=dom, check=False))
+        return fi.label_scheme(fld, gid, sc.Scheme(M, domain=dom, automorphisms=perms))
     except (sc.NotASchemeError, fi.TheoremViolationError):
         return None
 
@@ -219,7 +221,7 @@ def cmd_verify(args):
         raise ValueError("verify paper needs --q <q> (repeatable) or --all-q")
     for q in qs:
         field(q)  # validates q before any work
-    reports = fi.verify_paper(qs, exhaustive=args.exhaustive or None)
+    reports = fi.verify_paper(qs)
     reports.sort(key=lambda r: (r.q, r.theorem_id))
     failed = [r for r in reports if not r.passed]
     if args.format == "json":
@@ -376,7 +378,6 @@ def make_parser():
     vp.add_argument("--q", type=int, action="append")
     vp.add_argument("--all-q", action="store_true")
     vp.add_argument("--deep", action="store_true")
-    vp.add_argument("--exhaustive", action="store_true")
     vp.add_argument("--out")
     vp.add_argument("--format", choices=("text", "json"), default="text")
     vp.set_defaults(fn=cmd_verify)

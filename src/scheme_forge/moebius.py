@@ -275,22 +275,29 @@ def membership(g, gid):
     return (g.j == 0 and g.det_is_square) or (g.j == half and not g.det_is_square)
 
 
-def generators(fld, gid):
-    """A small generating set; every element passes membership(., gid)."""
+def stabilizer_generators(fld, gid):
+    """Generators of `base_pair_stabilizer(fld, gid)` (checked orbit by
+    orbit in the test suite), with g primitive: t -> g*t and t -> 1/t
+    for `pgl`, t -> g^2*t and t -> -1/t for `psl`, plus t -> g*t^(p^(m/2))
+    for `m` and the Frobenius t -> t^p for `pgammal`."""
     gid = check_group_defined(fld, gid)
     g = fld.primitive_element()
-    shift = Moebius(fld, 1, 1, 0, 1)
     if gid == "pgl":
-        return [shift, Moebius(fld, g, 0, 0, 1), Moebius(fld, 0, 1, 1, 0)]
+        return [Moebius(fld, g, 0, 0, 1), Moebius(fld, 0, 1, 1, 0)]
     if gid == "psl":
-        g2 = fld.mul(g, g)
-        return [shift, Moebius(fld, g2, 0, 0, 1), Moebius(fld, 0, fld.neg(1), 1, 0)]
+        return [Moebius(fld, fld.mul(g, g), 0, 0, 1), Moebius(fld, 0, fld.neg(1), 1, 0)]
     if gid == "m":
-        return generators(fld, "psl") + [Moebius(fld, g, 0, 0, 1, j=fld.m // 2)]
-    gens = generators(fld, "pgl")
+        return stabilizer_generators(fld, "psl") + [Moebius(fld, g, 0, 0, 1, j=fld.m // 2)]
+    gens = stabilizer_generators(fld, "pgl")
     if fld.m > 1:
         gens.append(Moebius(fld, 1, 0, 0, 1, j=1))
     return gens
+
+
+def generators(fld, gid):
+    """A small generating set: the shift t -> t + 1, then the stabilizer
+    generators of {0, oo}; every element passes membership(., gid)."""
+    return [Moebius(fld, 1, 1, 0, 1)] + stabilizer_generators(fld, gid)
 
 
 def base_pair_stabilizer(fld, gid):

@@ -2,11 +2,11 @@
 
 A Scheme wraps a dense n x n relation matrix of small class indices:
 entry (x, y) is the index of the relation containing the ordered pair,
-0 being the diagonal.  Construction re-verifies the scheme axioms: row 0
-holds every class (every row of a scheme does), the diagonal is class 0
-and nothing else is, transposes of classes are classes, and the
-intersection numbers p^k_ij are representative independent (sampled by
-default, exhaustively on request).
+0 being the diagonal.  Construction checks the structure of the matrix
+and, with `check`, proves the axioms exactly, never by sampling: by a
+certificate from automorphisms such as a group's generators, or
+exhaustively; orbit labels and checked fusions are exact as built.
+`Scheme.verified_by` records which proof a scheme has.
 
 Classes are numbered one way, by `_renumber_first_occurrence`: in order
 of first occurrence in row 0, which is their least ordered pair in
@@ -92,12 +92,18 @@ class Scheme:
 
     Row 0 must hold every class 0..d, as every row of a scheme does, and
     `class_reps[k]` is the first pair (0, y) of class k: its least pair
-    in row-major order.  A matrix whose row 0 misses a class, or with a
-    negative or non-integer entry, raises NotASchemeError whatever
-    `check` says.
+    in row-major order.  Structure checks always run: a row 0 missing a
+    class, a negative or non-integer entry, a diagonal that is not
+    exactly class 0, or class sizes that are not multiples of n raise
+    NotASchemeError.  With `check`, `automorphisms` (permutation arrays
+    of the domain, such as a group's generators) certify the matrix
+    (`_certify`); without them it gets the blocked transposition check
+    and `verify_exhaustive`, at O(d^2 n^3).  `verified_by` is then
+    "certificate" or "exhaustive", else "structure"; `orbital_scheme`
+    and `fuse` set "orbits" and "fusion".
     """
 
-    def __init__(self, relation_matrix, domain=None, labels=None, check=True, sample=10):
+    def __init__(self, relation_matrix, domain=None, check=True, automorphisms=None):
         M = np.ascontiguousarray(relation_matrix)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("relation matrix must be square")
@@ -105,9 +111,8 @@ class Scheme:
         self.n = M.shape[0]
         self.d = int(M.max())
         self.domain = domain
-        self.labels = labels
+        self.labels = None
         self._p_tensor = None
-        self._p_sample = 0
 
         remap, first = _renumber_first_occurrence(M[0], self.d + 1)
         if len(first) != self.d + 1 or M.min() < 0:
@@ -127,7 +132,7 @@ class Scheme:
         tmap = np.empty(self.d + 1, dtype=np.int32)
         for k, (x, y) in enumerate(self.class_reps):
             tmap[k] = M[y, x]
-        if check:
+        if check and automorphisms is None:
             tm = tmap.astype(M.dtype)
             for r0, r1 in blocks:
                 if not np.array_equal(tm[M[r0:r1]], M[:, r0:r1].T):
@@ -137,51 +142,56 @@ class Scheme:
         if (counts % self.n != 0).any():
             raise NotASchemeError("class sizes are not multiples of n")
         self.valencies = (counts // self.n).astype(np.int64)
-        if check:
-            for x in range(0, self.n, max(1, self.n // 8)):
-                row = np.bincount(M[x], minlength=self.d + 1)
-                if not np.array_equal(row, self.valencies):
-                    raise NotASchemeError(f"row {x} has non-constant valencies")
-            self.p_tensor(sample=sample)
+        self.verified_by = "structure"
+        if check and automorphisms is None:
+            self.verify_exhaustive()
+            self.verified_by = "exhaustive"
+        elif check:
+            self._certify(np.asarray(automorphisms))
+            self.verified_by = "certificate"
+
+    def _certify(self, perms):
+        """Prove the matrix a scheme from permutations of its domain:
+        every p preserves M (M[p(x), p(y)] = M[x, y], per row block),
+        they generate a transitive group G, and the group H generated by
+        those fixing the base element b has d + 1 orbits (the least
+        elements, which `_orbits` leaves fixed).  Preserving M makes p
+        injective, as class 0 is the diagonal; row b holds all d + 1
+        classes, like row 0, and H preserves them, so its orbits are
+        exactly the classes of row b.  So a pair (x, y) of class k goes
+        by G to some (b, y'), and by H to the first pair of class k in
+        row b: every class is one orbital of G, and intersection numbers,
+        valencies and transposes read at one pair are exact (Bannai-Ito,
+        Algebraic Combinatorics I, 2.2).
+        """
+        M, n = self.relation_matrix, self.n
+        for p in perms:
+            for r0, r1 in _row_blocks(n, n):
+                if not np.array_equal(M.take(p[r0:r1], axis=0).take(p, axis=1), M[r0:r1]):
+                    raise NotASchemeError("an automorphism does not preserve the relation matrix")
+        if _orbits(perms, (n,)).any():
+            raise NotASchemeError("the automorphisms are not transitive on the domain")
+        b = self.domain.base_index
+        lab = _orbits(perms[perms[:, b] == b], (n,))
+        if int((lab == np.arange(n)).sum()) != self.d + 1:
+            raise NotASchemeError("the classes of the base row are not the orbits of its stabilizer")
 
     # -- intersection numbers --------------------------------------------------
 
-    def p_tensor(self, sample=10):
-        """The tensor p[k, i, j] of intersection numbers.
-
-        Each p^k_ij is counted from the least representative pair of
-        class k; constancy is re-verified over `sample` further
-        representatives (one per row) and a NotASchemeError is raised on
-        any disagreement.
-        """
-        if self._p_tensor is not None and self._p_sample >= sample:
-            return self._p_tensor
-        M = self.relation_matrix
-        d1 = self.d + 1
-        P = np.zeros((d1, d1, d1), dtype=np.int64)
-        for k in range(d1):
-            hist = None
-            checked = 0
-            for x in range(self.n):
-                y = int(np.argmax(M[x] == k))
-                if M[x, y] != k:
-                    raise NotASchemeError(f"class {k} missing from row {x}")
-                h = np.bincount(
-                    M[x, :].astype(np.int64) * d1 + M[:, y], minlength=d1 * d1
-                ).reshape(d1, d1)
-                if hist is None:
-                    hist = h
-                elif not np.array_equal(hist, h):
-                    raise NotASchemeError(
-                        f"intersection numbers of class {k} depend on the representative"
-                    )
-                checked += 1
-                if checked > sample:
-                    break
-            P[k] = hist
-        self._p_tensor = P
-        self._p_sample = sample
-        return P
+    def p_tensor(self):
+        """The tensor p[k, i, j] of intersection numbers, one histogram per
+        class at its representative pair (x, y) = class_reps[k]: the
+        number of z with (x, z) in class i and (z, y) in class j.  Exact
+        whenever `verified_by` is not "structure"."""
+        if self._p_tensor is None:
+            M = self.relation_matrix
+            d1 = self.d + 1
+            P = np.empty((d1, d1, d1), dtype=np.int64)
+            for k, (x, y) in enumerate(self.class_reps):
+                pairs = M[x].astype(np.int64) * d1 + M[:, y]
+                P[k] = np.bincount(pairs, minlength=d1 * d1).reshape(d1, d1)
+            self._p_tensor = P
+        return self._p_tensor
 
     def verify_exhaustive(self):
         """Check p^k_ij constancy over every ordered pair (matrix products)."""
@@ -253,7 +263,7 @@ def _orbits(perms, shape):
         total = lowered
 
 
-def orbital_scheme(perms, dom, check=True, allow_large=False, labels=None):
+def orbital_scheme(perms, dom, allow_large=False):
     """Scheme of the diagonal action on ordered pairs, from orbit labels.
 
     `perms` are permutation arrays of the domain for a generating set of
@@ -262,53 +272,35 @@ def orbital_scheme(perms, dom, check=True, allow_large=False, labels=None):
     diagonal is one orbit exactly when the group is transitive on the
     domain, and then every orbit meets row 0, so each label is the
     column of its orbit's least pair in row 0 and numbering row 0 by
-    first occurrence numbers the classes by least pair.
+    first occurrence numbers the classes by least pair.  `_orbits` is
+    exact for permutations, checked here, so this proves the result.
     """
     _guard_size(dom, allow_large)
     n = dom.n
+    perms = np.asarray(perms)
+    if perms.shape[1:] != (n,) or (np.sort(perms, axis=1) != np.arange(n)).any():
+        raise ValueError("every generator must be a permutation array of the domain")
     lab = _orbits([np.ix_(p, p) for p in perms], (n, n))
     if np.diagonal(lab).any():
         raise NotTransitiveError("the generated group is not transitive on the domain")
     remap, _ = _renumber_first_occurrence(lab[0], n)
-    return Scheme(remap[lab], domain=dom, labels=labels, check=check)
-
-
-def _stabilizer_orbits(fld, gid, dom):
-    """Orbit labels of the base-pair stabilizer on the domain.
-
-    The images of every listed stabilizer element are stacked into S, of
-    shape (|stab|, n), and mn = S.min(axis=0) is the least image of each
-    element.  Lemma: if mn is S-invariant (mn[s(x)] = mn[x] for every
-    listed s), its classes are exactly the orbits of the group <S> the
-    list generates.  Invariance under the generators is invariance under
-    <S>, so each orbit lies in one class; and mn[x] = s(x) for some s,
-    so x and mn[x] share an orbit, and elements with equal mn do too.
-    So the result is exact even for a list that is not closed: the
-    orbits of <S>, or an error.  For the full stabilizer, mn[x] is the
-    least element of the orbit of x and the check passes.  Returns mn:
-    each element labeled by the least element of its orbit.
-    """
-    stab = mo.coefficients(mo.base_pair_stabilizer(fld, gid))
-    S = np.empty((len(stab), dom.n), dtype=np.int32)
-    for r0, r1 in _row_blocks(len(stab), dom.n):
-        S[r0:r1] = mo.domain_perms(stab[r0:r1], dom)
-    mn = S.min(axis=0)
-    if not (mn[S] == mn).all():
-        raise RuntimeError("least stabilizer images are not invariant: the stabilizer list is not closed")
-    return mn
+    S = Scheme(remap[lab], domain=dom, check=False)
+    S.verified_by = "orbits"
+    return S
 
 
 def orbital_scheme_via_stabilizer(fld, gid, dom, check=True, allow_large=False):
     """Fast path: stabilizer orbits at the base pair plus transporters.
 
     Row x of the relation matrix is lab[T_x], where lab labels the orbits
-    of the base-pair stabilizer and T_x is the transporter sending pair x
-    to the base pair.  All transporters come from one vectorized
-    `transporters_to_base` call and act through `moebius.domain_perms`,
-    one row block at a time.  Classes are numbered from row 0 before the
+    of the generators that fix the base pair and T_x is the transporter
+    sending pair x to the base pair.  All transporters come from one
+    vectorized `transporters_to_base` call and act through
+    `moebius.domain_perms`, one row block at a time.  Classes are numbered from row 0 before the
     fill (`_renumber_first_occurrence`), as in ``orbital_scheme``, and
-    the rows are written straight into the final dtype.  Produces the
-    identical relation matrix to ``orbital_scheme`` for the same action
+    the rows are written straight into the final dtype, which the
+    generators then certify with `check`.  Produces the identical
+    relation matrix to ``orbital_scheme`` for the same action
     (cross-validated in the test suite for small q).
     """
     _guard_size(dom, allow_large)
@@ -320,7 +312,8 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, check=True, allow_large=False):
         )
     n = dom.n
     base = dom.base_index
-    lab = _stabilizer_orbits(fld, gid, dom)
+    perms = mo.domain_perms(mo.coefficients(mo.generators(fld, gid)), dom)
+    lab = _orbits(perms[perms[:, base] == base], (n,))
     if int((lab == lab[base]).sum()) != 1:
         raise RuntimeError("stabilizer does not fix the base pair alone")
 
@@ -334,23 +327,23 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, check=True, allow_large=False):
         if (sigma[np.arange(r1 - r0), np.arange(r0, r1)] != base).any():
             raise RuntimeError("transporter failed to reach the base element")
         M[r0:r1] = row_of_base.take(sigma)
-    return Scheme(M, domain=dom, check=check)
+    return Scheme(M, domain=dom, check=check, automorphisms=perms)
 
 
-def triangular_scheme(dom, check=True):
+def triangular_scheme(dom):
     """T(n): the symmetric-group orbital scheme on the pairs domain."""
     npts = dom.plane.pg1.n_points
     swap = np.arange(npts)
     swap[[0, 1]] = [1, 0]
     cycle = np.roll(np.arange(npts), -1)
     perms = dom.plane.pg1.pair_perms(np.stack([swap, cycle]))
-    return orbital_scheme(perms, dom, check=check)
+    return orbital_scheme(perms, dom)
 
 
-def group_orbital_scheme(fld, gid, dom, check=True, allow_large=False):
+def group_orbital_scheme(fld, gid, dom, allow_large=False):
     """Generic-path scheme of one of the named groups on a domain."""
     perms = mo.domain_perms(mo.coefficients(mo.generators(fld, gid)), dom)
-    return orbital_scheme(perms, dom, check=check, allow_large=allow_large)
+    return orbital_scheme(perms, dom, allow_large=allow_large)
 
 
 # -- comparisons and fusions -----------------------------------------------------------
@@ -393,18 +386,20 @@ def is_fusion(coarse, fine, partition):
     part = np.asarray(partition, dtype=np.int64)
     if part.shape != (fine.d + 1,):
         raise ValueError("partition must assign every fine class")
+    return (
+        _is_admissible(fine, part)
+        and _fuses_onto(coarse, fine, part)
+        and _sums_are_constant(fine, part)
+    )
+
+
+def _is_admissible(fine, part):
+    """Whether class 0 forms a block of `part` alone and the transposes
+    of the classes of each block form a block."""
     if part[0] != 0 or int((part == 0).sum()) != 1:
         return False
-    blocks = {}
-    for alpha, c in enumerate(part):
-        blocks.setdefault(int(c), set()).add(alpha)
-    tposed = {c: {int(fine.transpose_map[a]) for a in blk} for c, blk in blocks.items()}
-    by_members = {frozenset(blk) for blk in blocks.values()}
-    if any(frozenset(t) not in by_members for t in tposed.values()):
-        return False
-    if not _fuses_onto(coarse, fine, part):
-        return False
-    return _sums_are_constant(fine, part)
+    blocks = {frozenset(np.flatnonzero(part == c).tolist()) for c in np.unique(part)}
+    return all(frozenset(fine.transpose_map[list(b)].tolist()) in blocks for b in blocks)
 
 
 def _sums_are_constant(fine, part):
@@ -421,13 +416,19 @@ def _sums_are_constant(fine, part):
 
 
 def fuse(fine, partition, check=True):
-    """Build the fused scheme; raises NotASchemeError if the admissible
-    partition does not actually yield an association scheme."""
+    """Build the fused scheme.  With `check`, NotASchemeError unless the
+    partition is admissible with constant fused intersection numbers,
+    which proves the fusion of a proved scheme a scheme."""
     part = np.asarray(partition, dtype=np.int64)
+    if check and not _is_admissible(fine, part):
+        raise NotASchemeError("the partition is not admissible")
     if check and not _sums_are_constant(fine, part):
         raise NotASchemeError("the fused intersection numbers are not constant")
     remap, _ = _renumber_first_occurrence(part[fine.relation_matrix[0]], int(part.max()) + 1)
-    return Scheme(remap[part][fine.relation_matrix], domain=fine.domain, check=check)
+    S = Scheme(remap[part][fine.relation_matrix], domain=fine.domain, check=False)
+    if check and fine.verified_by != "structure":
+        S.verified_by = "fusion"
+    return S
 
 
 # -- P-polynomial structure ----------------------------------------------------------

@@ -237,14 +237,7 @@ def test_damaged_cache_file_is_a_miss(tmp_path, monkeypatch, capsys, damage):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "scheme_forge", "build", "--q", "5", "--group", "psl"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_module(["build", "--q", "5", "--group", "psl"])
     assert proc.returncode == 0
     assert "classes d = 5" in proc.stdout
 
@@ -267,6 +260,32 @@ def test_misfiled_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SCHEME_FORGE_CACHE_DIR", str(tmp_path))
     assert run(capsys, *argv) == want
     assert run(capsys, *argv) == want  # the rebuilt file was written back
+
+
+def test_cache_load_certifies_the_whole_matrix(tmp_path):
+    """Two entries swapped in a row other than the base row keep the
+    structure and the labels of the base row intact; the generators'
+    certificate rejects the file, which a structure-only load accepted."""
+    import numpy as np
+
+    from scheme_forge import cli
+    from scheme_forge.fission import psl_scheme
+    from scheme_forge.gf import field
+
+    fld = field(9)
+    S = psl_scheme(fld)
+    path = cli._cache_path(str(tmp_path), fld, "psl", "pairs")
+    np.savez(path, relation_matrix=S.relation_matrix)
+    loaded = cli._cache_load(str(tmp_path), fld, "psl", "pairs")
+    assert loaded.verified_by == "certificate"
+    assert np.array_equal(loaded.relation_matrix, S.relation_matrix)
+    M = S.relation_matrix.copy()
+    x = S.n - 1
+    assert x != S.domain.base_index
+    b = int(np.flatnonzero((M[x] != M[x, 0]) & (M[x] != 0))[0])
+    M[x, [0, b]] = M[x, [b, 0]]
+    np.savez(path, relation_matrix=M)
+    assert cli._cache_load(str(tmp_path), fld, "psl", "pairs") is None
 
 
 def _run_module(argv, **env):

@@ -573,6 +573,28 @@ def test_scheme_axioms_report_reads_the_labeled_builds(monkeypatch):
     assert gids == ["pgl", "psl", "pgammal", "m"]
 
 
+def test_scheme_axioms_report_notes_each_failed_identity_once(monkeypatch):
+    """Adding 1 to every intersection number breaks the counting identity
+    k_k p^k_ij = k_i p^i_kj' wherever k_i != k_k, for many (i, j); the
+    report notes it once per group."""
+    real = fi._group_scheme
+
+    def doctored(fld, gid, check, allow_large):
+        S = real(fld, gid, check, allow_large)
+        S._p_tensor = S.p_tensor() + 1
+        return S
+
+    monkeypatch.setattr(fi, "_group_scheme", doctored)
+    rep = fi.report_scheme_axioms(field(5))
+    assert not rep.passed
+    notes = rep.note.split("; ")
+    for gid in ("pgl", "psl", "pgammal"):
+        assert notes.count(f"{gid}: counting identity fails") == 1
+    monkeypatch.setattr(fi, "_group_scheme", real)
+    rep = fi.report_scheme_axioms(field(5))
+    assert rep.passed and rep.note == ""
+
+
 def test_the_memo_holds_nothing_while_a_scheme_is_built(monkeypatch):
     fld = field(9)
     held = []

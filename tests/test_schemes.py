@@ -158,16 +158,146 @@ def test_generic_and_stabilizer_paths_agree(q):
             assert np.array_equal(a.relation_matrix, b.relation_matrix), (q, gid, kind)
 
 
-def test_stabilizer_list_that_is_not_closed_is_rejected(monkeypatch):
-    fld = field(9)
+def _least_image_labels(fld, gid, dom_):
+    """Reference orbit labels: each element's least image under the full
+    base-pair stabilizer list, which is a group, so the least element of
+    its orbit; the labels are checked to be invariant."""
+    S = mo.domain_perms(mo.coefficients(mo.base_pair_stabilizer(fld, gid)), dom_)
+    mn = S.min(axis=0)
+    assert (mn[S] == mn).all()
+    return mn
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 25, 27, 49])
+def test_stabilizer_generators_have_the_full_stabilizer_orbits(q):
+    fld = field(q)
     pl = Plane(fld)
-    full = mo.base_pair_stabilizer
-    monkeypatch.setattr(mo, "base_pair_stabilizer", lambda f, gid: full(f, gid)[1::2])
     for kind in ("pairs", "hyp-lines", "hyp-points"):
         dom_ = domain(pl, kind)
+        base = dom_.base_index
         for gid in GROUPS_FOR(fld):
-            with pytest.raises(RuntimeError, match="stabilizer list is not closed"):
-                orbital_scheme_via_stabilizer(fld, gid, dom_, check=False)
+            gens = mo.stabilizer_generators(fld, gid)
+            assert mo.generators(fld, gid)[1:] == gens
+            perms = mo.domain_perms(mo.coefficients(gens), dom_)
+            assert (perms[:, base] == base).all()
+            want = _least_image_labels(fld, gid, dom_)
+            assert np.array_equal(sc._orbits(perms, (dom_.n,)), want), (gid, kind)
+
+
+def _generator_perms(fld, gid, dom_, drop=0):
+    gens = mo.generators(fld, gid)
+    return mo.domain_perms(mo.coefficients(gens[: len(gens) - drop]), dom_)
+
+
+def test_fused_non_scheme_is_rejected_with_check():
+    """The q = 9 psl partition [0,1,1,2,1,1,1,1,1] fuses to a matrix that
+    passes every structure check but is not a scheme; the earlier check,
+    which sampled rows 0..10, accepted it."""
+    fld = field(9)
+    fine = fi.psl_scheme(fld)
+    M = np.array([0, 1, 1, 2, 1, 1, 1, 1, 1], dtype=np.uint8)[fine.relation_matrix]
+    assert Scheme(M, domain=fine.domain, check=False).verified_by == "structure"
+    with pytest.raises(NotASchemeError, match="not constant"):
+        Scheme(M, domain=fine.domain)
+    # the psl generators preserve it and are transitive, but the classes
+    # of the base row are unions of stabilizer orbits
+    with pytest.raises(NotASchemeError, match="orbits of its stabilizer"):
+        Scheme(M, domain=fine.domain, automorphisms=_generator_perms(fld, "psl", fine.domain))
+
+
+def test_certificate_needs_the_whole_stabilizer():
+    fld = field(9)
+    S = fi.pgammal_scheme(fld)
+    assert mo.generators(fld, "pgammal")[-1].j == 1  # the Frobenius map
+    full = _generator_perms(fld, "pgammal", S.domain)
+    assert Scheme(S.relation_matrix, domain=S.domain, automorphisms=full).verified_by == "certificate"
+    without = _generator_perms(fld, "pgammal", S.domain, drop=1)
+    with pytest.raises(NotASchemeError, match="orbits of its stabilizer"):
+        Scheme(S.relation_matrix, domain=S.domain, automorphisms=without)
+
+
+def test_certificate_needs_a_transitive_group():
+    fld = field(9)
+    S = fi.pgl_scheme(fld)
+    stab = mo.domain_perms(mo.coefficients(mo.stabilizer_generators(fld, "pgl")), S.domain)
+    with pytest.raises(NotASchemeError, match="not transitive"):
+        Scheme(S.relation_matrix, domain=S.domain, automorphisms=stab)
+
+
+def test_certificate_reaches_the_last_row_block():
+    """Two entries of the last row swapped: counts, diagonal, row 0 and
+    the base row stay intact, so only the certificate can see it."""
+    fld = field(49)
+    S = fi.psl_scheme(fld)
+    n = S.n
+    assert len(sc._row_blocks(n, n)) > 1 and S.domain.base_index != n - 1
+    M = S.relation_matrix.copy()
+    b = int(np.flatnonzero((M[n - 1] != M[n - 1, 0]) & (M[n - 1] != 0))[0])
+    M[n - 1, [0, b]] = M[n - 1, [b, 0]]
+    with pytest.raises(NotASchemeError, match="does not preserve"):
+        Scheme(M, domain=S.domain, automorphisms=_generator_perms(fld, "psl", S.domain))
+
+
+def test_certificate_checks_every_row_block():
+    """A swap in row x0 of the last block is visible, under one generator
+    p, only in rows x0 and p^-1(x0); with both in the last block, only
+    the check of that block sees it."""
+    fld = field(25)
+    S = fi.psl_scheme(fld)
+    n = S.n
+    last = sc._row_blocks(n, n)[-1][0]
+    assert last > 0
+    perms = _generator_perms(fld, "psl", S.domain)
+    p, x0 = next(
+        (p, x0)
+        for p in perms
+        for x0 in range(last, n)
+        if x0 != S.domain.base_index and np.argsort(p)[x0] >= last and p[x0] != x0
+    )
+    M = S.relation_matrix.copy()
+    b = int(np.flatnonzero((M[x0] != M[x0, 0]) & (M[x0] != 0))[0])
+    M[x0, [0, b]] = M[x0, [b, 0]]
+    with pytest.raises(NotASchemeError, match="does not preserve"):
+        Scheme(M, domain=S.domain, automorphisms=p[None])
+
+
+def test_orbital_scheme_rejects_a_map_that_is_not_a_permutation():
+    fld = field(5)
+    dom_ = pairs_domain(Plane(fld))
+    perms = _generator_perms(fld, "pgl", dom_)
+    perms[1, 0] = perms[1, 1]
+    with pytest.raises(ValueError, match="permutation"):
+        orbital_scheme(perms, dom_)
+
+
+def test_each_builder_records_the_check_it_passed(t10):
+    fld = field(9)
+    pl = Plane(fld)
+    dom_ = pairs_domain(pl)
+    psl = orbital_scheme_via_stabilizer(fld, "psl", dom_)
+    ft = fi.build_ft(fld)
+    part = fusion_map(ft, psl)
+    unchecked_psl = Scheme(psl.relation_matrix, domain=dom_, check=False)
+    expected = {
+        "certificate": [
+            psl,
+            ft,
+            fi.m_scheme(fld),
+            orbital_scheme_via_stabilizer(fld, "pgl", domain(pl, "hyp-points")),
+        ],
+        "orbits": [t10, group_orbital_scheme(fld, "pgammal", domain(pl, "tangent-lines"))],
+        "fusion": [fuse(psl, part)],
+        "exhaustive": [Scheme(ft.relation_matrix)],
+        "structure": [
+            orbital_scheme_via_stabilizer(fld, "psl", dom_, check=False),
+            fi.build_ft(fld, check=False),
+            unchecked_psl,
+            fuse(psl, part, check=False),
+            fuse(unchecked_psl, part),
+        ],
+    }
+    for want, built in expected.items():
+        assert [S.verified_by for S in built] == [want] * len(built)
 
 
 # sha256 of the q = 81 relation matrices on pairs, all uint8, as built by
@@ -400,6 +530,8 @@ def test_is_fusion_rejects_transpose_open_partition():
     part[k] = 2  # its transpose partner stays in block 1
     coarse = Scheme(part[fine.relation_matrix].astype(np.uint8), check=False)
     assert not is_fusion(coarse, fine, part)
+    with pytest.raises(NotASchemeError, match="not admissible"):
+        fuse(fine, part)
 
 
 def test_is_fusion_rejects_wrong_matrix():
