@@ -329,7 +329,7 @@ def cmd_fusion(args):
     fine = build_named_scheme(fld, args.fine, "pairs", args.allow_large)
     coarse = build_named_scheme(fld, args.coarse, "pairs", args.allow_large)
     part = sc.fusion_map(coarse, fine)
-    ok = part is not None and sc.is_fusion(coarse, fine, part)
+    ok = sc.is_fusion(coarse, fine, part)
     payload = {
         "schema": 1,
         "q": fld.q,

@@ -107,54 +107,10 @@ def domain_for(fld, kind):
     return fld._domains[kind]
 
 
-# -- the build memo of one verify_paper call ------------------------------------------
-
-
-def _memoized(fld, key, build):
-    """The scheme `build()` returns, reused while the key repeats.
-
-    While verify_paper runs the reports of one q, the field carries a
-    one-entry memo, removed when those reports end, so the process-wide
-    field cache never keeps a matrix alive; elsewhere this is `build()`.
-    `key` is (builder, gid, domain kind, check).  The held scheme is
-    returned when its key equals `key`; otherwise it is dropped *before*
-    `build` runs, so no memoized matrix is alive while another scheme is
-    built and peak memory cannot rise.  A hit returns the same object,
-    p-tensor included: the reports only read the schemes they are given.
-    """
-    memo = getattr(fld, "_build_memo", None)
-    if memo is None:
-        return build()
-    if key in memo:
-        return memo[key]
-    memo.clear()
-    memo[key] = scheme = build()
-    return scheme
-
-
-def _ft(fld):
-    return _memoized(fld, ("ft", None, "pairs", True), lambda: build_ft(fld))
-
-
-def _generic(fld, gid, kind):
-    """Generic-path scheme of a group on a domain, through the memo."""
-    return _memoized(
-        fld,
-        ("generic", gid, kind, True),
-        lambda: sc.group_orbital_scheme(fld, gid, domain_for(fld, kind)),
-    )
-
-
-def _triangular(fld):
-    return _memoized(
-        fld, ("t", None, "pairs", True), lambda: sc.triangular_scheme(domain_for(fld, "pairs"))
-    )
-
-
 # -- FT(q+1): the cross-ratio fission of the triangular scheme ----------------------
 
 
-def build_ft(fld, check=True, allow_large=False):
+def build_ft(fld, allow_large=False):
     """The cross-ratio fission scheme on pairs, built with no group at all.
 
     Pairs meeting in a point are related by the "share" class; disjoint
@@ -163,8 +119,8 @@ def build_ft(fld, check=True, allow_large=False):
     of the lesser of r, 1/r otherwise, computed for a block of rows at a
     time (`schemes._row_blocks`).  The codes of row 0 are numbered by
     first occurrence, which numbers the classes by least pair, and every
-    block is written straight into the final matrix; labels attached.
-    With `check`, the `pgl` generators certify the matrix.
+    block is written straight into the final matrix, which the `pgl`
+    generators certify; labels attached.
     """
     dom = domain_for(fld, "pairs")
     sc._guard_size(dom, allow_large)
@@ -197,7 +153,7 @@ def build_ft(fld, check=True, allow_large=False):
     for r0, r1 in sc._row_blocks(n, n):
         M[r0:r1] = remap[codes(r0, r1)]
     perms = mo.domain_perms(mo.coefficients(mo.generators(fld, "pgl")), dom)
-    return label_scheme(fld, "pgl", sc.Scheme(M, domain=dom, check=check, automorphisms=perms))
+    return label_scheme(fld, "pgl", sc.Scheme(M, domain=dom, automorphisms=perms))
 
 
 def _ft_label_of_pair(fld, pair):
@@ -238,9 +194,8 @@ def _labels_from_base_row(fld, M, dom, label_of_pair):
 def ft_equals_orbital(fld):
     """Whether the cross-ratio construction equals the group-orbital one,
     under a unique relabeling of classes."""
-    ft = _ft(fld)
-    orb = _generic(fld, "pgl", "pairs")
-    return sc.partition_bijection(ft, orb) is not None
+    orb = sc.group_orbital_scheme(fld, "pgl", domain_for(fld, "pairs"))
+    return sc.partition_bijection(build_ft(fld), orb) is not None
 
 
 def triangular_partition(ft):
@@ -424,35 +379,36 @@ def label_scheme(fld, gid, S):
     return S
 
 
-def _labeled_scheme(fld, gid, check=True, allow_large=False):
-    """Stabilizer-path scheme of a group on pairs, labeled and checked."""
+def _labeled_scheme(fld, gid, allow_large=False):
+    """Stabilizer-path scheme of a group on pairs, certified and labeled."""
     dom = domain_for(fld, "pairs")
-    S = sc.orbital_scheme_via_stabilizer(fld, gid, dom, check=check, allow_large=allow_large)
-    return label_scheme(fld, gid, S)
+    return label_scheme(fld, gid, sc.orbital_scheme_via_stabilizer(fld, gid, dom, allow_large))
 
 
-def _group_scheme(fld, gid, check, allow_large):
-    return _memoized(
-        fld, ("labeled", gid, "pairs", check), lambda: _labeled_scheme(fld, gid, check, allow_large)
-    )
+def three_domain_schemes(fld, gid):
+    """Generic-path schemes of a group on pairs, secant lines and poles."""
+    return [
+        sc.group_orbital_scheme(fld, gid, domain_for(fld, kind))
+        for kind in ("pairs", "hyp-lines", "hyp-points")
+    ]
 
 
-def pgl_scheme(fld, check=True, allow_large=False):
+def pgl_scheme(fld, allow_large=False):
     """The full fractional-linear group scheme, labeled by cross-ratio."""
-    return _group_scheme(fld, "pgl", check, allow_large)
+    return _labeled_scheme(fld, "pgl", allow_large)
 
 
-def psl_scheme(fld, check=True, allow_large=False):
-    return _group_scheme(fld, "psl", check, allow_large)
+def psl_scheme(fld, allow_large=False):
+    return _labeled_scheme(fld, "psl", allow_large)
 
 
-def m_scheme(fld, check=True, allow_large=False):
+def m_scheme(fld, allow_large=False):
     """The twisted-group scheme with Delta labels and orbit bookkeeping."""
-    return _group_scheme(fld, "m", check, allow_large)
+    return _labeled_scheme(fld, "m", allow_large)
 
 
-def pgammal_scheme(fld, check=True, allow_large=False):
-    return _group_scheme(fld, "pgammal", check, allow_large)
+def pgammal_scheme(fld, allow_large=False):
+    return _labeled_scheme(fld, "pgammal", allow_large)
 
 
 def _int_sqrt(q):
@@ -475,32 +431,23 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
-def report_psl_class_count(fld):
-    q = fld.q
+def report_psl_class_count(psl):
+    q = psl.domain.field.q
     predicted = {"classes": psl_class_count_formula(q), "symmetric": False}
-
-    def run():
-        S = psl_scheme(fld)
-        return {"classes": S.d, "symmetric": S.is_symmetric()}
-
-    computed, dt = _timed(run)
+    computed, dt = _timed(lambda: {"classes": psl.d, "symmetric": psl.is_symmetric()})
     return TheoremReport("psl-class-count", q, predicted, computed, predicted == computed, dt)
 
 
-def report_m_class_count(fld):
-    q = fld.q
+def report_m_class_count(msch):
+    q = msch.domain.field.q
     predicted = {"classes": (3 * q + 5) // 8, "symmetric": q == 9}
-
-    def run():
-        S = m_scheme(fld)
-        return {"classes": S.d, "symmetric": S.is_symmetric()}
-
-    computed, dt = _timed(run)
+    computed, dt = _timed(lambda: {"classes": msch.d, "symmetric": msch.is_symmetric()})
     return TheoremReport("m-class-count", q, predicted, computed, predicted == computed, dt)
 
 
-def report_m9_octagon():
-    fld = field(9)
+def report_m9_octagon(S):
+    """The twisted-group scheme `S` at q = 9 is the distance-regular
+    scheme of the generalized octagon of order (2, 1)."""
     predicted = {
         "n": 45,
         "symmetric": True,
@@ -509,7 +456,6 @@ def report_m9_octagon():
     }
 
     def run():
-        S = m_scheme(fld)
         orders = sc.p_polynomial_orderings(S)
         arrays = [o["intersection_array"] for o in orders]
         return {
@@ -520,11 +466,12 @@ def report_m9_octagon():
         }
 
     computed, dt = _timed(run)
-    return TheoremReport("m9-octagon", 9, predicted, computed, predicted == computed, dt)
+    q = S.domain.field.q
+    return TheoremReport("m9-octagon", q, predicted, computed, predicted == computed, dt)
 
 
-def report_commutativity(fld):
-    q = fld.q
+def report_commutativity(msch):
+    q = msch.domain.field.q
     predicted = {
         9: {"symmetric": True, "commutative": True},
         25: {"symmetric": False, "commutative": True},
@@ -532,16 +479,16 @@ def report_commutativity(fld):
         81: {"symmetric": False, "commutative": False},
     }[q]
 
-    def run():
-        S = m_scheme(fld)
-        return {"symmetric": S.is_symmetric(), "commutative": S.is_commutative()}
-
-    computed, dt = _timed(run)
+    computed, dt = _timed(
+        lambda: {"symmetric": msch.is_symmetric(), "commutative": msch.is_commutative()}
+    )
     return TheoremReport("m-commutativity", q, predicted, computed, predicted == computed, dt)
 
 
-def report_ft(fld):
-    q = fld.q
+def report_ft(ft, pgl_orbital):
+    """FT(q+1) against its predicted classes and valencies, and against
+    `pgl_orbital`, the generic-path `pgl` scheme on pairs."""
+    q = ft.domain.field.q
     predicted = {
         "classes": (q + 1) // 2,
         "share_valency": 2 * (q - 1),
@@ -552,14 +499,13 @@ def report_ft(fld):
     }
 
     def run():
-        ft = _ft(fld)
         v = {lab.kind: int(ft.valencies[k]) for k, lab in enumerate(ft.labels) if k}
         return {
             "classes": ft.d,
             "share_valency": v.get("share"),
             "harmonic_valency": v.get("harmonic"),
             "ratio_valency": v.get("ratio"),
-            "equals_orbital": ft_equals_orbital(fld),
+            "equals_orbital": sc.partition_bijection(ft, pgl_orbital) is not None,
             "symmetric": ft.is_symmetric(),
         }
 
@@ -567,7 +513,8 @@ def report_ft(fld):
     return TheoremReport("ft-cross-ratio", q, predicted, computed, predicted == computed, dt)
 
 
-def report_pgammal(fld):
+def report_pgammal(S):
+    fld = S.domain.field
     q = fld.q
     expected_classes = {9: 4, 25: 9, 49: 16}.get(q, count_pgammal_classes(fld))
     predicted = {"classes": expected_classes, "symmetric": True, "count_agrees": True}
@@ -575,7 +522,6 @@ def report_pgammal(fld):
         predicted["p_polynomial"] = q == 9
 
     def run():
-        S = pgammal_scheme(fld)
         out = {
             "classes": S.d,
             "symmetric": S.is_symmetric(),
@@ -590,12 +536,12 @@ def report_pgammal(fld):
     return TheoremReport("pgammal-class-count", q, predicted, computed, predicted == computed, dt)
 
 
-def report_transpose_rules(fld):
-    """Check the transpose pairings of the split classes against the
-    square-class criteria, and record which reading of the superscript
-    the computation supports."""
+def report_transpose_rules(S):
+    """Check the transpose pairings of the split classes of the `psl`
+    scheme `S` against the square-class criteria, and record which
+    reading of the superscript the computation supports."""
+    fld = S.domain.field
     q = fld.q
-    S = psl_scheme(fld)
     t0 = time.perf_counter()
     tmap = S.transpose_map
     by_key = {lab.key(): k for k, lab in enumerate(S.labels)}
@@ -651,16 +597,15 @@ def report_transpose_rules(fld):
     return TheoremReport("transpose-rules", q, predicted, computed, bool(ok), dt, note=str(details))
 
 
-def report_three_domain_isomorphism(fld, gid):
-    """Build the scheme on pairs, on secant lines and on their poles with
-    the native actions, and check the explicit bijections transport the
-    relation matrices onto each other."""
-    q = fld.q
+def report_three_domain_isomorphism(gid, on_pairs, on_lines, on_points):
+    """The schemes of group `gid` on pairs, on secant lines and on their
+    poles, each built with the native action, have the same pair
+    partition under the explicit bijections of the domains."""
+    q = on_pairs.domain.field.q
     predicted = {"isomorphic": True}
 
     def run():
-        built = [_generic(fld, gid, kind) for kind in ("pairs", "hyp-lines", "hyp-points")]
-        maps = [sc.partition_bijection(built[0], built[i]) for i in (1, 2)]
+        maps = [sc.partition_bijection(on_pairs, S) for S in (on_lines, on_points)]
         return {"isomorphic": all(m is not None for m in maps)}
 
     computed, dt = _timed(run)
@@ -669,19 +614,14 @@ def report_three_domain_isomorphism(fld, gid):
     )
 
 
-def report_q9_fusion_diagram():
-    """The three-row fusion diagram at q = 9, checked edge by edge."""
-    fld = field(9)
+def report_q9_fusion_diagram(tri, ft, psl, pgml, msch):
+    """The three-row fusion diagram at q = 9, checked edge by edge on the
+    triangular, FT, `psl`, `pgammal` and `m` schemes."""
+    fld = ft.domain.field
     g = fld.primitive_element()
     g2 = fld.mul(g, g)
     g3 = fld.mul(g2, g)
     t0 = time.perf_counter()
-
-    ft = _ft(fld)
-    psl = psl_scheme(fld)
-    msch = m_scheme(fld)
-    pgl = pgammal_scheme(fld)
-    tri = _triangular(fld)
 
     def ratio_rep(r):
         return min(r, fld.inv(r), key=fld.rank)
@@ -717,7 +657,7 @@ def report_q9_fusion_diagram():
         "m_nontrivial_classes": msch.d,
         "m_ratio_labels_ok": m_labels == m_expected,
         "pgammal_equals_m": bool(
-            np.array_equal(pgl.relation_matrix, msch.relation_matrix)
+            np.array_equal(pgml.relation_matrix, msch.relation_matrix)
         ),
         **{k: bool(v) for k, v in edges.items()},
     }
@@ -735,25 +675,22 @@ def report_q9_fusion_diagram():
         "t_fuses_ft": True,
     }
     dt = time.perf_counter() - t0
-    return TheoremReport("q9-fusion-diagram", 9, predicted, computed, predicted == computed, dt)
+    return TheoremReport("q9-fusion-diagram", fld.q, predicted, computed, predicted == computed, dt)
 
 
-def report_fusion_lattice(fld):
-    """Every edge of the group lattice gives a fusion of schemes."""
-    q = fld.q
+def report_fusion_lattice(tri, ft, psl, pgml, msch=None):
+    """Every edge of the group lattice gives a fusion of schemes: the
+    triangular, FT, `psl` and `pgammal` schemes, and the `m` scheme when
+    q is an even power."""
+    q = ft.domain.field.q
     t0 = time.perf_counter()
-    tri = _triangular(fld)
-    ft = _ft(fld)
-    psl = psl_scheme(fld)
-    pgml = pgammal_scheme(fld)
     edges = {
         "t_fuses_ft": sc.is_fusion(tri, ft, sc.fusion_map(tri, ft)),
         "ft_fuses_psl": sc.is_fusion(ft, psl, sc.fusion_map(ft, psl)),
         "pgammal_fuses_ft": sc.is_fusion(pgml, ft, sc.fusion_map(pgml, ft)),
         "pgammal_fuses_psl": sc.is_fusion(pgml, psl, sc.fusion_map(pgml, psl)),
     }
-    if fld.m % 2 == 0:
-        msch = m_scheme(fld)
+    if msch is not None:
         edges["m_fuses_psl"] = sc.is_fusion(msch, psl, sc.fusion_map(msch, psl))
         edges["pgammal_fuses_m"] = sc.is_fusion(pgml, msch, sc.fusion_map(pgml, msch))
     computed = {k: bool(v) for k, v in edges.items()}
@@ -768,18 +705,8 @@ def report_geometry(fld):
     t0 = time.perf_counter()
     pl = plane_for(fld)
     conic = pl.conic_points()
-    lines = pl.all_lines()
-    counts = {"hyperbolic": 0, "tangent": 0, "elliptic": 0}
-    for l in lines:
-        counts[pl.classify_line(l)] += 1
-    no3 = True
-    from itertools import combinations
-
-    for A, B, C in combinations(conic, 3):
-        l = pl.line_through(A, B)
-        if pl.incident(C, l):
-            no3 = False
-            break
+    # conic points on each line: no three are collinear iff no line has more than two
+    hits = [sum(pl.incident(P, l) for P in conic) for l in pl.all_lines()]
     perp_ok = True
     half = fld.inv(fld.add(1, 1))
     for i in range(q + 1):
@@ -800,10 +727,10 @@ def report_geometry(fld):
                 perp_ok = False
     computed = {
         "conic_size": len(conic),
-        "no_three_collinear": no3,
-        "hyperbolic": counts["hyperbolic"],
-        "tangent": counts["tangent"],
-        "elliptic": counts["elliptic"],
+        "no_three_collinear": max(hits) <= 2,
+        "hyperbolic": hits.count(2),
+        "tangent": hits.count(1),
+        "elliptic": hits.count(0),
         "perp_formulas": perp_ok,
     }
     predicted = {
@@ -842,16 +769,16 @@ def report_embedding(fld):
     return TheoremReport("embedding-contract", q, predicted, computed, predicted == computed, dt)
 
 
-def report_scheme_axioms(fld):
+def report_scheme_axioms(schemes):
     """Re-verify the scheme axioms and counting identities for every
-    group scheme at this q, and for q <= 13 cross-check each one with
-    `verify_exhaustive`, independently of the certificate it was built
-    with.  One note per failed identity and group."""
-    q = fld.q
+    group scheme of one q, given as {group id: scheme}, and for q <= 13
+    cross-check each one with `verify_exhaustive`, independently of the
+    certificate it was built with.  One note per failed identity and
+    group."""
+    q = next(iter(schemes.values())).domain.field.q
     t0 = time.perf_counter()
     notes = []
-    for gid in ["pgl", "psl", "pgammal"] + (["m"] if fld.m % 2 == 0 else []):
-        S = _group_scheme(fld, gid, True, False)
+    for gid, S in schemes.items():
         P = S.p_tensor()
         k, t = S.valencies, S.transpose_map
         if int(k.sum()) != S.n:
@@ -888,42 +815,60 @@ def default_q_list(deep=False):
 
 
 def verify_paper(qs):
-    """Run every verifier applicable to each q; returns TheoremReports.
-
-    The reports of one q share that field's one-entry build memo (see
-    `_memoized`), which is removed when they end, also on an error.
-    """
+    """Run every verifier applicable to each q; returns TheoremReports."""
     reports = []
     for q in sorted(qs):
-        fld = field(q)
-        fld._build_memo = {}
-        try:
-            reports += _reports_at(fld)
-        finally:
-            del fld._build_memo
+        reports += _reports_at(field(q))
+    return reports
+
+
+def _group_reports(gid, S):
+    """The reports that read only the labeled scheme `S` of one group."""
+    q = S.domain.field.q
+    if gid == "psl":
+        return [report_psl_class_count(S), report_transpose_rules(S)]
+    if gid == "pgammal":
+        return [report_pgammal(S)]
+    reports = []
+    if q > 9:
+        reports.append(report_m_class_count(S))
+    if q in (9, 25, 49, 81):
+        reports.append(report_commutativity(S))
     return reports
 
 
 def _reports_at(fld):
+    """The reports of one q, in a fixed order, and the plan of the builds
+    they read: each scheme is built once and passed to every report that
+    reads it, so a report's `elapsed` times its checks, not builds.
+
+    At q <= 13 every matrix is under 9 kB, and everything is built up
+    front: FT(q+1), T(q+1), and for each group its labeled scheme on
+    pairs and its generic-path schemes on pairs, secant lines and poles.
+    Above, only the labeled `psl`, `pgammal` and `m` schemes are read.
+    They are built one group at a time, each passed straight to its
+    reports and dropped with them, so one matrix is alive at a time.
+    """
     q = fld.q
-    reports = []
-    if q <= 13:
-        reports.append(report_geometry(fld))
-        reports.append(report_embedding(fld))
-        reports.append(report_ft(fld))
-        reports.append(report_scheme_axioms(fld))
-        reports.append(report_fusion_lattice(fld))
-        for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
-            reports.append(report_three_domain_isomorphism(fld, gid))
-    reports.append(report_psl_class_count(fld))
-    reports.append(report_transpose_rules(fld))
-    reports.append(report_pgammal(fld))
-    if fld.m % 2 == 0:
-        if q > 9:
-            reports.append(report_m_class_count(fld))
-        if q in (9, 25, 49, 81):
-            reports.append(report_commutativity(fld))
+    gids = ["pgl", "psl", "pgammal"] + (["m"] if fld.m % 2 == 0 else [])
+    if q > 13:
+        return [r for gid in gids[1:] for r in _group_reports(gid, _labeled_scheme(fld, gid))]
+    ft = build_ft(fld)
+    tri = sc.triangular_scheme(domain_for(fld, "pairs"))
+    labeled = {gid: _labeled_scheme(fld, gid) for gid in gids}
+    native = {gid: three_domain_schemes(fld, gid) for gid in gids}
+    psl, pgml, msch = labeled["psl"], labeled["pgammal"], labeled.get("m")
+    reports = [
+        report_geometry(fld),
+        report_embedding(fld),
+        report_ft(ft, native["pgl"][0]),
+        report_scheme_axioms(labeled),
+        report_fusion_lattice(tri, ft, psl, pgml, msch),
+    ]
+    reports += [report_three_domain_isomorphism(gid, *native[gid]) for gid in gids]
+    for gid in gids[1:]:
+        reports += _group_reports(gid, labeled[gid])
     if q == 9:
-        reports.append(report_m9_octagon())
-        reports.append(report_q9_fusion_diagram())
+        reports.append(report_m9_octagon(msch))
+        reports.append(report_q9_fusion_diagram(tri, ft, psl, pgml, msch))
     return reports

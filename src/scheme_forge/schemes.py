@@ -289,7 +289,7 @@ def orbital_scheme(perms, dom, allow_large=False):
     return S
 
 
-def orbital_scheme_via_stabilizer(fld, gid, dom, check=True, allow_large=False):
+def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
     """Fast path: stabilizer orbits at the base pair plus transporters.
 
     Row x of the relation matrix is lab[T_x], where lab labels the orbits
@@ -299,7 +299,7 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, check=True, allow_large=False):
     `moebius.domain_perms`, one row block at a time.  Classes are numbered from row 0 before the
     fill (`_renumber_first_occurrence`), as in ``orbital_scheme``, and
     the rows are written straight into the final dtype, which the
-    generators then certify with `check`.  Produces the identical
+    generators then certify.  Produces the identical
     relation matrix to ``orbital_scheme`` for the same action
     (cross-validated in the test suite for small q).
     """
@@ -327,7 +327,7 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, check=True, allow_large=False):
         if (sigma[np.arange(r1 - r0), np.arange(r0, r1)] != base).any():
             raise RuntimeError("transporter failed to reach the base element")
         M[r0:r1] = row_of_base.take(sigma)
-    return Scheme(M, domain=dom, check=check, automorphisms=perms)
+    return Scheme(M, domain=dom, automorphisms=perms)
 
 
 def triangular_scheme(dom):
@@ -382,7 +382,11 @@ def is_fusion(coarse, fine, partition):
     """Whether `partition` (fine class -> coarse class) realizes coarse
     as a fusion scheme of fine: admissible, reproducing the coarse
     relations exactly, and with constant fused intersection numbers.
+    A `partition` of None, which `fusion_map` returns when fine does not
+    refine coarse, is no fusion.
     """
+    if partition is None:
+        return False
     part = np.asarray(partition, dtype=np.int64)
     if part.shape != (fine.d + 1,):
         raise ValueError("partition must assign every fine class")
@@ -415,18 +419,18 @@ def _sums_are_constant(fine, part):
     return bool(np.array_equal(sums, sums[first[blocks]]))
 
 
-def fuse(fine, partition, check=True):
-    """Build the fused scheme.  With `check`, NotASchemeError unless the
-    partition is admissible with constant fused intersection numbers,
-    which proves the fusion of a proved scheme a scheme."""
+def fuse(fine, partition):
+    """Build the fused scheme.  NotASchemeError unless the partition is
+    admissible with constant fused intersection numbers, which proves
+    the fusion of a proved scheme a scheme."""
     part = np.asarray(partition, dtype=np.int64)
-    if check and not _is_admissible(fine, part):
+    if not _is_admissible(fine, part):
         raise NotASchemeError("the partition is not admissible")
-    if check and not _sums_are_constant(fine, part):
+    if not _sums_are_constant(fine, part):
         raise NotASchemeError("the fused intersection numbers are not constant")
     remap, _ = _renumber_first_occurrence(part[fine.relation_matrix[0]], int(part.max()) + 1)
     S = Scheme(remap[part][fine.relation_matrix], domain=fine.domain, check=False)
-    if check and fine.verified_by != "structure":
+    if fine.verified_by != "structure":
         S.verified_by = "fusion"
     return S
 

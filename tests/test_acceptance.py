@@ -13,7 +13,7 @@ import pytest
 
 from scheme_forge.gf import field
 from scheme_forge.geometry import Plane, pairs_domain
-from scheme_forge.schemes import p_polynomial_orderings
+from scheme_forge.schemes import group_orbital_scheme, p_polynomial_orderings, triangular_scheme
 from scheme_forge import fission as fi
 
 
@@ -27,7 +27,7 @@ def test_criterion_01_psl_class_counts():
     ok = True
     for q, want in sorted(expected.items()):
         t0 = time.perf_counter()
-        rep = fi.report_psl_class_count(field(q))
+        rep = fi.report_psl_class_count(fi.psl_scheme(field(q)))
         dt = time.perf_counter() - t0
         ok &= rep.passed and rep.computed["classes"] == want
         ok &= rep.computed["symmetric"] is False
@@ -40,7 +40,7 @@ def test_criterion_02_m_class_counts():
     budgets = {25: 60, 49: 300, 81: 1800}
     for q, want in ((25, 10), (49, 19), (81, 31)):
         t0 = time.perf_counter()
-        rep = fi.report_m_class_count(field(q))
+        rep = fi.report_m_class_count(fi.m_scheme(field(q)))
         dt = time.perf_counter() - t0
         ok &= rep.passed and rep.computed == {"classes": want, "symmetric": False}
         ok &= dt < budgets[q]
@@ -48,7 +48,7 @@ def test_criterion_02_m_class_counts():
 
 
 def test_criterion_03_m9_generalized_octagon():
-    rep = fi.report_m9_octagon()
+    rep = fi.report_m9_octagon(fi.m_scheme(field(9)))
     ok = rep.passed
     ok &= rep.computed["n"] == 45 and rep.computed["symmetric"]
     ok &= rep.computed["intersection_array"] == ([4, 2, 2, 2], [1, 1, 1, 2])
@@ -58,7 +58,9 @@ def test_criterion_03_m9_generalized_octagon():
 def test_criterion_04_ft_construction():
     ok = True
     for q in (5, 7, 9, 11, 13):
-        rep = fi.report_ft(field(q))
+        fld = field(q)
+        pgl = group_orbital_scheme(fld, "pgl", fi.domain_for(fld, "pairs"))
+        rep = fi.report_ft(fi.build_ft(fld), pgl)
         ok &= rep.passed
         ok &= rep.computed["classes"] == (q + 1) // 2
         ok &= rep.computed["share_valency"] == 2 * (q - 1)
@@ -69,26 +71,30 @@ def test_criterion_04_ft_construction():
 
 
 def test_criterion_05_q9_fusion_diagram():
-    rep = fi.report_q9_fusion_diagram()
+    fld = field(9)
+    tri = triangular_scheme(fi.domain_for(fld, "pairs"))
+    rep = fi.report_q9_fusion_diagram(
+        tri, fi.build_ft(fld), fi.psl_scheme(fld), fi.pgammal_scheme(fld), fi.m_scheme(fld)
+    )
     _report(5, "q=9 three-row fusion diagram with all fusion edges", rep.passed)
 
 
 def test_criterion_06_pgammal_class_counts():
     ok = True
     for q, want in ((9, 4), (25, 9), (49, 16)):
-        rep = fi.report_pgammal(field(q))
+        rep = fi.report_pgammal(fi.pgammal_scheme(field(q)))
         ok &= rep.passed and rep.computed["classes"] == want
         ok &= rep.computed["count_agrees"] and rep.computed["symmetric"]
         ok &= rep.computed["p_polynomial"] is (q == 9)
     for q in (5, 7, 11, 13):
-        rep = fi.report_pgammal(field(q))
+        rep = fi.report_pgammal(fi.pgammal_scheme(field(q)))
         ok &= rep.passed and rep.computed["symmetric"] and rep.computed["count_agrees"]
     _report(6, "semilinear-group class counts 4/9/16, symmetry, direct-count agreement", ok)
 
 
 def test_criterion_07_commutativity_survey():
-    r25 = fi.report_commutativity(field(25))
-    r49 = fi.report_commutativity(field(49))
+    r25 = fi.report_commutativity(fi.m_scheme(field(25)))
+    r49 = fi.report_commutativity(fi.m_scheme(field(49)))
     ok = r25.passed and r49.passed
     ok &= r25.computed == {"symmetric": False, "commutative": True}
     ok &= r49.computed == {"symmetric": False, "commutative": False}
@@ -100,7 +106,7 @@ def test_criterion_08_three_domain_isomorphism():
     for q in (5, 7, 9, 13):
         fld = field(q)
         for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
-            rep = fi.report_three_domain_isomorphism(fld, gid)
+            rep = fi.report_three_domain_isomorphism(gid, *fi.three_domain_schemes(fld, gid))
             ok &= rep.passed
     _report(8, "pairs / secant lines / poles carry identical schemes, every group", ok)
 
@@ -124,7 +130,9 @@ def test_criterion_10_embedding_contract():
 def test_criterion_11_scheme_axioms():
     ok = True
     for q in (5, 7, 9, 11, 13):
-        rep = fi.report_scheme_axioms(field(q))
+        fld = field(q)
+        gids = ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ())
+        rep = fi.report_scheme_axioms({gid: fi._labeled_scheme(fld, gid) for gid in gids})
         ok &= rep.passed
     _report(11, "axioms, valency and counting identities, exhaustive constancy q<=13", ok)
 
@@ -134,7 +142,7 @@ def test_criterion_12_transpose_rules():
     reading = None
     for q in (5, 9, 13, 25):
         fld = field(q)
-        rep = fi.report_transpose_rules(fld)
+        rep = fi.report_transpose_rules(fi.psl_scheme(fld))
         ok &= rep.passed
         ok &= ("minus-sign partner" in rep.note)
         # the harmonic criterion is the square class of 2, cross-checked

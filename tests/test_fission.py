@@ -133,7 +133,7 @@ def test_ft_build_memory_stays_near_the_matrix():
 )
 def test_psl_class_count(q, expected):
     assert fi.psl_class_count_formula(q) == expected
-    rep = fi.report_psl_class_count(field(q))
+    rep = fi.report_psl_class_count(fi.psl_scheme(field(q)))
     assert rep.passed, rep.computed
     assert rep.computed["classes"] == expected
     assert rep.computed["symmetric"] is False
@@ -206,14 +206,14 @@ def test_psl_split_classes_pair_within_labels(q):
 
 @pytest.mark.parametrize("q", [5, 9, 13, 25])
 def test_transpose_rules_1mod4(q):
-    rep = fi.report_transpose_rules(field(q))
+    rep = fi.report_transpose_rules(fi.psl_scheme(field(q)))
     assert rep.passed, rep.note
     assert "minus-sign partner" in rep.note
 
 
 @pytest.mark.parametrize("q", [7, 11])
 def test_transpose_rules_3mod4(q):
-    rep = fi.report_transpose_rules(field(q))
+    rep = fi.report_transpose_rules(fi.psl_scheme(field(q)))
     assert rep.passed, rep.note
 
 
@@ -241,7 +241,7 @@ def test_transpose_rule_q13_harmonic_swapped():
 
 @pytest.mark.parametrize("q,expected", [(25, 10), (49, 19), (81, 31)])
 def test_m_class_count(q, expected):
-    rep = fi.report_m_class_count(field(q))
+    rep = fi.report_m_class_count(fi.m_scheme(field(q)))
     assert rep.passed, rep.computed
     assert rep.computed == {"classes": expected, "symmetric": False}
 
@@ -303,9 +303,9 @@ def test_m_nonsymmetry_via_split_pairs(q):
 
 
 def test_m9_structure_with_bfs_oracle():
-    rep = fi.report_m9_octagon()
-    assert rep.passed, rep.computed
     S = fi.m_scheme(field(9))
+    rep = fi.report_m9_octagon(S)
+    assert rep.passed, rep.computed
     orders = p_polynomial_orderings(S)
     assert [o["intersection_array"] for o in orders] == [([4, 2, 2, 2], [1, 1, 1, 2])]
     # independent distance-regularity oracle on the generating graph
@@ -360,12 +360,12 @@ def _bfs_intersection_array(adj):
 
 @pytest.mark.parametrize("q", [9, 25, 49])
 def test_commutativity_survey(q):
-    rep = fi.report_commutativity(field(q))
+    rep = fi.report_commutativity(fi.m_scheme(field(q)))
     assert rep.passed, rep.computed
 
 
 def test_commutativity_survey_deep_q81():
-    rep = fi.report_commutativity(field(81))
+    rep = fi.report_commutativity(fi.m_scheme(field(81)))
     assert rep.passed, rep.computed
 
 
@@ -374,7 +374,7 @@ def test_commutativity_survey_deep_q81():
 
 @pytest.mark.parametrize("q,expected", [(9, 4), (25, 9), (49, 16)])
 def test_pgammal_class_count(q, expected):
-    rep = fi.report_pgammal(field(q))
+    rep = fi.report_pgammal(fi.pgammal_scheme(field(q)))
     assert rep.passed, rep.computed
     assert rep.computed["classes"] == expected
 
@@ -431,18 +431,34 @@ def test_pgammal_share_class_is_original_triangular_relation(q):
 def test_three_domain_isomorphism(q):
     fld = field(q)
     for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
-        rep = fi.report_three_domain_isomorphism(fld, gid)
+        rep = fi.report_three_domain_isomorphism(gid, *fi.three_domain_schemes(fld, gid))
         assert rep.passed, (q, gid)
+
+
+def _lattice_schemes(fld):
+    """The triangular, FT, psl, pgammal and (at even powers) m schemes."""
+    gids = ("psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ())
+    tri = triangular_scheme(fi.domain_for(fld, "pairs"))
+    return [tri, fi.build_ft(fld)] + [fi._labeled_scheme(fld, gid) for gid in gids]
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
 def test_fusion_lattice(q):
-    rep = fi.report_fusion_lattice(field(q))
+    rep = fi.report_fusion_lattice(*_lattice_schemes(field(q)))
     assert rep.passed, rep.computed
 
 
+def test_fusion_lattice_fails_on_swapped_schemes():
+    """FT in the place of psl and psl in the place of FT: psl does not
+    refine FT, so that edge is reported failed, not raised."""
+    tri, ft, psl, pgml = _lattice_schemes(field(5))
+    rep = fi.report_fusion_lattice(tri, psl, ft, pgml)
+    assert not rep.passed
+    assert rep.computed["ft_fuses_psl"] is False
+
+
 def test_q9_fusion_diagram():
-    rep = fi.report_q9_fusion_diagram()
+    rep = fi.report_q9_fusion_diagram(*_lattice_schemes(field(9)))
     assert rep.passed, rep.computed
     assert rep.computed["m_nontrivial_classes"] == 4
     assert rep.computed["pgammal_equals_m"]
@@ -493,7 +509,7 @@ def test_verify_paper_aggregate():
         assert {"theorem", "q", "predicted", "computed", "passed", "elapsed", "note"} <= set(d)
 
 
-# -- the build memo of one verify_paper call ------------------------------------------
+# -- the build plan of verify_paper ----------------------------------------------------
 
 
 def _stripped(reports):
@@ -506,36 +522,40 @@ def _stripped(reports):
 
 
 def _reports_called_directly(q):
-    """What verify_paper([q]) runs at q = 9 or 25, in its order, with no memo."""
+    """What verify_paper([q]) runs at q = 9 or 25, in its order, each
+    report given schemes built for it alone."""
     fld = field(q)
     if q == 25:
         return [
-            fi.report_psl_class_count(fld),
-            fi.report_transpose_rules(fld),
-            fi.report_pgammal(fld),
-            fi.report_m_class_count(fld),
-            fi.report_commutativity(fld),
+            fi.report_psl_class_count(fi.psl_scheme(fld)),
+            fi.report_transpose_rules(fi.psl_scheme(fld)),
+            fi.report_pgammal(fi.pgammal_scheme(fld)),
+            fi.report_m_class_count(fi.m_scheme(fld)),
+            fi.report_commutativity(fi.m_scheme(fld)),
         ]
+    gids = ("pgl", "psl", "pgammal", "m")
     return [
         fi.report_geometry(fld),
         fi.report_embedding(fld),
-        fi.report_ft(fld),
-        fi.report_scheme_axioms(fld),
-        fi.report_fusion_lattice(fld),
-        *(fi.report_three_domain_isomorphism(fld, gid) for gid in ("pgl", "psl", "pgammal", "m")),
-        fi.report_psl_class_count(fld),
-        fi.report_transpose_rules(fld),
-        fi.report_pgammal(fld),
-        fi.report_commutativity(fld),
-        fi.report_m9_octagon(),
-        fi.report_q9_fusion_diagram(),
+        fi.report_ft(fi.build_ft(fld), fi.three_domain_schemes(fld, "pgl")[0]),
+        fi.report_scheme_axioms({gid: fi._labeled_scheme(fld, gid) for gid in gids}),
+        fi.report_fusion_lattice(*_lattice_schemes(fld)),
+        *(
+            fi.report_three_domain_isomorphism(gid, *fi.three_domain_schemes(fld, gid))
+            for gid in gids
+        ),
+        fi.report_psl_class_count(fi.psl_scheme(fld)),
+        fi.report_transpose_rules(fi.psl_scheme(fld)),
+        fi.report_pgammal(fi.pgammal_scheme(fld)),
+        fi.report_commutativity(fi.m_scheme(fld)),
+        fi.report_m9_octagon(fi.m_scheme(fld)),
+        fi.report_q9_fusion_diagram(*_lattice_schemes(fld)),
     ]
 
 
 @pytest.mark.parametrize("q", [9, 25])
 def test_verify_paper_equals_the_reports_called_directly(q):
     assert _stripped(fi.verify_paper([q])) == _stripped(_reports_called_directly(q))
-    assert not hasattr(field(q), "_build_memo")
 
 
 def _spy(monkeypatch, module, name, seen):
@@ -550,99 +570,119 @@ def _spy(monkeypatch, module, name, seen):
     monkeypatch.setattr(module, name, spied)
 
 
+# the builders of verify_paper, and how to read (field, group, domain kind)
+# off their arguments
+BUILDERS = [
+    (fi, "build_ft", lambda a: (a[0], "ft", "pairs")),
+    (sc, "triangular_scheme", lambda a: (a[0].field, "t", "pairs")),
+    (sc, "orbital_scheme_via_stabilizer", lambda a: (a[0], a[1], a[2].kind)),
+    (sc, "group_orbital_scheme", lambda a: (a[0], a[1], a[2].kind)),
+]
+
+
 def test_verify_paper_builds_each_q49_scheme_once(monkeypatch):
     gids = []
     _spy(monkeypatch, sc, "orbital_scheme_via_stabilizer", lambda args, S: gids.append(args[1]))
     assert all(r.passed for r in fi.verify_paper([49]))
-    # the class-count reports build psl and m, the transpose rules and the
-    # commutativity survey get the same schemes back
+    # the class-count reports, the transpose rules and the commutativity
+    # survey read the psl, pgammal and m schemes the plan built
     assert sorted(gids) == ["m", "pgammal", "psl"]
 
 
+def test_verify_paper_builds_each_scheme_at_most_once_per_q(monkeypatch):
+    builds = []
+    for module, name, key in BUILDERS:
+        _spy(
+            monkeypatch,
+            module,
+            name,
+            lambda args, S, name=name, key=key: builds.append((name, *key(args))),
+        )
+    assert all(r.passed for r in fi.verify_paper([5, 7, 9, 11, 13, 25, 49]))
+    keys = [(name, fld.q, gid, kind) for name, fld, gid, kind in builds]
+    assert len(keys) == len(set(keys)) == 80
+
+
 def test_scheme_axioms_report_reads_the_labeled_builds(monkeypatch):
-    gids = []
-    _spy(monkeypatch, fi, "_labeled_scheme", lambda args, S: gids.append(args[1]))
-    fld = field(9)
-    fld._build_memo = {}
-    try:
-        assert fi.report_scheme_axioms(fld).passed
-        # the next report asks for the scheme the axioms report built last
-        assert fi.m_scheme(fld) is fld._build_memo[("labeled", "m", "pairs", True)]
-    finally:
-        del fld._build_memo
-    assert gids == ["pgl", "psl", "pgammal", "m"]
+    built, read = [], []
+    _spy(monkeypatch, fi, "_labeled_scheme", lambda args, S: built.append(S))
+    _spy(monkeypatch, fi, "report_scheme_axioms", lambda args, rep: read.append(args[0]))
+    assert all(r.passed for r in fi.verify_paper([9]))
+    assert list(read[0]) == ["pgl", "psl", "pgammal", "m"]
+    assert list(read[0].values()) == built
 
 
-def test_scheme_axioms_report_notes_each_failed_identity_once(monkeypatch):
+def test_scheme_axioms_report_notes_each_failed_identity_once():
     """Adding 1 to every intersection number breaks the counting identity
     k_k p^k_ij = k_i p^i_kj' wherever k_i != k_k, for many (i, j); the
     report notes it once per group."""
-    real = fi._group_scheme
-
-    def doctored(fld, gid, check, allow_large):
-        S = real(fld, gid, check, allow_large)
+    fld = field(5)
+    gids = ("pgl", "psl", "pgammal")
+    doctored = {gid: fi._labeled_scheme(fld, gid) for gid in gids}
+    for S in doctored.values():
         S._p_tensor = S.p_tensor() + 1
-        return S
-
-    monkeypatch.setattr(fi, "_group_scheme", doctored)
-    rep = fi.report_scheme_axioms(field(5))
+    rep = fi.report_scheme_axioms(doctored)
     assert not rep.passed
     notes = rep.note.split("; ")
-    for gid in ("pgl", "psl", "pgammal"):
+    for gid in gids:
         assert notes.count(f"{gid}: counting identity fails") == 1
-    monkeypatch.setattr(fi, "_group_scheme", real)
-    rep = fi.report_scheme_axioms(field(5))
+    rep = fi.report_scheme_axioms({gid: fi._labeled_scheme(fld, gid) for gid in gids})
     assert rep.passed and rep.note == ""
 
 
-def test_the_memo_holds_nothing_while_a_scheme_is_built(monkeypatch):
-    fld = field(9)
-    held = []
-    for module, name in [
-        (sc, "orbital_scheme_via_stabilizer"),
-        (sc, "group_orbital_scheme"),
-        (sc, "triangular_scheme"),
-        (fi, "build_ft"),
-    ]:
-        orig = getattr(module, name)
-
-        def guarded(*args, _orig=orig, **kwargs):
-            held.append(len(fld._build_memo))
-            return _orig(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, guarded)
-    assert all(r.passed for r in fi.verify_paper([9]))
-    assert len(held) > 20 and not any(held)
-
-
-def _weakrefs_to_stabilizer_builds(monkeypatch):
+def _weakrefs_to_builds(monkeypatch, before_build=None):
+    """Weak references to every scheme the builders of verify_paper make;
+    `before_build(refs)` runs as each stabilizer build starts."""
     import weakref
 
     refs = []
-    _spy(
-        monkeypatch, sc, "orbital_scheme_via_stabilizer", lambda args, S: refs.append(weakref.ref(S))
-    )
+    for module, name, _ in BUILDERS:
+        orig = getattr(module, name)
+
+        def spied(*args, _orig=orig, _name=name, **kwargs):
+            if before_build is not None and _name == "orbital_scheme_via_stabilizer":
+                before_build(refs)
+            S = _orig(*args, **kwargs)
+            refs.append(weakref.ref(S))
+            return S
+
+        monkeypatch.setattr(module, name, spied)
     return refs
 
 
-def test_the_memo_and_its_schemes_die_with_the_call(monkeypatch):
-    refs = _weakrefs_to_stabilizer_builds(monkeypatch)
+def test_no_earlier_group_scheme_is_alive_at_a_stabilizer_build(monkeypatch):
+    alive = []
+    refs = _weakrefs_to_builds(
+        monkeypatch, lambda refs: alive.append(sum(r() is not None for r in refs))
+    )
+    for q in (25, 49):
+        assert all(r.passed for r in fi.verify_paper([q]))
+    assert len(refs) == 6 and alive == [0] * 6
+
+
+def test_built_schemes_die_with_the_call(monkeypatch):
+    refs = _weakrefs_to_builds(monkeypatch)
     fi.verify_paper([9])
-    assert not hasattr(field(9), "_build_memo")
-    assert refs and all(r() is None for r in refs)
+    assert len(refs) == 18 and all(r() is None for r in refs)
 
 
-def test_the_memo_and_its_schemes_die_when_a_report_raises(monkeypatch):
-    refs = _weakrefs_to_stabilizer_builds(monkeypatch)
-    held = []
+def test_built_schemes_die_when_a_report_raises(monkeypatch):
+    import gc
 
-    def failing_report(fld):
-        held.append(len(fld._build_memo))
+    refs = _weakrefs_to_builds(monkeypatch)
+
+    def failing_report(S):
         raise RuntimeError("report failed")
 
     monkeypatch.setattr(fi, "report_pgammal", failing_report)
-    with pytest.raises(RuntimeError, match="report failed"):
+    # caught here rather than with pytest.raises, whose record of the
+    # exception would keep the frames of verify_paper, and their schemes,
+    # alive as long as the test runs
+    try:
         fi.verify_paper([9])
-    assert held == [1]
-    assert not hasattr(field(9), "_build_memo")
-    assert refs and all(r() is None for r in refs)
+    except RuntimeError as e:
+        assert str(e) == "report failed"
+    else:
+        raise AssertionError("the failing report did not raise")
+    gc.collect()
+    assert len(refs) == 18 and all(r() is None for r in refs)

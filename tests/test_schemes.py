@@ -288,13 +288,7 @@ def test_each_builder_records_the_check_it_passed(t10):
         "orbits": [t10, group_orbital_scheme(fld, "pgammal", domain(pl, "tangent-lines"))],
         "fusion": [fuse(psl, part)],
         "exhaustive": [Scheme(ft.relation_matrix)],
-        "structure": [
-            orbital_scheme_via_stabilizer(fld, "psl", dom_, check=False),
-            fi.build_ft(fld, check=False),
-            unchecked_psl,
-            fuse(psl, part, check=False),
-            fuse(unchecked_psl, part),
-        ],
+        "structure": [unchecked_psl, fuse(unchecked_psl, part)],
     }
     for want, built in expected.items():
         assert [S.verified_by for S in built] == [want] * len(built)
@@ -548,6 +542,15 @@ def test_is_fusion_rejects_wrong_matrix():
     assert not is_fusion(tri, pgl, np.where(part > 0, part + 256, 0))
 
 
+def test_is_fusion_is_false_where_fine_does_not_refine_coarse():
+    """FT does not refine psl, so fusion_map gives None: no fusion, where
+    the report edges once raised TypeError."""
+    fld = field(9)
+    psl9, ft9 = fi.psl_scheme(fld), fi.build_ft(fld)
+    assert fusion_map(psl9, ft9) is None
+    assert is_fusion(psl9, ft9, fusion_map(psl9, ft9)) is False
+
+
 def test_partition_bijection_detects_relabelings():
     fld = field(9)
     dom_ = pairs_domain(Plane(fld))
@@ -746,7 +749,7 @@ def test_size_guard():
     dom_ = pairs_domain(Plane(fld))
     with pytest.raises(DomainSizeError):
         orbital_scheme_via_stabilizer(fld, "pgl", dom_)
-    S = orbital_scheme_via_stabilizer(fld, "pgl", dom_, allow_large=True, check=False)
+    S = orbital_scheme_via_stabilizer(fld, "pgl", dom_, allow_large=True)
     assert S.n == 169 * 170 // 2
 
 

@@ -39,11 +39,11 @@ def test_tracer_installs_and_restores_every_attribute(monkeypatch):
             assert after[name][key] is value, f"{name}.{key}"
 
 
-def test_memo_hits_are_not_traced_as_builds(monkeypatch):
-    """The build memo of `verify_paper` sits above the traced builders, so
-    the benchmark counts only real builds: at q = 25 one stabilizer build
-    per group, where the class-count, transpose and commutativity reports
-    would otherwise build psl and m twice each."""
+def test_traced_verify_builds_each_q25_scheme_once(monkeypatch):
+    """`verify_paper` builds each scheme once and passes it to the reports
+    that read it, so the benchmark counts one stabilizer build per group
+    at q = 25, where the class-count, transpose and commutativity reports
+    read psl and m twice each."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from perfbench.tracer import Tracer
     from scheme_forge import fission
