@@ -116,9 +116,10 @@ def _cache_path(cache_dir, fld, gid, kind):
 def _cache_load(cache_dir, fld, gid, kind):
     """The cached scheme, or None on a miss.  A file that cannot be read,
     lacks the matrix, has the wrong shape or type, is not certified a
-    scheme by the group's generators, or whose base row does not match
-    the group's labels and theorems also counts as a miss; the caller
-    rebuilds and overwrites it."""
+    scheme by the group's generators, does not number its classes by
+    first occurrence in row 0 as every builder does, or whose base row
+    does not match the group's labels and theorems also counts as a
+    miss; the caller rebuilds and overwrites it."""
     path = _cache_path(cache_dir, fld, gid, kind)
     if not path or not os.path.exists(path):
         return None
@@ -135,7 +136,10 @@ def _cache_load(cache_dir, fld, gid, kind):
         return None
     perms = mo.domain_perms(mo.coefficients(mo.generators(fld, gid)), dom)
     try:
-        return fi.label_scheme(fld, gid, sc.Scheme(M, domain=dom, automorphisms=perms))
+        S = sc.Scheme(M, domain=dom, automorphisms=perms)
+        if (np.diff([y for _, y in S.class_reps]) <= 0).any():
+            return None
+        return fi.label_scheme(fld, gid, S)
     except (sc.NotASchemeError, fi.TheoremViolationError):
         return None
 
@@ -221,6 +225,8 @@ def cmd_verify(args):
         raise ValueError("verify paper needs --q <q> (repeatable) or --all-q")
     for q in qs:
         field(q)  # validates q before any work
+        if q > sc.MAX_DEFAULT_Q:
+            raise ValueError(f"verify paper runs at q <= {sc.MAX_DEFAULT_Q}, not q = {q}")
     reports = fi.verify_paper(qs)
     reports.sort(key=lambda r: (r.q, r.theorem_id))
     failed = [r for r in reports if not r.passed]

@@ -159,35 +159,42 @@ def build_ft(fld, allow_large=False):
 def _ft_label_of_pair(fld, pair):
     """Label of the relation holding between {0, oo} and `pair`."""
     lab = psl_orbit_label(fld, pair)
-    sign0 = RelationLabel("R", lab.kind, lab.rep, 0, lab.orbit)
-    return sign0
+    return RelationLabel("R", lab.kind, lab.rep, 0, lab.orbit)
 
 
 def _labels_from_base_row(fld, M, dom, label_of_pair):
     """Class labels read off the row of the base pair {0, oo}.
 
-    Every pair y is labeled in closed form against the base pair; the
-    labels must partition the row exactly as the matrix does, one label
-    per class and every class labeled, or TheoremViolationError is
-    raised.
+    The closed forms read a pair {a, b} (positions i < j) only through
+    its key: the position of r = b/a in PG(1,q), 0 when a = 0 and oo when
+    b = oo, and whether a is a square (b when a = 0); the Gamma labels
+    read r and the square class of a or of b = r*a, the others read the
+    Gamma label.  The base pair is keyed apart and r = 1 never occurs, so
+    there are at most 2q + 1 keys, computed for all pairs in one pass.
+    Every key must lie in one class of the row, and each is labeled once,
+    at its first pair: one label per class, no label in two classes and
+    every class labeled, or TheoremViolationError is raised.
     """
+    q, pairs, row = fld.q, dom.plane.pg1.pairs, M[dom.base_index]
+    a, b = fld.BY_RANK[pairs[:, 0]], fld.BY_RANK[np.minimum(pairs[:, 1], q - 1)]
+    # INV[0] = 0, so r takes position 0 exactly when a = 0
+    r = np.where(pairs[:, 1] == q, q, fld.RANK[fld.MUL[b, fld.INV[a]]])
+    keys = 2 * r + fld.SQUARE[np.where(a == 0, b, a)]
+    keys[dom.base_index] = -1
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    if not np.array_equal(row[first][inv], row):
+        raise TheoremViolationError("a cross-ratio key spans two computed orbits")
     labels = [None] * (int(M.max()) + 1)
-    seen = {}
-    for k, pair in zip(M[dom.base_index].tolist(), dom.plane.pg1.pairs.tolist()):
-        lab = label_of_pair(fld, tuple(pair))
+    for y in np.sort(first).tolist():
+        k, lab = int(row[y]), label_of_pair(fld, tuple(pairs[y].tolist()))
         if labels[k] is None:
-            if lab.key() in seen:
-                raise TheoremViolationError(
-                    f"label {lab} appears in two distinct computed orbits"
-                )
             labels[k] = lab
-            seen[lab.key()] = k
         elif labels[k].key() != lab.key():
-            raise TheoremViolationError(
-                f"computed orbit {k} mixes labels {labels[k]} and {lab}"
-            )
-    if any(l is None for l in labels):
+            raise TheoremViolationError(f"computed orbit {k} mixes labels {labels[k]} and {lab}")
+    if None in labels:
         raise TheoremViolationError("some class has no representative at the base pair")
+    if len({lab.key() for lab in labels}) != len(labels):
+        raise TheoremViolationError("one label appears in two distinct computed orbits")
     return labels
 
 
@@ -214,15 +221,6 @@ def triangular_partition(ft):
 # -- closed-form orbit labelings -----------------------------------------------------
 
 
-def _pair_values(fld, pair):
-    """Decode a position pair to field codes, None standing for infinity."""
-    q = fld.q
-    i, j = pair
-    a = None if i == q else int(fld.BY_RANK[i])
-    b = None if j == q else int(fld.BY_RANK[j])
-    return a, b
-
-
 def psl_orbit_label(fld, pair):
     """Predicted square-determinant-subgroup orbit label of a pair.
 
@@ -231,21 +229,18 @@ def psl_orbit_label(fld, pair):
     split only when -1 is a square, and ratio classes {t, r*t} split
     exactly when -1/r is a square.
     """
-    a, b = _pair_values(fld, pair)
     q = fld.q
+    i, j = pair
+    a = int(fld.BY_RANK[i])
+    b = None if j == q else int(fld.BY_RANK[j])
     q1mod4 = q % 4 == 1
     if a == 0 and b is None:
         return RelationLabel("Γ", "diagonal")
     if b is None or a == 0:
         # exactly one of 0, infinity is in the pair
-        xi = b if a == 0 else a
-        at_infinity = b is None
-        s = fld.is_square(xi)
-        if q1mod4:
-            sign = 1 if s else -1
-        else:
-            sign = (1 if s else -1) if not at_infinity else (-1 if s else 1)
-        return RelationLabel("Γ", "share", sign=sign)
+        s = fld.is_square(b if a == 0 else a)
+        crossed = b is None and not q1mod4
+        return RelationLabel("Γ", "share", sign=1 if s != crossed else -1)
     # both finite and nonzero
     if b == fld.neg(a):
         if q1mod4:
@@ -272,9 +267,7 @@ def m_orbit_label(fld, pair):
     orbit = {r, fld.inv(r), sig, fld.inv(sig)}
     rep = min(orbit, key=fld.rank)
     orbit = tuple(sorted(orbit, key=fld.rank))
-    if not fld.is_square(r):
-        return RelationLabel("Δ", "ratio", rep, 0, orbit)
-    if sig == r or sig == fld.inv(r):
+    if not fld.is_square(r) or sig in (r, fld.inv(r)):
         return RelationLabel("Δ", "ratio", rep, 0, orbit)
     # split class: the half containing Gamma^+ of the least pair keeps +
     sign = gamma.sign if gamma.rep in (rep, fld.inv(rep)) else -gamma.sign
@@ -282,24 +275,14 @@ def m_orbit_label(fld, pair):
 
 
 def pgammal_orbit_label(fld, pair):
-    """Predicted semilinear-group orbit label: ratio classes collapse to
-    orbits of the group generated by Frobenius and inversion."""
-    a, b = _pair_values(fld, pair)
-    q = fld.q
-    if a == 0 and b is None:
-        return RelationLabel("Λ", "diagonal")
-    if b is None or a == 0:
-        return RelationLabel("Λ", "share")
-    if b == fld.neg(a):
-        return RelationLabel("Λ", "harmonic")
-    r = fld.div(b, a)
-    orbit = set()
-    for j in range(fld.m):
-        t = fld.frobenius(r, j)
-        orbit.add(t)
-        orbit.add(fld.inv(t))
-    rep = min(orbit, key=fld.rank)
-    return RelationLabel("Λ", "ratio", rep, 0, tuple(sorted(orbit, key=fld.rank)))
+    """Predicted semilinear-group orbit label: Gamma classes fused along
+    the group generated by Frobenius and inversion."""
+    gamma = psl_orbit_label(fld, pair)
+    if gamma.kind != "ratio":
+        return RelationLabel("Λ", gamma.kind)
+    frob = fld.FROB[:, gamma.rep]
+    orbit = tuple(sorted(set(frob.tolist()) | set(fld.INV[frob].tolist()), key=fld.rank))
+    return RelationLabel("Λ", "ratio", orbit[0], 0, orbit)
 
 
 def count_pgammal_classes(fld):

@@ -112,6 +112,17 @@ def test_verify_rejects_bad_q(capsys):
     assert code == 2
 
 
+def test_verify_rejects_q_above_the_size_limit(capsys, monkeypatch):
+    from scheme_forge import fission
+
+    built = []
+    real = fission.domain_for
+    monkeypatch.setattr(fission, "domain_for", lambda *a: built.append(a) or real(*a))
+    code, out, err = run(capsys, "verify", "paper", "--q", "5", "--q", "169")
+    assert (code, out, built) == (2, "", [])
+    assert "q <= 127" in err and "--allow-large" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["build", "--q", "9", "--group", "nonsense"]) == 2
     assert main(["nonsense"]) == 2
@@ -215,7 +226,7 @@ def test_cache_is_keyed_by_modulus(tmp_path, monkeypatch, capsys):
     assert len(list(tmp_path.glob("*.npz"))) == 2
 
 
-@pytest.mark.parametrize("damage", ["truncate", "garbage", "other-key"])
+@pytest.mark.parametrize("damage", ["truncate", "garbage", "other-key", "renumbered"])
 def test_damaged_cache_file_is_a_miss(tmp_path, monkeypatch, capsys, damage):
     import numpy as np
 
@@ -229,6 +240,13 @@ def test_damaged_cache_file_is_a_miss(tmp_path, monkeypatch, capsys, damage):
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     elif damage == "garbage":
         path.write_bytes(b"not a zip archive")
+    elif damage == "renumbered":
+        # still certified and labeled, but classes 1 and 2 swap numbers
+        with np.load(path) as data:
+            M = data["relation_matrix"]
+        swap = np.arange(M.max() + 1, dtype=M.dtype)
+        swap[[1, 2]] = [2, 1]
+        np.savez(path, relation_matrix=swap[M])
     else:
         np.savez(path, other=np.zeros((45, 45), dtype=np.uint8))
     assert run(capsys, *argv) == want

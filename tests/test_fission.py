@@ -155,6 +155,36 @@ def test_psl_labels_match_independent_orbitals(q):
     assert len(by_label) == S.d + 1
 
 
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27, 49, 81])
+def test_closed_forms_agree_with_the_keyed_labels_at_every_pair(q):
+    """Each group's closed form, called on every pair of the base row,
+    gives the label that the once-per-key pass gave that pair's class:
+    the closed forms are constant on the cross-ratio keys."""
+    fld = field(q)
+    for gid, (label_of_pair, _) in fi.GROUP_SCHEMES.items():
+        if gid == "m" and fld.m % 2:
+            continue
+        S = fi._labeled_scheme(fld, gid)
+        row = S.relation_matrix[S.domain.base_index].tolist()
+        for k, pair in zip(row, S.domain.plane.pg1.pairs.tolist()):
+            assert label_of_pair(fld, tuple(pair)) == S.labels[k], (gid, pair)
+
+
+def test_labels_that_do_not_match_the_classes_raise():
+    """The pgl labels give both halves of each split psl class one label;
+    a base row that puts the pairs of one key in two classes is rejected
+    before any label is computed."""
+    fld = field(9)
+    S = fi.psl_scheme(fld)
+    M, dom = S.relation_matrix, S.domain
+    with pytest.raises(fi.TheoremViolationError, match="two distinct computed orbits"):
+        fi._labels_from_base_row(fld, M, dom, fi._ft_label_of_pair)
+    split = M.copy()
+    split[dom.base_index, S.n - 1] = S.d + 1
+    with pytest.raises(fi.TheoremViolationError, match="key spans two"):
+        fi._labels_from_base_row(fld, split, dom, fi.psl_orbit_label)
+
+
 @pytest.mark.parametrize("q", [5, 9, 13, 25])
 def test_psl_orbit_length_bookkeeping(q):
     fld = field(q)

@@ -753,6 +753,17 @@ def test_size_guard():
     assert S.n == 169 * 170 // 2
 
 
+def test_bare_matrix_above_the_exhaustive_limit_raises():
+    """The exhaustive check of a bare q = 49 matrix would take minutes;
+    it raises at once, naming the two ways round."""
+    fld = field(49)
+    M = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld))).relation_matrix
+    assert M.shape[0] > sc.MAX_EXHAUSTIVE_N
+    with pytest.raises(DomainSizeError, match="automorphisms.*check=False"):
+        Scheme(M)
+    assert Scheme(M, check=False).verified_by == "structure"
+
+
 def test_elliptic_and_tangent_line_schemes():
     """The full fractional-linear group is generously transitive on the
     elliptic lines (checked computationally, no structural claim made),
