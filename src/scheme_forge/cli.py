@@ -303,16 +303,17 @@ def cmd_labels(args):
     fld = field(args.q, _parse_modulus(args.modulus))
     S = build_named_scheme(fld, args.group, "pairs", args.allow_large)
     pg1 = S.domain.plane.pg1
-    base = S.domain.base_index
+    labels = S.label_text()
+    # the first column of each class in the base row
+    _, reps = np.unique(S.row(S.domain.base_index), return_index=True)
     rows = []
-    for k in range(S.d + 1):
-        y = int(np.argmax(S.relation_matrix[base] == k))
+    for k, y in enumerate(reps.tolist()):
         i, j = (int(v) for v in pg1.pairs[y])
         rep = f"{{{pg1.point(i)!r}, {pg1.point(j)!r}}}"
         rows.append(
             {
                 "class": k,
-                "label": S.label_text()[k],
+                "label": labels[k],
                 "valency": int(S.valencies[k]),
                 "representative_vs_base": rep,
             }

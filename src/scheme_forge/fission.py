@@ -162,8 +162,9 @@ def _ft_label_of_pair(fld, pair):
     return RelationLabel("R", lab.kind, lab.rep, 0, lab.orbit)
 
 
-def _labels_from_base_row(fld, M, dom, label_of_pair):
-    """Class labels read off the row of the base pair {0, oo}.
+def _labels_from_base_row(fld, row, dom, d, label_of_pair):
+    """Labels of the classes 0..d, read off `row`, the row of the base
+    pair {0, oo} of a relation matrix.
 
     The closed forms read a pair {a, b} (positions i < j) only through
     its key: the position of r = b/a in PG(1,q), 0 when a = 0 and oo when
@@ -175,7 +176,7 @@ def _labels_from_base_row(fld, M, dom, label_of_pair):
     at its first pair: one label per class, no label in two classes and
     every class labeled, or TheoremViolationError is raised.
     """
-    q, pairs, row = fld.q, dom.plane.pg1.pairs, M[dom.base_index]
+    q, pairs = fld.q, dom.plane.pg1.pairs
     a, b = fld.BY_RANK[pairs[:, 0]], fld.BY_RANK[np.minimum(pairs[:, 1], q - 1)]
     # INV[0] = 0, so r takes position 0 exactly when a = 0
     r = np.where(pairs[:, 1] == q, q, fld.RANK[fld.MUL[b, fld.INV[a]]])
@@ -184,7 +185,7 @@ def _labels_from_base_row(fld, M, dom, label_of_pair):
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     if not np.array_equal(row[first][inv], row):
         raise TheoremViolationError("a cross-ratio key spans two computed orbits")
-    labels = [None] * (int(M.max()) + 1)
+    labels = [None] * (d + 1)
     for y in np.sort(first).tolist():
         k, lab = int(row[y]), label_of_pair(fld, tuple(pairs[y].tolist()))
         if labels[k] is None:
@@ -356,14 +357,14 @@ def label_scheme(fld, gid, S):
     and run the group's theorem check; TheoremViolationError if the
     labels or the theorems disagree with the relation matrix."""
     label_of_pair, theorems = GROUP_SCHEMES[gid]
-    S.labels = _labels_from_base_row(fld, S.relation_matrix, S.domain, label_of_pair)
+    S.labels = _labels_from_base_row(fld, S.row(S.domain.base_index), S.domain, S.d, label_of_pair)
     if theorems is not None:
         theorems(fld, S)
     return S
 
 
 def _labeled_scheme(fld, gid, allow_large=False):
-    """Stabilizer-path scheme of a group on pairs, certified and labeled."""
+    """Stabilizer-path scheme of a group on pairs, proved and labeled."""
     dom = domain_for(fld, "pairs")
     return label_scheme(fld, gid, sc.orbital_scheme_via_stabilizer(fld, gid, dom, allow_large))
 
@@ -756,7 +757,7 @@ def report_scheme_axioms(schemes):
     """Re-verify the scheme axioms and counting identities for every
     group scheme of one q, given as {group id: scheme}, and for q <= 13
     cross-check each one with `verify_exhaustive`, independently of the
-    certificate it was built with.  One note per failed identity and
+    proof it was built with.  One note per failed identity and
     group."""
     q = next(iter(schemes.values())).domain.field.q
     t0 = time.perf_counter()
@@ -830,7 +831,8 @@ def _reports_at(fld):
     pairs and its generic-path schemes on pairs, secant lines and poles.
     Above, only the labeled `psl`, `pgammal` and `m` schemes are read.
     They are built one group at a time, each passed straight to its
-    reports and dropped with them, so one matrix is alive at a time.
+    reports and dropped with them, and their reports read parameters,
+    labels and p-tensors, never a relation matrix, so none is filled.
     """
     q = fld.q
     gids = ["pgl", "psl", "pgammal"] + (["m"] if fld.m % 2 == 0 else [])

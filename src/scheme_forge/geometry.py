@@ -77,12 +77,21 @@ class PG1:
     def points(self):
         return [self.point(i) for i in range(self.n_points)]
 
-    def pair_perms(self, point_perms):
-        """Lift permutations of positions, shape (..., q+1), to the pairs:
-        entry x of a row is the index of the image of pair x."""
+    def pair_images(self, point_perms, elements):
+        """Lift k permutations of positions, shape (k, q+1), to the pairs:
+        entry (r, i) is the index of the image under row r of the pair
+        elements[r, i].  `elements` has shape (k, m), or (1, m) to move
+        the same pairs by every row."""
         P = np.asarray(point_perms, dtype=np.intp)
-        codes = np.take(P * self.n_points, self.pairs[:, 0], axis=-1)
-        codes += np.take(P, self.pairs[:, 1], axis=-1)
+        ends = self.pairs.T.take(elements, axis=1)
+        if ends.shape[1] == 1:
+            # one row of pairs: gathering along the rows of P is much faster
+            codes = np.take(P * self.n_points, ends[0, 0], axis=-1)
+            codes += np.take(P, ends[1, 0], axis=-1)
+        else:
+            off = (np.arange(len(P)) * self.n_points)[:, None]
+            codes = (P * self.n_points).ravel().take(off + ends[0])
+            codes += P.ravel().take(off + ends[1])
         return self.pair_table.take(codes)
 
     # -- cross-ratio ---------------------------------------------------------

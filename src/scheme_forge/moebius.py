@@ -264,15 +264,28 @@ def conic_param(plane, pt):
 
 def membership(g, gid):
     """Whether the map g lies in the named subgroup of PGammaL(2,q)."""
-    gid = check_group_defined(g.field, gid)
-    if gid == "pgammal":
-        return True
+    return bool(in_group(g.field, coefficients([g]), gid)[0])
+
+
+def in_group(fld, maps, gid):
+    """Whether each row (a, b, c, d, j) of the (k, 5) array `maps` is a map
+    of the named group: field codes with a nonzero determinant, an
+    exponent j in 0..m-1, and the group's condition on j and on the
+    square class of the determinant, which scaling leaves unchanged."""
+    gid = check_group_defined(fld, gid)
+    maps = np.asarray(maps).reshape(-1, 5)
+    coded = ((maps[:, :4] >= 0) & (maps[:, :4] < fld.q)).all(axis=1)
+    a, b, c, d, j = np.where(coded[:, None], maps, 0).T
+    det = fld.ADD[fld.MUL[a, d], fld.NEG[fld.MUL[b, c]]]
+    ok = coded & (det != 0) & (j >= 0) & (j < fld.m)
+    square = fld.SQUARE[det]
     if gid == "pgl":
-        return g.j == 0
+        return ok & (j == 0)
     if gid == "psl":
-        return g.j == 0 and g.det_is_square
-    half = g.field.m // 2
-    return (g.j == 0 and g.det_is_square) or (g.j == half and not g.det_is_square)
+        return ok & (j == 0) & square
+    if gid == "m":
+        return ok & (((j == 0) & square) | ((j == fld.m // 2) & ~square))
+    return ok
 
 
 def stabilizer_generators(fld, gid):
@@ -380,16 +393,20 @@ def coefficients(gs):
 
 
 def point_perms(fld, maps):
-    """Permutation arrays of k maps on PG(1,q) positions, shape (k, q+1)."""
+    """Permutation arrays of k maps on PG(1,q) positions, shape (k, q+1).
+
+    Field operations are flat-table lookups, as in `_coords_transform`.
+    """
     q = fld.q
-    a, b, c, d, j = np.asarray(maps).T[:, :, None]
-    x = fld.FROB[j, fld.BY_RANK]
-    num = fld.ADD[fld.MUL[a, x], b]
-    den = fld.ADD[fld.MUL[c, x], d]
+    mul, add = fld.MUL.ravel(), fld.ADD.ravel()
+    a, b, c, d, j = np.asarray(maps, dtype=np.intp).T[:, :, None]
+    x = fld.FROB.ravel().take(j * q + fld.BY_RANK)
+    num = add.take(mul.take(a * q + x) * q + b)
+    den = add.take(mul.take(c * q + x) * q + d)
     out = np.empty((len(x), q + 1), dtype=np.int32)
-    out[:, :q] = np.where(den != 0, fld.RANK[fld.MUL[num, fld.INV[den]]], q)
+    out[:, :q] = np.where(den != 0, fld.RANK.take(mul.take(num * q + fld.INV.take(den))), q)
     a, c = a[:, 0], c[:, 0]
-    out[:, q] = np.where(c != 0, fld.RANK[fld.MUL[a, fld.INV[c]]], q)
+    out[:, q] = np.where(c != 0, fld.RANK.take(mul.take(a * q + fld.INV.take(c))), q)
     return out
 
 
@@ -423,15 +440,17 @@ def _cofactors(fld, mats):
 
 
 def _coords_transform(fld, mats, js, coords):
-    """Apply k 3x3 matrices, each after its entrywise Frobenius, to every
-    row of `coords` and normalize: a (k, len(coords), 3) array.
+    """Apply k 3x3 matrices, each after its entrywise Frobenius, to the
+    rows of `coords` and normalize.  `coords` has shape (k, m, 3), row r
+    moved by matrix r, or (1, m, 3), moved by every matrix; the result
+    has shape (k, m, 3).
 
     Field operations are lookups x * q + y in the flattened tables, as
     one `take` on a flat index is much faster than two-array indexing.
     """
     q = fld.q
     mul, add = fld.MUL.ravel(), fld.ADD.ravel()
-    C = fld.FROB.ravel().take(np.asarray(js, dtype=np.intp)[:, None, None] * q + coords[None])
+    C = fld.FROB.ravel().take(np.asarray(js, dtype=np.intp)[:, None, None] * q + coords)
     mq = np.asarray(mats, dtype=np.intp) * q
     out = np.empty(C.shape, dtype=np.intp)
     for r in range(3):
@@ -443,26 +462,33 @@ def _coords_transform(fld, mats, js, coords):
     return mul.take(out + inv * q)
 
 
-def domain_perms(maps, dom):
-    """Permutation arrays of k maps on an enumerated domain, shape (k, n).
+def domain_images(maps, dom, elements):
+    """Images of domain elements under k maps: entry (r, i) is the image
+    under map r of element elements[r, i].  `elements` has shape (k, m),
+    or (1, m) to move the same elements by every map.
 
     On `pairs` the maps act through their point images.  On the plane
     domains they act through `rho`: points by the matrix, lines by its
     cofactor matrix (the inverse transpose up to a scalar), after the
     Frobenius of the map's exponent, and the image coordinates are
-    normalized and looked up.  Every temporary has k * n entries, times
-    three on the plane domains, so callers bound memory by the size of
-    the batches they pass.
+    normalized and looked up.  Every temporary has k * q or k * m
+    entries, times three on the plane domains, so callers bound memory
+    by the size of the batches they pass.
     """
     fld = dom.field
     maps = np.asarray(maps)
     if dom.kind == "pairs":
-        return dom.plane.pg1.pair_perms(point_perms(fld, maps))
+        return dom.plane.pg1.pair_images(point_perms(fld, maps), elements)
     mats = _rho(fld, maps)
     if dom.kind != "hyp-points":
         mats = _cofactors(fld, mats)
-    moved = _coords_transform(fld, mats, maps[:, 4], dom.coords)
-    return dom.index_of_coords(moved.reshape(-1, 3)).reshape(len(maps), dom.n)
+    moved = _coords_transform(fld, mats, maps[:, 4], dom.coords[elements])
+    return dom.index_of_coords(moved.reshape(-1, 3)).reshape(moved.shape[:2])
+
+
+def domain_perms(maps, dom):
+    """Permutation arrays of k maps on an enumerated domain, shape (k, n)."""
+    return domain_images(maps, dom, np.arange(dom.n)[None])
 
 
 def point_perm(g):

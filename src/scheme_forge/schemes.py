@@ -1,12 +1,16 @@
 """Association-scheme machinery over enumerated domains.
 
-A Scheme wraps a dense n x n relation matrix of small class indices:
-entry (x, y) is the index of the relation containing the ordered pair,
-0 being the diagonal.  Construction checks the structure of the matrix
-and, with `check`, proves the axioms exactly, never by sampling: by a
-certificate from automorphisms such as a group's generators, or
-exhaustively; orbit labels and checked fusions are exact as built.
-`Scheme.verified_by` records which proof a scheme has.
+A Scheme is an n x n relation matrix of small class indices, entry
+(x, y) the index of the relation containing the ordered pair, 0 being
+the diagonal, with its parameters: valencies, transpose map and
+intersection numbers.  Built from a matrix, construction checks its
+structure and, with `check`, proves the axioms exactly, never by
+sampling: by a certificate from automorphisms such as a group's
+generators, or exhaustively; orbit labels and checked fusions are exact
+as built.  The stabilizer path proves its parameters from the stabilizer
+orbits and transporters of a group, with no matrix, and fills the matrix
+only when something reads it.  `Scheme.verified_by` records which proof
+a scheme has.
 
 Classes are numbered one way, by `_renumber_first_occurrence`: in order
 of first occurrence in row 0, which is their least ordered pair in
@@ -23,8 +27,9 @@ from . import moebius as mo
 
 MAX_DEFAULT_Q = 127
 
-# The largest bare matrix `Scheme` checks exhaustively, at O(d^2 n^3): the q = 25
-# pairs domain, whose `psl` matrix takes 0.93 s on 2 vCPUs (88 s at q = 49).
+# The largest bare matrix `Scheme` checks exhaustively, at O(d ceil(d/w) n^3)
+# with w classes packed into each product: the q = 25 pairs domain, whose
+# `psl` matrix takes 0.25 s on 2 vCPUs (51 s at q = 49).
 MAX_EXHAUSTIVE_N = 325
 
 
@@ -68,6 +73,18 @@ def _row_blocks(k, n):
     return [(r0, min(k, r0 + step)) for r0 in range(0, k, step)]
 
 
+def _fill_matrix(rows, n):
+    """The n x n matrix whose rows r0..r1 are `rows(r0, r1)`, filled one
+    row block at a time."""
+    blocks = _row_blocks(n, n)
+    first = rows(*blocks[0])
+    M = np.empty((n, n), dtype=first.dtype)
+    M[: len(first)] = first
+    for r0, r1 in blocks[1:]:
+        M[r0:r1] = rows(r0, r1)
+    return M
+
+
 def _renumber_first_occurrence(row, size):
     """The class numbering of every builder: first occurrence in row 0.
 
@@ -94,25 +111,30 @@ def _renumber_first_occurrence(row, size):
 class Scheme:
     """An association scheme on an enumerated domain.
 
+    `relation_matrix` is the n x n matrix.  A scheme from
+    `orbital_scheme_via_stabilizer` has exact parameters without it and
+    fills it, one row block at a time, the first time it is read; `row`
+    reads one row without filling it.
+
     Row 0 must hold every class 0..d, as every row of a scheme does, and
     `class_reps[k]` is the first pair (0, y) of class k: its least pair
-    in row-major order.  Structure checks always run: a row 0 missing a
-    class, a negative or non-integer entry, a diagonal that is not
-    exactly class 0, or class sizes that are not multiples of n raise
-    NotASchemeError.  With `check`, `automorphisms` (permutation arrays
+    in row-major order.  Built from a matrix, structure checks always
+    run: a row 0 missing a class, a negative or non-integer entry, a
+    diagonal that is not exactly class 0, or class sizes that are not
+    multiples of n raise NotASchemeError.  With `check`, `automorphisms` (permutation arrays
     of the domain, such as a group's generators) certify the matrix
     (`_certify`); without them it gets the blocked transposition check
-    and `verify_exhaustive`, at O(d^2 n^3), which raises DomainSizeError
-    above n = MAX_EXHAUSTIVE_N.  `verified_by` is then
-    "certificate" or "exhaustive", else "structure"; `orbital_scheme`
-    and `fuse` set "orbits" and "fusion".
+    and `verify_exhaustive`, which raises DomainSizeError above
+    n = MAX_EXHAUSTIVE_N.  `verified_by` is then "certificate" or
+    "exhaustive", else "structure"; `orbital_scheme` and the stabilizer
+    path set "orbits", `fuse` sets "fusion".
     """
 
     def __init__(self, relation_matrix, domain=None, check=True, automorphisms=None):
         M = np.ascontiguousarray(relation_matrix)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("relation matrix must be square")
-        self.relation_matrix = M
+        self._matrix, self._rows, self._p_from_orbits = M, None, None
         self.n = M.shape[0]
         self.d = int(M.max())
         self.domain = domain
@@ -160,6 +182,30 @@ class Scheme:
             self._certify(np.asarray(automorphisms))
             self.verified_by = "certificate"
 
+    @classmethod
+    def _from_orbits(cls, domain, rows, p_tensor, class_reps, valencies, transpose_map):
+        """A scheme whose parameters its builder proved exact: rows r0..r1
+        of its matrix are `rows(r0, r1)`, and `p_tensor()` counts its
+        intersection numbers."""
+        S = cls.__new__(cls)
+        S._matrix, S._rows, S._p_from_orbits, S._p_tensor = None, rows, p_tensor, None
+        S.n, S.d, S.domain, S.labels = domain.n, len(valencies) - 1, domain, None
+        S.class_reps, S.valencies, S.transpose_map = class_reps, valencies, transpose_map
+        S.verified_by = "orbits"
+        return S
+
+    @property
+    def relation_matrix(self):
+        if self._matrix is None:
+            self._matrix = _fill_matrix(self._rows, self.n)
+        return self._matrix
+
+    def row(self, x):
+        """Row x of the relation matrix, read without filling it."""
+        if self._matrix is None:
+            return self._rows(x, x + 1)[0]
+        return self._matrix[x]
+
     def _certify(self, perms):
         """Prove the matrix a scheme from permutations of its domain:
         every p preserves M (M[p(x), p(y)] = M[x, y], per row block),
@@ -192,7 +238,10 @@ class Scheme:
         """The tensor p[k, i, j] of intersection numbers, one histogram per
         class at its representative pair (x, y) = class_reps[k]: the
         number of z with (x, z) in class i and (z, y) in class j.  Exact
-        whenever `verified_by` is not "structure"."""
+        whenever `verified_by` is not "structure".  A scheme from the
+        stabilizer path counts it without its matrix."""
+        if self._p_tensor is None and self._p_from_orbits is not None:
+            self._p_tensor = self._p_from_orbits()
         if self._p_tensor is None:
             M = self.relation_matrix
             d1 = self.d + 1
@@ -204,19 +253,48 @@ class Scheme:
         return self._p_tensor
 
     def verify_exhaustive(self):
-        """Check p^k_ij constancy over every ordered pair (matrix products)."""
+        """Check p^k_ij constancy over every ordered pair (matrix products).
+
+        With B_i the indicator of class i, (B_i B_j)[x, y] counts the z
+        with (x, z) in class i and (z, y) in class j, and must equal
+        p^k_ij for k the class of (x, y).  Classes j are packed w at a
+        time into base-(n+1) digits of one weight matrix W, the sum of
+        (n+1)^(j-j0) B_j, with (n+1)^w <= 2^53: every count is at most n,
+        so the digits never carry, and every entry and partial sum of
+        B_i W is an integer below 2^53, exact in float64.  One product
+        per i and chunk is compared, a row block at a time, with the
+        packed p-tensor; on a mismatch the chunk's classes are compared
+        one by one, so the error names the first (i, j) in i-then-j
+        order.  W (float64, written in place), B_i (bool) and one block
+        are alive at a time.
+        """
         M = self.relation_matrix
         P = self.p_tensor()
-        d1 = self.d + 1
-        # Two indicators are alive at a time.  The float64 products are
-        # exact: every entry and partial sum counts at most n < 2^53 ones.
+        n, d1 = self.n, self.d + 1
+        w = 1
+        while (n + 1) ** (w + 1) <= 2**53:
+            w += 1
+        blocks = _row_blocks(n, n)
+        W = np.empty((n, n))
         for i in range(d1):
-            Bi = (M == i).astype(np.float64)
-            for j in range(d1):
-                if not np.array_equal(Bi @ (M == j).astype(np.float64), P[:, i, j][M]):
-                    raise NotASchemeError(
-                        f"p^k_({i},{j}) is not constant over all representatives"
-                    )
+            Bi = M == i
+            for j0 in range(0, d1, w):
+                j1 = min(d1, j0 + w)
+                digits = (n + 1) ** np.arange(j1 - j0, dtype=np.int64)
+                weights = np.zeros(d1)
+                weights[j0:j1] = digits
+                for r0, r1 in blocks:
+                    # entries of M are valid indices, so "clip" changes
+                    # nothing and spares the copy of `out` that "raise" makes
+                    np.take(weights, M[r0:r1], out=W[r0:r1], mode="clip")
+                packed = (P[:, i, j0:j1] @ digits).astype(np.float64)
+                if all(np.array_equal(Bi[r0:r1] @ W, packed.take(M[r0:r1])) for r0, r1 in blocks):
+                    continue
+                for j in range(j0, j1):
+                    if not np.array_equal(Bi @ (M == j).astype(np.float64), P[:, i, j][M]):
+                        raise NotASchemeError(
+                            f"p^k_({i},{j}) is not constant over all representatives"
+                        )
         return True
 
     # -- predicates --------------------------------------------------------------
@@ -299,19 +377,50 @@ def orbital_scheme(perms, dom, allow_large=False):
     return S
 
 
-def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
-    """Fast path: stabilizer orbits at the base pair plus transporters.
+def _group_order(perms):
+    """Order of the group that the permutation arrays `perms` generate:
+    products of generators with the elements found so far, by closure."""
+    m = perms.shape[1]
+    frontier = np.arange(m, dtype=perms.dtype)[None]
+    seen = {frontier[0].tobytes()}
+    while len(frontier):
+        fresh = {e.tobytes(): e for e in perms[:, frontier].reshape(-1, m)}
+        frontier = np.array([e for key, e in fresh.items() if key not in seen]).reshape(-1, m)
+        seen.update(fresh)
+    return len(seen)
 
-    Row x of the relation matrix is lab[T_x], where lab labels the orbits
-    of the generators that fix the base pair and T_x is the transporter
-    sending pair x to the base pair.  All transporters come from one
-    vectorized `transporters_to_base` call and act through
-    `moebius.domain_perms`, one row block at a time.  Classes are numbered from row 0 before the
-    fill (`_renumber_first_occurrence`), as in ``orbital_scheme``, and
-    the rows are written straight into the final dtype, which the
-    generators then certify.  Produces the identical
-    relation matrix to ``orbital_scheme`` for the same action
-    (cross-validated in the test suite for small q).
+
+def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
+    """The scheme of group `gid` on a domain with a base element b, from
+    the orbits of the stabilizer of b and one transporter T_x per element
+    x, with exact parameters and no n x n matrix.  The matrix, whose row
+    x is the base row read at T_x, is filled one row block at a time the
+    first time something reads it, byte-identical to ``orbital_scheme``
+    for the same action.
+
+    Proof.  G is the set of maps that `moebius.in_group` accepts, of order
+    `moebius.group_order`.  These checks raise NotASchemeError:
+      1. every generator and every transporter is in G;
+      2. T_x(x) = b for every x, so G is transitive on the domain and its
+         stabilizer G_b has order |G| / n;
+      3. the generators that fix b generate a group H of order |G| / n,
+         counted by closure on their permutations of PG(1,q), on which
+         PGammaL(2,q) acts faithfully; H lies in G_b, so H = G_b;
+      4. L, the `_orbits` of H on the domain, labels the G_b-orbits.
+    A pair (x, y) goes by T_x to (b, T_x(y)), and (b, z), (b, z') lie in
+    one orbital of G exactly when G_b moves z to z', so R(x, y) = L[T_x(y)]
+    is the orbital partition of G, a scheme whose parameters, read at any
+    pair of a class, are exact (Bannai-Ito, Algebraic Combinatorics I,
+    2.2).  Classes are numbered by first occurrence in row 0
+    (`_renumber_first_occurrence`), as every builder numbers them, and
+    T_b lies in G_b, so L numbered so is the base row.  Then:
+      - valencies are the counts of the base row;
+      - transpose_map[k] = R(y, 0), with (0, y) = class_reps[k];
+      - P[k, i, j] counts the z with (L[z], L[T_z(y_k)]) = (i, j), for y_k
+        the first column of class k in the base row, on the first call of
+        `Scheme.p_tensor`.
+    The transporters act through `moebius.domain_images`, one row block
+    of x or z at a time.
     """
     _guard_size(dom, allow_large)
     gid = mo.check_group_defined(fld, gid)
@@ -320,24 +429,48 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
             f"domain kind {dom.kind!r} has no distinguished base pair; "
             "use the generic orbital construction"
         )
-    n = dom.n
-    base = dom.base_index
-    perms = mo.domain_perms(mo.coefficients(mo.generators(fld, gid)), dom)
-    lab = _orbits(perms[perms[:, base] == base], (n,))
-    if int((lab == lab[base]).sum()) != 1:
-        raise RuntimeError("stabilizer does not fix the base pair alone")
-
+    n, base = dom.n, dom.base_index
+    gens = mo.coefficients(mo.generators(fld, gid))
     transporters = mo.transporters_to_base(fld, gid, dom.plane.pg1.pairs)
-    remap, _ = _renumber_first_occurrence(lab[mo.domain_perms(transporters[:1], dom)[0]], n)
-    row_of_base = remap[lab]
+    if not (mo.in_group(fld, gens, gid).all() and mo.in_group(fld, transporters, gid).all()):
+        raise NotASchemeError(f"a generator or a transporter is not in {gid}")
+    perms = mo.domain_perms(gens, dom)
+    fixing = perms[:, base] == base
+    if _group_order(mo.point_perms(fld, gens[fixing])) * n != mo.group_order(fld, gid):
+        raise NotASchemeError("the generators fixing the base element miss part of its stabilizer")
+    lab = _orbits(perms[fixing], (n,))
 
-    M = np.empty((n, n), dtype=remap.dtype)
-    for r0, r1 in _row_blocks(n, n):
-        sigma = mo.domain_perms(transporters[r0:r1], dom)
-        if (sigma[np.arange(r1 - r0), np.arange(r0, r1)] != base).any():
-            raise RuntimeError("transporter failed to reach the base element")
-        M[r0:r1] = row_of_base.take(sigma)
-    return Scheme(M, domain=dom, automorphisms=perms)
+    for r0, r1 in _row_blocks(n, fld.q + 1):
+        moved = mo.domain_images(transporters[r0:r1], dom, np.arange(r0, r1)[:, None])
+        if (moved != base).any():
+            raise NotASchemeError("a transporter does not reach the base element")
+
+    remap, first = _renumber_first_occurrence(lab[mo.domain_perms(transporters[:1], dom)[0]], n)
+    row_of_base = remap[lab]
+    d1 = len(first)
+    L = row_of_base.astype(np.intp)
+
+    def rows(r0, r1):
+        return row_of_base.take(mo.domain_perms(transporters[r0:r1], dom))
+
+    def p_tensor():
+        _, ys = np.unique(L, return_index=True)
+        P = np.zeros(d1**3, dtype=np.int64)
+        for r0, r1 in _row_blocks(n, fld.q + 2 * d1):
+            moved = mo.domain_images(transporters[r0:r1], dom, ys[None])
+            codes = (np.arange(d1) * d1 + L[r0:r1, None]) * d1 + L[moved]
+            P += np.bincount(codes.ravel(), minlength=d1**3)
+        return P.reshape(d1, d1, d1)
+
+    tmap = L[mo.domain_images(transporters[first], dom, np.zeros((1, 1), dtype=np.intp))[:, 0]]
+    return Scheme._from_orbits(
+        dom,
+        rows,
+        p_tensor,
+        class_reps=[(0, int(y)) for y in first],
+        valencies=np.bincount(L, minlength=d1).astype(np.int64),
+        transpose_map=tmap.astype(np.int32),
+    )
 
 
 def triangular_scheme(dom):
@@ -346,7 +479,7 @@ def triangular_scheme(dom):
     swap = np.arange(npts)
     swap[[0, 1]] = [1, 0]
     cycle = np.roll(np.arange(npts), -1)
-    perms = dom.plane.pg1.pair_perms(np.stack([swap, cycle]))
+    perms = dom.plane.pg1.pair_images(np.stack([swap, cycle]), np.arange(dom.n)[None])
     return orbital_scheme(perms, dom)
 
 
@@ -506,10 +639,10 @@ def p_polynomial_orderings(S):
         return []
     out = []
     P = S.p_tensor()
-    M = S.relation_matrix
     for c in range(1, S.d + 1):
         if S.transpose_map[c] != c or not _class_distances_form_a_path(P, c):
             continue
+        M = S.relation_matrix
         D = _graph_distances(M == c, cap=S.d)
         if D is None:
             continue

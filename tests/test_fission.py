@@ -176,13 +176,14 @@ def test_labels_that_do_not_match_the_classes_raise():
     before any label is computed."""
     fld = field(9)
     S = fi.psl_scheme(fld)
-    M, dom = S.relation_matrix, S.domain
+    dom = S.domain
+    row = S.row(dom.base_index)
     with pytest.raises(fi.TheoremViolationError, match="two distinct computed orbits"):
-        fi._labels_from_base_row(fld, M, dom, fi._ft_label_of_pair)
-    split = M.copy()
-    split[dom.base_index, S.n - 1] = S.d + 1
+        fi._labels_from_base_row(fld, row, dom, S.d, fi._ft_label_of_pair)
+    split = row.copy()
+    split[S.n - 1] = S.d + 1
     with pytest.raises(fi.TheoremViolationError, match="key spans two"):
-        fi._labels_from_base_row(fld, split, dom, fi.psl_orbit_label)
+        fi._labels_from_base_row(fld, split, dom, S.d + 1, fi.psl_orbit_label)
 
 
 @pytest.mark.parametrize("q", [5, 9, 13, 25])
@@ -631,6 +632,18 @@ def test_verify_paper_builds_each_scheme_at_most_once_per_q(monkeypatch):
     assert all(r.passed for r in fi.verify_paper([5, 7, 9, 11, 13, 25, 49]))
     keys = [(name, fld.q, gid, kind) for name, fld, gid, kind in builds]
     assert len(keys) == len(set(keys)) == 80
+
+
+def test_suites_past_q13_never_fill_a_matrix(monkeypatch):
+    """Above q = 13 the reports read parameters, labels and p-tensors,
+    which the stabilizer path proves without the relation matrix."""
+    filled = []
+    _spy(monkeypatch, sc, "_fill_matrix", lambda args, M: filled.append(M.shape))
+    for q in (25, 49):
+        assert all(r.passed for r in fi.verify_paper([q]))
+    assert filled == []
+    assert all(r.passed for r in fi.verify_paper([9]))
+    assert (45, 45) in filled
 
 
 def test_scheme_axioms_report_reads_the_labeled_builds(monkeypatch):

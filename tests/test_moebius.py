@@ -14,11 +14,13 @@ from scheme_forge.moebius import (
     base_pair_stabilizer,
     coefficients,
     conic_param,
+    domain_images,
     domain_perm,
     domain_perms,
     enumerate_group,
     generators,
     group_order,
+    in_group,
     membership,
     point_perm,
     transporter_to_base,
@@ -114,6 +116,23 @@ def test_membership_counts_in_pgammal_q9():
     both = [g for g in elements if membership(g, "pgl") and membership(g, "m")]
     assert all(membership(g, "psl") for g in both)
     assert len(both) == 360
+    rows = coefficients(elements)
+    for gid in counts:
+        assert in_group(f, rows, gid).tolist() == [membership(g, gid) for g in elements]
+
+
+def test_in_group_rejects_rows_that_are_not_maps():
+    f = field(9)
+    good = coefficients([Moebius(f, 2, 1, 0, 1)])[0]
+    bad = np.array([good] * 5)
+    bad[0, :4] = (1, 1, 1, 1)  # singular
+    bad[1, 0] = f.q  # not a field code
+    bad[2, 3] = -1
+    bad[3, 4] = f.m  # no such exponent
+    bad[4, 4] = -1
+    for gid in ("pgl", "psl", "m", "pgammal"):
+        assert not in_group(f, bad, gid).any()
+        assert in_group(f, good, gid).tolist() == [membership(Moebius(f, *good), gid)]
 
 
 @pytest.mark.parametrize("q", [9, 25])
@@ -437,6 +456,9 @@ def test_batched_domain_perms_match_per_map(q):
             assert batch.shape == (len(maps), dom.n) and batch.dtype == np.int32
             for g, row in zip(maps, batch):
                 assert np.array_equal(row, domain_perm(g, dom))
+            picks = np.random.default_rng(q).integers(dom.n, size=(len(maps), 4))
+            moved = domain_images(coefficients(maps), dom, picks)
+            assert np.array_equal(moved, np.take_along_axis(batch, picks, axis=1))
             if q == 9:
                 for g, row in zip(maps, batch):
                     assert row.tolist() == _scalar_perm(g, dom)

@@ -261,6 +261,67 @@ def test_certificate_checks_every_row_block():
         Scheme(M, domain=S.domain, automorphisms=p[None])
 
 
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27, 49, 81])
+def test_matrix_free_parameters_equal_a_dense_certified_rebuild(q):
+    fld = field(q)
+    for kind in ("pairs",) if q == 81 else ("pairs", "hyp-lines", "hyp-points"):
+        dom_ = fi.domain_for(fld, kind)
+        for gid in GROUPS_FOR(fld):
+            S = orbital_scheme_via_stabilizer(fld, gid, dom_)
+            assert S.verified_by == "orbits"
+            base_row = S.row(dom_.base_index)
+            dense = Scheme(S.relation_matrix, domain=dom_, automorphisms=_generator_perms(fld, gid, dom_))
+            assert dense.verified_by == "certificate"
+            assert np.array_equal(base_row, dense.relation_matrix[dom_.base_index])
+            assert (S.n, S.d, S.class_reps) == (dense.n, dense.d, dense.class_reps)
+            for name in ("valencies", "transpose_map"):
+                a, b = getattr(S, name), getattr(dense, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (q, kind, gid, name)
+            assert np.array_equal(S.p_tensor(), dense.p_tensor()), (q, kind, gid)
+
+
+def _without_frobenius(monkeypatch):
+    orig = mo.generators
+    monkeypatch.setattr(mo, "generators", lambda fld, gid: [g for g in orig(fld, gid) if g.j == 0])
+
+
+def _psl_by_pgl_transporters(monkeypatch):
+    orig = mo.transporters_to_base
+    monkeypatch.setattr(mo, "transporters_to_base", lambda fld, gid, pairs: orig(fld, "pgl", pairs))
+
+
+def _one_transporter_is_the_identity(monkeypatch):
+    orig = mo.transporters_to_base
+
+    def transporters(fld, gid, pairs):
+        out = orig(fld, gid, pairs)
+        out[len(out) // 2] = (1, 0, 0, 1, 0)
+        return out
+
+    monkeypatch.setattr(mo, "transporters_to_base", transporters)
+
+
+@pytest.mark.parametrize(
+    "gid, fault, message",
+    [
+        # the Frobenius generator fixes {0, oo}, and without it the
+        # stabilizer generators give only the pgl stabilizer, of half its order
+        ("pgammal", _without_frobenius, "miss part of its stabilizer"),
+        # (t - a)/(t - b) has a non-square determinant for some pairs
+        ("psl", _psl_by_pgl_transporters, "not in psl"),
+        # the identity is in the group, but moves no pair to {0, oo}
+        ("psl", _one_transporter_is_the_identity, "does not reach the base element"),
+    ],
+)
+def test_stabilizer_path_proof_checks_raise_when_broken(monkeypatch, gid, fault, message):
+    fld = field(9)
+    dom_ = pairs_domain(Plane(fld))
+    orbital_scheme_via_stabilizer(fld, gid, dom_)
+    fault(monkeypatch)
+    with pytest.raises(NotASchemeError, match=message):
+        orbital_scheme_via_stabilizer(fld, gid, dom_)
+
+
 def test_orbital_scheme_rejects_a_map_that_is_not_a_permutation():
     fld = field(5)
     dom_ = pairs_domain(Plane(fld))
@@ -279,13 +340,14 @@ def test_each_builder_records_the_check_it_passed(t10):
     part = fusion_map(ft, psl)
     unchecked_psl = Scheme(psl.relation_matrix, domain=dom_, check=False)
     expected = {
-        "certificate": [
+        "certificate": [ft],
+        "orbits": [
             psl,
-            ft,
             fi.m_scheme(fld),
             orbital_scheme_via_stabilizer(fld, "pgl", domain(pl, "hyp-points")),
+            t10,
+            group_orbital_scheme(fld, "pgammal", domain(pl, "tangent-lines")),
         ],
-        "orbits": [t10, group_orbital_scheme(fld, "pgammal", domain(pl, "tangent-lines"))],
         "fusion": [fuse(psl, part)],
         "exhaustive": [Scheme(ft.relation_matrix)],
         "structure": [unchecked_psl, fuse(unchecked_psl, part)],
@@ -328,7 +390,8 @@ def test_q81_matrices_keep_their_bytes(q81, gid):
 
 
 def test_q81_build_memory_stays_near_the_matrix(q81):
-    # measured 1.23 n^2 bytes: the uint8 matrix plus row-block temporaries
+    # measured 0.21 n^2 bytes: the build fills no matrix (1.23 n^2 when it
+    # filled the uint8 matrix and certified it)
     builds, peak = q81
     n = builds["psl"].n
     assert peak <= 1.5 * n * n
@@ -390,9 +453,10 @@ def test_exhaustive_constancy(q):
 
 
 def test_exhaustive_check_memory_is_bounded():
-    # one float64 indicator, the product and the expected counts, plus
-    # the second indicator while it is made: measured 3.2 arrays of 8n^2
-    # bytes (23 at the earlier all-indicators-at-once check)
+    # the float64 weight matrix, a bool indicator and row-block
+    # temporaries (a block is 62% of the matrix at n = 325), with the
+    # matrix filled on first read: measured 3.1 arrays of 8n^2 bytes
+    # (3.2 with two float64 indicators, 23 with all indicators at once)
     fld = field(25)
     S = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld)))
     S.p_tensor()
@@ -403,6 +467,38 @@ def test_exhaustive_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 8 * S.n * S.n
+
+
+def _first_inconstant_pair(M, P):
+    """The (i, j) that a check of one class product at a time names first."""
+    for i in range(P.shape[0]):
+        for j in range(P.shape[0]):
+            if not np.array_equal((M == i).astype(int) @ (M == j).astype(int), P[:, i, j][M]):
+                return i, j
+    return None
+
+
+def test_packed_exhaustive_check_names_the_first_failing_pair():
+    fine = fi.psl_scheme(field(9))
+    fused = np.array([0, 1, 1, 2, 1, 1, 1, 1, 1], dtype=np.uint8)[fine.relation_matrix]
+    valid = orbital_scheme_via_stabilizer(field(13), "psl", pairs_domain(Plane(field(13))))
+    swapped = valid.relation_matrix.copy()
+    x = swapped.shape[0] - 1
+    b = int(np.flatnonzero((swapped[x] != swapped[x, 0]) & (swapped[x] != 0))[0])
+    swapped[x, [0, b]] = swapped[x, [b, 0]]
+    for M in (fused, swapped):
+        S = Scheme(M, check=False)
+        i, j = _first_inconstant_pair(M, S.p_tensor())
+        with pytest.raises(NotASchemeError, match=rf"p\^k_\({i},{j}\) is not constant"):
+            S.verify_exhaustive()
+    # n = 91 packs 8 classes into one product, so (1, 9) lies in the
+    # second chunk of i = 1, and still comes before (2, 3)
+    S = Scheme(valid.relation_matrix, check=False)
+    S._p_tensor = valid.p_tensor().copy()
+    S._p_tensor[:, 1, 9] += 1
+    S._p_tensor[:, 2, 3] += 1
+    with pytest.raises(NotASchemeError, match=r"p\^k_\(1,9\) is not constant"):
+        S.verify_exhaustive()
 
 
 def test_scheme_rejects_broken_matrices():
