@@ -31,7 +31,7 @@ from . import schemes as sc
 # `build_domain` stays bound for perfbench/tests/test_bench.py, which checks
 # that the layer tracer wraps `geometry.domain` here too; domains are built
 # through `fission.domain_for`.
-from .geometry import Domain, domain as build_domain  # noqa: F401
+from .geometry import LINE_CLASSES, Domain, domain as build_domain  # noqa: F401
 from .gf import field
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -260,8 +260,10 @@ def cmd_geometry(args):
     if args.what == "conic":
         data = [coords(P) for P in pl.conic_points()]
     elif args.what == "lines":
+        lines = pl.all_lines()
         data = [
-            {"coords": coords(l), "class": pl.classify_line(l)} for l in pl.all_lines()
+            {"coords": coords(l), "class": LINE_CLASSES[h]}
+            for l, h in zip(lines, pl.conic_counts(lines).tolist())
         ]
     else:
         data = [
@@ -276,7 +278,8 @@ def cmd_group(args):
     fld = field(args.q, _parse_modulus(args.modulus))
     gid = mo.check_group_defined(fld, args.group)
     gens = mo.generators(fld, gid)
-    stab = mo.base_pair_stabilizer(fld, gid)
+    # the group is transitive on the n = q(q+1)/2 pairs
+    stab_size = mo.group_order(fld, gid) // (fld.q * (fld.q + 1) // 2)
     if args.format == "json":
         payload = {
             "schema": 1,
@@ -284,7 +287,7 @@ def cmd_group(args):
             "group": gid,
             "order": mo.group_order(fld, gid),
             "generators": [_moebius_dict(g) for g in gens],
-            "base_pair_stabilizer_size": len(stab),
+            "base_pair_stabilizer_size": stab_size,
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
@@ -294,7 +297,7 @@ def cmd_group(args):
             f"generators ({len(gens)}):",
         ]
         lines += [f"  {g!r}" for g in gens]
-        lines.append(f"stabilizer of {{0, oo}}: {len(stab)} elements")
+        lines.append(f"stabilizer of {{0, oo}}: {stab_size} elements")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -684,38 +684,33 @@ def report_fusion_lattice(tri, ft, psl, pgml, msch=None):
 
 
 def report_geometry(fld):
-    """Counting and polarity facts of the conic geometry."""
+    """Counting and polarity facts of the conic geometry, over all lines
+    and secants at once through the batched `Plane` kernels."""
     q = fld.q
     t0 = time.perf_counter()
     pl = plane_for(fld)
     conic = pl.conic_points()
     # conic points on each line: no three are collinear iff no line has more than two
-    hits = [sum(pl.incident(P, l) for P in conic) for l in pl.all_lines()]
-    perp_ok = True
-    half = fld.inv(fld.add(1, 1))
-    for i in range(q + 1):
-        for j in range(i + 1, q + 1):
-            P = pl.polarity_line_to_point(pl.hyperbolic_line_pos(i, j))
-            # Q is evaluated on the closed-form representative of the pole,
-            # since its value (unlike its square class) is not projective
-            if j == q:
-                xi = int(fld.BY_RANK[i])
-                rep = (fld.mul(fld.add(1, 1), xi), 1, 0)
-                expect_q = 1
-            else:
-                xi, ga = int(fld.BY_RANK[i]), int(fld.BY_RANK[j])
-                h = fld.mul(fld.sub(ga, xi), half)
-                rep = (fld.mul(ga, xi), fld.mul(fld.add(xi, ga), half), 1)
-                expect_q = fld.mul(h, h)
-            if P != pl.normalize(rep) or pl.quadratic_form(rep) != expect_q:
-                perp_ok = False
+    hits = pl.conic_counts(pl.all_lines())
+    # Q is evaluated on the closed-form pole of the secant through x, g at i < j,
+    # as its value (unlike its square class) is not projective: (2x, 1, 0)
+    # with Q = 1 if j is oo, else (gx, (x + g)/2, 1) with Q = ((g - x)/2)^2
+    M, A, N = fld.MUL, fld.ADD, fld.NEG
+    i, j = pl.pg1.pairs.T
+    inf = j == q
+    x, g = fld.BY_RANK[i], fld.BY_RANK[np.where(inf, 0, j)]
+    half = fld.INV[A[1, 1]]
+    h = M[A[g, N[x]], half]
+    rep = np.stack([np.where(inf, A[x, x], M[g, x]), np.where(inf, 1, M[A[x, g], half]), ~inf], axis=1)
+    quad = A[M[rep[:, 1], rep[:, 1]], N[M[rep[:, 0], rep[:, 2]]]]
+    poles_ok = np.array_equal(pl.poles(pl.secant_lines(pl.pg1.pairs)), pl.normalize_rows(rep))
     computed = {
         "conic_size": len(conic),
-        "no_three_collinear": max(hits) <= 2,
-        "hyperbolic": hits.count(2),
-        "tangent": hits.count(1),
-        "elliptic": hits.count(0),
-        "perp_formulas": perp_ok,
+        "no_three_collinear": bool(hits.max() <= 2),
+        "hyperbolic": int((hits == 2).sum()),
+        "tangent": int((hits == 1).sum()),
+        "elliptic": int((hits == 0).sum()),
+        "perp_formulas": poles_ok and np.array_equal(quad, np.where(inf, 1, M[h, h])),
     }
     predicted = {
         "conic_size": q + 1,
@@ -731,22 +726,20 @@ def report_geometry(fld):
 
 def report_embedding(fld):
     """det rho = det^3, equivariance of the conic parametrization, and
-    conic preservation, over all generators and points."""
+    conic preservation, over all generators and points; rho moves the
+    conic under every generator in one batched pass."""
     q = fld.q
     t0 = time.perf_counter()
     pl = plane_for(fld)
     gens = mo.generators(fld, "pgammal")
-    det_ok = equiv_ok = fix_ok = True
-    conic = set(pl.conic_points())
-    for g in gens:
-        r = g.rho()
-        if r.det != fld.pow(g.det, 3):
-            det_ok = False
-        for pos in range(q + 1):
-            if pl.conic_point(g.apply_pos(pos)) != r.apply_point(pl.conic_point(pos), pl):
-                equiv_ok = False
-        if {r.apply_point(P, pl) for P in conic} != conic:
-            fix_ok = False
+    maps = mo.coefficients(gens)
+    det_ok = all(g.rho().det == fld.pow(g.det, 3) for g in gens)
+    C = np.array(pl.conic_points())
+    images = mo._coords_transform(fld, mo._rho(fld, maps), maps[:, 4], C[None])
+    equiv_ok = np.array_equal(images, C[mo.point_perms(fld, maps)])
+    # the images of the conic are the conic: equal sorted point codes
+    codes = np.array([q * q, q, 1])
+    fix_ok = bool((np.sort(images @ codes, axis=1) == np.sort(C @ codes)).all())
     computed = {"det_cubed": det_ok, "equivariance": equiv_ok, "fixes_conic": fix_ok}
     predicted = {"det_cubed": True, "equivariance": True, "fixes_conic": True}
     dt = time.perf_counter() - t0

@@ -31,6 +31,8 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
+LINE_CLASSES = ("elliptic", "tangent", "hyperbolic")  # by conic points on the line
+
 
 class IndeterminateCrossRatioError(ValueError):
     """Cross-ratio requested for a configuration where it is 0/0."""
@@ -148,7 +150,6 @@ class Plane:
         self.field = fld
         self.pg1 = PG1(fld)
         self._conic = None
-        self._conic_set = None
         self._all_lines = None
         self._all_points = None
 
@@ -195,7 +196,6 @@ class Plane:
         """All q+1 conic points, ordered like PG(1,q) positions."""
         if self._conic is None:
             self._conic = [self.conic_point(i) for i in range(self.pg1.n_points)]
-            self._conic_set = frozenset(self._conic)
         return self._conic
 
     # -- polarity -------------------------------------------------------------
@@ -252,9 +252,42 @@ class Plane:
 
     def classify_line(self, l):
         """'hyperbolic', 'tangent' or 'elliptic' by |l . conic| = 2, 1, 0."""
-        self.conic_points()
-        hits = sum(1 for P in self._conic if self.incident(P, l))
-        return {2: "hyperbolic", 1: "tangent", 0: "elliptic"}[hits]
+        return LINE_CLASSES[self.conic_counts([l])[0]]
+
+    # -- batched kernels on (k, 3) arrays of field codes, through the field tables --
+
+    def normalize_rows(self, V):
+        """Scale each row of the (k, 3) code array V so its first nonzero
+        coordinate is 1, as `normalize` scales one triple."""
+        f, V = self.field, np.asarray(V, dtype=np.intp)
+        if not V.any(axis=1).all():
+            raise ValueError("the zero triple is not a projective point")
+        lead = V[np.arange(len(V)), np.argmax(V != 0, axis=1)]
+        return f.MUL.ravel().take(V + f.INV.take(lead)[:, None] * f.q)
+
+    def secant_lines(self, pairs):
+        """The lines through the conic points at the two PG(1,q) positions
+        of each row of the (k, 2) array `pairs`, as `hyperbolic_line_pos`
+        gives them: cross products, normalized by `normalize_rows`."""
+        f = self.field
+        C = np.array(self.conic_points())[np.asarray(pairs)]
+        P, Q, r1, r2 = C[:, 0], C[:, 1], [1, 2, 0], [2, 0, 1]
+        return self.normalize_rows(f.ADD[f.MUL[P[:, r1], Q[:, r2]], f.NEG[f.MUL[P[:, r2], Q[:, r1]]]])
+
+    def poles(self, lines):
+        """The poles of the rows of the (k, 3) array `lines`, as
+        `polarity_line_to_point` gives them, normalized by `normalize_rows`."""
+        f = self.field
+        a0, a1, a2 = np.asarray(lines).T
+        return self.normalize_rows(np.stack([f.NEG[a2], f.MUL[f.INV[f.ADD[1, 1]], a1], f.NEG[a0]], 1))
+
+    def conic_counts(self, lines):
+        """The number of conic points on each row of the (k, 3) array
+        `lines` (any scaling), the count of `incident` over the conic."""
+        M, A = self.field.MUL, self.field.ADD
+        L, C = np.asarray(lines)[:, None], np.array(self.conic_points())
+        s = A[A[M[L[..., 0], C[:, 0]], M[L[..., 1], C[:, 1]]], M[L[..., 2], C[:, 2]]]
+        return (s == 0).sum(axis=1)
 
     def classify_point(self, P):
         """Dual classification: 'hyperbolic' iff Q(P) is a nonzero square
@@ -333,17 +366,14 @@ def pairs_domain(plane):
 def hyperbolic_lines_domain(plane):
     """Secant lines, enumerated in the canonical pair order."""
     pg1 = plane.pg1
-    elements = [plane.hyperbolic_line_pos(i, j) for i, j in pg1.pairs.tolist()]
+    elements = list(map(tuple, plane.secant_lines(pg1.pairs).tolist()))
     return Domain("hyp-lines", plane, elements, base_index=pg1.base_pair)
 
 
 def hyperbolic_points_domain(plane):
     """Poles of the secant lines (square-type points), same order."""
     pg1 = plane.pg1
-    elements = [
-        plane.polarity_line_to_point(plane.hyperbolic_line_pos(i, j))
-        for i, j in pg1.pairs.tolist()
-    ]
+    elements = list(map(tuple, plane.poles(plane.secant_lines(pg1.pairs)).tolist()))
     return Domain("hyp-points", plane, elements, base_index=pg1.base_pair)
 
 
@@ -353,7 +383,8 @@ def tangent_lines_domain(plane):
 
 
 def elliptic_lines_domain(plane):
-    elements = [l for l in plane.all_lines() if plane.classify_line(l) == "elliptic"]
+    lines = plane.all_lines()
+    elements = [l for l, h in zip(lines, plane.conic_counts(lines)) if h == 0]
     return Domain("elliptic-lines", plane, elements)
 
 

@@ -542,11 +542,14 @@ def is_fusion(coarse, fine, partition):
 
 def _is_admissible(fine, part):
     """Whether class 0 forms a block of `part` alone and the transposes
-    of the classes of each block form a block."""
+    of the classes of each block form a block: if the block B' of t(i)
+    depends only on the block B of i, the involution t maps B onto B'."""
     if part[0] != 0 or int((part == 0).sum()) != 1:
         return False
-    blocks = {frozenset(np.flatnonzero(part == c).tolist()) for c in np.unique(part)}
-    return all(frozenset(fine.transpose_map[list(b)].tolist()) in blocks for b in blocks)
+    t = fine.transpose_map
+    assert np.array_equal(t[t], np.arange(fine.d + 1)), "the transpose map is an involution"
+    _, first, blocks = np.unique(part, return_index=True, return_inverse=True)
+    return bool(np.array_equal(blocks[t], blocks[t[first[blocks]]]))
 
 
 def _sums_are_constant(fine, part):

@@ -337,3 +337,15 @@ def test_cache_dir_under_a_file_is_a_usage_error(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("q", [5, 9, 25, 27, 49, 81])
+def test_group_info_stabilizer_size_is_the_enumerated_one(capsys, q):
+    from scheme_forge import moebius as mo
+    from scheme_forge.gf import field
+
+    fld = field(q)
+    for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
+        code, out, _ = run(capsys, "group", "info", "--q", str(q), "--group", gid, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["base_pair_stabilizer_size"] == len(mo.base_pair_stabilizer(fld, gid))

@@ -729,3 +729,57 @@ def test_built_schemes_die_when_a_report_raises(monkeypatch):
         raise AssertionError("the failing report did not raise")
     gc.collect()
     assert len(refs) == 18 and all(r() is None for r in refs)
+
+
+# -- the batched conic reports ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [25, 27, 49, 81])
+def test_geometry_and_embedding_reports_pass_above_13(q):
+    fld = field(q)
+    for rep in (fi.report_geometry(fld), fi.report_embedding(fld)):
+        assert rep.passed, rep.to_dict()
+
+
+def _corrupt(monkeypatch, owner, name, spoil):
+    """Replace owner.name by a wrapper that passes its result through `spoil`."""
+    orig = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: spoil(orig(*args)))
+
+
+def _swap_first_rows(a):
+    a = a.copy()
+    a[[0, 1]] = a[[1, 0]]
+    return a
+
+
+def test_geometry_report_fails_on_a_corrupted_pole_kernel(monkeypatch):
+    _corrupt(monkeypatch, Plane, "poles", _swap_first_rows)
+    rep = fi.report_geometry(field(9))
+    assert not rep.passed
+    assert {k for k in rep.computed if rep.computed[k] != rep.predicted[k]} == {"perp_formulas"}
+
+
+def test_geometry_report_fails_on_a_corrupted_conic_count(monkeypatch):
+    _corrupt(monkeypatch, Plane, "conic_counts", lambda h: h + (np.arange(len(h)) == 0))
+    rep = fi.report_geometry(field(9))
+    assert not rep.passed and rep.computed["perp_formulas"]
+
+
+def test_embedding_report_fails_on_a_corrupted_generator_image(monkeypatch):
+    from scheme_forge import moebius as mo
+
+    def off_conic(images):
+        images = images.copy()
+        images[-1, 0] = (0, 1, 0)
+        return images
+
+    _corrupt(monkeypatch, mo, "_coords_transform", off_conic)
+    rep = fi.report_embedding(field(9))
+    assert not rep.passed
+    assert rep.computed == {"det_cubed": True, "equivariance": False, "fixes_conic": False}
+    monkeypatch.undo()
+    # images of two conic points exchanged: still the conic, no longer equivariant
+    _corrupt(monkeypatch, mo, "point_perms", lambda P: _swap_first_rows(P.T).T)
+    rep = fi.report_embedding(field(9))
+    assert rep.computed == {"det_cubed": True, "equivariance": False, "fixes_conic": True}

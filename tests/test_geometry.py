@@ -250,3 +250,41 @@ def test_pair_domain_base_index():
     dom = pairs_domain(pl)
     i, j = dom.elements[dom.base_index]
     assert int(pl.field.BY_RANK[i]) == 0 and j == pl.field.q
+
+
+# -- batched kernels against the scalar methods -------------------------------------
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 25, 27, 49])
+def test_batched_kernels_equal_the_scalar_methods(q):
+    pl = Plane(field(q))
+    f = pl.field
+    pairs = pl.pg1.pairs
+    secants = [pl.hyperbolic_line_pos(i, j) for i, j in pairs.tolist()]
+    assert list(map(tuple, pl.secant_lines(pairs).tolist())) == secants
+    assert list(map(tuple, pl.secant_lines(pairs[:, ::-1]).tolist())) == secants
+    lines = pl.all_lines()
+    assert list(map(tuple, pl.poles(lines).tolist())) == [pl.polarity_line_to_point(l) for l in lines]
+    conic = pl.conic_points()
+    counts = [sum(pl.incident(P, l) for P in conic) for l in lines]
+    assert pl.conic_counts(lines).tolist() == counts
+    # counts and poles do not depend on the scaling of a line
+    scaled = [tuple(f.mul(int(f.BY_RANK[1 + k % (q - 1)]), c) for c in l) for k, l in enumerate(lines)]
+    assert pl.conic_counts(scaled).tolist() == counts
+    assert pl.poles(scaled).tolist() == pl.poles(lines).tolist()
+    assert pl.normalize_rows(scaled).tolist() == [list(pl.normalize(l)) for l in scaled]
+    assert domain(pl, "elliptic-lines").elements == [l for l, c in zip(lines, counts) if c == 0]
+    with pytest.raises(ValueError):
+        pl.normalize_rows([(1, 0, 0), (0, 0, 0)])
+    with pytest.raises(ValueError):
+        pl.secant_lines([(1, 1)])
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 25, 27, 49])
+def test_hyperbolic_domains_equal_the_scalar_construction(q):
+    pl = Plane(field(q))
+    secants = [pl.hyperbolic_line_pos(i, j) for i, j in pl.pg1.pairs.tolist()]
+    lines, points = domain(pl, "hyp-lines").elements, domain(pl, "hyp-points").elements
+    assert lines == secants
+    assert points == [pl.polarity_line_to_point(l) for l in secants]
+    assert all(type(c) is int for e in lines + points for c in e)

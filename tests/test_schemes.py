@@ -871,3 +871,73 @@ def test_elliptic_and_tangent_line_schemes():
         assert ell.is_symmetric()
         tan = group_orbital_scheme(fld, "pgl", domain(pl, "tangent-lines"))
         assert tan.d == 1 and tan.is_symmetric()
+
+
+def _admissible_by_blocks(fine, part):
+    """Admissibility by its definition, as sets of blocks: the reference
+    for `_is_admissible`."""
+    if part[0] != 0 or int((part == 0).sum()) != 1:
+        return False
+    blocks = {frozenset(np.flatnonzero(part == c).tolist()) for c in set(part.tolist())}
+    return all(frozenset(fine.transpose_map[list(b)].tolist()) in blocks for b in blocks)
+
+
+def test_admissibility_rejects_a_transposed_block_inside_a_larger_block():
+    fine = fi.psl_scheme(field(13))
+    t = fine.transpose_map
+    k = next(k for k in range(1, fine.d + 1) if t[k] != k)
+    j = next(j for j in range(1, fine.d + 1) if t[j] == j)
+    part = np.full(fine.d + 1, 3)
+    part[0], part[k], part[[t[k], j]] = 0, 1, 2
+    assert not sc._is_admissible(fine, part)
+    assert not _admissible_by_blocks(fine, part)
+
+
+def test_admissibility_does_not_depend_on_block_labels():
+    fld = field(25)
+    fine = fi.psl_scheme(fld)
+    t = fine.transpose_map
+    rng = np.random.default_rng(25)
+    parts = [fusion_map(fi.m_scheme(fld), fine), fusion_map(fi.build_ft(fld), fine)]
+    for _ in range(100):
+        sym = rng.integers(1, 4, fine.d + 1)
+        parts += [np.minimum(sym, sym[t]), rng.integers(1, 4, fine.d + 1)]
+    answers = set()
+    for part in parts:
+        part[0] = 0
+        expect = _admissible_by_blocks(fine, part)
+        relabel = np.concatenate([[0], rng.permutation(np.arange(3, 9 * fine.d + 3, 9))])
+        assert sc._is_admissible(fine, part) == expect
+        assert sc._is_admissible(fine, relabel[part]) == expect
+        answers.add(expect)
+    assert answers == {True, False}
+
+
+def test_verify_and_fusion_check_never_import_numpy_ma():
+    """A bare np.unique imports numpy.ma on first use (about 18 ms)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys, numpy\n"
+        "preloaded = 'numpy.ma' in sys.modules\n"
+        "from scheme_forge import cli, fission\n"
+        "fission.verify_paper([5, 7, 9, 11, 13])\n"
+        "cli.main(['fusion', 'check', '--q', '49', '--fine', 'psl', '--coarse', 'm'])\n"
+        "print(preloaded, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    preloaded, loaded = proc.stdout.split()[-2:]
+    if preloaded == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert loaded == "False"
