@@ -339,13 +339,13 @@ def cmd_fusion(args):
     fine = build_named_scheme(fld, args.fine, "pairs", args.allow_large)
     coarse = build_named_scheme(fld, args.coarse, "pairs", args.allow_large)
     part = sc.fusion_map(coarse, fine)
-    ok = sc.is_fusion(coarse, fine, part)
+    ok = part is not None
     payload = {
         "schema": 1,
         "q": fld.q,
         "fine": args.fine,
         "coarse": args.coarse,
-        "is_fusion": bool(ok),
+        "is_fusion": ok,
         "partition": None if part is None else [int(v) for v in part],
     }
     if args.format == "json":

@@ -12,6 +12,13 @@ orbits and transporters of a group, with no matrix, and fills the matrix
 only when something reads it.  `Scheme.verified_by` records which proof
 a scheme has.
 
+One routine, `Scheme.p_tensor`, counts intersection numbers, from row 0
+and the columns of the class representatives, for both representations,
+and structural queries read that tensor, not the matrix: P-polynomial
+orderings come from it alone, for proven schemes only.  A fusion of two
+proven schemes is one partition comparison, `fusion_map`; `is_fusion`
+checks a partition that a caller supplies.
+
 Classes are numbered one way, by `_renumber_first_occurrence`: in order
 of first occurrence in row 0, which is their least ordered pair in
 row-major order.  Every builder goes through it: the generic least-element
@@ -134,12 +141,11 @@ class Scheme:
         M = np.ascontiguousarray(relation_matrix)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("relation matrix must be square")
-        self._matrix, self._rows, self._p_from_orbits = M, None, None
+        self._matrix, self._rows, self._cols, self._p_tensor = M, None, None, None
         self.n = M.shape[0]
         self.d = int(M.max())
         self.domain = domain
         self.labels = None
-        self._p_tensor = None
 
         remap, first = _renumber_first_occurrence(M[0], self.d + 1)
         if len(first) != self.d + 1 or M.min() < 0:
@@ -156,9 +162,7 @@ class Scheme:
         if counts[0] != self.n:
             raise NotASchemeError("relation 0 must be exactly the diagonal")
 
-        tmap = np.empty(self.d + 1, dtype=np.int32)
-        for k, (x, y) in enumerate(self.class_reps):
-            tmap[k] = M[y, x]
+        tmap = M[first[remap], 0].astype(np.int32)
         if check and automorphisms is None:
             tm = tmap.astype(M.dtype)
             for r0, r1 in blocks:
@@ -183,12 +187,12 @@ class Scheme:
             self.verified_by = "certificate"
 
     @classmethod
-    def _from_orbits(cls, domain, rows, p_tensor, class_reps, valencies, transpose_map):
+    def _from_orbits(cls, domain, rows, columns, class_reps, valencies, transpose_map):
         """A scheme whose parameters its builder proved exact: rows r0..r1
-        of its matrix are `rows(r0, r1)`, and `p_tensor()` counts its
-        intersection numbers."""
+        of its matrix are `rows(r0, r1)`, and `columns(ys)` reads the
+        entries (z, y) of every z and each y in ys."""
         S = cls.__new__(cls)
-        S._matrix, S._rows, S._p_from_orbits, S._p_tensor = None, rows, p_tensor, None
+        S._matrix, S._rows, S._cols, S._p_tensor = None, rows, columns, None
         S.n, S.d, S.domain, S.labels = domain.n, len(valencies) - 1, domain, None
         S.class_reps, S.valencies, S.transpose_map = class_reps, valencies, transpose_map
         S.verified_by = "orbits"
@@ -205,6 +209,13 @@ class Scheme:
         if self._matrix is None:
             return self._rows(x, x + 1)[0]
         return self._matrix[x]
+
+    def columns(self, ys):
+        """Columns ys of the relation matrix, an n x len(ys) array, read
+        without filling it."""
+        if self._matrix is None:
+            return self._cols(ys)
+        return self._matrix[:, ys]
 
     def _certify(self, perms):
         """Prove the matrix a scheme from permutations of its domain:
@@ -235,20 +246,21 @@ class Scheme:
     # -- intersection numbers --------------------------------------------------
 
     def p_tensor(self):
-        """The tensor p[k, i, j] of intersection numbers, one histogram per
-        class at its representative pair (x, y) = class_reps[k]: the
-        number of z with (x, z) in class i and (z, y) in class j.  Exact
-        whenever `verified_by` is not "structure".  A scheme from the
-        stabilizer path counts it without its matrix."""
-        if self._p_tensor is None and self._p_from_orbits is not None:
-            self._p_tensor = self._p_from_orbits()
+        """The tensor p[k, i, j] of intersection numbers, counted at the
+        representative pair (0, y_k) = class_reps[k] of each class: the
+        number of z with R(0, z) = i and R(z, y_k) = j, the bincount of
+        R(0, z) (d + 1) + R(z, y_k) over z.  Row 0 and the columns y_k
+        are read without filling the matrix, and classes are counted a
+        block at a time, with one bincount per block.  Exact whenever
+        `verified_by` is not "structure"."""
         if self._p_tensor is None:
-            M = self.relation_matrix
             d1 = self.d + 1
+            left = self.row(0).astype(np.intp) * d1
+            cols = self.columns(np.array([y for _, y in self.class_reps]))
             P = np.empty((d1, d1, d1), dtype=np.int64)
-            for k, (x, y) in enumerate(self.class_reps):
-                pairs = M[x].astype(np.int64) * d1 + M[:, y]
-                P[k] = np.bincount(pairs, minlength=d1 * d1).reshape(d1, d1)
+            for k0, k1 in _row_blocks(d1, self.n):
+                codes = left[:, None] + cols[:, k0:k1] + np.arange(k1 - k0) * d1 * d1
+                P[k0:k1] = np.bincount(codes.ravel(), minlength=(k1 - k0) * d1 * d1).reshape(-1, d1, d1)
             self._p_tensor = P
         return self._p_tensor
 
@@ -307,7 +319,7 @@ class Scheme:
         return bool(np.array_equal(P, P.transpose(0, 2, 1)))
 
     def relation(self, x, y):
-        return int(self.relation_matrix[x, y])
+        return int(self.row(x)[y])
 
     def label_text(self):
         if self.labels is None:
@@ -416,9 +428,8 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
     T_b lies in G_b, so L numbered so is the base row.  Then:
       - valencies are the counts of the base row;
       - transpose_map[k] = R(y, 0), with (0, y) = class_reps[k];
-      - P[k, i, j] counts the z with (L[z], L[T_z(y_k)]) = (i, j), for y_k
-        the first column of class k in the base row, on the first call of
-        `Scheme.p_tensor`.
+      - column y is transpose_map read at row y, as the transpose of an
+        orbital is an orbital.
     The transporters act through `moebius.domain_images`, one row block
     of x or z at a time.
     """
@@ -448,27 +459,24 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
     remap, first = _renumber_first_occurrence(lab[mo.domain_perms(transporters[:1], dom)[0]], n)
     row_of_base = remap[lab]
     d1 = len(first)
-    L = row_of_base.astype(np.intp)
 
     def rows(r0, r1):
         return row_of_base.take(mo.domain_perms(transporters[r0:r1], dom))
 
-    def p_tensor():
-        _, ys = np.unique(L, return_index=True)
-        P = np.zeros(d1**3, dtype=np.int64)
-        for r0, r1 in _row_blocks(n, fld.q + 2 * d1):
-            moved = mo.domain_images(transporters[r0:r1], dom, ys[None])
-            codes = (np.arange(d1) * d1 + L[r0:r1, None]) * d1 + L[moved]
-            P += np.bincount(codes.ravel(), minlength=d1**3)
-        return P.reshape(d1, d1, d1)
+    tmap = row_of_base[mo.domain_images(transporters[first], dom, np.zeros((1, 1), dtype=np.intp))[:, 0]]
 
-    tmap = L[mo.domain_images(transporters[first], dom, np.zeros((1, 1), dtype=np.intp))[:, 0]]
+    def columns(ys):
+        out = np.empty((n, len(ys)), dtype=row_of_base.dtype)
+        for k0, k1 in _row_blocks(len(ys), n):
+            out[:, k0:k1] = tmap[row_of_base.take(mo.domain_perms(transporters[ys[k0:k1]], dom))].T
+        return out
+
     return Scheme._from_orbits(
         dom,
         rows,
-        p_tensor,
+        columns,
         class_reps=[(0, int(y)) for y in first],
-        valencies=np.bincount(L, minlength=d1).astype(np.int64),
+        valencies=np.bincount(row_of_base, minlength=d1).astype(np.int64),
         transpose_map=tmap.astype(np.int32),
     )
 
@@ -512,20 +520,26 @@ def _fuses_onto(coarse, fine, part):
 
 
 def fusion_map(coarse, fine):
-    """Map fine classes onto coarse classes, or None if not a refinement."""
+    """Map fine classes onto coarse classes, or None if not a refinement.
+
+    One comparison of the coarse matrix with the fine one fused along
+    the coarse classes of the fine representatives.  When both schemes
+    are proven, a map returned here makes coarse a fusion scheme of fine:
+    R_C = f(R_F) on every pair, so the transpose of each block is the
+    block of a transposed coarse class, and the fused sums of fine's
+    intersection numbers are coarse's, which are constant."""
     if coarse.n != fine.n:
         return None
-    part = np.empty(fine.d + 1, dtype=np.int64)
-    for k, (x, y) in enumerate(fine.class_reps):
-        part[k] = coarse.relation_matrix[x, y]
+    part = coarse.row(0)[[y for _, y in fine.class_reps]].astype(np.int64)
     return part if _fuses_onto(coarse, fine, part) else None
 
 
 def is_fusion(coarse, fine, partition):
-    """Whether `partition` (fine class -> coarse class) realizes coarse
-    as a fusion scheme of fine: admissible, reproducing the coarse
-    relations exactly, and with constant fused intersection numbers.
-    A `partition` of None, which `fusion_map` returns when fine does not
+    """Whether a caller's `partition` (fine class -> coarse class)
+    realizes coarse as a fusion scheme of fine: admissible, reproducing
+    the coarse relations exactly, and with constant fused intersection
+    numbers, so that it holds even when coarse is not proven.  A
+    `partition` of None, which `fusion_map` returns when fine does not
     refine coarse, is no fusion.
     """
     if partition is None:
@@ -584,36 +598,18 @@ def fuse(fine, partition):
 # -- P-polynomial structure ----------------------------------------------------------
 
 
-def _graph_distances(adj, cap):
-    """All-pairs distances of a graph, or None if disconnected/deeper than cap."""
-    n = adj.shape[0]
-    D = np.full((n, n), -1, dtype=np.int32)
-    np.fill_diagonal(D, 0)
-    reach = np.eye(n, dtype=bool)
-    Af = adj.astype(np.float32)
-    for e in range(1, cap + 1):
-        grown = (reach.astype(np.float32) @ Af) > 0
-        grown |= reach
-        new = grown & ~reach
-        if not new.any():
-            break
-        D[new] = e
-        reach = grown
-    if (D < 0).any():
-        return None
-    return D
-
-
 def _class_distances_form_a_path(P, c):
-    """Whether breadth-first search over classes, stepping from class i to
-    every unseen class j with P[j, i, c] > 0, adds exactly one class per
-    layer and reaches all of them."""
+    """The classes in the order in which breadth-first search over classes
+    meets them, stepping from class i to every unseen class j with
+    P[j, i, c] > 0, if it meets one class per layer and reaches all of
+    them; else None."""
     seen = np.zeros(P.shape[0], dtype=bool)
-    nxt = np.array([0])
+    order, nxt = [], np.array([0])
     while len(nxt) == 1:
+        order.append(int(nxt[0]))
         seen[nxt] = True
         nxt = np.flatnonzero((P[:, nxt[0], c] > 0) & ~seen)
-    return len(nxt) == 0 and bool(seen.all())
+    return order if len(nxt) == 0 and seen.all() else None
 
 
 def p_polynomial_orderings(S):
@@ -623,45 +619,32 @@ def p_polynomial_orderings(S):
     class ordering, and the intersection array ({b_0..b_{d-1}}, {c_1..c_d}).
     Empty list means the scheme is not P-polynomial.
 
-    A candidate class c is first screened on the intersection numbers
-    (Bannai-Ito, Algebraic Combinatorics I, III.1): the class breadth-first
-    search of `_class_distances_form_a_path` must meet the classes one
-    per layer.  Only survivors get the dense all-pairs distance check.
-    The screen never drops a class the dense check keeps, even when S is
-    not a scheme.  Suppose the dense check accepts c, and let dist(k) be
-    the distance in the graph of c across any pair of class k.  At the
-    representative (x, y) from which P[k] was counted, P[k, i, c] > 0
-    gives a z with (x, z) in class i and z -> y an edge, so by the
-    triangle inequality dist(k) <= dist(i) + 1.  If dist(k) > 0, the
-    last step of a shortest path from x to y gives an i with
-    dist(i) = dist(k) - 1 and P[k, i, c] > 0.  By induction layer e of
-    the search is exactly the classes at distance e, and as dist is a
-    bijection onto 0..d, each layer holds one class.
+    P-polynomiality is a property of the intersection numbers (Bannai-Ito,
+    Algebraic Combinatorics I, III.1.1), read here off the exact p-tensor,
+    so S must be proven: ValueError if `verified_by` is "structure".  A
+    symmetric class c qualifies exactly when the class search of
+    `_class_distances_form_a_path` meets one class per layer, k_0 = 0,
+    k_1 = c, ..., k_d.  Suppose k_0..k_e are the relations of distance
+    0..e in the graph of c.  A pair at distance e + 1 has a z at distance
+    e from its first point and adjacent to its second, so its class j is
+    unseen with p^j_(k_e, c) > 0: it lies in layer e + 1, which is
+    {k_(e+1)}.  Conversely p^(k_(e+1))_(k_e, c) > 0 on every pair of class
+    k_(e+1), as P is exact, so each such pair is at distance at most
+    e + 1, and not at most e, as k_(e+1) is none of k_0..k_e.  So by
+    induction k_e is the distance-e relation for every e, and a search
+    that reaches every class has found the distance partition; if S is
+    P-polynomial for c, the same argument shows the search meets its
+    distance classes one per layer.
     """
-    if not S.is_commutative():
-        return []
+    if S.verified_by == "structure":
+        raise ValueError("P-polynomial orderings need a proven scheme, not one checked for structure only")
     out = []
     P = S.p_tensor()
     for c in range(1, S.d + 1):
-        if S.transpose_map[c] != c or not _class_distances_form_a_path(P, c):
+        order = _class_distances_form_a_path(P, c) if S.transpose_map[c] == c else None
+        if order is None:
             continue
-        M = S.relation_matrix
-        D = _graph_distances(M == c, cap=S.d)
-        if D is None:
-            continue
-        dist_of_class = np.array([D[x, y] for (x, y) in S.class_reps], dtype=np.int64)
-        if sorted(dist_of_class.tolist()) != list(range(S.d + 1)):
-            continue
-        if not np.array_equal(D, dist_of_class[M]):
-            continue
-        order = np.argsort(dist_of_class)
         bs = [int(P[order[e], c, order[e + 1]]) for e in range(S.d)]
         cs = [int(P[order[e], c, order[e - 1]]) for e in range(1, S.d + 1)]
-        out.append(
-            {
-                "relation": c,
-                "ordering": [int(k) for k in order],
-                "intersection_array": (bs, cs),
-            }
-        )
+        out.append({"relation": c, "ordering": order, "intersection_array": (bs, cs)})
     return out

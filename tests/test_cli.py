@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, formats, determinism, cache."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
-from scheme_forge.cli import main
+from scheme_forge import moebius as mo
+from scheme_forge import schemes as sc
+from scheme_forge.cli import SCHEME_NAMES, main
 
 
 def run(capsys, *argv):
@@ -191,6 +195,53 @@ def test_fusion_check(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["is_fusion"] is True and data["partition"][0] == 0
+
+
+def test_fusion_check_is_one_comparison(capsys, monkeypatch):
+    calls = []
+    real = sc._fuses_onto
+    monkeypatch.setattr(sc, "_fuses_onto", lambda *args: calls.append(1) or real(*args))
+    code, out, _ = run(capsys, "fusion", "check", "--q", "25", "--fine", "psl", "--coarse", "m")
+    assert code == 0 and "is a fusion" in out
+    assert len(calls) == 1
+
+
+# sha256 of the stdout of `build --format json --p-tensor`, then of
+# `build --format csv`, for each scheme name in turn (every group above
+# q = 27, where T(q+1) and FT are slow to build), each preceded by the
+# name, format and exit code
+BUILD_DIGESTS = {
+    5: "56629fe201f3baff42dff4879b599f85316c303d035920252e207961a2a97be7",
+    9: "9a34818e38fb62bba86d6dd05952f2a0ebbce8682f3fbdce8edf6b3ec65b4e45",
+    25: "5ab23b15951241151e0aca83b4513eded1e1b44ac359ae3b88c01fdd9efb5b3d",
+    27: "ca51ffb01dd2890f7b3260bec4591a45cd3c441872ddd0337bd680324d1a197b",
+    49: "5281863b24bfe21456b027f1a44b1a82b0892b9820b6a3ea0b9fa24efc5675da",
+    81: "27f606b83a7dc98567ade7d0058b82f1162487a4f2194e3da958ff8096d4ae03",
+}
+
+
+@pytest.mark.parametrize("q", sorted(BUILD_DIGESTS))
+def test_build_p_tensor_outputs_keep_their_bytes(q, capsys, monkeypatch):
+    monkeypatch.delenv("SCHEME_FORGE_CACHE_DIR", raising=False)
+    h = hashlib.sha256()
+    for name in SCHEME_NAMES if q <= 27 else mo.GROUPS:
+        for fmt in (["--format", "json", "--p-tensor"], ["--format", "csv"]):
+            code, out, _ = run(capsys, "build", "--q", str(q), "--group", name, *fmt)
+            h.update(f"{name} {fmt[1]} {code}\n{out}".encode())
+    assert h.hexdigest() == BUILD_DIGESTS[q]
+
+
+# sha256 of `verify paper --all-q --deep --format json` with its
+# `elapsed` lines removed
+VERIFY_DIGEST = "21b258f739f2615b8ef99af7416a69bc91cfb27ef9c285c80a476b60d8c43840"
+
+
+def test_verify_report_keeps_its_bytes(capsys):
+    code, out, _ = run(capsys, "verify", "paper", "--all-q", "--deep", "--format", "json")
+    assert code == 0
+    kept = re.sub(r'\n *"elapsed": [^\n]*', "", out)
+    assert kept.count("elapsed") == 0
+    assert hashlib.sha256(kept.encode()).hexdigest() == VERIFY_DIGEST
 
 
 def test_out_file(tmp_path, capsys):

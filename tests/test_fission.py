@@ -418,6 +418,47 @@ def test_pgammal_prime_field_reduces_to_ft():
     assert partition_bijection(S, ft) is not None
 
 
+def _pgammal_classes_by_search(fld):
+    """Oracle: 2 + the orbits of <Frobenius, inversion> on the nonzero
+    field elements other than +-1, by a scalar stack search."""
+    left = set(range(1, fld.q)) - {1, fld.neg(1)}
+    orbits = 0
+    while left:
+        stack = [left.pop()]
+        while stack:
+            t = stack.pop()
+            for u in [fld.inv(t)] + [fld.frobenius(t, j) for j in range(fld.m)]:
+                if u in left:
+                    left.remove(u)
+                    stack.append(u)
+        orbits += 1
+    return 2 + orbits
+
+
+def _is_prime_power(q):
+    p = next(k for k in range(2, q + 1) if q % k == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def test_pgammal_class_count_equals_the_scalar_search():
+    qs = [q for q in range(5, 170, 2) if _is_prime_power(q)]
+    assert len(qs) == 45
+    for q in qs:
+        fld = field(q)
+        assert fi.count_pgammal_classes(fld) == _pgammal_classes_by_search(fld), q
+
+
+def test_pgammal_report_counts_the_classes_once(monkeypatch):
+    S = fi.pgammal_scheme(field(25))
+    calls = []
+    real = fi.count_pgammal_classes
+    monkeypatch.setattr(fi, "count_pgammal_classes", lambda fld: calls.append(1) or real(fld))
+    assert fi.report_pgammal(S).passed
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("q", [9, 25, 49])
 def test_pgammal_count_matches_built_scheme(q):
     fld = field(q)

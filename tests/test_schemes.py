@@ -280,6 +280,75 @@ def test_matrix_free_parameters_equal_a_dense_certified_rebuild(q):
             assert np.array_equal(S.p_tensor(), dense.p_tensor()), (q, kind, gid)
 
 
+def _p_tensor_by_definition(M):
+    """Oracle: p[k, i, j] read off every pair (x, y) of class k as entry
+    (x, y) of B_i B_j, B_i the 0/1 matrix of class i, asserting that it
+    is the same on all of them."""
+    d1 = int(M.max()) + 1
+    B = (M[None] == np.arange(d1)[:, None, None]).astype(np.float64)
+    P = np.empty((d1, d1, d1), dtype=np.int64)
+    for i in range(d1):
+        products = np.matmul(B[i], B)  # [j, x, y]
+        for k in range(d1):
+            counts = products[:, M == k]
+            assert (counts == counts[:, :1]).all(), (i, k)
+            P[k, i] = counts[:, 0]
+    return P
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+def test_p_tensor_equals_the_count_over_every_pair(q):
+    """Both representations against the definition: stabilizer-path
+    schemes, counted without their matrix, and matrix-built ones."""
+    fld = field(q)
+    cases = [fi.build_ft(fld), triangular_scheme(fi.domain_for(fld, "pairs"))]
+    for kind in ("pairs", "hyp-lines", "hyp-points"):
+        dom_ = fi.domain_for(fld, kind)
+        for gid in GROUPS_FOR(fld):
+            cases += [orbital_scheme_via_stabilizer(fld, gid, dom_), group_orbital_scheme(fld, gid, dom_)]
+    for S in cases:
+        P = S.p_tensor()
+        assert P.dtype == np.int64
+        assert np.array_equal(P, _p_tensor_by_definition(S.relation_matrix)), (q, S)
+
+
+def test_p_tensor_of_a_non_scheme_counts_at_the_class_representatives():
+    """Checked for structure only, the circulant non-scheme gets the
+    counts at (0, y) for the first column y of each class in row 0."""
+    M = _circulant_distance_classes()
+    S = Scheme(M, check=False)
+    want = np.zeros((S.d + 1,) * 3, dtype=np.int64)
+    for k, (x, y) in enumerate(S.class_reps):
+        for z in range(S.n):
+            want[k, M[x, z], M[z, y]] += 1
+    assert np.array_equal(S.p_tensor(), want)
+
+
+def test_p_tensor_allocates_no_n_by_n_array():
+    # measured 0.35 n^2 bytes at n = 3321, most of it the 63^3 int64
+    # tensor and the row blocks of the transporters; the uint8 matrix
+    # alone would be n^2
+    fld = field(81)
+    S = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld)))
+    tracemalloc.start()
+    try:
+        S.p_tensor()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S._matrix is None
+    assert peak <= 0.6 * S.n * S.n
+
+
+def test_relation_reads_one_row_without_filling_the_matrix():
+    fld = field(25)
+    S = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld)))
+    pairs = [(0, 1), (7, 300), (324, 5), (100, 100)]
+    got = [S.relation(x, y) for x, y in pairs]
+    assert S._matrix is None
+    assert got == [int(S.relation_matrix[x, y]) for x, y in pairs]
+
+
 def _without_frobenius(monkeypatch):
     orig = mo.generators
     monkeypatch.setattr(mo, "generators", lambda fld, gid: [g for g in orig(fld, gid) if g.j == 0])
@@ -690,6 +759,26 @@ def test_p_polynomial_matches_bfs_oracle(t10):
             assert dist[y] == {0: 0, 1: 1, 2: 2}[t10.relation(start, y)]
 
 
+def _graph_distances(adj, cap):
+    """All-pairs distances of a graph, or None if disconnected/deeper than cap."""
+    n = adj.shape[0]
+    D = np.full((n, n), -1, dtype=np.int32)
+    np.fill_diagonal(D, 0)
+    reach = np.eye(n, dtype=bool)
+    Af = adj.astype(np.float32)
+    for e in range(1, cap + 1):
+        grown = (reach.astype(np.float32) @ Af) > 0
+        grown |= reach
+        new = grown & ~reach
+        if not new.any():
+            break
+        D[new] = e
+        reach = grown
+    if (D < 0).any():
+        return None
+    return D
+
+
 def _dense_p_polynomial_orderings(S):
     """Reference: the dense distance check on every symmetric class,
     with no screening on the intersection numbers."""
@@ -701,7 +790,7 @@ def _dense_p_polynomial_orderings(S):
     for c in range(1, S.d + 1):
         if S.transpose_map[c] != c:
             continue
-        D = sc._graph_distances(M == c, cap=S.d)
+        D = _graph_distances(M == c, cap=S.d)
         if D is None:
             continue
         dist_of_class = np.array([D[x, y] for (x, y) in S.class_reps], dtype=np.int64)
@@ -741,28 +830,90 @@ def test_circulant_distance_classes_are_not_a_scheme():
 
 
 @pytest.mark.parametrize("q", [9, 25])
-def test_p_polynomial_screen_matches_dense_reference(q, t10, monkeypatch):
+def test_p_polynomial_screen_matches_dense_reference(q, t10):
+    """The class search on the exact p-tensor gives what the dense
+    distance check gives, and a matrix checked for structure only, such
+    as the circulant non-scheme, is refused rather than searched."""
     fld = field(q)
     dom_ = pairs_domain(Plane(fld))
     # the 4-cycle as a scheme: class 2 is the cycle, class 1 the
     # disconnected graph of antipodal pairs
     c4 = Scheme(np.array([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]], dtype=np.uint8))
-    cases = [t10, c4, fi.build_ft(fld), Scheme(_circulant_distance_classes(), check=False)]
+    cases = [t10, c4, fi.build_ft(fld)]
     cases += [orbital_scheme_via_stabilizer(fld, gid, dom_) for gid in ("psl", "m", "pgammal")]
-    dense_calls = []
-    real = sc._graph_distances
-    monkeypatch.setattr(sc, "_graph_distances", lambda adj, cap: dense_calls.append(1) or real(adj, cap))
-    accepted = kept = 0
+    accepted = 0
     for S in cases:
         want = _dense_p_polynomial_orderings(S)
-        dense_calls.clear()
         assert p_polynomial_orderings(S) == want
         accepted += len(want)
-        kept += len(dense_calls)
-    assert accepted >= 5  # both classes of T(10) and of the circulant, the 4-cycle
-    # the screen passes one class the dense check then rejects: class 3 of
-    # the circulant, which is not a scheme
-    assert kept == accepted + 1
+    assert accepted >= 3  # both classes of T(10), the 4-cycle
+    with pytest.raises(ValueError, match="proven"):
+        p_polynomial_orderings(Scheme(_circulant_distance_classes(), check=False))
+
+
+def _schemes_of_the_verify_plan(monkeypatch, q):
+    """Every scheme that `verify_paper([q])` builds, in build order."""
+    built = []
+    init, from_orbits = sc.Scheme.__init__, sc.Scheme._from_orbits.__func__
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def spy_from_orbits(cls, *args, **kwargs):
+        built.append(from_orbits(cls, *args, **kwargs))
+        return built[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(sc.Scheme, "__init__", spy_init)
+        m.setattr(sc.Scheme, "_from_orbits", classmethod(spy_from_orbits))
+        assert all(r.passed for r in fi.verify_paper([q]))
+    return built
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25])
+def test_p_polynomial_orderings_match_the_dense_oracle_on_the_verify_plan(q, monkeypatch):
+    """77 proven schemes over these q: 14 at each q <= 13 but 9, 18 at 9
+    and 3 at 25.  Reading the orderings fills no stabilizer-path matrix;
+    the dense oracle then does."""
+    built = _schemes_of_the_verify_plan(monkeypatch, q)
+    assert len(built) == {9: 18, 25: 3}.get(q, 14)
+    assert all(S.verified_by != "structure" for S in built)
+    for S in built:
+        unfilled = S._matrix is None
+        got = p_polynomial_orderings(S)
+        assert (S._matrix is None) == unfilled
+        assert got == _dense_p_polynomial_orderings(S), (q, S)
+
+
+@pytest.mark.parametrize("q", [9, 25, 49])
+def test_p_polynomial_orderings_fill_no_matrix(q):
+    fld = field(q)
+    dom_ = pairs_domain(Plane(fld))
+    for gid in GROUPS_FOR(fld):
+        S = orbital_scheme_via_stabilizer(fld, gid, dom_)
+        orders = p_polynomial_orderings(S)
+        assert S._matrix is None
+        assert bool(orders) == (q == 9 and gid in ("m", "pgammal")), gid
+
+
+def test_each_fusion_edge_is_one_comparison(monkeypatch):
+    fld = field(9)
+    schemes = (
+        triangular_scheme(fi.domain_for(fld, "pairs")),
+        fi.build_ft(fld),
+        fi.psl_scheme(fld),
+        fi.pgammal_scheme(fld),
+        fi.m_scheme(fld),
+    )
+    calls = []
+    real = sc._fuses_onto
+    monkeypatch.setattr(sc, "_fuses_onto", lambda *args: calls.append(1) or real(*args))
+    lattice = fi.report_fusion_lattice(*schemes)
+    assert lattice.passed and len(calls) == len(lattice.computed) == 6
+    calls.clear()
+    diagram = fi.report_q9_fusion_diagram(*schemes)
+    assert diagram.passed and len(calls) == 4
 
 
 def _renumber_reference(raw):
@@ -836,8 +987,8 @@ def test_negative_entry_outside_row0_rejected(check):
 def test_p_polynomial_absent_for_psl9():
     fld = field(9)
     S = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld)))
-    assert not S.is_commutative() or p_polynomial_orderings(S) == []
-    assert p_polynomial_orderings(S) == []  # non-commutative short-circuits
+    assert not S.is_commutative()
+    assert p_polynomial_orderings(S) == []
 
 
 def test_size_guard():
