@@ -146,17 +146,29 @@ def _cache_load(cache_dir, fld, gid, kind):
 
 def _cache_save(cache_dir, fld, gid, kind, S):
     """Write the relation matrix through a temporary file in the cache
-    directory, so readers only ever see a complete file.  The file is
-    stored uncompressed: compressing costs more time than reading the
-    larger file saves.  `np.load` reads compressed files written by
-    earlier versions all the same, so the format tag is unchanged."""
+    directory, so readers only ever see a complete file.  The file is the
+    uncompressed `.npz` that `np.savez` writes, one `relation_matrix.npy`
+    member, but streamed from `Scheme.row_blocks`: the `.npy` header,
+    then each row block through a memoryview, so a scheme without its
+    matrix is never filled and no block is copied.  Compressing costs
+    more time than reading the larger file saves; `np.load` reads
+    compressed files written by earlier versions all the same, so the
+    format tag is unchanged."""
     path = _cache_path(cache_dir, fld, gid, kind)
     if not path:
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, relation_matrix=S.relation_matrix)
+        with (
+            os.fdopen(fd, "wb") as fh,
+            zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as zf,
+            zf.open("relation_matrix.npy", "w", force_zip64=True) as member,
+        ):
+            for r0, _, rows in S.row_blocks():
+                if r0 == 0:
+                    header = np.lib.format.header_data_from_array_1_0(rows)
+                    np.lib.format.write_array_header_1_0(member, {**header, "shape": (S.n, S.n)})
+                member.write(memoryview(np.ascontiguousarray(rows)).cast("B"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

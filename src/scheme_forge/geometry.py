@@ -55,6 +55,7 @@ class PG1:
         # pairs of positions (i, j), i < j, in lexicographic order
         pairs = [(i, j) for i in range(q + 1) for j in range(i + 1, q + 1)]
         self.pairs = np.array(pairs, dtype=np.int32)
+        self._ends = self.pairs.T.astype(np.intp)
         tab = np.full((q + 1, q + 1), -1, dtype=np.int32)
         for idx, (i, j) in enumerate(pairs):
             tab[i, j] = idx
@@ -79,13 +80,21 @@ class PG1:
     def points(self):
         return [self.point(i) for i in range(self.n_points)]
 
-    def pair_images(self, point_perms, elements):
+    def pair_images(self, point_perms, elements=None, table=None):
         """Lift k permutations of positions, shape (k, q+1), to the pairs:
         entry (r, i) is the index of the image under row r of the pair
         elements[r, i].  `elements` has shape (k, m), or (1, m) to move
-        the same pairs by every row."""
-        P = np.asarray(point_perms, dtype=np.intp)
-        ends = self.pairs.T.take(elements, axis=1)
+        the same pairs by every row, or is None for every pair in index
+        order, whose points are gathered once, in `__init__`.  The image
+        of {a, b} is read at the code a (q+1) + b of its points in
+        `table`, by default `pair_table`; a composed table such as
+        labels[pair_table] reads labels of the images with no array of
+        pair indices between.  Codes stay in the dtype of `point_perms`:
+        int32 for the permutations of `moebius.point_perms`, which hold
+        every code below (q+1)^2."""
+        P = np.asarray(point_perms)
+        table = self.pair_table if table is None else table
+        ends = self._ends[:, None] if elements is None else self._ends.take(elements, axis=1)
         if ends.shape[1] == 1:
             # one row of pairs: gathering along the rows of P is much faster
             codes = np.take(P * self.n_points, ends[0, 0], axis=-1)
@@ -94,7 +103,7 @@ class PG1:
             off = (np.arange(len(P)) * self.n_points)[:, None]
             codes = (P * self.n_points).ravel().take(off + ends[0])
             codes += P.ravel().take(off + ends[1])
-        return self.pair_table.take(codes)
+        return table.take(codes)
 
     # -- cross-ratio ---------------------------------------------------------
 

@@ -462,10 +462,23 @@ def _coords_transform(fld, mats, js, coords):
     return mul.take(out + inv * q)
 
 
-def domain_images(maps, dom, elements):
+def label_table(dom, labels):
+    """The table through which `domain_images` reads `labels`, an array
+    over the domain, at the images: on `pairs` the (q+1) x (q+1) table
+    labels[pair_table], indexed by the codes of the image points, so a
+    row of labels costs one gather of n entries, not two; elsewhere
+    `labels` itself.  Build it once per labeling: on pairs it has
+    (q+1)^2 entries."""
+    return labels[dom.plane.pg1.pair_table] if dom.kind == "pairs" else labels
+
+
+def domain_images(maps, dom, elements, table=None):
     """Images of domain elements under k maps: entry (r, i) is the image
     under map r of element elements[r, i].  `elements` has shape (k, m),
-    or (1, m) to move the same elements by every map.
+    or (1, m) to move the same elements by every map, or is None for
+    every element in index order.  With `table`, from
+    `label_table(dom, labels)`, entry (r, i) is instead the label of
+    that image.
 
     On `pairs` the maps act through their point images.  On the plane
     domains they act through `rho`: points by the matrix, lines by its
@@ -478,17 +491,20 @@ def domain_images(maps, dom, elements):
     fld = dom.field
     maps = np.asarray(maps)
     if dom.kind == "pairs":
-        return dom.plane.pg1.pair_images(point_perms(fld, maps), elements)
+        return dom.plane.pg1.pair_images(point_perms(fld, maps), elements, table)
     mats = _rho(fld, maps)
     if dom.kind != "hyp-points":
         mats = _cofactors(fld, mats)
-    moved = _coords_transform(fld, mats, maps[:, 4], dom.coords[elements])
-    return dom.index_of_coords(moved.reshape(-1, 3)).reshape(moved.shape[:2])
+    coords = dom.coords[None] if elements is None else dom.coords[elements]
+    moved = _coords_transform(fld, mats, maps[:, 4], coords)
+    images = dom.index_of_coords(moved.reshape(-1, 3)).reshape(moved.shape[:2])
+    return images if table is None else table.take(images)
 
 
-def domain_perms(maps, dom):
-    """Permutation arrays of k maps on an enumerated domain, shape (k, n)."""
-    return domain_images(maps, dom, np.arange(dom.n)[None])
+def domain_perms(maps, dom, table=None):
+    """Permutation arrays of k maps on an enumerated domain, shape (k, n),
+    or with `table` the labels of the images, as in `domain_images`."""
+    return domain_images(maps, dom, None, table)
 
 
 def point_perm(g):

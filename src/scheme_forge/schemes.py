@@ -9,8 +9,10 @@ sampling: by a certificate from automorphisms such as a group's
 generators, or exhaustively; orbit labels and checked fusions are exact
 as built.  The stabilizer path proves its parameters from the stabilizer
 orbits and transporters of a group, with no matrix, and fills the matrix
-only when something reads it.  `Scheme.verified_by` records which proof
-a scheme has.
+only when something reads it whole.  `Scheme.row_blocks` yields the
+matrix one row block at a time, from the matrix or, without filling it,
+from the transporters; the on-demand fill and the CLI's cache writer
+both read it.  `Scheme.verified_by` records which proof a scheme has.
 
 One routine, `Scheme.p_tensor`, counts intersection numbers, from row 0
 and the columns of the class representatives, for both representations,
@@ -23,9 +25,9 @@ Classes are numbered one way, by `_renumber_first_occurrence`: in order
 of first occurrence in row 0, which is their least ordered pair in
 row-major order.  Every builder goes through it: the generic least-element
 orbit labels of a group on ordered pairs, the fast path through
-base-pair stabilizer orbits plus explicit transporters, fusions, and
-the cross-ratio scheme in `fission`; equal actions give byte-identical
-matrices.
+base-pair stabilizer orbits plus explicit transporters, fusions, the
+closed-form triangular scheme and the cross-ratio scheme in `fission`;
+equal actions give byte-identical matrices.
 """
 
 import numpy as np
@@ -80,15 +82,13 @@ def _row_blocks(k, n):
     return [(r0, min(k, r0 + step)) for r0 in range(0, k, step)]
 
 
-def _fill_matrix(rows, n):
-    """The n x n matrix whose rows r0..r1 are `rows(r0, r1)`, filled one
-    row block at a time."""
-    blocks = _row_blocks(n, n)
-    first = rows(*blocks[0])
-    M = np.empty((n, n), dtype=first.dtype)
-    M[: len(first)] = first
-    for r0, r1 in blocks[1:]:
-        M[r0:r1] = rows(r0, r1)
+def _fill_matrix(S):
+    """The n x n relation matrix of S, filled from `Scheme.row_blocks`."""
+    M = None
+    for r0, r1, rows in S.row_blocks():
+        if M is None:
+            M = np.empty((S.n, S.n), dtype=rows.dtype)
+        M[r0:r1] = rows
     return M
 
 
@@ -120,8 +120,8 @@ class Scheme:
 
     `relation_matrix` is the n x n matrix.  A scheme from
     `orbital_scheme_via_stabilizer` has exact parameters without it and
-    fills it, one row block at a time, the first time it is read; `row`
-    reads one row without filling it.
+    fills it, one row block at a time, the first time it is read; `row`,
+    `columns` and `row_blocks` read it without filling it.
 
     Row 0 must hold every class 0..d, as every row of a scheme does, and
     `class_reps[k]` is the first pair (0, y) of class k: its least pair
@@ -156,17 +156,16 @@ class Scheme:
             raise NotASchemeError("the diagonal must be relation 0")
         # counted per row block: bincount copies its input to intp
         counts = np.zeros(self.d + 1, dtype=np.int64)
-        blocks = _row_blocks(self.n, self.n)
-        for r0, r1 in blocks:
-            counts += np.bincount(M[r0:r1].ravel(), minlength=self.d + 1)
+        for _, _, rows in self.row_blocks():
+            counts += np.bincount(rows.ravel(), minlength=self.d + 1)
         if counts[0] != self.n:
             raise NotASchemeError("relation 0 must be exactly the diagonal")
 
         tmap = M[first[remap], 0].astype(np.int32)
         if check and automorphisms is None:
             tm = tmap.astype(M.dtype)
-            for r0, r1 in blocks:
-                if not np.array_equal(tm[M[r0:r1]], M[:, r0:r1].T):
+            for r0, r1, rows in self.row_blocks():
+                if not np.array_equal(tm[rows], M[:, r0:r1].T):
                     raise NotASchemeError("classes are not closed under transposition")
         self.transpose_map = tmap
 
@@ -201,8 +200,17 @@ class Scheme:
     @property
     def relation_matrix(self):
         if self._matrix is None:
-            self._matrix = _fill_matrix(self._rows, self.n)
+            self._matrix = _fill_matrix(self)
         return self._matrix
+
+    def row_blocks(self):
+        """Yield (r0, r1, rows) for consecutive blocks of rows r0..r1 of
+        the relation matrix, about BLOCK_ENTRIES entries each, top to
+        bottom: views of the matrix when it is filled, else blocks that
+        the stabilizer path computes and keeps no reference to, so a
+        pass over them holds one block, never the n x n matrix."""
+        for r0, r1 in _row_blocks(self.n, self.n):
+            yield r0, r1, (self._rows(r0, r1) if self._matrix is None else self._matrix[r0:r1])
 
     def row(self, x):
         """Row x of the relation matrix, read without filling it."""
@@ -233,8 +241,8 @@ class Scheme:
         """
         M, n = self.relation_matrix, self.n
         for p in perms:
-            for r0, r1 in _row_blocks(n, n):
-                if not np.array_equal(M.take(p[r0:r1], axis=0).take(p, axis=1), M[r0:r1]):
+            for r0, r1, rows in self.row_blocks():
+                if not np.array_equal(M.take(p[r0:r1], axis=0).take(p, axis=1), rows):
                     raise NotASchemeError("an automorphism does not preserve the relation matrix")
         if _orbits(perms, (n,)).any():
             raise NotASchemeError("the automorphisms are not transitive on the domain")
@@ -431,7 +439,8 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
       - column y is transpose_map read at row y, as the transpose of an
         orbital is an orbital.
     The transporters act through `moebius.domain_images`, one row block
-    of x or z at a time.
+    of x or z at a time, reading the base row, or transpose_map composed
+    with it, through `moebius.label_table`.
     """
     _guard_size(dom, allow_large)
     gid = mo.check_group_defined(fld, gid)
@@ -459,16 +468,17 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
     remap, first = _renumber_first_occurrence(lab[mo.domain_perms(transporters[:1], dom)[0]], n)
     row_of_base = remap[lab]
     d1 = len(first)
+    table = mo.label_table(dom, row_of_base)
+    tmap = mo.domain_images(transporters[first], dom, np.zeros((1, 1), dtype=np.intp), table)[:, 0]
+    column_table = mo.label_table(dom, tmap[row_of_base])
 
     def rows(r0, r1):
-        return row_of_base.take(mo.domain_perms(transporters[r0:r1], dom))
-
-    tmap = row_of_base[mo.domain_images(transporters[first], dom, np.zeros((1, 1), dtype=np.intp))[:, 0]]
+        return mo.domain_perms(transporters[r0:r1], dom, table)
 
     def columns(ys):
         out = np.empty((n, len(ys)), dtype=row_of_base.dtype)
         for k0, k1 in _row_blocks(len(ys), n):
-            out[:, k0:k1] = tmap[row_of_base.take(mo.domain_perms(transporters[ys[k0:k1]], dom))].T
+            out[:, k0:k1] = mo.domain_perms(transporters[ys[k0:k1]], dom, column_table).T
         return out
 
     return Scheme._from_orbits(
@@ -482,13 +492,35 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
 
 
 def triangular_scheme(dom):
-    """T(n): the symmetric-group orbital scheme on the pairs domain."""
-    npts = dom.plane.pg1.n_points
-    swap = np.arange(npts)
-    swap[[0, 1]] = [1, 0]
-    cycle = np.roll(np.arange(npts), -1)
-    perms = dom.plane.pg1.pair_images(np.stack([swap, cycle]), np.arange(dom.n)[None])
-    return orbital_scheme(perms, dom)
+    """T(q+1): the orbital scheme of the symmetric group of PG(1,q) on
+    the pairs domain, in closed form.  Pairs x, y get the code 0 when
+    equal, 1 when they meet in one point and 2 when disjoint, computed
+    one row block at a time and numbered by first occurrence in row 0.
+    The symmetric group preserves the codes, so its generators (0 1) and
+    (0 1 ... q), with (0 q), (1 2) and (1 2 ... q-1), which generate the
+    stabilizer of the base pair {0, q}, certify the matrix
+    (`Scheme._certify`)."""
+    _guard_size(dom, False)
+    pg1, n = dom.plane.pg1, dom.n
+    q, ends = pg1.n_points - 1, pg1.pairs.T
+
+    def codes(r0, r1):
+        a, b = pg1.pairs[r0:r1, 0, None], pg1.pairs[r0:r1, 1, None]
+        out = 2 - ((a == ends[0]) | (a == ends[1]) | (b == ends[0]) | (b == ends[1]))
+        out[np.arange(r1 - r0), np.arange(r0, r1)] = 0
+        return out
+
+    remap, _ = _renumber_first_occurrence(codes(0, 1)[0], 3)
+    M = np.empty((n, n), dtype=remap.dtype)
+    for r0, r1 in _row_blocks(n, n):
+        M[r0:r1] = remap[codes(r0, r1)]
+    points = np.tile(np.arange(q + 1), (5, 1))
+    points[0, [0, q]] = [q, 0]
+    points[1, [1, 2]] = [2, 1]
+    points[2, 1:q] = np.roll(points[2, 1:q], -1)
+    points[3, [0, 1]] = [1, 0]
+    points[4] = np.roll(points[4], -1)
+    return Scheme(M, domain=dom, automorphisms=pg1.pair_images(points))
 
 
 def group_orbital_scheme(fld, gid, dom, allow_large=False):

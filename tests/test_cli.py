@@ -244,6 +244,110 @@ def test_verify_report_keeps_its_bytes(capsys):
     assert hashlib.sha256(kept.encode()).hexdigest() == VERIFY_DIGEST
 
 
+def test_triangular_build_at_q81_keeps_its_bytes(capsys, monkeypatch):
+    """The closed-form T(82), which the generic orbit path took about 20 s
+    to build: the digest of `build --format json --p-tensor`, then of
+    `build --format csv`, as in BUILD_DIGESTS, computed with that path."""
+    monkeypatch.delenv("SCHEME_FORGE_CACHE_DIR", raising=False)
+    h = hashlib.sha256()
+    for fmt in (["--format", "json", "--p-tensor"], ["--format", "csv"]):
+        code, out, _ = run(capsys, "build", "--q", "81", "--group", "t", *fmt)
+        h.update(f"t {fmt[1]} {code}\n{out}".encode())
+    assert h.hexdigest() == T81_DIGEST
+
+
+T81_DIGEST = "dcf61e62946e8ef7c1a0689e08ecdde3a6a62ef08bd09bb59ae3d3f0609b870e"
+
+# sha256 of the stdout of each command of the benchmark's CLI session
+# (perfbench/workloads.py), every one exiting 0, the same against an empty
+# cache directory and against the cache that the first pass filled;
+# computed when the cache was written by `np.savez` of the filled matrix
+CLI_SESSION_DIGESTS = {
+    "scheme labels --q 9 --group psl":
+        "2f71a3e6497bf14a69393d38a22b3c2e26f2629cb88d2768a0f9be3a832e87c1",
+    "scheme labels --q 9 --group psl --modulus 1,0,1":
+        "d321aa2e79d5ec2f9838cbebd2cfeaa1be020898af5012e50d084ef515a143ea",
+    "scheme labels --q 49 --group m --format json":
+        "f244e15446706dbe944fcb575bdad5ff282357665960f5aa2eba3d8fb14e90da",
+    "fusion check --q 49 --fine psl --coarse m --format json":
+        "cbf960bf881780b645afb435e8ad8d8d3eb722b6c306d34234566b6a76994ac1",
+    "build --q 49 --group pgammal --format json --p-tensor":
+        "024146079791cc3b3f899004f8327c11199d8f52881153897e77a979248b42a1",
+    "build --q 25 --group psl --format csv":
+        "9e58eb1d378f572cbd4f54b712693790a06dfd7cff183ef36c13a5a49aadab92",
+    "scheme labels --q 81 --group psl --format json":
+        "5fbefa943ea2ad502354701401d096842cec41f31493a5ff3fad771f30c52270",
+}
+
+
+def test_benchmark_cli_session_keeps_its_bytes_cold_and_warm(tmp_path, monkeypatch, capsys):
+    """The session runs in-process against an empty cache, which it
+    fills, then again against the filled cache, where every lookup hits:
+    each stdout keeps its bytes either way."""
+    from pathlib import Path
+
+    from scheme_forge import cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import CLI_SESSION
+
+    assert [" ".join(argv) for argv in CLI_SESSION] == list(CLI_SESSION_DIGESTS)
+    monkeypatch.setenv("SCHEME_FORGE_CACHE_DIR", str(tmp_path))
+    hits = []
+    real = cli._cache_load
+
+    def load(*args):
+        S = real(*args)
+        hits.append(S is not None)
+        return S
+
+    monkeypatch.setattr(cli, "_cache_load", load)
+    for phase in ("cold", "warm"):
+        hits.clear()
+        for argv in CLI_SESSION:
+            code, out, _ = run(capsys, *argv)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert (code, digest) == (0, CLI_SESSION_DIGESTS[" ".join(argv)]), (phase, argv)
+        # eight lookups, as `fusion check` builds two schemes; cold, only
+        # its coarse q = 49 `m` was written by an earlier command
+        assert len(hits) == 8 and hits.count(True) == (1 if phase == "cold" else 8)
+    assert len(list(tmp_path.glob("*.npz"))) == 7
+
+
+def test_cold_cache_write_holds_no_n_by_n_array(tmp_path):
+    """The cache file of a stabilizer-path scheme is streamed from its row
+    blocks: the matrix is never filled, the file holds the matrix that a
+    dense fill gives, and the generators certify it on load.  Measured
+    0.08 n^2 bytes at q = 81: the row kernel's temporaries, about 16
+    bytes an entry of a row block, about 1 MB whatever q is (0.63 n^2 at
+    q = 49); the write through `np.savez` of the filled matrix peaked
+    at 2.0 n^2."""
+    import tracemalloc
+
+    import numpy as np
+
+    from scheme_forge import cli
+    from scheme_forge.fission import _labeled_scheme
+    from scheme_forge.gf import field
+
+    fld = field(81)
+    S = _labeled_scheme(fld, "psl")
+    tracemalloc.start()
+    try:
+        cli._cache_save(str(tmp_path), fld, "psl", "pairs", S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S._matrix is None
+    assert peak < 0.2 * S.n * S.n
+    with np.load(cli._cache_path(str(tmp_path), fld, "psl", "pairs")) as data:
+        assert np.array_equal(data["relation_matrix"], S.relation_matrix)
+        assert data["relation_matrix"].dtype == S.relation_matrix.dtype
+    loaded = cli._cache_load(str(tmp_path), fld, "psl", "pairs")
+    assert loaded.verified_by == "certificate"
+    assert np.array_equal(loaded.relation_matrix, S.relation_matrix)
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "scheme.json"
     code = main(["build", "--q", "5", "--group", "pgl", "--format", "json", "--out", str(path)])

@@ -67,6 +67,38 @@ def test_triangular_matches_intersection_size_rule(t10):
             assert t10.relation(a, b) == 2 - inter
 
 
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27])
+def test_closed_form_triangular_scheme_equals_the_symmetric_group_orbitals(q):
+    """The closed form equals the orbital scheme of (0 1) and (0 1 ... q)
+    on pairs, which `_orbits` labels over all n^2 ordered pairs, and is
+    proved by the certificate of the symmetric group's generators."""
+    dom_ = pairs_domain(Plane(field(q)))
+    T = triangular_scheme(dom_)
+    swap = np.arange(q + 1)
+    swap[[0, 1]] = [1, 0]
+    cycle = np.roll(np.arange(q + 1), -1)
+    generic = orbital_scheme(dom_.plane.pg1.pair_images(np.stack([swap, cycle])), dom_)
+    assert T.verified_by == "certificate"
+    assert T.relation_matrix.dtype == generic.relation_matrix.dtype == np.uint8
+    assert np.array_equal(T.relation_matrix, generic.relation_matrix)
+    assert T.class_reps == generic.class_reps
+    assert np.array_equal(T.p_tensor(), generic.p_tensor())
+
+
+def test_triangular_certificate_needs_the_base_pair_stabilizer(monkeypatch):
+    """(0 1) and (0 1 ... q) alone are transitive but fix no pair, so the
+    stabilizer of the base pair has one orbit per element and the
+    certificate refuses them."""
+    real = sc.Scheme.__init__
+
+    def without_stabilizer(self, M, domain=None, check=True, automorphisms=None):
+        real(self, M, domain, check, automorphisms[3:])
+
+    monkeypatch.setattr(sc.Scheme, "__init__", without_stabilizer)
+    with pytest.raises(NotASchemeError, match="base row"):
+        triangular_scheme(pairs_domain(Plane(field(9))))
+
+
 def test_not_transitive_rejected():
     dom = pairs_domain(Plane(field(5)))
     ident = [np.arange(dom.n)]
@@ -340,6 +372,38 @@ def test_p_tensor_allocates_no_n_by_n_array():
     assert peak <= 0.6 * S.n * S.n
 
 
+@pytest.mark.parametrize("q", [5, 9, 13, 25, 27])
+def test_composed_label_rows_equal_the_generic_path(q):
+    """Rows and columns of a stabilizer-path scheme on pairs, read through
+    the composed label tables of `moebius.label_table`, equal the matrix
+    of the generic path for every group; `row_blocks` and `columns` fill
+    nothing, and the p-tensor counted from them is the dense one."""
+    fld = field(q)
+    dom_ = pairs_domain(Plane(fld))
+    for gid in GROUPS_FOR(fld):
+        S = orbital_scheme_via_stabilizer(fld, gid, dom_)
+        M = group_orbital_scheme(fld, gid, dom_).relation_matrix
+        blocks = list(S.row_blocks())
+        assert [(r0, r1) for r0, r1, _ in blocks] == sc._row_blocks(S.n, S.n)
+        assert np.array_equal(np.concatenate([rows for _, _, rows in blocks]), M), gid
+        ys = np.arange(S.n)
+        assert np.array_equal(S.columns(ys), M), gid
+        P = S.p_tensor()
+        assert S._matrix is None
+        dense = Scheme(M, domain=dom_, check=False)
+        assert np.array_equal(P, dense.p_tensor()), gid
+        assert np.array_equal(S.relation_matrix, M) and S.relation_matrix.dtype == M.dtype
+
+
+def test_row_blocks_of_a_filled_matrix_are_views():
+    fld = field(9)
+    S = fi.build_ft(fld)
+    M = S.relation_matrix
+    blocks = list(S.row_blocks())
+    assert blocks[-1][1] == S.n
+    assert all(rows.base is M and np.array_equal(rows, M[r0:r1]) for r0, r1, rows in blocks)
+
+
 def test_relation_reads_one_row_without_filling_the_matrix():
     fld = field(25)
     S = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld)))
@@ -409,12 +473,11 @@ def test_each_builder_records_the_check_it_passed(t10):
     part = fusion_map(ft, psl)
     unchecked_psl = Scheme(psl.relation_matrix, domain=dom_, check=False)
     expected = {
-        "certificate": [ft],
+        "certificate": [ft, t10],
         "orbits": [
             psl,
             fi.m_scheme(fld),
             orbital_scheme_via_stabilizer(fld, "pgl", domain(pl, "hyp-points")),
-            t10,
             group_orbital_scheme(fld, "pgammal", domain(pl, "tangent-lines")),
         ],
         "fusion": [fuse(psl, part)],
