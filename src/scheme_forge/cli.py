@@ -72,7 +72,7 @@ def build_named_scheme(fld, name, kind="pairs", allow_large=False):
     if name == "t":
         if kind != "pairs":
             raise ValueError("the triangular scheme lives on the pairs domain")
-        return sc.triangular_scheme(fi.domain_for(fld, kind))
+        return sc.triangular_scheme(fi.domain_for(fld, kind), allow_large=allow_large)
     if name == "ft":
         if kind != "pairs":
             raise ValueError("the cross-ratio fission scheme lives on the pairs domain")
@@ -124,7 +124,7 @@ def _cache_load(cache_dir, fld, gid, kind):
     if not path or not os.path.exists(path):
         return None
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             M = data["relation_matrix"]
     except (
         OSError, EOFError, KeyError, ValueError, NotImplementedError,

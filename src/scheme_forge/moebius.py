@@ -48,6 +48,21 @@ def check_group_defined(fld, gid):
     return gid
 
 
+def _cells(fld, gid):
+    """The named group as a table of the cells of PGammaL(2,q), q = p^m:
+    entry [j, s] says whether it holds the maps of exponent j whose
+    determinant is a square (s = 1) or not (s = 0), unchanged by scaling."""
+    cells = {
+        "pgl": [(0, 0), (0, 1)],
+        "psl": [(0, 1)],
+        "m": [(0, 1), (fld.m // 2, 0)],
+        "pgammal": [(j, s) for j in range(fld.m) for s in (0, 1)],
+    }[check_group_defined(fld, gid)]
+    table = np.zeros((fld.m, 2), dtype=bool)
+    table[tuple(zip(*cells))] = True
+    return table
+
+
 class Moebius:
     """A semilinear fractional map, stored in canonical scalar form."""
 
@@ -271,21 +286,14 @@ def in_group(fld, maps, gid):
     """Whether each row (a, b, c, d, j) of the (k, 5) array `maps` is a map
     of the named group: field codes with a nonzero determinant, an
     exponent j in 0..m-1, and the group's condition on j and on the
-    square class of the determinant, which scaling leaves unchanged."""
-    gid = check_group_defined(fld, gid)
+    square class of the determinant: its cell in `_cells`."""
+    cells = _cells(fld, gid)
     maps = np.asarray(maps).reshape(-1, 5)
     coded = ((maps[:, :4] >= 0) & (maps[:, :4] < fld.q)).all(axis=1)
     a, b, c, d, j = np.where(coded[:, None], maps, 0).T
     det = fld.ADD[fld.MUL[a, d], fld.NEG[fld.MUL[b, c]]]
     ok = coded & (det != 0) & (j >= 0) & (j < fld.m)
-    square = fld.SQUARE[det]
-    if gid == "pgl":
-        return ok & (j == 0)
-    if gid == "psl":
-        return ok & (j == 0) & square
-    if gid == "m":
-        return ok & (((j == 0) & square) | ((j == fld.m // 2) & ~square))
-    return ok
+    return ok & cells[np.where(ok, j, 0), fld.SQUARE[det].astype(np.intp)]
 
 
 def stabilizer_generators(fld, gid):
@@ -316,23 +324,17 @@ def generators(fld, gid):
 def base_pair_stabilizer(fld, gid):
     """The full setwise stabilizer of {0, oo} in the named group.
 
-    These are exactly the maps t -> e*t^(p^j) and t -> e/t^(p^j) whose
-    parameters satisfy the group's membership predicate.
+    These are exactly the maps t -> e*t^(p^j) and t -> e/t^(p^j) that lie
+    in a cell of the group (`_cells`), in order of j, then e.
     """
-    gid = check_group_defined(fld, gid)
-    if gid in ("pgl", "psl"):
-        js = [0]
-    elif gid == "m":
-        js = [0, fld.m // 2]
-    else:
-        js = list(range(fld.m))
+    cells = _cells(fld, gid)
     out = []
-    for j in js:
+    for j in range(fld.m):
         for e in fld.elements():
             if e == 0:
                 continue
             for cand in (Moebius(fld, e, 0, 0, 1, j), Moebius(fld, 0, e, 1, 0, j)):
-                if membership(cand, gid):
+                if cells[j, int(cand.det_is_square)]:
                     out.append(cand)
     return out
 
@@ -349,7 +351,7 @@ def transporters_to_base(fld, gid, pairs):
     scaling t -> z*t, which makes the determinant square.  Coefficients
     are scaled so the first nonzero one is 1, as in `Moebius`.
     """
-    gid = check_group_defined(fld, gid)
+    cells = _cells(fld, gid)
     q = fld.q
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     alpha, beta = pairs.T
@@ -362,7 +364,7 @@ def transporters_to_base(fld, gid, pairs):
     b = np.where(a_inf, 1, neg_alpha)
     c = np.where(b_inf, 0, 1)
     d = np.where(b_inf, 1, neg_beta)
-    if gid in ("psl", "m"):
+    if not cells[0, 0]:
         det = fld.ADD[fld.MUL[a, d], fld.NEG[fld.MUL[b, c]]]
         z = np.where(fld.SQUARE[det], 1, fld.fixed_nonsquare())
         a, b = fld.MUL[z, a], fld.MUL[z, b]
@@ -521,14 +523,9 @@ def domain_perm(g, dom):
 
 
 def group_order(fld, gid):
-    """Order by the standard formulas (closure-checked in the test suite)."""
-    gid = check_group_defined(fld, gid)
-    base = fld.q**3 - fld.q
-    if gid == "psl":
-        return base // 2
-    if gid == "pgammal":
-        return base * fld.m
-    return base
+    """(q^3 - q)/2, the order of PSL(2,q), times the number of cells of
+    the group (`_cells`); closure-checked in the test suite."""
+    return (fld.q**3 - fld.q) // 2 * int(_cells(fld, gid).sum())
 
 
 def enumerate_group(fld, gid, max_order=2_000_000):

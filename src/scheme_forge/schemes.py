@@ -9,17 +9,18 @@ sampling: by a certificate from automorphisms such as a group's
 generators, or exhaustively; orbit labels and checked fusions are exact
 as built.  The stabilizer path proves its parameters from the stabilizer
 orbits and transporters of a group, with no matrix, and fills the matrix
-only when something reads it whole.  `Scheme.row_blocks` yields the
-matrix one row block at a time, from the matrix or, without filling it,
-from the transporters; the on-demand fill and the CLI's cache writer
-both read it.  `Scheme.verified_by` records which proof a scheme has.
+only when something reads it whole.  Every scheme reads relations through
+one row reader, from the matrix or, without filling it, from the
+transporters; `Scheme.row_blocks` yields it one row block at a time, for
+the on-demand fill, fusion comparisons and the CLI's cache writer.
+`Scheme.verified_by` records which proof a scheme has.
 
 One routine, `Scheme.p_tensor`, counts intersection numbers, from row 0
-and the columns of the class representatives, for both representations,
-and structural queries read that tensor, not the matrix: P-polynomial
-orderings come from it alone, for proven schemes only.  A fusion of two
-proven schemes is one partition comparison, `fusion_map`; `is_fusion`
-checks a partition that a caller supplies.
+and the transposed rows of the class representatives, and structural
+queries read that tensor, not the matrix: P-polynomial orderings come
+from it alone, for proven schemes only.  A fusion of two proven schemes
+is one partition comparison, `fusion_map`; `is_fusion` checks a
+partition that a caller supplies.
 
 Classes are numbered one way, by `_renumber_first_occurrence`: in order
 of first occurrence in row 0, which is their least ordered pair in
@@ -120,8 +121,10 @@ class Scheme:
 
     `relation_matrix` is the n x n matrix.  A scheme from
     `orbital_scheme_via_stabilizer` has exact parameters without it and
-    fills it, one row block at a time, the first time it is read; `row`,
-    `columns` and `row_blocks` read it without filling it.
+    fills it, one row block at a time, the first time it is read.  Its
+    one row reader `_rows(xs)`, for xs a slice or an index array, reads
+    the matrix once there is one and computes the rows before that;
+    `row`, `row_blocks`, `relation` and `p_tensor` read only through it.
 
     Row 0 must hold every class 0..d, as every row of a scheme does, and
     `class_reps[k]` is the first pair (0, y) of class k: its least pair
@@ -141,7 +144,7 @@ class Scheme:
         M = np.ascontiguousarray(relation_matrix)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("relation matrix must be square")
-        self._matrix, self._rows, self._cols, self._p_tensor = M, None, None, None
+        self._matrix, self._rows, self._p_tensor = M, M.__getitem__, None
         self.n = M.shape[0]
         self.d = int(M.max())
         self.domain = domain
@@ -186,12 +189,12 @@ class Scheme:
             self.verified_by = "certificate"
 
     @classmethod
-    def _from_orbits(cls, domain, rows, columns, class_reps, valencies, transpose_map):
-        """A scheme whose parameters its builder proved exact: rows r0..r1
-        of its matrix are `rows(r0, r1)`, and `columns(ys)` reads the
-        entries (z, y) of every z and each y in ys."""
+    def _from_orbits(cls, domain, rows, class_reps, valencies, transpose_map):
+        """A scheme whose parameters its builder proved exact, with no
+        matrix: `rows(xs)` reads the rows xs of its matrix, for xs a slice
+        or an index array."""
         S = cls.__new__(cls)
-        S._matrix, S._rows, S._cols, S._p_tensor = None, rows, columns, None
+        S._matrix, S._rows, S._p_tensor = None, rows, None
         S.n, S.d, S.domain, S.labels = domain.n, len(valencies) - 1, domain, None
         S.class_reps, S.valencies, S.transpose_map = class_reps, valencies, transpose_map
         S.verified_by = "orbits"
@@ -201,6 +204,7 @@ class Scheme:
     def relation_matrix(self):
         if self._matrix is None:
             self._matrix = _fill_matrix(self)
+            self._rows = self._matrix.__getitem__
         return self._matrix
 
     def row_blocks(self):
@@ -210,20 +214,11 @@ class Scheme:
         the stabilizer path computes and keeps no reference to, so a
         pass over them holds one block, never the n x n matrix."""
         for r0, r1 in _row_blocks(self.n, self.n):
-            yield r0, r1, (self._rows(r0, r1) if self._matrix is None else self._matrix[r0:r1])
+            yield r0, r1, self._rows(slice(r0, r1))
 
     def row(self, x):
         """Row x of the relation matrix, read without filling it."""
-        if self._matrix is None:
-            return self._rows(x, x + 1)[0]
-        return self._matrix[x]
-
-    def columns(self, ys):
-        """Columns ys of the relation matrix, an n x len(ys) array, read
-        without filling it."""
-        if self._matrix is None:
-            return self._cols(ys)
-        return self._matrix[:, ys]
+        return self._rows(slice(x, x + 1))[0]
 
     def _certify(self, perms):
         """Prove the matrix a scheme from permutations of its domain:
@@ -256,18 +251,22 @@ class Scheme:
     def p_tensor(self):
         """The tensor p[k, i, j] of intersection numbers, counted at the
         representative pair (0, y_k) = class_reps[k] of each class: the
-        number of z with R(0, z) = i and R(z, y_k) = j, the bincount of
-        R(0, z) (d + 1) + R(z, y_k) over z.  Row 0 and the columns y_k
-        are read without filling the matrix, and classes are counted a
-        block at a time, with one bincount per block.  Exact whenever
-        `verified_by` is not "structure"."""
+        bincount of R(0, z) (d + 1) + R(z, y_k) over z, one bincount per
+        block of classes.  Column y_k is the transposed row, R(z, y_k) =
+        t(R(y_k, z)) for t the transpose map, so no matrix is filled.
+        That holds when the classes are closed under transposition: in a
+        proven scheme, and in a bare matrix with `check`, whose blocked
+        transposition check runs before `verify_exhaustive`, which
+        compares every pair with the tensor, the representatives
+        included, so it is sound whatever tensor it is given.  Exact
+        whenever `verified_by` is not "structure"."""
         if self._p_tensor is None:
             d1 = self.d + 1
             left = self.row(0).astype(np.intp) * d1
-            cols = self.columns(np.array([y for _, y in self.class_reps]))
+            reps = np.array([y for _, y in self.class_reps])
             P = np.empty((d1, d1, d1), dtype=np.int64)
             for k0, k1 in _row_blocks(d1, self.n):
-                codes = left[:, None] + cols[:, k0:k1] + np.arange(k1 - k0) * d1 * d1
+                codes = left + self.transpose_map[self._rows(reps[k0:k1])] + np.arange(k1 - k0)[:, None] * d1 * d1
                 P[k0:k1] = np.bincount(codes.ravel(), minlength=(k1 - k0) * d1 * d1).reshape(-1, d1, d1)
             self._p_tensor = P
         return self._p_tensor
@@ -435,12 +434,10 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
     (`_renumber_first_occurrence`), as every builder numbers them, and
     T_b lies in G_b, so L numbered so is the base row.  Then:
       - valencies are the counts of the base row;
-      - transpose_map[k] = R(y, 0), with (0, y) = class_reps[k];
-      - column y is transpose_map read at row y, as the transpose of an
-        orbital is an orbital.
-    The transporters act through `moebius.domain_images`, one row block
-    of x or z at a time, reading the base row, or transpose_map composed
-    with it, through `moebius.label_table`.
+      - transpose_map[k] = R(y, 0), with (0, y) = class_reps[k].
+    The scheme's row reader moves the rows xs by the transporters
+    through `moebius.domain_perms`, reading the base row through
+    `moebius.label_table`.
     """
     _guard_size(dom, allow_large)
     gid = mo.check_group_defined(fld, gid)
@@ -470,28 +467,16 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
     d1 = len(first)
     table = mo.label_table(dom, row_of_base)
     tmap = mo.domain_images(transporters[first], dom, np.zeros((1, 1), dtype=np.intp), table)[:, 0]
-    column_table = mo.label_table(dom, tmap[row_of_base])
-
-    def rows(r0, r1):
-        return mo.domain_perms(transporters[r0:r1], dom, table)
-
-    def columns(ys):
-        out = np.empty((n, len(ys)), dtype=row_of_base.dtype)
-        for k0, k1 in _row_blocks(len(ys), n):
-            out[:, k0:k1] = mo.domain_perms(transporters[ys[k0:k1]], dom, column_table).T
-        return out
-
     return Scheme._from_orbits(
         dom,
-        rows,
-        columns,
+        lambda xs: mo.domain_perms(transporters[xs], dom, table),
         class_reps=[(0, int(y)) for y in first],
         valencies=np.bincount(row_of_base, minlength=d1).astype(np.int64),
         transpose_map=tmap.astype(np.int32),
     )
 
 
-def triangular_scheme(dom):
+def triangular_scheme(dom, allow_large=False):
     """T(q+1): the orbital scheme of the symmetric group of PG(1,q) on
     the pairs domain, in closed form.  Pairs x, y get the code 0 when
     equal, 1 when they meet in one point and 2 when disjoint, computed
@@ -500,7 +485,7 @@ def triangular_scheme(dom):
     (0 1 ... q), with (0 q), (1 2) and (1 2 ... q-1), which generate the
     stabilizer of the base pair {0, q}, certify the matrix
     (`Scheme._certify`)."""
-    _guard_size(dom, False)
+    _guard_size(dom, allow_large)
     pg1, n = dom.plane.pg1, dom.n
     q, ends = pg1.n_points - 1, pg1.pairs.T
 
@@ -543,12 +528,13 @@ def partition_bijection(A, B):
 
 
 def _fuses_onto(coarse, fine, part):
-    """Whether part[fine] is the coarse matrix, compared in the coarse
-    dtype so the fused copy takes n^2 bytes, not an int64 n x n array."""
-    C = coarse.relation_matrix
+    """Whether part[fine] is the coarse matrix, compared one row block of
+    both at a time (`Scheme.row_blocks`) and in the coarse dtype, so
+    neither matrix is filled and the fused copy is one block."""
     if part.min() < 0 or part.max() > coarse.d:
         return False
-    return np.array_equal(part.astype(C.dtype)[fine.relation_matrix], C)
+    blocks = zip(fine.row_blocks(), coarse.row_blocks())
+    return all(np.array_equal(part.astype(c.dtype)[f], c) for (_, _, f), (_, _, c) in blocks)
 
 
 def fusion_map(coarse, fine):

@@ -145,6 +145,14 @@ def test_allow_large_guard(capsys):
     assert "--allow-large" in err
 
 
+def test_allow_large_reaches_the_triangular_scheme(capsys, monkeypatch):
+    monkeypatch.setattr(sc, "MAX_DEFAULT_Q", 7)
+    code, out, _ = run(capsys, "build", "--q", "9", "--group", "t", "--allow-large")
+    assert code == 0 and "n = 45" in out
+    code, _, err = run(capsys, "build", "--q", "9", "--group", "t")
+    assert code == 2 and "--allow-large" in err
+
+
 def test_geometry_dump(capsys):
     code, out, _ = run(capsys, "geometry", "dump", "--q", "5", "--what", "conic")
     assert code == 0

@@ -374,10 +374,10 @@ def test_p_tensor_allocates_no_n_by_n_array():
 
 @pytest.mark.parametrize("q", [5, 9, 13, 25, 27])
 def test_composed_label_rows_equal_the_generic_path(q):
-    """Rows and columns of a stabilizer-path scheme on pairs, read through
-    the composed label tables of `moebius.label_table`, equal the matrix
-    of the generic path for every group; `row_blocks` and `columns` fill
-    nothing, and the p-tensor counted from them is the dense one."""
+    """Rows of a stabilizer-path scheme on pairs, read through the label
+    table of `moebius.label_table`, equal the matrix of the generic path
+    for every group; `row_blocks` fills nothing, and the p-tensor counted
+    from the rows is the dense one."""
     fld = field(q)
     dom_ = pairs_domain(Plane(fld))
     for gid in GROUPS_FOR(fld):
@@ -386,8 +386,6 @@ def test_composed_label_rows_equal_the_generic_path(q):
         blocks = list(S.row_blocks())
         assert [(r0, r1) for r0, r1, _ in blocks] == sc._row_blocks(S.n, S.n)
         assert np.array_equal(np.concatenate([rows for _, _, rows in blocks]), M), gid
-        ys = np.arange(S.n)
-        assert np.array_equal(S.columns(ys), M), gid
         P = S.p_tensor()
         assert S._matrix is None
         dense = Scheme(M, domain=dom_, check=False)
@@ -707,6 +705,28 @@ def test_fusion_checks_compare_in_the_coarse_dtype():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * ft.n * ft.n
+
+
+@pytest.mark.parametrize("q", [25, 49])
+def test_fusion_checks_fill_no_matrix(q, monkeypatch):
+    """Fusion maps and partition bijections between stabilizer-path
+    schemes, and the `fusion check` command, compare row blocks, so no
+    relation matrix is filled."""
+    from scheme_forge.cli import main
+
+    filled = []
+    real = sc._fill_matrix
+    monkeypatch.setattr(sc, "_fill_matrix", lambda S: filled.append(S.n) or real(S))
+    monkeypatch.delenv("SCHEME_FORGE_CACHE_DIR", raising=False)
+    fld = field(q)
+    dom_ = pairs_domain(Plane(fld))
+    psl, m, pgl = (orbital_scheme_via_stabilizer(fld, gid, dom_) for gid in ("psl", "m", "pgl"))
+    assert fusion_map(m, psl) is not None and fusion_map(psl, m) is None
+    assert is_fusion(pgl, psl, fusion_map(pgl, psl))
+    assert partition_bijection(psl, orbital_scheme_via_stabilizer(fld, "psl", dom_)) is not None
+    argv = ["fusion", "check", "--q", str(q), "--fine", "psl", "--coarse", "m", "--format", "json"]
+    assert main(argv) == 0
+    assert filled == []
 
 
 def test_admissible_partition_need_not_give_a_scheme():
