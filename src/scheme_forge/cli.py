@@ -206,6 +206,7 @@ def _p_tensor_csv(S):
 
 
 def cmd_build(args):
+    sc._guard_size(args.q, args.allow_large)  # first: the field tables grow as q^2
     fld = field(args.q, _parse_modulus(args.modulus))
     S = build_named_scheme(fld, args.group, args.domain, args.allow_large)
     if args.exhaustive:
@@ -236,9 +237,9 @@ def cmd_verify(args):
     else:
         raise ValueError("verify paper needs --q <q> (repeatable) or --all-q")
     for q in qs:
-        field(q)  # validates q before any work
         if q > sc.MAX_DEFAULT_Q:
             raise ValueError(f"verify paper runs at q <= {sc.MAX_DEFAULT_Q}, not q = {q}")
+        field(q)  # validates q before any work
     reports = fi.verify_paper(qs)
     reports.sort(key=lambda r: (r.q, r.theorem_id))
     failed = [r for r in reports if not r.passed]
@@ -315,6 +316,7 @@ def cmd_group(args):
 
 
 def cmd_labels(args):
+    sc._guard_size(args.q, args.allow_large)  # first: the field tables grow as q^2
     fld = field(args.q, _parse_modulus(args.modulus))
     S = build_named_scheme(fld, args.group, "pairs", args.allow_large)
     pg1 = S.domain.plane.pg1
@@ -347,6 +349,7 @@ def cmd_labels(args):
 
 
 def cmd_fusion(args):
+    sc._guard_size(args.q, args.allow_large)  # first: the field tables grow as q^2
     fld = field(args.q, _parse_modulus(args.modulus))
     fine = build_named_scheme(fld, args.fine, "pairs", args.allow_large)
     coarse = build_named_scheme(fld, args.coarse, "pairs", args.allow_large)

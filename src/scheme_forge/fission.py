@@ -113,47 +113,48 @@ def domain_for(fld, kind):
 def build_ft(fld, allow_large=False):
     """The cross-ratio fission scheme on pairs, built with no group at all.
 
-    Pairs meeting in a point are related by the "share" class; disjoint
-    pairs by the unordered cross-ratio class {r, 1/r}.  Each pair x gets
-    the code 0 against itself, 1 against a pair it meets and 2 + the rank
-    of the lesser of r, 1/r otherwise, computed for a block of rows at a
-    time (`schemes._row_blocks`).  The codes of row 0 are numbered by
-    first occurrence, which numbers the classes by least pair, and every
-    block is written straight into the final matrix, which the `pgl`
-    generators certify; labels attached.
+    With D[a, c] = det(h_a, h_c) for homogeneous coordinates h, pairs
+    {a, b} and {c, d} get the code 2 - z when z, the number of zeros among
+    D[a, c], D[b, d], D[a, d] and D[b, c], is 1 or 2 (one or both points
+    shared), else 2 + the lesser rank of r and 1/r for the cross-ratio
+    r = D[a, c] D[b, d] / (D[a, d] D[b, c]); swapping a and b, or c and d,
+    inverts r, so the code is one of unordered pairs.
+
+    Proof that the `pgl` generators preserve the codes.  For a generator A
+    with point permutation s, let m_a be the last nonzero coordinate of
+    A h_a.  Checked: each m_a is nonzero and D[s a, s c] m_a m_c =
+    det(A) D[a, c].  So D moves by nonzero scalars, its zeros stay put, and
+    each point occurs once above and once below in r, so r is unchanged.
+    The generators lifted to the pairs then certify the scheme
+    (`schemes.closed_form_scheme`); labels attached.
     """
     dom = domain_for(fld, "pairs")
-    sc._guard_size(dom, allow_large)
-    n = dom.n
-    q = fld.q
-    MUL, ADD, NEG, INV, RANK = fld.MUL, fld.ADD, fld.NEG, fld.INV, fld.RANK
+    sc._guard_size(fld.q, allow_large)
+    q, pg1 = fld.q, dom.plane.pg1
+    MUL, ADD, NEG, INV = fld.MUL, fld.ADD, fld.NEG, fld.INV
+    u, v = np.append(fld.BY_RANK, 1), np.append(np.ones(q, dtype=np.int32), 0)
+    D = ADD[MUL[u[:, None], v], NEG[MUL[v[:, None], u]]]
 
-    # homogeneous coordinates of the two points of every pair
-    homog = np.zeros((q + 1, 2), dtype=np.int32)
-    homog[:q, 0] = fld.BY_RANK
-    homog[:q, 1] = 1
-    homog[q] = (1, 0)
-    z, w = homog[dom.plane.pg1.pairs[:, 0]], homog[dom.plane.pg1.pairs[:, 1]]
+    gens = mo.coefficients(mo.generators(fld, "pgl"))
+    points = mo.point_perms(fld, gens)
+    for (a, b, c, d, _), s in zip(gens, points):
+        x, y = ADD[MUL[a, u], MUL[b, v]], ADD[MUL[c, u], MUL[d, v]]
+        m = np.where(y != 0, y, x)
+        det = ADD[MUL[a, d], NEG[MUL[b, c]]]
+        if (m == 0).any() or not np.array_equal(MUL[MUL[D[s[:, None], s], m[:, None]], m], MUL[det, D]):
+            raise sc.NotASchemeError("a generator does not scale the determinant table")
 
-    def codes(r0, r1):
-        def det(u, v):
-            # u[i] . v[j] determinants of rows r0..r1 of u against all of v
-            return ADD[MUL[u[r0:r1, 0, None], v[:, 1]], NEG[MUL[u[r0:r1, 1, None], v[:, 0]]]]
+    lesser = np.minimum(fld.RANK, fld.RANK[INV])
+    c, d = pg1.pairs.T
 
-        num = MUL[det(z, z), det(w, w)]
-        den = MUL[det(z, w), det(w, z)]
-        c = MUL[num, INV[den]]
-        out = 2 + np.minimum(RANK[c], RANK[INV[c]])
-        out[(num == 0) | (den == 0)] = 1
-        out[np.arange(r1 - r0), np.arange(r0, r1)] = 0
-        return out
+    def codes(xs):
+        a, b = pg1.pairs[xs, 0, None], pg1.pairs[xs, 1, None]
+        dets = D[a, c], D[b, d], D[a, d], D[b, c]
+        zeros = sum((t == 0).astype(np.int8) for t in dets)
+        r = MUL[MUL[dets[0], dets[1]], INV[MUL[dets[2], dets[3]]]]
+        return np.where(zeros > 0, 2 - zeros, 2 + lesser[r])
 
-    remap, _ = sc._renumber_first_occurrence(codes(0, 1)[0], q + 2)
-    M = np.empty((n, n), dtype=remap.dtype)
-    for r0, r1 in sc._row_blocks(n, n):
-        M[r0:r1] = remap[codes(r0, r1)]
-    perms = mo.domain_perms(mo.coefficients(mo.generators(fld, "pgl")), dom)
-    return label_scheme(fld, "pgl", sc.Scheme(M, domain=dom, automorphisms=perms))
+    return label_scheme(fld, "pgl", sc.closed_form_scheme(dom, codes, pg1.pair_images(points)))
 
 
 def _ft_label_of_pair(fld, pair):

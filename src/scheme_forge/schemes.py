@@ -1,33 +1,22 @@
 """Association-scheme machinery over enumerated domains.
 
 A Scheme is an n x n relation matrix of small class indices, entry
-(x, y) the index of the relation containing the ordered pair, 0 being
-the diagonal, with its parameters: valencies, transpose map and
-intersection numbers.  Built from a matrix, construction checks its
-structure and, with `check`, proves the axioms exactly, never by
-sampling: by a certificate from automorphisms such as a group's
-generators, or exhaustively; orbit labels and checked fusions are exact
-as built.  The stabilizer path proves its parameters from the stabilizer
-orbits and transporters of a group, with no matrix, and fills the matrix
-only when something reads it whole.  Every scheme reads relations through
-one row reader, from the matrix or, without filling it, from the
-transporters; `Scheme.row_blocks` yields it one row block at a time, for
-the on-demand fill, fusion comparisons and the CLI's cache writer.
-`Scheme.verified_by` records which proof a scheme has.
+(x, y) the class of the ordered pair, 0 the diagonal, with its valencies,
+transpose map and intersection numbers, read through one row reader.
+Built from a matrix, it is checked for structure and, with `check`,
+proved exactly, never by sampling: by a certificate from automorphisms,
+or exhaustively.  Every other builder proves its classes the orbitals of
+a group and hands its row reader to `Scheme._from_orbits`, which reads
+the parameters at one pair of each class and fills no matrix until one
+is read whole: the stabilizer path, from stabilizer orbits and
+transporters, and `closed_form_scheme`, from codes and automorphisms
+proved on (q+1)^2 point tables (T(q+1) here, FT(q+1) in `fission`).
+`Scheme.verified_by` records which proof a scheme has.  One routine,
+`Scheme.p_tensor`, counts intersection numbers; structural queries and
+fusions of proven schemes (`fusion_map`) read that tensor or row blocks.
 
-One routine, `Scheme.p_tensor`, counts intersection numbers, from row 0
-and the transposed rows of the class representatives, and structural
-queries read that tensor, not the matrix: P-polynomial orderings come
-from it alone, for proven schemes only.  A fusion of two proven schemes
-is one partition comparison, `fusion_map`; `is_fusion` checks a
-partition that a caller supplies.
-
-Classes are numbered one way, by `_renumber_first_occurrence`: in order
-of first occurrence in row 0, which is their least ordered pair in
-row-major order.  Every builder goes through it: the generic least-element
-orbit labels of a group on ordered pairs, the fast path through
-base-pair stabilizer orbits plus explicit transporters, fusions, the
-closed-form triangular scheme and the cross-ratio scheme in `fission`;
+Classes are numbered one way, by `_renumber_first_occurrence`: by first
+occurrence in row 0, which is their least pair in row-major order, so
 equal actions give byte-identical matrices.
 """
 
@@ -59,10 +48,10 @@ class DomainSizeError(RuntimeError):
     """Guard against accidentally huge dense relation matrices."""
 
 
-def _guard_size(dom, allow_large):
-    if dom.field.q > MAX_DEFAULT_Q and not allow_large:
+def _guard_size(q, allow_large):
+    if q > MAX_DEFAULT_Q and not allow_large:
         raise DomainSizeError(
-            f"q={dom.field.q} gives a {dom.n}x{dom.n} relation matrix; "
+            f"q={q} > {MAX_DEFAULT_Q} gives large field tables and relation matrices; "
             "pass allow_large=True (CLI: --allow-large) to proceed"
         )
 
@@ -119,25 +108,23 @@ def _renumber_first_occurrence(row, size):
 class Scheme:
     """An association scheme on an enumerated domain.
 
-    `relation_matrix` is the n x n matrix.  A scheme from
-    `orbital_scheme_via_stabilizer` has exact parameters without it and
-    fills it, one row block at a time, the first time it is read.  Its
-    one row reader `_rows(xs)`, for xs a slice or an index array, reads
-    the matrix once there is one and computes the rows before that;
-    `row`, `row_blocks`, `relation` and `p_tensor` read only through it.
+    `relation_matrix` is the n x n matrix; a scheme from `_from_orbits`
+    fills it, a row block at a time, the first time it is read.  The one
+    row reader `_rows(xs)`, xs a slice or an index array, reads the matrix
+    once there is one and computes the rows before; `row`, `row_blocks`,
+    `relation` and `p_tensor` read only through it.
 
-    Row 0 must hold every class 0..d, as every row of a scheme does, and
-    `class_reps[k]` is the first pair (0, y) of class k: its least pair
-    in row-major order.  Built from a matrix, structure checks always
-    run: a row 0 missing a class, a negative or non-integer entry, a
-    diagonal that is not exactly class 0, or class sizes that are not
-    multiples of n raise NotASchemeError.  With `check`, `automorphisms` (permutation arrays
-    of the domain, such as a group's generators) certify the matrix
-    (`_certify`); without them it gets the blocked transposition check
-    and `verify_exhaustive`, which raises DomainSizeError above
-    n = MAX_EXHAUSTIVE_N.  `verified_by` is then "certificate" or
-    "exhaustive", else "structure"; `orbital_scheme` and the stabilizer
-    path set "orbits", `fuse` sets "fusion".
+    Row 0 holds every class 0..d, as every row of a scheme does, and
+    `class_reps[k]` is the first pair (0, y) of class k.  Built from a
+    matrix, a row 0 missing a class, a negative or non-integer entry, a
+    diagonal other than class 0, or class sizes not multiples of n raise
+    NotASchemeError.  With `check`, `automorphisms` (permutation arrays of
+    the domain) certify the matrix (`_certify`); without them it gets the
+    blocked transposition check and `verify_exhaustive`, which raises
+    DomainSizeError above n = MAX_EXHAUSTIVE_N.  `verified_by` is then
+    "certificate" or "exhaustive", else "structure"; `orbital_scheme` and
+    the stabilizer path set "orbits", `closed_form_scheme` (T and FT)
+    "certificate" and `fuse` "fusion".
     """
 
     def __init__(self, relation_matrix, domain=None, check=True, automorphisms=None):
@@ -189,14 +176,24 @@ class Scheme:
             self.verified_by = "certificate"
 
     @classmethod
-    def _from_orbits(cls, domain, rows, class_reps, valencies, transpose_map):
-        """A scheme whose parameters its builder proved exact, with no
-        matrix: `rows(xs)` reads the rows xs of its matrix, for xs a slice
-        or an index array."""
+    def _from_orbits(cls, domain, rows):
+        """A scheme whose builder proved its classes the orbitals of a
+        group, numbered by first occurrence in row 0, with no matrix:
+        `rows(xs)` reads the rows xs, a slice or an index array.  Read at
+        one pair of a class, parameters are exact: class_reps from the
+        first occurrences in row 0, valencies from its counts and
+        transpose_map[k] = R(y_k, 0), from representative rows in blocks."""
         S = cls.__new__(cls)
         S._matrix, S._rows, S._p_tensor = None, rows, None
-        S.n, S.d, S.domain, S.labels = domain.n, len(valencies) - 1, domain, None
-        S.class_reps, S.valencies, S.transpose_map = class_reps, valencies, transpose_map
+        S.n, S.domain, S.labels = domain.n, domain, None
+        row0 = S.row(0)
+        first = np.unique(row0, return_index=True)[1]
+        S.d = len(first) - 1
+        S.class_reps = [(0, int(y)) for y in first]
+        S.valencies = np.bincount(row0).astype(np.int64)
+        S.transpose_map = np.concatenate(
+            [rows(first[k0:k1])[:, 0] for k0, k1 in _row_blocks(S.d + 1, S.n)]
+        ).astype(np.int32)
         S.verified_by = "orbits"
         return S
 
@@ -211,8 +208,8 @@ class Scheme:
         """Yield (r0, r1, rows) for consecutive blocks of rows r0..r1 of
         the relation matrix, about BLOCK_ENTRIES entries each, top to
         bottom: views of the matrix when it is filled, else blocks that
-        the stabilizer path computes and keeps no reference to, so a
-        pass over them holds one block, never the n x n matrix."""
+        the builder's row reader computes and keeps no reference to, so
+        a pass over them holds one block, never the n x n matrix."""
         for r0, r1 in _row_blocks(self.n, self.n):
             yield r0, r1, self._rows(slice(r0, r1))
 
@@ -221,30 +218,15 @@ class Scheme:
         return self._rows(slice(x, x + 1))[0]
 
     def _certify(self, perms):
-        """Prove the matrix a scheme from permutations of its domain:
-        every p preserves M (M[p(x), p(y)] = M[x, y], per row block),
-        they generate a transitive group G, and the group H generated by
-        those fixing the base element b has d + 1 orbits (the least
-        elements, which `_orbits` leaves fixed).  Preserving M makes p
-        injective, as class 0 is the diagonal; row b holds all d + 1
-        classes, like row 0, and H preserves them, so its orbits are
-        exactly the classes of row b.  So a pair (x, y) of class k goes
-        by G to some (b, y'), and by H to the first pair of class k in
-        row b: every class is one orbital of G, and intersection numbers,
-        valencies and transposes read at one pair are exact (Bannai-Ito,
-        Algebraic Combinatorics I, 2.2).
-        """
-        M, n = self.relation_matrix, self.n
+        """Prove the matrix a scheme from permutations of its domain: every
+        p preserves M (M[p(x), p(y)] = M[x, y], per row block), which makes
+        p injective, as class 0 is the diagonal; then `_orbit_certificate`."""
+        M = self.relation_matrix
         for p in perms:
             for r0, r1, rows in self.row_blocks():
                 if not np.array_equal(M.take(p[r0:r1], axis=0).take(p, axis=1), rows):
                     raise NotASchemeError("an automorphism does not preserve the relation matrix")
-        if _orbits(perms, (n,)).any():
-            raise NotASchemeError("the automorphisms are not transitive on the domain")
-        b = self.domain.base_index
-        lab = _orbits(perms[perms[:, b] == b], (n,))
-        if int((lab == np.arange(n)).sum()) != self.d + 1:
-            raise NotASchemeError("the classes of the base row are not the orbits of its stabilizer")
+        _orbit_certificate(perms, self.domain, self.d + 1)
 
     # -- intersection numbers --------------------------------------------------
 
@@ -370,6 +352,42 @@ def _orbits(perms, shape):
         total = lowered
 
 
+def _orbit_certificate(perms, dom, d1):
+    """Prove a relation partition with d1 classes, class 0 the diagonal,
+    preserved by the permutation arrays `perms` of the domain, the orbital
+    partition of the group G they generate: NotASchemeError unless G is
+    transitive and the group H generated by the p fixing the base element
+    b has d1 orbits (least elements, which `_orbits` leaves fixed).  Row b
+    is row 0 moved by G, so it holds all d1 classes, and H preserves them,
+    so its orbits are the classes of row b.  So G moves a pair of class k
+    to some (b, y'), and H then to the first pair of class k in row b:
+    every class is one orbital of G, and intersection numbers, valencies
+    and transposes read at one pair are exact (Bannai-Ito, Algebraic
+    Combinatorics I, 2.2).
+    """
+    n, b = dom.n, dom.base_index
+    if _orbits(perms, (n,)).any():
+        raise NotASchemeError("the automorphisms are not transitive on the domain")
+    lab = _orbits(perms[perms[:, b] == b], (n,))
+    if int((lab == np.arange(n)).sum()) != d1:
+        raise NotASchemeError("the classes of the base row are not the orbits of its stabilizer")
+
+
+def closed_form_scheme(dom, codes, perms):
+    """The scheme whose rows xs, a slice or an index array, hold the
+    relations codes(xs), numbered by first occurrence in row 0 and proved
+    by `perms`, permutation arrays of the domain (checked here) that
+    preserve the codes, as the caller proves: `_orbit_certificate`."""
+    row = codes(slice(0, 1))[0]
+    remap, first = _renumber_first_occurrence(row, int(row.max()) + 1)
+    if perms.shape[1:] != (dom.n,) or (np.sort(perms, axis=1) != np.arange(dom.n)).any():
+        raise NotASchemeError("every automorphism must be a permutation array of the domain")
+    _orbit_certificate(perms, dom, len(first))
+    S = Scheme._from_orbits(dom, lambda xs: remap[codes(xs)])
+    S.verified_by = "certificate"
+    return S
+
+
 def orbital_scheme(perms, dom, allow_large=False):
     """Scheme of the diagonal action on ordered pairs, from orbit labels.
 
@@ -382,7 +400,7 @@ def orbital_scheme(perms, dom, allow_large=False):
     first occurrence numbers the classes by least pair.  `_orbits` is
     exact for permutations, checked here, so this proves the result.
     """
-    _guard_size(dom, allow_large)
+    _guard_size(dom.field.q, allow_large)
     n = dom.n
     perms = np.asarray(perms)
     if perms.shape[1:] != (n,) or (np.sort(perms, axis=1) != np.arange(n)).any():
@@ -432,14 +450,13 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
     pair of a class, are exact (Bannai-Ito, Algebraic Combinatorics I,
     2.2).  Classes are numbered by first occurrence in row 0
     (`_renumber_first_occurrence`), as every builder numbers them, and
-    T_b lies in G_b, so L numbered so is the base row.  Then:
-      - valencies are the counts of the base row;
-      - transpose_map[k] = R(y, 0), with (0, y) = class_reps[k].
-    The scheme's row reader moves the rows xs by the transporters
-    through `moebius.domain_perms`, reading the base row through
-    `moebius.label_table`.
+    T_b lies in G_b, so L numbered so is the base row.  The scheme's row
+    reader moves the rows xs by the transporters through
+    `moebius.domain_perms`, reading the base row through
+    `moebius.label_table`, and `Scheme._from_orbits` reads the
+    parameters through it.
     """
-    _guard_size(dom, allow_large)
+    _guard_size(dom.field.q, allow_large)
     gid = mo.check_group_defined(fld, gid)
     if dom.base_index is None:
         raise UnsupportedDomainError(
@@ -462,50 +479,32 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
         if (moved != base).any():
             raise NotASchemeError("a transporter does not reach the base element")
 
-    remap, first = _renumber_first_occurrence(lab[mo.domain_perms(transporters[:1], dom)[0]], n)
-    row_of_base = remap[lab]
-    d1 = len(first)
-    table = mo.label_table(dom, row_of_base)
-    tmap = mo.domain_images(transporters[first], dom, np.zeros((1, 1), dtype=np.intp), table)[:, 0]
-    return Scheme._from_orbits(
-        dom,
-        lambda xs: mo.domain_perms(transporters[xs], dom, table),
-        class_reps=[(0, int(y)) for y in first],
-        valencies=np.bincount(row_of_base, minlength=d1).astype(np.int64),
-        transpose_map=tmap.astype(np.int32),
-    )
+    remap, _ = _renumber_first_occurrence(lab[mo.domain_perms(transporters[:1], dom)[0]], n)
+    table = mo.label_table(dom, remap[lab])
+    return Scheme._from_orbits(dom, lambda xs: mo.domain_perms(transporters[xs], dom, table))
 
 
 def triangular_scheme(dom, allow_large=False):
-    """T(q+1): the orbital scheme of the symmetric group of PG(1,q) on
-    the pairs domain, in closed form.  Pairs x, y get the code 0 when
-    equal, 1 when they meet in one point and 2 when disjoint, computed
-    one row block at a time and numbered by first occurrence in row 0.
-    The symmetric group preserves the codes, so its generators (0 1) and
-    (0 1 ... q), with (0 q), (1 2) and (1 2 ... q-1), which generate the
-    stabilizer of the base pair {0, q}, certify the matrix
-    (`Scheme._certify`)."""
-    _guard_size(dom, allow_large)
-    pg1, n = dom.plane.pg1, dom.n
+    """T(q+1), the orbital scheme of the symmetric group of PG(1,q) on
+    pairs: the code 2 minus the number of shared points, which every point
+    permutation keeps, so (0 1), (0 1 ... q) and the base pair stabilizer's
+    (0 q), (1 2), (1 2 ... q-1), lifted to pairs, certify it."""
+    _guard_size(dom.field.q, allow_large)
+    pg1 = dom.plane.pg1
     q, ends = pg1.n_points - 1, pg1.pairs.T
 
-    def codes(r0, r1):
-        a, b = pg1.pairs[r0:r1, 0, None], pg1.pairs[r0:r1, 1, None]
-        out = 2 - ((a == ends[0]) | (a == ends[1]) | (b == ends[0]) | (b == ends[1]))
-        out[np.arange(r1 - r0), np.arange(r0, r1)] = 0
-        return out
+    def codes(xs):
+        a, b = pg1.pairs[xs, 0, None], pg1.pairs[xs, 1, None]
+        # cast first: a sum of numpy bools is a logical or
+        return 2 - ((a == ends[0]).astype(np.int8) + (a == ends[1]) + (b == ends[0]) + (b == ends[1]))
 
-    remap, _ = _renumber_first_occurrence(codes(0, 1)[0], 3)
-    M = np.empty((n, n), dtype=remap.dtype)
-    for r0, r1 in _row_blocks(n, n):
-        M[r0:r1] = remap[codes(r0, r1)]
     points = np.tile(np.arange(q + 1), (5, 1))
     points[0, [0, q]] = [q, 0]
     points[1, [1, 2]] = [2, 1]
     points[2, 1:q] = np.roll(points[2, 1:q], -1)
     points[3, [0, 1]] = [1, 0]
     points[4] = np.roll(points[4], -1)
-    return Scheme(M, domain=dom, automorphisms=pg1.pair_images(points))
+    return closed_form_scheme(dom, codes, pg1.pair_images(points))
 
 
 def group_orbital_scheme(fld, gid, dom, allow_large=False):

@@ -153,6 +153,22 @@ def test_allow_large_reaches_the_triangular_scheme(capsys, monkeypatch):
     assert code == 2 and "--allow-large" in err
 
 
+def test_oversized_q_is_refused_before_any_field_is_built(capsys, monkeypatch):
+    """The field tables grow as q^2, so the size bound comes first: built
+    before it, they made `build --q 1009` take 1.1 s and 194 MB of max
+    RSS (one run, 2 vCPUs) before it exited 2."""
+    from scheme_forge import gf
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a field was built before the size guard")
+
+    monkeypatch.setattr(gf.GF, "__init__", refuse)
+    code, _, err = run(capsys, "build", "--q", "4001", "--group", "psl")
+    assert code == 2 and "--allow-large" in err
+    code, _, err = run(capsys, "verify", "paper", "--q", "4001")
+    assert code == 2 and "q <= 127" in err
+
+
 def test_geometry_dump(capsys):
     code, out, _ = run(capsys, "geometry", "dump", "--q", "5", "--what", "conic")
     assert code == 0
@@ -265,6 +281,33 @@ def test_triangular_build_at_q81_keeps_its_bytes(capsys, monkeypatch):
 
 
 T81_DIGEST = "dcf61e62946e8ef7c1a0689e08ecdde3a6a62ef08bd09bb59ae3d3f0609b870e"
+
+# sha256 of the stdout of `build --format json --p-tensor` and of `build
+# --format csv` for FT and T, computed when both builders filled the n x n
+# matrix and certified it against its image under each automorphism
+CLOSED_FORM_DIGESTS = {
+    (49, "ft", "json"): "e77a7efd06582be716904c05c7b735985d7c411211df73f207db0f51cf777d21",
+    (49, "ft", "csv"): "50a6146300d7d3caf03ef311716f9e1dd5eae650a63597d2ebfd18e7c71063b1",
+    (49, "t", "json"): "b9c26b56a9beaba9cf2b7e5a90eac061a453367bf0b3cab13e6b191de881a616",
+    (49, "t", "csv"): "586d569a928ad32417f4809ab14bdd458d4129b5a2d9835ff166018811162277",
+    (81, "ft", "json"): "810654b6c394afd35b52e7896328c4a6c46d84b2afb99f06bc3d0366b5df1484",
+    (81, "ft", "csv"): "03ef614923030bc7ea8f3f1dfca2b1468808d48495e89976fedeed38ff8a613d",
+    (81, "t", "json"): "2f3f246869f9f8a3c15c06f7149aa079b0db93333e721ae3e070d57a12d769d1",
+    (81, "t", "csv"): "d3a75523d679c4afb1011fbaa8bc04ddd522dd3a790b7ad8cf6e21a5482ceb94",
+    (121, "ft", "json"): "a35d7d05d707affa9deca907e99955fd0378eb0df856a5b4c0fc2342764b5dfc",
+    (121, "ft", "csv"): "875df3840fc4790ac08a53eb7d23e10fedfc7bb9ea11e40e92792ad5166607e1",
+    (121, "t", "json"): "2ba637865b483ba8c97ca1a68522ab4adc4614674ee8a951a642d85fa8023c7a",
+    (121, "t", "csv"): "bd045144479ffa44f150f3bb1835662fd61558e69c1197e214de443467b1cfbc",
+}
+
+
+@pytest.mark.parametrize("q, name, fmt", sorted(CLOSED_FORM_DIGESTS))
+def test_closed_form_builds_keep_their_bytes(q, name, fmt, capsys):
+    extra = ["--p-tensor"] if fmt == "json" else []
+    code, out, _ = run(capsys, "build", "--q", str(q), "--group", name, "--format", fmt, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLOSED_FORM_DIGESTS[q, name, fmt]
+
 
 # sha256 of the stdout of each command of the benchmark's CLI session
 # (perfbench/workloads.py), every one exiting 0, the same against an empty

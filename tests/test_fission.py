@@ -111,18 +111,62 @@ def test_ft_keeps_its_bytes(q):
     assert hashlib.sha256(M.tobytes()).hexdigest() == FT_DIGESTS[q]
 
 
-def test_ft_build_memory_stays_near_the_matrix():
-    # the uint8 matrix plus row-block temporaries: measured 1.15 n^2
-    # bytes (5.08 with the earlier int32 n x n intermediate)
-    fld = field(81)
+@pytest.mark.parametrize("name", ["ft", "t"])
+def test_closed_form_build_and_p_tensor_hold_no_n_by_n_array(name):
+    """FT and T at q = 121 (n = 7381), built, certified on point tables
+    and counted into their p-tensor with no matrix: measured 0.08 n^2
+    bytes for FT, mostly the row blocks of the p-tensor, and 0.01 n^2 for
+    T; the n x n fill and its certificate had peaked at 1.03 n^2 for the
+    FT build alone."""
+    fld = field(121)
     n = fi.domain_for(fld, "pairs").n
     tracemalloc.start()
     try:
-        fi.build_ft(fld)
+        S = fi.build_ft(fld) if name == "ft" else triangular_scheme(fi.domain_for(fld, "pairs"))
+        S.p_tensor()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n * n
+    assert S._matrix is None and S.verified_by == "certificate"
+    assert peak < 0.2 * n * n
+
+
+def test_closed_form_builders_take_no_dense_path(monkeypatch):
+    """Neither builder passes a matrix to `Scheme` or fills one: both end
+    in `Scheme._from_orbits`, and their parameters, p-tensor and
+    P-polynomial orderings are read from rows."""
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a closed-form builder took the dense path")
+
+    fld = field(25)
+    dom = fi.domain_for(fld, "pairs")
+    monkeypatch.setattr(sc.Scheme, "__init__", dense)
+    monkeypatch.setattr(sc, "_fill_matrix", dense)
+    for S in (fi.build_ft(fld), triangular_scheme(dom)):
+        assert S.verified_by == "certificate" and S.n == dom.n
+        S.p_tensor()
+        p_polynomial_orderings(S)
+        assert S._matrix is None
+
+
+def test_ft_certificate_refuses_what_does_not_prove_it(monkeypatch):
+    """The Frobenius t -> t^3 at q = 9 maps the cross-ratio r to r^3,
+    so it scales no determinant table; the shift t -> t + 1 alone fixes
+    infinity, so it is not transitive on the pairs."""
+    from scheme_forge import moebius as mo
+
+    real = mo.generators
+
+    def with_frobenius(fld, gid):
+        return real(fld, gid) + [mo.Moebius(fld, 1, 0, 0, 1, j=1)]
+
+    monkeypatch.setattr(mo, "generators", with_frobenius)
+    with pytest.raises(sc.NotASchemeError, match="determinant table"):
+        fi.build_ft(field(9))
+    monkeypatch.setattr(mo, "generators", lambda fld, gid: real(fld, gid)[:1])
+    with pytest.raises(sc.NotASchemeError, match="not transitive"):
+        fi.build_ft(field(7))
 
 
 # -- the square-determinant subgroup ------------------------------------------------
@@ -824,3 +868,25 @@ def test_embedding_report_fails_on_a_corrupted_generator_image(monkeypatch):
     _corrupt(monkeypatch, mo, "point_perms", lambda P: _swap_first_rows(P.T).T)
     rep = fi.report_embedding(field(9))
     assert rep.computed == {"det_cubed": True, "equivariance": False, "fixes_conic": True}
+
+
+def _odd_prime_powers(lo, hi):
+    def prime_power(q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        while q % p == 0:
+            q //= p
+        return q == 1
+
+    return [q for q in range(lo, hi + 1, 2) if prime_power(q)]
+
+
+def test_theorem_suite_passes_at_every_odd_prime_power_up_to_127():
+    """Every report the plan makes, at every odd prime power 5 <= q <=
+    127: the primes 3 mod 4 above 11, the odd powers 27 and 125, where
+    `m` is undefined, and 121, where `m` is over GF(11^2)."""
+    qs = _odd_prime_powers(5, 127)
+    assert len(qs) == 36 and {27, 121, 125, 127} <= set(qs)
+    reports = fi.verify_paper(qs)
+    assert sorted({r.q for r in reports}) == qs
+    assert len(reports) == 159
+    assert [r for r in reports if not r.passed] == []

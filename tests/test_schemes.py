@@ -89,12 +89,8 @@ def test_triangular_certificate_needs_the_base_pair_stabilizer(monkeypatch):
     """(0 1) and (0 1 ... q) alone are transitive but fix no pair, so the
     stabilizer of the base pair has one orbit per element and the
     certificate refuses them."""
-    real = sc.Scheme.__init__
-
-    def without_stabilizer(self, M, domain=None, check=True, automorphisms=None):
-        real(self, M, domain, check, automorphisms[3:])
-
-    monkeypatch.setattr(sc.Scheme, "__init__", without_stabilizer)
+    real = sc.closed_form_scheme
+    monkeypatch.setattr(sc, "closed_form_scheme", lambda dom, codes, perms: real(dom, codes, perms[3:]))
     with pytest.raises(NotASchemeError, match="base row"):
         triangular_scheme(pairs_domain(Plane(field(9))))
 
