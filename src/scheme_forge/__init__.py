@@ -23,11 +23,9 @@ from .geometry import (
     PG1,
     Plane,
     domain,
-    elliptic_lines_domain,
     hyperbolic_lines_domain,
     hyperbolic_points_domain,
     pairs_domain,
-    tangent_lines_domain,
 )
 from .moebius import (
     GROUPS,
@@ -49,7 +47,6 @@ from .schemes import (
     NotASchemeError,
     NotTransitiveError,
     Scheme,
-    UnsupportedDomainError,
     fuse,
     fusion_map,
     group_orbital_scheme,

@@ -86,15 +86,7 @@ def build_named_scheme(fld, name, kind="pairs", allow_large=False):
         S = fi._labeled_scheme(fld, gid, allow_large=allow_large)
         _cache_save(cache_dir, fld, gid, kind, S)
         return S
-    dom = fi.domain_for(fld, kind)
-    if kind in ("hyp-lines", "hyp-points"):
-        return sc.orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=allow_large)
-    print(
-        f"warning: domain {kind!r} has no base-pair fast path or theorem labels; "
-        "building generically from the group generators",
-        file=sys.stderr,
-    )
-    return sc.group_orbital_scheme(fld, gid, dom, allow_large=allow_large)
+    return sc.orbital_scheme_via_stabilizer(fld, gid, fi.domain_for(fld, kind), allow_large=allow_large)
 
 
 # Bumped whenever the cached data or its meaning changes, so that files
@@ -206,7 +198,6 @@ def _p_tensor_csv(S):
 
 
 def cmd_build(args):
-    sc._guard_size(args.q, args.allow_large)  # first: the field tables grow as q^2
     fld = field(args.q, _parse_modulus(args.modulus))
     S = build_named_scheme(fld, args.group, args.domain, args.allow_large)
     if args.exhaustive:
@@ -316,7 +307,6 @@ def cmd_group(args):
 
 
 def cmd_labels(args):
-    sc._guard_size(args.q, args.allow_large)  # first: the field tables grow as q^2
     fld = field(args.q, _parse_modulus(args.modulus))
     S = build_named_scheme(fld, args.group, "pairs", args.allow_large)
     pg1 = S.domain.plane.pg1
@@ -349,7 +339,6 @@ def cmd_labels(args):
 
 
 def cmd_fusion(args):
-    sc._guard_size(args.q, args.allow_large)  # first: the field tables grow as q^2
     fld = field(args.q, _parse_modulus(args.modulus))
     fine = build_named_scheme(fld, args.fine, "pairs", args.allow_large)
     coarse = build_named_scheme(fld, args.coarse, "pairs", args.allow_large)
@@ -374,11 +363,14 @@ def cmd_fusion(args):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _add_common(p):
+def _add_common(p, formats=("text", "json")):
+    """The options of every subcommand that builds a field, with a
+    `--format` offering the formats the subcommand writes, if any."""
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--modulus", help="comma-separated coefficients, low degree first")
     p.add_argument("--out")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    if formats:
+        p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--allow-large", action="store_true")
 
 
@@ -390,7 +382,7 @@ def make_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct one scheme")
-    _add_common(b)
+    _add_common(b, ("text", "json", "csv"))
     b.add_argument("--group", choices=SCHEME_NAMES, required=True)
     b.add_argument("--domain", choices=Domain.KINDS, default="pairs")
     b.add_argument("--p-tensor", action="store_true")
@@ -409,8 +401,8 @@ def make_parser():
 
     g = sub.add_parser("geometry", help="geometry exports")
     gsub = g.add_subparsers(dest="what_cmd", required=True)
-    gd = gsub.add_parser("dump", help="dump conic, lines or points")
-    _add_common(gd)
+    gd = gsub.add_parser("dump", help="dump conic, lines or points as JSON")
+    _add_common(gd, ())
     gd.add_argument("--what", choices=("conic", "lines", "points"), required=True)
     gd.set_defaults(fn=cmd_geometry)
 
@@ -446,6 +438,8 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
+        if hasattr(args, "allow_large"):
+            sc._guard_size(args.q, args.allow_large)  # first: the field tables grow as q^2
         return args.fn(args)
     except (ValueError, OSError, sc.DomainSizeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -53,16 +53,13 @@ class PG1:
         # position -> element code, for the finite positions
         self.val_of_pos = fld.BY_RANK
         # pairs of positions (i, j), i < j, in lexicographic order
-        pairs = [(i, j) for i in range(q + 1) for j in range(i + 1, q + 1)]
-        self.pairs = np.array(pairs, dtype=np.int32)
+        self.pairs = np.stack(np.triu_indices(q + 1, 1), axis=1).astype(np.int32)
         self._ends = self.pairs.T.astype(np.intp)
-        tab = np.full((q + 1, q + 1), -1, dtype=np.int32)
-        for idx, (i, j) in enumerate(pairs):
-            tab[i, j] = idx
-            tab[j, i] = idx
-        self.pair_table = tab
-        self.n_pairs = len(pairs)
-        self.base_pair = int(tab[0, q])  # index of {0, oo}
+        self.n_pairs = len(self.pairs)
+        i, j = self._ends
+        self.pair_table = np.full((q + 1, q + 1), -1, dtype=np.int32)
+        self.pair_table[i, j] = self.pair_table[j, i] = np.arange(self.n_pairs)
+        self.base_pair = int(self.pair_table[0, q])  # index of {0, oo}
 
     def pos(self, pt):
         """Position of a point given as FieldElement, int code, or INFINITY."""
@@ -248,10 +245,6 @@ class Plane:
         """L_{x,y}: the secant through the conic points of parameters x, y."""
         return self.hyperbolic_line_pos(self.pg1.pos(x), self.pg1.pos(y))
 
-    def tangent_line(self, pos):
-        """Tangent to the conic at the conic point of position `pos`."""
-        return self.polarity_point_to_line(self.conic_point(pos))
-
     def incident(self, P, l):
         f = self.field
         s = 0
@@ -330,24 +323,27 @@ class Plane:
 
 
 class Domain:
-    """An enumerated domain for scheme construction, with stable indices."""
+    """One of the three models of the pairs of PG(1,q) that schemes are
+    built on: the pairs themselves, the secant lines through their conic
+    points, and the poles of those secants.  Through the conic model,
+    element i of every kind is pair i of `plane.pg1.pairs`, so the base
+    element `base_index` is the pair {0, oo} on each.  The elements are
+    stored once, as int32 arrays: `pg1.pairs` on pairs, whose `coords`
+    is None, and the normalized coordinate triples `coords`, row i for
+    pair i, on the plane kinds."""
 
-    KINDS = ("pairs", "hyp-lines", "hyp-points", "tangent-lines", "elliptic-lines")
+    KINDS = ("pairs", "hyp-lines", "hyp-points")
 
-    def __init__(self, kind, plane, elements, base_index=None):
+    def __init__(self, kind, plane, coords=None):
         self.kind = kind
         self.plane = plane
         self.field = plane.field
-        self.elements = elements
-        self.n = len(elements)
-        self.index = {e: i for i, e in enumerate(elements)}
-        self.base_index = base_index
-        if kind == "pairs":
-            self.coords = None
-        else:
-            self.coords = np.array(elements, dtype=np.int32)
+        self.n = plane.pg1.n_pairs
+        self.base_index = plane.pg1.base_pair
+        self.coords = coords
+        if coords is not None:
             q = plane.field.q
-            codes = (self.coords[:, 0] * q + self.coords[:, 1]) * q + self.coords[:, 2]
+            codes = (coords[:, 0] * q + coords[:, 1]) * q + coords[:, 2]
             lookup = np.full(q * q * q, -1, dtype=np.int32)
             lookup[codes] = np.arange(self.n, dtype=np.int32)
             self._code_lookup = lookup
@@ -366,43 +362,24 @@ class Domain:
 
 
 def pairs_domain(plane):
-    """Omega: 2-element subsets of PG(1,q) as position pairs (i, j), i < j."""
-    pg1 = plane.pg1
-    elements = [tuple(p) for p in pg1.pairs.tolist()]
-    return Domain("pairs", plane, elements, base_index=pg1.base_pair)
+    """Omega: 2-element subsets of PG(1,q), the pairs of `pg1.pairs`."""
+    return Domain("pairs", plane)
 
 
 def hyperbolic_lines_domain(plane):
     """Secant lines, enumerated in the canonical pair order."""
-    pg1 = plane.pg1
-    elements = list(map(tuple, plane.secant_lines(pg1.pairs).tolist()))
-    return Domain("hyp-lines", plane, elements, base_index=pg1.base_pair)
+    return Domain("hyp-lines", plane, plane.secant_lines(plane.pg1.pairs))
 
 
 def hyperbolic_points_domain(plane):
     """Poles of the secant lines (square-type points), same order."""
-    pg1 = plane.pg1
-    elements = list(map(tuple, plane.poles(plane.secant_lines(pg1.pairs)).tolist()))
-    return Domain("hyp-points", plane, elements, base_index=pg1.base_pair)
-
-
-def tangent_lines_domain(plane):
-    elements = [plane.tangent_line(i) for i in range(plane.pg1.n_points)]
-    return Domain("tangent-lines", plane, elements)
-
-
-def elliptic_lines_domain(plane):
-    lines = plane.all_lines()
-    elements = [l for l, h in zip(lines, plane.conic_counts(lines)) if h == 0]
-    return Domain("elliptic-lines", plane, elements)
+    return Domain("hyp-points", plane, plane.poles(plane.secant_lines(plane.pg1.pairs)))
 
 
 _DOMAIN_BUILDERS = {
     "pairs": pairs_domain,
     "hyp-lines": hyperbolic_lines_domain,
     "hyp-points": hyperbolic_points_domain,
-    "tangent-lines": tangent_lines_domain,
-    "elliptic-lines": elliptic_lines_domain,
 }
 
 

@@ -40,10 +40,6 @@ class NotASchemeError(RuntimeError):
     """A relation matrix violates the association scheme axioms."""
 
 
-class UnsupportedDomainError(ValueError):
-    """The stabilizer fast path only covers the pair-indexed domains."""
-
-
 class DomainSizeError(RuntimeError):
     """Guard against accidentally huge dense relation matrices."""
 
@@ -428,12 +424,12 @@ def _group_order(perms):
 
 
 def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
-    """The scheme of group `gid` on a domain with a base element b, from
-    the orbits of the stabilizer of b and one transporter T_x per element
-    x, with exact parameters and no n x n matrix.  The matrix, whose row
-    x is the base row read at T_x, is filled one row block at a time the
-    first time something reads it, byte-identical to ``orbital_scheme``
-    for the same action.
+    """The scheme of group `gid` on a domain, from the orbits of the
+    stabilizer of its base element b, the pair {0, oo} in each model, and
+    one transporter T_x per element x, with exact parameters and no n x n
+    matrix.  The matrix, whose row x is the base row read at T_x, is
+    filled one row block at a time the first time something reads it,
+    byte-identical to ``orbital_scheme`` for the same action.
 
     Proof.  G is the set of maps that `moebius.in_group` accepts, of order
     `moebius.group_order`.  These checks raise NotASchemeError:
@@ -458,11 +454,6 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
     """
     _guard_size(dom.field.q, allow_large)
     gid = mo.check_group_defined(fld, gid)
-    if dom.base_index is None:
-        raise UnsupportedDomainError(
-            f"domain kind {dom.kind!r} has no distinguished base pair; "
-            "use the generic orbital construction"
-        )
     n, base = dom.n, dom.base_index
     gens = mo.coefficients(mo.generators(fld, gid))
     transporters = mo.transporters_to_base(fld, gid, dom.plane.pg1.pairs)

@@ -53,13 +53,11 @@ def test_build_csv_p_tensor(capsys):
     assert sum(1 for l in lines if l.startswith("B_")) == 4
 
 
-def test_build_tangent_lines_warns_but_proceeds(capsys):
-    code, out, err = run(
-        capsys, "build", "--q", "9", "--group", "m", "--domain", "tangent-lines"
-    )
-    assert code == 0
-    assert "warning" in err
-    assert "n = 10" in out
+@pytest.mark.parametrize("kind", ["tangent-lines", "elliptic-lines"])
+def test_build_rejects_the_domains_off_the_paper(capsys, kind):
+    code, out, err = run(capsys, "build", "--q", "9", "--group", "m", "--domain", kind)
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
 
 
 def test_build_deterministic(capsys):
@@ -167,6 +165,32 @@ def test_oversized_q_is_refused_before_any_field_is_built(capsys, monkeypatch):
     assert code == 2 and "--allow-large" in err
     code, _, err = run(capsys, "verify", "paper", "--q", "4001")
     assert code == 2 and "q <= 127" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("geometry", "dump", "--what", "conic"), ("group", "info", "--group", "pgl")],
+)
+def test_every_command_with_allow_large_guards_the_size(capsys, argv):
+    code, out, err = run(capsys, *argv, "--q", "131")
+    assert (code, out) == (2, "") and "--allow-large" in err
+    code, out, _ = run(capsys, *argv, "--q", "131", "--allow-large")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scheme", "labels", "--q", "5", "--group", "psl", "--format", "csv"),
+        ("fusion", "check", "--q", "5", "--fine", "psl", "--coarse", "t", "--format", "csv"),
+        ("group", "info", "--q", "5", "--group", "pgl", "--format", "csv"),
+        ("geometry", "dump", "--q", "5", "--what", "conic", "--format", "json"),
+    ],
+)
+def test_format_offers_only_what_the_command_writes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err or "unrecognized arguments" in err
 
 
 def test_geometry_dump(capsys):

@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from scheme_forge.gf import field
@@ -109,9 +110,8 @@ def test_polarity_preserves_incidence(plane):
 
 
 def test_tangents_are_polars_of_conic_points(plane):
-    for i, P in enumerate(plane.conic_points()):
-        t = plane.tangent_line(i)
-        assert t == plane.polarity_point_to_line(P)
+    for P in plane.conic_points():
+        t = plane.polarity_point_to_line(P)
         assert plane.classify_line(t) == "tangent"
         assert plane.incident(P, t)
 
@@ -223,32 +223,28 @@ def test_cross_ratio_group_invariance(q, step):
 
 def test_secants_biject_with_pairs(plane):
     q = plane.field.q
-    dom = pairs_domain(plane)
-    lines = {plane.hyperbolic_line_pos(i, j) for i, j in dom.elements}
+    lines = {plane.hyperbolic_line_pos(i, j) for i, j in plane.pg1.pairs.tolist()}
     assert len(lines) == q * (q + 1) // 2
     assert all(plane.classify_line(l) == "hyperbolic" for l in lines)
 
 
 def test_domain_enumerations(plane):
     q = plane.field.q
-    for kind, size in (
-        ("pairs", q * (q + 1) // 2),
-        ("hyp-lines", q * (q + 1) // 2),
-        ("hyp-points", q * (q + 1) // 2),
-        ("tangent-lines", q + 1),
-        ("elliptic-lines", q * (q - 1) // 2),
-    ):
+    size = q * (q + 1) // 2
+    for kind in ("pairs", "hyp-lines", "hyp-points"):
         dom = domain(plane, kind)
-        assert dom.n == size
-        assert len(set(map(tuple, dom.elements))) == size
+        elements = plane.pg1.pairs if dom.coords is None else dom.coords
+        assert dom.n == size and elements.dtype == np.int32
+        assert len(set(map(tuple, elements.tolist()))) == size
+        assert dom.base_index == plane.pg1.base_pair
     with pytest.raises(ValueError):
-        domain(plane, "nonsense")
+        domain(plane, "tangent-lines")
 
 
 def test_pair_domain_base_index():
     pl = Plane(field(9))
     dom = pairs_domain(pl)
-    i, j = dom.elements[dom.base_index]
+    i, j = pl.pg1.pairs[dom.base_index]
     assert int(pl.field.BY_RANK[i]) == 0 and j == pl.field.q
 
 
@@ -273,7 +269,6 @@ def test_batched_kernels_equal_the_scalar_methods(q):
     assert pl.conic_counts(scaled).tolist() == counts
     assert pl.poles(scaled).tolist() == pl.poles(lines).tolist()
     assert pl.normalize_rows(scaled).tolist() == [list(pl.normalize(l)) for l in scaled]
-    assert domain(pl, "elliptic-lines").elements == [l for l, c in zip(lines, counts) if c == 0]
     with pytest.raises(ValueError):
         pl.normalize_rows([(1, 0, 0), (0, 0, 0)])
     with pytest.raises(ValueError):
@@ -284,7 +279,7 @@ def test_batched_kernels_equal_the_scalar_methods(q):
 def test_hyperbolic_domains_equal_the_scalar_construction(q):
     pl = Plane(field(q))
     secants = [pl.hyperbolic_line_pos(i, j) for i, j in pl.pg1.pairs.tolist()]
-    lines, points = domain(pl, "hyp-lines").elements, domain(pl, "hyp-points").elements
-    assert lines == secants
-    assert points == [pl.polarity_line_to_point(l) for l in secants]
-    assert all(type(c) is int for e in lines + points for c in e)
+    lines, points = domain(pl, "hyp-lines").coords, domain(pl, "hyp-points").coords
+    assert lines.dtype == points.dtype == np.int32
+    assert list(map(tuple, lines.tolist())) == secants
+    assert list(map(tuple, points.tolist())) == [pl.polarity_line_to_point(l) for l in secants]

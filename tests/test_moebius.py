@@ -441,7 +441,8 @@ def _scalar_perm(g, dom):
         return [int(tab[g.apply_pos(int(i)), g.apply_pos(int(j))]) for i, j in pl.pg1.pairs]
     r = g.rho()
     act = r.apply_point if dom.kind == "hyp-points" else r.apply_line
-    return [dom.index[act(e, pl)] for e in dom.elements]
+    images = [act(e, pl) for e in map(tuple, dom.coords.tolist())]
+    return dom.index_of_coords(np.array(images)).tolist()
 
 
 @pytest.mark.parametrize("q", [9, 25])
@@ -462,3 +463,18 @@ def test_batched_domain_perms_match_per_map(q):
             if q == 9:
                 for g, row in zip(maps, batch):
                     assert row.tolist() == _scalar_perm(g, dom)
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 25])
+def test_every_domain_is_indexed_like_the_pairs(q):
+    """Element i of every domain is pair i through the conic, so each
+    group's generators move pairs, secant lines and poles by the same
+    permutations, and the base element is {0, oo} on all three."""
+    fld = field(q)
+    pl = Plane(fld)
+    doms = [domain(pl, kind) for kind in ("pairs", "hyp-lines", "hyp-points")]
+    assert [dom.base_index for dom in doms] == [pl.pg1.base_pair] * 3
+    assert pl.pg1.pairs[pl.pg1.base_pair].tolist() == [pl.pg1.pos(0), pl.pg1.INF]
+    for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
+        pairs, lines, points = (domain_perms(coefficients(generators(fld, gid)), dom) for dom in doms)
+        assert np.array_equal(pairs, lines) and np.array_equal(pairs, points)

@@ -19,7 +19,6 @@ from scheme_forge.schemes import (
     NotASchemeError,
     NotTransitiveError,
     Scheme,
-    UnsupportedDomainError,
     fuse,
     fusion_map,
     group_orbital_scheme,
@@ -60,10 +59,10 @@ def test_triangular_p111_against_brute_force(t10):
 
 def test_triangular_matches_intersection_size_rule(t10):
     # relation of (x, y) is 2 - |x . y|
-    dom = t10.domain
+    pairs = t10.domain.plane.pg1.pairs.tolist()
     for a in range(0, 45, 7):
         for b in range(0, 45, 5):
-            inter = len(set(dom.elements[a]) & set(dom.elements[b]))
+            inter = len(set(pairs[a]) & set(pairs[b]))
             assert t10.relation(a, b) == 2 - inter
 
 
@@ -151,8 +150,6 @@ GENERIC_DIGESTS = {
     (13, "pairs"): "4dae40bae1316b700e898d6645de31478bebddaa4876f52d853a7e32d7527326",
     (13, "hyp-lines"): "4dae40bae1316b700e898d6645de31478bebddaa4876f52d853a7e32d7527326",
     (13, "hyp-points"): "4dae40bae1316b700e898d6645de31478bebddaa4876f52d853a7e32d7527326",
-    (9, "tangent-lines"): "1f7d9068c76fd2754d678880bc2542fc4cca74b934f5ce250c22069a54481471",
-    (9, "elliptic-lines"): "515c3b5abe6347eb9d3e10567a40c1905cfef1f1f3dae1705385780e5ec17428",
 }
 
 
@@ -472,7 +469,7 @@ def test_each_builder_records_the_check_it_passed(t10):
             psl,
             fi.m_scheme(fld),
             orbital_scheme_via_stabilizer(fld, "pgl", domain(pl, "hyp-points")),
-            group_orbital_scheme(fld, "pgammal", domain(pl, "tangent-lines")),
+            group_orbital_scheme(fld, "pgammal", domain(pl, "hyp-lines")),
         ],
         "fusion": [fuse(psl, part)],
         "exhaustive": [Scheme(ft.relation_matrix)],
@@ -535,13 +532,6 @@ def test_blocked_checks_reach_the_last_row_block(fault, message):
     M[n - 1, n - 2] = 0 if fault == "diagonal" else M[n - 1, n - 2] % M.max() + 1
     with pytest.raises(NotASchemeError, match=message):
         Scheme(M)
-
-
-def test_stabilizer_path_rejects_baseless_domain():
-    fld = field(9)
-    dom_ = domain(Plane(fld), "tangent-lines")
-    with pytest.raises(UnsupportedDomainError):
-        orbital_scheme_via_stabilizer(fld, "pgl", dom_)
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
@@ -1088,19 +1078,6 @@ def test_bare_matrix_above_the_exhaustive_limit_raises():
     with pytest.raises(DomainSizeError, match="automorphisms.*check=False"):
         Scheme(M)
     assert Scheme(M, check=False).verified_by == "structure"
-
-
-def test_elliptic_and_tangent_line_schemes():
-    """The full fractional-linear group is generously transitive on the
-    elliptic lines (checked computationally, no structural claim made),
-    and 2-transitive on the tangents, so that scheme is trivial."""
-    for q in (5, 7, 9):
-        fld = field(q)
-        pl = Plane(fld)
-        ell = group_orbital_scheme(fld, "pgl", domain(pl, "elliptic-lines"))
-        assert ell.is_symmetric()
-        tan = group_orbital_scheme(fld, "pgl", domain(pl, "tangent-lines"))
-        assert tan.d == 1 and tan.is_symmetric()
 
 
 def _admissible_by_blocks(fine, part):
