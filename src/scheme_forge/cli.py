@@ -64,7 +64,7 @@ def _moebius_dict(g):
     }
 
 
-def build_named_scheme(fld, name, kind="pairs", allow_large=False):
+def build_named_scheme(fld, name, kind="pairs"):
     """Construct one of the named schemes on the requested domain.  Group
     schemes on pairs go through the cache directory named by the
     environment variable SCHEME_FORGE_CACHE_DIR, when it is set."""
@@ -72,21 +72,21 @@ def build_named_scheme(fld, name, kind="pairs", allow_large=False):
     if name == "t":
         if kind != "pairs":
             raise ValueError("the triangular scheme lives on the pairs domain")
-        return sc.triangular_scheme(fi.domain_for(fld, kind), allow_large=allow_large)
+        return sc.triangular_scheme(fi.domain_for(fld, kind))
     if name == "ft":
         if kind != "pairs":
             raise ValueError("the cross-ratio fission scheme lives on the pairs domain")
-        return fi.build_ft(fld, allow_large=allow_large)
+        return fi.build_ft(fld)
     gid = mo.check_group_defined(fld, name)
     if kind == "pairs":
         cache_dir = os.environ.get("SCHEME_FORGE_CACHE_DIR")
         cached = _cache_load(cache_dir, fld, gid, kind)
         if cached is not None:
             return cached
-        S = fi._labeled_scheme(fld, gid, allow_large=allow_large)
+        S = fi._labeled_scheme(fld, gid)
         _cache_save(cache_dir, fld, gid, kind, S)
         return S
-    return sc.orbital_scheme_via_stabilizer(fld, gid, fi.domain_for(fld, kind), allow_large=allow_large)
+    return sc.orbital_scheme_via_stabilizer(fld, gid, fi.domain_for(fld, kind))
 
 
 # Bumped whenever the cached data or its meaning changes, so that files
@@ -199,7 +199,7 @@ def _p_tensor_csv(S):
 
 def cmd_build(args):
     fld = field(args.q, _parse_modulus(args.modulus))
-    S = build_named_scheme(fld, args.group, args.domain, args.allow_large)
+    S = build_named_scheme(fld, args.group, args.domain)
     if args.exhaustive:
         S.verify_exhaustive()
     if args.format == "json":
@@ -308,7 +308,7 @@ def cmd_group(args):
 
 def cmd_labels(args):
     fld = field(args.q, _parse_modulus(args.modulus))
-    S = build_named_scheme(fld, args.group, "pairs", args.allow_large)
+    S = build_named_scheme(fld, args.group, "pairs")
     pg1 = S.domain.plane.pg1
     labels = S.label_text()
     # the first column of each class in the base row
@@ -340,8 +340,8 @@ def cmd_labels(args):
 
 def cmd_fusion(args):
     fld = field(args.q, _parse_modulus(args.modulus))
-    fine = build_named_scheme(fld, args.fine, "pairs", args.allow_large)
-    coarse = build_named_scheme(fld, args.coarse, "pairs", args.allow_large)
+    fine = build_named_scheme(fld, args.fine, "pairs")
+    coarse = build_named_scheme(fld, args.coarse, "pairs")
     part = sc.fusion_map(coarse, fine)
     ok = part is not None
     payload = {
@@ -438,8 +438,9 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        if hasattr(args, "allow_large"):
-            sc._guard_size(args.q, args.allow_large)  # first: the field tables grow as q^2
+        # the one size check, before any field is built: its tables alone grow as q^2
+        if not getattr(args, "allow_large", True) and args.q > sc.MAX_DEFAULT_Q:
+            raise sc.DomainSizeError(f"q={args.q} > {sc.MAX_DEFAULT_Q} builds large tables; pass --allow-large to proceed")
         return args.fn(args)
     except (ValueError, OSError, sc.DomainSizeError) as e:
         print(f"error: {e}", file=sys.stderr)

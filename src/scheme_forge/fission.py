@@ -89,7 +89,7 @@ class RelationLabel:
 # -- plane/domain caches -----------------------------------------------------------
 # Kept on the field object itself, so each lives exactly as long as its
 # field and can never be handed to a later field that reuses its id().
-# A domain is O(n) arrays plus, on the plane domains, a q^3 lookup table.
+# A domain is O(n) arrays plus, on the plane domains, a 2q^2 + 1 lookup.
 
 
 def plane_for(fld):
@@ -110,7 +110,7 @@ def domain_for(fld, kind):
 # -- FT(q+1): the cross-ratio fission of the triangular scheme ----------------------
 
 
-def build_ft(fld, allow_large=False):
+def build_ft(fld):
     """The cross-ratio fission scheme on pairs, built with no group at all.
 
     With D[a, c] = det(h_a, h_c) for homogeneous coordinates h, pairs
@@ -129,7 +129,6 @@ def build_ft(fld, allow_large=False):
     (`schemes.closed_form_scheme`); labels attached.
     """
     dom = domain_for(fld, "pairs")
-    sc._guard_size(fld.q, allow_large)
     q, pg1 = fld.q, dom.plane.pg1
     MUL, ADD, NEG, INV = fld.MUL, fld.ADD, fld.NEG, fld.INV
     u, v = np.append(fld.BY_RANK, 1), np.append(np.ones(q, dtype=np.int32), 0)
@@ -354,10 +353,9 @@ def label_scheme(fld, gid, S):
     return S
 
 
-def _labeled_scheme(fld, gid, allow_large=False):
+def _labeled_scheme(fld, gid):
     """Stabilizer-path scheme of a group on pairs, proved and labeled."""
-    dom = domain_for(fld, "pairs")
-    return label_scheme(fld, gid, sc.orbital_scheme_via_stabilizer(fld, gid, dom, allow_large))
+    return label_scheme(fld, gid, sc.orbital_scheme_via_stabilizer(fld, gid, domain_for(fld, "pairs")))
 
 
 def three_domain_schemes(fld, gid):
@@ -368,22 +366,22 @@ def three_domain_schemes(fld, gid):
     ]
 
 
-def pgl_scheme(fld, allow_large=False):
+def pgl_scheme(fld):
     """The full fractional-linear group scheme, labeled by cross-ratio."""
-    return _labeled_scheme(fld, "pgl", allow_large)
+    return _labeled_scheme(fld, "pgl")
 
 
-def psl_scheme(fld, allow_large=False):
-    return _labeled_scheme(fld, "psl", allow_large)
+def psl_scheme(fld):
+    return _labeled_scheme(fld, "psl")
 
 
-def m_scheme(fld, allow_large=False):
+def m_scheme(fld):
     """The twisted-group scheme with Delta labels and orbit bookkeeping."""
-    return _labeled_scheme(fld, "m", allow_large)
+    return _labeled_scheme(fld, "m")
 
 
-def pgammal_scheme(fld, allow_large=False):
-    return _labeled_scheme(fld, "pgammal", allow_large)
+def pgammal_scheme(fld):
+    return _labeled_scheme(fld, "pgammal")
 
 
 def _int_sqrt(q):

@@ -330,7 +330,8 @@ class Domain:
     element `base_index` is the pair {0, oo} on each.  The elements are
     stored once, as int32 arrays: `pg1.pairs` on pairs, whose `coords`
     is None, and the normalized coordinate triples `coords`, row i for
-    pair i, on the plane kinds."""
+    pair i, on the plane kinds, inverted by a table of 2q^2 + 1 entries
+    (see `index_of_coords`)."""
 
     KINDS = ("pairs", "hyp-lines", "hyp-points")
 
@@ -343,16 +344,19 @@ class Domain:
         self.coords = coords
         if coords is not None:
             q = plane.field.q
-            codes = (coords[:, 0] * q + coords[:, 1]) * q + coords[:, 2]
-            lookup = np.full(q * q * q, -1, dtype=np.int32)
-            lookup[codes] = np.arange(self.n, dtype=np.int32)
-            self._code_lookup = lookup
+            self._code_lookup = np.full(2 * q * q + 1, -1, dtype=np.int32)
+            self._code_lookup[self._codes(coords)] = np.arange(self.n, dtype=np.int32)
+
+    def _codes(self, coords_array):
+        q = self.field.q
+        return (coords_array[:, 0].astype(np.int64) * q + coords_array[:, 1]) * q + coords_array[:, 2]
 
     def index_of_coords(self, coords_array):
-        """Vectorized element -> index lookup for coordinate-triple domains."""
-        q = self.field.q
-        codes = (coords_array[:, 0].astype(np.int64) * q + coords_array[:, 1]) * q + coords_array[:, 2]
-        idx = self._code_lookup[codes]
+        """Indices of the rows of a (k, 3) code array; ValueError if one
+        is not an element.  A normalized triple has c0 in {0, 1}, so its
+        code (c0 q + c1) q + c2 is below 2q^2 and 2q^2 + 1 entries do:
+        larger codes are clipped to the last, -1, as no element has them."""
+        idx = self._code_lookup.take(self._codes(coords_array), mode="clip")
         if (idx < 0).any():
             raise ValueError("coordinates outside the domain")
         return idx

@@ -230,7 +230,7 @@ class GF:
                 raise ZeroDivisionError("0 has no inverse")
             return 0
         if n < 0:
-            x = int(self.INV[x]) if hasattr(self, "INV") else self._pow_int(x, self.q - 2)
+            x = int(self.INV[x])
             n = -n
         r = 1
         b = x
@@ -327,12 +327,9 @@ class GF:
             return value
         if isinstance(value, (list, tuple)):
             return FieldElement(self, self.from_coeffs(value))
-        return FieldElement(self, int(value) % self.p if self.m == 1 else self._lift_int(value))
-
-    def _lift_int(self, value):
         # ints are read as prime-subfield values; full encodings must use
         # coefficient vectors or from_coeffs to avoid ambiguity
-        return int(value) % self.p
+        return FieldElement(self, int(value) % self.p)
 
     def element_from_code(self, v):
         """Wrap a raw table code 0..q-1 (engine representation)."""

@@ -528,10 +528,14 @@ def group_order(fld, gid):
     return (fld.q**3 - fld.q) // 2 * int(_cells(fld, gid).sum())
 
 
-def enumerate_group(fld, gid, max_order=2_000_000):
+# The largest group `enumerate_group` lists, one Moebius object an element.
+MAX_ENUMERATED_ORDER = 2_000_000
+
+
+def enumerate_group(fld, gid):
     """All elements by closure under composition from the generators."""
     gid = check_group_defined(fld, gid)
-    if group_order(fld, gid) > max_order:
+    if group_order(fld, gid) > MAX_ENUMERATED_ORDER:
         raise ValueError("group too large to enumerate explicitly")
     gens = generators(fld, gid)
     seen = {Moebius.identity(fld)}

@@ -44,14 +44,6 @@ class DomainSizeError(RuntimeError):
     """Guard against accidentally huge dense relation matrices."""
 
 
-def _guard_size(q, allow_large):
-    if q > MAX_DEFAULT_Q and not allow_large:
-        raise DomainSizeError(
-            f"q={q} > {MAX_DEFAULT_Q} gives large field tables and relation matrices; "
-            "pass allow_large=True (CLI: --allow-large) to proceed"
-        )
-
-
 # The block budget: row blocks hold about this many entries, so blocked
 # passes over an n x n matrix need temporaries of a few hundred kB (index
 # arrays take eight bytes an entry) instead of multiples of n^2, and the
@@ -384,7 +376,7 @@ def closed_form_scheme(dom, codes, perms):
     return S
 
 
-def orbital_scheme(perms, dom, allow_large=False):
+def orbital_scheme(perms, dom):
     """Scheme of the diagonal action on ordered pairs, from orbit labels.
 
     `perms` are permutation arrays of the domain for a generating set of
@@ -395,8 +387,11 @@ def orbital_scheme(perms, dom, allow_large=False):
     column of its orbit's least pair in row 0 and numbering row 0 by
     first occurrence numbers the classes by least pair.  `_orbits` is
     exact for permutations, checked here, so this proves the result.
+    It holds three int64 n x n label arrays, about 1.6 GB at q = 127, so
+    it raises DomainSizeError above MAX_DEFAULT_Q.
     """
-    _guard_size(dom.field.q, allow_large)
+    if dom.field.q > MAX_DEFAULT_Q:
+        raise DomainSizeError(f"the generic path stops at q = {MAX_DEFAULT_Q}, not q = {dom.field.q}")
     n = dom.n
     perms = np.asarray(perms)
     if perms.shape[1:] != (n,) or (np.sort(perms, axis=1) != np.arange(n)).any():
@@ -423,7 +418,7 @@ def _group_order(perms):
     return len(seen)
 
 
-def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
+def orbital_scheme_via_stabilizer(fld, gid, dom):
     """The scheme of group `gid` on a domain, from the orbits of the
     stabilizer of its base element b, the pair {0, oo} in each model, and
     one transporter T_x per element x, with exact parameters and no n x n
@@ -452,7 +447,6 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
     `moebius.label_table`, and `Scheme._from_orbits` reads the
     parameters through it.
     """
-    _guard_size(dom.field.q, allow_large)
     gid = mo.check_group_defined(fld, gid)
     n, base = dom.n, dom.base_index
     gens = mo.coefficients(mo.generators(fld, gid))
@@ -475,12 +469,11 @@ def orbital_scheme_via_stabilizer(fld, gid, dom, allow_large=False):
     return Scheme._from_orbits(dom, lambda xs: mo.domain_perms(transporters[xs], dom, table))
 
 
-def triangular_scheme(dom, allow_large=False):
+def triangular_scheme(dom):
     """T(q+1), the orbital scheme of the symmetric group of PG(1,q) on
     pairs: the code 2 minus the number of shared points, which every point
     permutation keeps, so (0 1), (0 1 ... q) and the base pair stabilizer's
     (0 q), (1 2), (1 2 ... q-1), lifted to pairs, certify it."""
-    _guard_size(dom.field.q, allow_large)
     pg1 = dom.plane.pg1
     q, ends = pg1.n_points - 1, pg1.pairs.T
 
@@ -498,10 +491,10 @@ def triangular_scheme(dom, allow_large=False):
     return closed_form_scheme(dom, codes, pg1.pair_images(points))
 
 
-def group_orbital_scheme(fld, gid, dom, allow_large=False):
+def group_orbital_scheme(fld, gid, dom):
     """Generic-path scheme of one of the named groups on a domain."""
     perms = mo.domain_perms(mo.coefficients(mo.generators(fld, gid)), dom)
-    return orbital_scheme(perms, dom, allow_large=allow_large)
+    return orbital_scheme(perms, dom)
 
 
 # -- comparisons and fusions -----------------------------------------------------------

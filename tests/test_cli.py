@@ -167,6 +167,29 @@ def test_oversized_q_is_refused_before_any_field_is_built(capsys, monkeypatch):
     assert code == 2 and "q <= 127" in err
 
 
+def test_the_library_takes_no_size_knob():
+    """The one size check is the CLI's, on q as it arrives: no library
+    callable takes `allow_large` or `max_order`."""
+    import inspect
+
+    import scheme_forge
+    from scheme_forge import cli, fission, schemes
+
+    callables = [getattr(scheme_forge, name) for name in dir(scheme_forge)]
+    for mod in (cli, fission, schemes, mo):
+        callables += [v for v in vars(mod).values() if getattr(v, "__module__", None) == mod.__name__]
+    callables += [m for c in list(callables) if inspect.isclass(c) for m in vars(c).values()]
+    checked = 0
+    for fn in filter(callable, callables):
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):
+            continue
+        checked += 1
+        assert not {"allow_large", "max_order"} & params.keys(), fn
+    assert checked > 100
+
+
 @pytest.mark.parametrize(
     "argv",
     [("geometry", "dump", "--what", "conic"), ("group", "info", "--group", "pgl")],

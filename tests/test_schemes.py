@@ -1061,12 +1061,15 @@ def test_p_polynomial_absent_for_psl9():
 
 
 def test_size_guard():
+    """The stabilizer path holds O(n + q^2) and builds at any q with no
+    flag; the generic path holds three int64 n x n label arrays and stops
+    above MAX_DEFAULT_Q, with no way round."""
     fld = field(169)
-    dom_ = pairs_domain(Plane(fld))
+    S = orbital_scheme_via_stabilizer(fld, "pgl", pairs_domain(Plane(fld)))
+    assert S.n == 169 * 170 // 2 == 14365
+    fld = field(131)
     with pytest.raises(DomainSizeError):
-        orbital_scheme_via_stabilizer(fld, "pgl", dom_)
-    S = orbital_scheme_via_stabilizer(fld, "pgl", dom_, allow_large=True)
-    assert S.n == 169 * 170 // 2
+        group_orbital_scheme(fld, "pgl", pairs_domain(Plane(fld)))
 
 
 def test_bare_matrix_above_the_exhaustive_limit_raises():
