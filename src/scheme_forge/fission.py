@@ -398,23 +398,21 @@ def psl_class_count_formula(q):
 # -- theorem verifiers -----------------------------------------------------------------
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
 def report_psl_class_count(psl):
     q = psl.domain.field.q
     predicted = {"classes": psl_class_count_formula(q), "symmetric": False}
-    computed, dt = _timed(lambda: {"classes": psl.d, "symmetric": psl.is_symmetric()})
+    t0 = time.perf_counter()
+    computed = {"classes": psl.d, "symmetric": psl.is_symmetric()}
+    dt = time.perf_counter() - t0
     return TheoremReport("psl-class-count", q, predicted, computed, predicted == computed, dt)
 
 
 def report_m_class_count(msch):
     q = msch.domain.field.q
     predicted = {"classes": (3 * q + 5) // 8, "symmetric": q == 9}
-    computed, dt = _timed(lambda: {"classes": msch.d, "symmetric": msch.is_symmetric()})
+    t0 = time.perf_counter()
+    computed = {"classes": msch.d, "symmetric": msch.is_symmetric()}
+    dt = time.perf_counter() - t0
     return TheoremReport("m-class-count", q, predicted, computed, predicted == computed, dt)
 
 
@@ -427,18 +425,16 @@ def report_m9_octagon(S):
         "p_polynomial": True,
         "intersection_array": ([4, 2, 2, 2], [1, 1, 1, 2]),
     }
-
-    def run():
-        orders = sc.p_polynomial_orderings(S)
-        arrays = [o["intersection_array"] for o in orders]
-        return {
-            "n": S.n,
-            "symmetric": S.is_symmetric(),
-            "p_polynomial": bool(orders),
-            "intersection_array": arrays[0] if arrays else None,
-        }
-
-    computed, dt = _timed(run)
+    t0 = time.perf_counter()
+    orders = sc.p_polynomial_orderings(S)
+    arrays = [o["intersection_array"] for o in orders]
+    computed = {
+        "n": S.n,
+        "symmetric": S.is_symmetric(),
+        "p_polynomial": bool(orders),
+        "intersection_array": arrays[0] if arrays else None,
+    }
+    dt = time.perf_counter() - t0
     q = S.domain.field.q
     return TheoremReport("m9-octagon", q, predicted, computed, predicted == computed, dt)
 
@@ -451,10 +447,9 @@ def report_commutativity(msch):
         49: {"symmetric": False, "commutative": False},
         81: {"symmetric": False, "commutative": False},
     }[q]
-
-    computed, dt = _timed(
-        lambda: {"symmetric": msch.is_symmetric(), "commutative": msch.is_commutative()}
-    )
+    t0 = time.perf_counter()
+    computed = {"symmetric": msch.is_symmetric(), "commutative": msch.is_commutative()}
+    dt = time.perf_counter() - t0
     return TheoremReport("m-commutativity", q, predicted, computed, predicted == computed, dt)
 
 
@@ -470,19 +465,17 @@ def report_ft(ft, pgl_orbital):
         "equals_orbital": True,
         "symmetric": True,
     }
-
-    def run():
-        v = {lab.kind: int(ft.valencies[k]) for k, lab in enumerate(ft.labels) if k}
-        return {
-            "classes": ft.d,
-            "share_valency": v.get("share"),
-            "harmonic_valency": v.get("harmonic"),
-            "ratio_valency": v.get("ratio"),
-            "equals_orbital": sc.partition_bijection(ft, pgl_orbital) is not None,
-            "symmetric": ft.is_symmetric(),
-        }
-
-    computed, dt = _timed(run)
+    t0 = time.perf_counter()
+    v = {lab.kind: int(ft.valencies[k]) for k, lab in enumerate(ft.labels) if k}
+    computed = {
+        "classes": ft.d,
+        "share_valency": v.get("share"),
+        "harmonic_valency": v.get("harmonic"),
+        "ratio_valency": v.get("ratio"),
+        "equals_orbital": sc.partition_bijection(ft, pgl_orbital) is not None,
+        "symmetric": ft.is_symmetric(),
+    }
+    dt = time.perf_counter() - t0
     return TheoremReport("ft-cross-ratio", q, predicted, computed, predicted == computed, dt)
 
 
@@ -493,19 +486,11 @@ def report_pgammal(S):
     predicted = {"classes": {9: 4, 25: 9, 49: 16}.get(q, count), "symmetric": True, "count_agrees": True}
     if q in (9, 25, 49):
         predicted["p_polynomial"] = q == 9
-
-    def run():
-        out = {
-            "classes": S.d,
-            "symmetric": S.is_symmetric(),
-            "count_agrees": S.d == count,
-        }
-        if q in (9, 25, 49):
-            orders = sc.p_polynomial_orderings(S)
-            out["p_polynomial"] = bool(orders)
-        return out
-
-    computed, dt = _timed(run)
+    t0 = time.perf_counter()
+    computed = {"classes": S.d, "symmetric": S.is_symmetric(), "count_agrees": S.d == count}
+    if q in (9, 25, 49):
+        computed["p_polynomial"] = bool(sc.p_polynomial_orderings(S))
+    dt = time.perf_counter() - t0
     return TheoremReport("pgammal-class-count", q, predicted, computed, predicted == computed, dt)
 
 
@@ -576,12 +561,10 @@ def report_three_domain_isomorphism(gid, on_pairs, on_lines, on_points):
     partition under the explicit bijections of the domains."""
     q = on_pairs.domain.field.q
     predicted = {"isomorphic": True}
-
-    def run():
-        maps = [sc.partition_bijection(on_pairs, S) for S in (on_lines, on_points)]
-        return {"isomorphic": all(m is not None for m in maps)}
-
-    computed, dt = _timed(run)
+    t0 = time.perf_counter()
+    maps = [sc.partition_bijection(on_pairs, S) for S in (on_lines, on_points)]
+    computed = {"isomorphic": all(m is not None for m in maps)}
+    dt = time.perf_counter() - t0
     return TheoremReport(
         f"three-domain-isomorphism[{gid}]", q, predicted, computed, predicted == computed, dt
     )

@@ -156,8 +156,7 @@ class Plane:
         self.field = fld
         self.pg1 = PG1(fld)
         self._conic = None
-        self._all_lines = None
-        self._all_points = None
+        self._reps = None
 
     # -- coordinates ----------------------------------------------------------
 
@@ -301,25 +300,14 @@ class Plane:
 
     def all_points(self):
         """All q^2+q+1 points, in a fixed canonical enumeration."""
-        if self._all_points is None:
-            self._all_points = self._enumerate_reps()
-        return self._all_points
+        if self._reps is None:
+            order = [int(v) for v in self.field.BY_RANK]
+            self._reps = [(0, 0, 1)] + [(0, 1, a) for a in order] + [(1, a, b) for a in order for b in order]
+        return self._reps
 
     def all_lines(self):
-        """All q^2+q+1 lines (dual coordinates), same enumeration."""
-        if self._all_lines is None:
-            self._all_lines = self._enumerate_reps()
-        return self._all_lines
-
-    def _enumerate_reps(self):
-        out = [(0, 0, 1)]
-        order = [int(v) for v in self.field.BY_RANK]
-        for a in order:
-            out.append((0, 1, a))
-        for a in order:
-            for b in order:
-                out.append((1, a, b))
-        return out
+        """All q^2+q+1 lines (dual coordinates): the triples of `all_points`."""
+        return self.all_points()
 
 
 class Domain:

@@ -3,17 +3,19 @@
 A Scheme is an n x n relation matrix of small class indices, entry
 (x, y) the class of the ordered pair, 0 the diagonal, with its valencies,
 transpose map and intersection numbers, read through one row reader.
-Built from a matrix, it is checked for structure and, with `check`,
-proved exactly, never by sampling: by a certificate from automorphisms,
-or exhaustively.  Every other builder proves its classes the orbitals of
-a group and hands its row reader to `Scheme._from_orbits`, which reads
-the parameters at one pair of each class and fills no matrix until one
-is read whole: the stabilizer path, from stabilizer orbits and
-transporters, and `closed_form_scheme`, from codes and automorphisms
-proved on (q+1)^2 point tables (T(q+1) here, FT(q+1) in `fission`).
-`Scheme.verified_by` records which proof a scheme has.  One routine,
-`Scheme.p_tensor`, counts intersection numbers; structural queries and
-fusions of proven schemes (`fusion_map`) read that tensor or row blocks.
+Every Scheme is proven, exactly and never by sampling, and
+`Scheme.verified_by` names the proof.  Built from a matrix, it is
+checked for structure and proved by a certificate from automorphisms,
+or exhaustively.  Every other builder proves its classes itself and
+hands its row reader to `Scheme._from_rows`, which reads the parameters
+at one pair of each class, as `Scheme` does, and fills no matrix until
+one is read whole: `orbital_scheme` and the stabilizer path prove them
+the orbitals of a group, `closed_form_scheme` from codes and
+automorphisms proved on (q+1)^2 point tables (T(q+1) here, FT(q+1) in
+`fission`), and `fuse` from the admissible partition of a proven
+scheme.  One routine, `Scheme.p_tensor`, counts intersection numbers;
+structural queries and fusions (`fusion_map`) read that tensor or row
+blocks.
 
 Classes are numbered one way, by `_renumber_first_occurrence`: by first
 occurrence in row 0, which is their least pair in row-major order, so
@@ -94,96 +96,90 @@ def _renumber_first_occurrence(row, size):
 
 
 class Scheme:
-    """An association scheme on an enumerated domain.
+    """A proven association scheme on an enumerated domain.
 
-    `relation_matrix` is the n x n matrix; a scheme from `_from_orbits`
-    fills it, a row block at a time, the first time it is read.  The one
-    row reader `_rows(xs)`, xs a slice or an index array, reads the matrix
-    once there is one and computes the rows before; `row`, `row_blocks`,
-    `relation` and `p_tensor` read only through it.
+    Every `Scheme` is a proof: no constructor returns one whose axioms
+    were not proved, and `verified_by` names the proof.  A bare
+    `relation_matrix` is proved by `automorphisms` (permutation arrays
+    of the domain, `_certify`), "certificate", or without them by the
+    blocked transposition check and `verify_exhaustive`, "exhaustive",
+    which raises DomainSizeError above n = MAX_EXHAUSTIVE_N.  First it
+    is checked for structure: a matrix that is not square raises
+    ValueError, and a negative or non-integer entry, a row 0 missing a
+    class 0..d, a diagonal other than class 0 or a class 0 off the
+    diagonal raise NotASchemeError.  Every builder proves its classes
+    itself and ends in `_from_rows`: "orbits" (`orbital_scheme` and the
+    stabilizer path), "certificate" (`closed_form_scheme`: T and FT) and
+    "fusion" (`fuse`).
 
-    Row 0 holds every class 0..d, as every row of a scheme does, and
-    `class_reps[k]` is the first pair (0, y) of class k.  Built from a
-    matrix, a row 0 missing a class, a negative or non-integer entry, a
-    diagonal other than class 0, or class sizes not multiples of n raise
-    NotASchemeError.  With `check`, `automorphisms` (permutation arrays of
-    the domain) certify the matrix (`_certify`); without them it gets the
-    blocked transposition check and `verify_exhaustive`, which raises
-    DomainSizeError above n = MAX_EXHAUSTIVE_N.  `verified_by` is then
-    "certificate" or "exhaustive", else "structure"; `orbital_scheme` and
-    the stabilizer path set "orbits", `closed_form_scheme` (T and FT)
-    "certificate" and `fuse` "fusion".
+    The one row reader `_rows(xs)`, xs a slice or an index array, reads
+    the matrix once there is one and computes the rows before; `row`,
+    `row_blocks`, `relation` and `p_tensor` read only through it, and
+    `relation_matrix` fills the matrix from it, a row block at a time,
+    the first time it is read.  Row 0 holds every class 0..d, as every
+    row of a scheme does, and `class_reps[k]` is the first pair (0, y)
+    of class k.
     """
 
-    def __init__(self, relation_matrix, domain=None, check=True, automorphisms=None):
+    def __init__(self, relation_matrix, domain=None, automorphisms=None):
         M = np.ascontiguousarray(relation_matrix)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("relation matrix must be square")
-        self._matrix, self._rows, self._p_tensor = M, M.__getitem__, None
-        self.n = M.shape[0]
-        self.d = int(M.max())
-        self.domain = domain
-        self.labels = None
-
-        remap, first = _renumber_first_occurrence(M[0], self.d + 1)
-        if len(first) != self.d + 1 or M.min() < 0:
+        if not np.issubdtype(M.dtype, np.integer) or M.min() < 0:
+            raise NotASchemeError("class indices must be non-negative integers")
+        self._read(domain, M)
+        if self.d != M.max():
             raise NotASchemeError("row 0 must hold every class 0..d, and nothing else may occur")
-        self.class_reps = [(0, int(first[k])) for k in remap.tolist()]
-
         if (np.diagonal(M) != 0).any():
             raise NotASchemeError("the diagonal must be relation 0")
-        # counted per row block: bincount copies its input to intp
-        counts = np.zeros(self.d + 1, dtype=np.int64)
-        for _, _, rows in self.row_blocks():
-            counts += np.bincount(rows.ravel(), minlength=self.d + 1)
-        if counts[0] != self.n:
+        # the exhaustive check alone would accept a block equivalence as
+        # class 0, and `_certify` needs class 0 to be the diagonal
+        if np.count_nonzero(M) != self.n * (self.n - 1):
             raise NotASchemeError("relation 0 must be exactly the diagonal")
-
-        tmap = M[first[remap], 0].astype(np.int32)
-        if check and automorphisms is None:
-            tm = tmap.astype(M.dtype)
-            for r0, r1, rows in self.row_blocks():
-                if not np.array_equal(tm[rows], M[:, r0:r1].T):
-                    raise NotASchemeError("classes are not closed under transposition")
-        self.transpose_map = tmap
-
-        if (counts % self.n != 0).any():
-            raise NotASchemeError("class sizes are not multiples of n")
-        self.valencies = (counts // self.n).astype(np.int64)
-        self.verified_by = "structure"
-        if check and automorphisms is None:
-            if self.n > MAX_EXHAUSTIVE_N:
-                raise DomainSizeError(
-                    f"n = {self.n} > {MAX_EXHAUSTIVE_N} is too large to check exhaustively; "
-                    "pass automorphisms to certify the matrix, or check=False"
-                )
-            self.verify_exhaustive()
-            self.verified_by = "exhaustive"
-        elif check:
+        if automorphisms is not None:
             self._certify(np.asarray(automorphisms))
             self.verified_by = "certificate"
+            return
+        tm = self.transpose_map.astype(M.dtype)
+        for r0, r1, rows in self.row_blocks():
+            if not np.array_equal(tm[rows], M[:, r0:r1].T):
+                raise NotASchemeError("classes are not closed under transposition")
+        if self.n > MAX_EXHAUSTIVE_N:
+            raise DomainSizeError(
+                f"n = {self.n} > {MAX_EXHAUSTIVE_N} is too large to check exhaustively; "
+                "pass automorphisms to certify the matrix"
+            )
+        self.verify_exhaustive()
+        self.verified_by = "exhaustive"
 
     @classmethod
-    def _from_orbits(cls, domain, rows):
-        """A scheme whose builder proved its classes the orbitals of a
-        group, numbered by first occurrence in row 0, with no matrix:
-        `rows(xs)` reads the rows xs, a slice or an index array.  Read at
-        one pair of a class, parameters are exact: class_reps from the
+    def _from_rows(cls, domain, rows, verified_by):
+        """The scheme whose builder proved it by `verified_by`, read through
+        `rows`: the row reader, `rows(xs)` the rows xs, a slice or an index
+        array, or the filled matrix."""
+        S = cls.__new__(cls)
+        S._read(domain, rows)
+        S.verified_by = verified_by
+        return S
+
+    def _read(self, domain, rows):
+        """Take the row reader, or the matrix, and read the parameters at
+        one pair of each class, exact in a scheme: class_reps from the
         first occurrences in row 0, valencies from its counts and
         transpose_map[k] = R(y_k, 0), from representative rows in blocks."""
-        S = cls.__new__(cls)
-        S._matrix, S._rows, S._p_tensor = None, rows, None
-        S.n, S.domain, S.labels = domain.n, domain, None
-        row0 = S.row(0)
+        if isinstance(rows, np.ndarray):
+            self._matrix, self._rows, self.n = rows, rows.__getitem__, len(rows)
+        else:
+            self._matrix, self._rows, self.n = None, rows, domain.n
+        self.domain, self.labels, self._p_tensor = domain, None, None
+        row0 = self.row(0)
         first = np.unique(row0, return_index=True)[1]
-        S.d = len(first) - 1
-        S.class_reps = [(0, int(y)) for y in first]
-        S.valencies = np.bincount(row0).astype(np.int64)
-        S.transpose_map = np.concatenate(
-            [rows(first[k0:k1])[:, 0] for k0, k1 in _row_blocks(S.d + 1, S.n)]
+        self.d = len(first) - 1
+        self.class_reps = [(0, int(y)) for y in first]
+        self.valencies = np.bincount(row0).astype(np.int64)
+        self.transpose_map = np.concatenate(
+            [self._rows(first[k0:k1])[:, 0] for k0, k1 in _row_blocks(self.d + 1, self.n)]
         ).astype(np.int32)
-        S.verified_by = "orbits"
-        return S
 
     @property
     def relation_matrix(self):
@@ -224,12 +220,11 @@ class Scheme:
         bincount of R(0, z) (d + 1) + R(z, y_k) over z, one bincount per
         block of classes.  Column y_k is the transposed row, R(z, y_k) =
         t(R(y_k, z)) for t the transpose map, so no matrix is filled.
-        That holds when the classes are closed under transposition: in a
-        proven scheme, and in a bare matrix with `check`, whose blocked
+        That holds when the classes are closed under transposition, as
+        in a scheme, and in a bare matrix before its proof, whose blocked
         transposition check runs before `verify_exhaustive`, which
-        compares every pair with the tensor, the representatives
-        included, so it is sound whatever tensor it is given.  Exact
-        whenever `verified_by` is not "structure"."""
+        compares every pair with the tensor, so it is sound whatever
+        tensor it is given."""
         if self._p_tensor is None:
             d1 = self.d + 1
             left = self.row(0).astype(np.intp) * d1
@@ -371,9 +366,7 @@ def closed_form_scheme(dom, codes, perms):
     if perms.shape[1:] != (dom.n,) or (np.sort(perms, axis=1) != np.arange(dom.n)).any():
         raise NotASchemeError("every automorphism must be a permutation array of the domain")
     _orbit_certificate(perms, dom, len(first))
-    S = Scheme._from_orbits(dom, lambda xs: remap[codes(xs)])
-    S.verified_by = "certificate"
-    return S
+    return Scheme._from_rows(dom, lambda xs: remap[codes(xs)], "certificate")
 
 
 def orbital_scheme(perms, dom):
@@ -400,9 +393,7 @@ def orbital_scheme(perms, dom):
     if np.diagonal(lab).any():
         raise NotTransitiveError("the generated group is not transitive on the domain")
     remap, _ = _renumber_first_occurrence(lab[0], n)
-    S = Scheme(remap[lab], domain=dom, check=False)
-    S.verified_by = "orbits"
-    return S
+    return Scheme._from_rows(dom, remap[lab], "orbits")
 
 
 def _group_order(perms):
@@ -444,7 +435,7 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
     T_b lies in G_b, so L numbered so is the base row.  The scheme's row
     reader moves the rows xs by the transporters through
     `moebius.domain_perms`, reading the base row through
-    `moebius.label_table`, and `Scheme._from_orbits` reads the
+    `moebius.label_table`, and `Scheme._from_rows` reads the
     parameters through it.
     """
     gid = mo.check_group_defined(fld, gid)
@@ -466,7 +457,7 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
 
     remap, _ = _renumber_first_occurrence(lab[mo.domain_perms(transporters[:1], dom)[0]], n)
     table = mo.label_table(dom, remap[lab])
-    return Scheme._from_orbits(dom, lambda xs: mo.domain_perms(transporters[xs], dom, table))
+    return Scheme._from_rows(dom, lambda xs: mo.domain_perms(transporters[xs], dom, table), "orbits")
 
 
 def triangular_scheme(dom):
@@ -524,8 +515,8 @@ def fusion_map(coarse, fine):
     """Map fine classes onto coarse classes, or None if not a refinement.
 
     One comparison of the coarse matrix with the fine one fused along
-    the coarse classes of the fine representatives.  When both schemes
-    are proven, a map returned here makes coarse a fusion scheme of fine:
+    the coarse classes of the fine representatives.  As both schemes are
+    proven, a map returned here makes coarse a fusion scheme of fine:
     R_C = f(R_F) on every pair, so the transpose of each block is the
     block of a transposed coarse class, and the fused sums of fine's
     intersection numbers are coarse's, which are constant."""
@@ -535,24 +526,23 @@ def fusion_map(coarse, fine):
     return part if _fuses_onto(coarse, fine, part) else None
 
 
-def is_fusion(coarse, fine, partition):
-    """Whether a caller's `partition` (fine class -> coarse class)
-    realizes coarse as a fusion scheme of fine: admissible, reproducing
-    the coarse relations exactly, and with constant fused intersection
-    numbers, so that it holds even when coarse is not proven.  A
-    `partition` of None, which `fusion_map` returns when fine does not
-    refine coarse, is no fusion.
-    """
-    if partition is None:
-        return False
+def _partition(fine, partition):
+    """`partition` (fine class -> block) as an int64 array, ValueError
+    unless it has one entry for each class of `fine`."""
     part = np.asarray(partition, dtype=np.int64)
     if part.shape != (fine.d + 1,):
         raise ValueError("partition must assign every fine class")
-    return (
-        _is_admissible(fine, part)
-        and _fuses_onto(coarse, fine, part)
-        and _sums_are_constant(fine, part)
-    )
+    return part
+
+
+def is_fusion(coarse, fine, partition):
+    """Whether a caller's `partition` (fine class -> coarse class)
+    reproduces the coarse relations from the fine ones exactly, which,
+    as both schemes are proven, realizes coarse as a fusion scheme of
+    fine (see `fusion_map`).  A `partition` of None, which `fusion_map`
+    returns when fine does not refine coarse, is no fusion.
+    """
+    return partition is not None and _fuses_onto(coarse, fine, _partition(fine, partition))
 
 
 def _is_admissible(fine, part):
@@ -581,19 +571,18 @@ def _sums_are_constant(fine, part):
 
 
 def fuse(fine, partition):
-    """Build the fused scheme.  NotASchemeError unless the partition is
-    admissible with constant fused intersection numbers, which proves
-    the fusion of a proved scheme a scheme."""
-    part = np.asarray(partition, dtype=np.int64)
+    """The fused scheme, whose rows are the rows of `fine` read through the
+    partition, so no matrix is filled.  NotASchemeError unless the
+    partition is admissible with constant fused intersection numbers,
+    which proves the fusion of the proven scheme `fine` a scheme."""
+    part = _partition(fine, partition)
     if not _is_admissible(fine, part):
         raise NotASchemeError("the partition is not admissible")
     if not _sums_are_constant(fine, part):
         raise NotASchemeError("the fused intersection numbers are not constant")
-    remap, _ = _renumber_first_occurrence(part[fine.relation_matrix[0]], int(part.max()) + 1)
-    S = Scheme(remap[part][fine.relation_matrix], domain=fine.domain, check=False)
-    if fine.verified_by != "structure":
-        S.verified_by = "fusion"
-    return S
+    remap, _ = _renumber_first_occurrence(part[fine.row(0)], int(part.max()) + 1)
+    fused = remap[part]
+    return Scheme._from_rows(fine.domain, lambda xs: fused[fine._rows(xs)], "fusion")
 
 
 # -- P-polynomial structure ----------------------------------------------------------
@@ -621,24 +610,21 @@ def p_polynomial_orderings(S):
     Empty list means the scheme is not P-polynomial.
 
     P-polynomiality is a property of the intersection numbers (Bannai-Ito,
-    Algebraic Combinatorics I, III.1.1), read here off the exact p-tensor,
-    so S must be proven: ValueError if `verified_by` is "structure".  A
-    symmetric class c qualifies exactly when the class search of
-    `_class_distances_form_a_path` meets one class per layer, k_0 = 0,
-    k_1 = c, ..., k_d.  Suppose k_0..k_e are the relations of distance
-    0..e in the graph of c.  A pair at distance e + 1 has a z at distance
-    e from its first point and adjacent to its second, so its class j is
-    unseen with p^j_(k_e, c) > 0: it lies in layer e + 1, which is
-    {k_(e+1)}.  Conversely p^(k_(e+1))_(k_e, c) > 0 on every pair of class
-    k_(e+1), as P is exact, so each such pair is at distance at most
+    Algebraic Combinatorics I, III.1.1), read here off the p-tensor, exact
+    as S is proven.  A symmetric class c qualifies exactly when the class
+    search of `_class_distances_form_a_path` meets one class per layer,
+    k_0 = 0, k_1 = c, ..., k_d.  Suppose k_0..k_e are the relations of
+    distance 0..e in the graph of c.  A pair at distance e + 1 has a z at
+    distance e from its first point and adjacent to its second, so its
+    class j is unseen with p^j_(k_e, c) > 0: it lies in layer e + 1, which
+    is {k_(e+1)}.  Conversely p^(k_(e+1))_(k_e, c) > 0 on every pair of
+    class k_(e+1), as P is exact, so each such pair is at distance at most
     e + 1, and not at most e, as k_(e+1) is none of k_0..k_e.  So by
     induction k_e is the distance-e relation for every e, and a search
     that reaches every class has found the distance partition; if S is
     P-polynomial for c, the same argument shows the search meets its
     distance classes one per layer.
     """
-    if S.verified_by == "structure":
-        raise ValueError("P-polynomial orderings need a proven scheme, not one checked for structure only")
     out = []
     P = S.p_tensor()
     for c in range(1, S.d + 1):

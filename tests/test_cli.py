@@ -169,7 +169,8 @@ def test_oversized_q_is_refused_before_any_field_is_built(capsys, monkeypatch):
 
 def test_the_library_takes_no_size_knob():
     """The one size check is the CLI's, on q as it arrives: no library
-    callable takes `allow_large` or `max_order`."""
+    callable takes `allow_large` or `max_order`.  Nor does any take
+    `check`: every `Scheme` is proven, so none opts out of its proof."""
     import inspect
 
     import scheme_forge
@@ -186,7 +187,7 @@ def test_the_library_takes_no_size_knob():
         except (TypeError, ValueError):
             continue
         checked += 1
-        assert not {"allow_large", "max_order"} & params.keys(), fn
+        assert not {"allow_large", "max_order", "check"} & params.keys(), fn
     assert checked > 100
 
 

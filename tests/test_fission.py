@@ -133,7 +133,7 @@ def test_closed_form_build_and_p_tensor_hold_no_n_by_n_array(name):
 
 def test_closed_form_builders_take_no_dense_path(monkeypatch):
     """Neither builder passes a matrix to `Scheme` or fills one: both end
-    in `Scheme._from_orbits`, and their parameters, p-tensor and
+    in `Scheme._from_rows`, and their parameters, p-tensor and
     P-polynomial orderings are read from rows."""
 
     def dense(*args, **kwargs):

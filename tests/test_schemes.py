@@ -216,12 +216,11 @@ def _generator_perms(fld, gid, dom_, drop=0):
 
 def test_fused_non_scheme_is_rejected_with_check():
     """The q = 9 psl partition [0,1,1,2,1,1,1,1,1] fuses to a matrix that
-    passes every structure check but is not a scheme; the earlier check,
-    which sampled rows 0..10, accepted it."""
+    passes every structure check and the transposition check but is not a
+    scheme; the earlier check, which sampled rows 0..10, accepted it."""
     fld = field(9)
     fine = fi.psl_scheme(fld)
     M = np.array([0, 1, 1, 2, 1, 1, 1, 1, 1], dtype=np.uint8)[fine.relation_matrix]
-    assert Scheme(M, domain=fine.domain, check=False).verified_by == "structure"
     with pytest.raises(NotASchemeError, match="not constant"):
         Scheme(M, domain=fine.domain)
     # the psl generators preserve it and are transitive, but the classes
@@ -337,16 +336,27 @@ def test_p_tensor_equals_the_count_over_every_pair(q):
         assert np.array_equal(P, _p_tensor_by_definition(S.relation_matrix)), (q, S)
 
 
-def test_p_tensor_of_a_non_scheme_counts_at_the_class_representatives():
-    """Checked for structure only, the circulant non-scheme gets the
-    counts at (0, y) for the first column y of each class in row 0."""
-    M = _circulant_distance_classes()
-    S = Scheme(M, check=False)
-    want = np.zeros((S.d + 1,) * 3, dtype=np.int64)
-    for k, (x, y) in enumerate(S.class_reps):
-        for z in range(S.n):
-            want[k, M[x, z], M[z, y]] += 1
+def _p_tensor_at_the_class_representatives(M):
+    """Oracle: p[k, i, j] counted at (0, y) for the first column y of each
+    class k in row 0, reading column y itself."""
+    reps = np.unique(M[0], return_index=True)[1]
+    d1 = len(reps)
+    P = np.zeros((d1, d1, d1), dtype=np.int64)
+    for k, y in enumerate(reps):
+        np.add.at(P[k], (M[0], M[:, y]), 1)
+    return P
+
+
+def test_p_tensor_counts_at_the_class_representatives():
+    """The q = 9 psl scheme is not symmetric, so reading column y_k as the
+    transposed row y_k matters: the counts at (0, y_k) taken from the
+    columns are the tensor, for the stabilizer path and for the matrix."""
+    fld = field(9)
+    S = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld)))
+    assert not S.is_symmetric()
+    want = _p_tensor_at_the_class_representatives(S.relation_matrix)
     assert np.array_equal(S.p_tensor(), want)
+    assert np.array_equal(Scheme(S.relation_matrix).p_tensor(), want)
 
 
 def test_p_tensor_allocates_no_n_by_n_array():
@@ -370,19 +380,19 @@ def test_composed_label_rows_equal_the_generic_path(q):
     """Rows of a stabilizer-path scheme on pairs, read through the label
     table of `moebius.label_table`, equal the matrix of the generic path
     for every group; `row_blocks` fills nothing, and the p-tensor counted
-    from the rows is the dense one."""
+    from the rows is the generic scheme's, counted from its matrix."""
     fld = field(q)
     dom_ = pairs_domain(Plane(fld))
     for gid in GROUPS_FOR(fld):
         S = orbital_scheme_via_stabilizer(fld, gid, dom_)
-        M = group_orbital_scheme(fld, gid, dom_).relation_matrix
+        generic = group_orbital_scheme(fld, gid, dom_)
+        M = generic.relation_matrix
         blocks = list(S.row_blocks())
         assert [(r0, r1) for r0, r1, _ in blocks] == sc._row_blocks(S.n, S.n)
         assert np.array_equal(np.concatenate([rows for _, _, rows in blocks]), M), gid
         P = S.p_tensor()
         assert S._matrix is None
-        dense = Scheme(M, domain=dom_, check=False)
-        assert np.array_equal(P, dense.p_tensor()), gid
+        assert np.array_equal(P, generic.p_tensor()), gid
         assert np.array_equal(S.relation_matrix, M) and S.relation_matrix.dtype == M.dtype
 
 
@@ -462,9 +472,9 @@ def test_each_builder_records_the_check_it_passed(t10):
     psl = orbital_scheme_via_stabilizer(fld, "psl", dom_)
     ft = fi.build_ft(fld)
     part = fusion_map(ft, psl)
-    unchecked_psl = Scheme(psl.relation_matrix, domain=dom_, check=False)
+    certified = Scheme(psl.relation_matrix, domain=dom_, automorphisms=_generator_perms(fld, "psl", dom_))
     expected = {
-        "certificate": [ft, t10],
+        "certificate": [ft, t10, certified],
         "orbits": [
             psl,
             fi.m_scheme(fld),
@@ -473,7 +483,6 @@ def test_each_builder_records_the_check_it_passed(t10):
         ],
         "fusion": [fuse(psl, part)],
         "exhaustive": [Scheme(ft.relation_matrix)],
-        "structure": [unchecked_psl, fuse(unchecked_psl, part)],
     }
     for want, built in expected.items():
         assert [S.verified_by for S in built] == [want] * len(built)
@@ -490,7 +499,7 @@ Q81_DIGESTS = {
 
 @pytest.fixture(scope="module")
 def q81():
-    """The q = 81 schemes on pairs, built with check=True, and the
+    """The q = 81 schemes on pairs, built by the stabilizer path, and the
     tracemalloc peak of the psl build, made first with nothing else held."""
     fld = field(81)
     dom_ = pairs_domain(Plane(fld))
@@ -601,16 +610,18 @@ def test_packed_exhaustive_check_names_the_first_failing_pair():
     swapped = valid.relation_matrix.copy()
     x = swapped.shape[0] - 1
     b = int(np.flatnonzero((swapped[x] != swapped[x, 0]) & (swapped[x] != 0))[0])
+    # two entries of the last row swapped, and their transposes with them,
+    # so the classes stay closed under transposition
     swapped[x, [0, b]] = swapped[x, [b, 0]]
+    swapped[[0, b], x] = valid.transpose_map[swapped[x, [0, b]]]
     for M in (fused, swapped):
-        S = Scheme(M, check=False)
-        i, j = _first_inconstant_pair(M, S.p_tensor())
+        i, j = _first_inconstant_pair(M, _p_tensor_at_the_class_representatives(M))
         with pytest.raises(NotASchemeError, match=rf"p\^k_\({i},{j}\) is not constant"):
-            S.verify_exhaustive()
+            Scheme(M)
     # n = 91 packs 8 classes into one product, so (1, 9) lies in the
     # second chunk of i = 1, and still comes before (2, 3)
-    S = Scheme(valid.relation_matrix, check=False)
-    S._p_tensor = valid.p_tensor().copy()
+    S = Scheme(valid.relation_matrix)
+    S._p_tensor = S.p_tensor().copy()
     S._p_tensor[:, 1, 9] += 1
     S._p_tensor[:, 2, 3] += 1
     with pytest.raises(NotASchemeError, match=r"p\^k_\(1,9\) is not constant"):
@@ -696,8 +707,9 @@ def test_fusion_checks_compare_in_the_coarse_dtype():
 @pytest.mark.parametrize("q", [25, 49])
 def test_fusion_checks_fill_no_matrix(q, monkeypatch):
     """Fusion maps and partition bijections between stabilizer-path
-    schemes, and the `fusion check` command, compare row blocks, so no
-    relation matrix is filled."""
+    schemes, and the `fusion check` command, compare row blocks, and a
+    fused scheme reads its rows through the fine ones, its parameters,
+    p-tensor and row blocks included, so no relation matrix is filled."""
     from scheme_forge.cli import main
 
     filled = []
@@ -710,9 +722,29 @@ def test_fusion_checks_fill_no_matrix(q, monkeypatch):
     assert fusion_map(m, psl) is not None and fusion_map(psl, m) is None
     assert is_fusion(pgl, psl, fusion_map(pgl, psl))
     assert partition_bijection(psl, orbital_scheme_via_stabilizer(fld, "psl", dom_)) is not None
+    fused = fuse(psl, fusion_map(m, psl))
+    assert fused.verified_by == "fusion"
+    assert np.array_equal(fused.valencies, m.valencies)
+    assert np.array_equal(fused.transpose_map, m.transpose_map)
+    assert np.array_equal(fused.p_tensor(), m.p_tensor())
+    assert all(np.array_equal(f, r) for (_, _, f), (_, _, r) in zip(fused.row_blocks(), m.row_blocks()))
     argv = ["fusion", "check", "--q", str(q), "--fine", "psl", "--coarse", "m", "--format", "json"]
     assert main(argv) == 0
     assert filled == []
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_fusion_checks_refuse_a_partition_of_the_wrong_length(extra):
+    """A partition must have one entry per fine class: a short one once
+    indexed past its end in `fuse`, and a long one was called not
+    admissible."""
+    fld = field(9)
+    psl, m = fi.psl_scheme(fld), fi.m_scheme(fld)
+    part = fusion_map(m, psl)
+    wrong = np.concatenate([part, [1]])[: len(part) + extra]
+    for call in (lambda: fuse(psl, wrong), lambda: is_fusion(m, psl, wrong)):
+        with pytest.raises(ValueError, match="partition must assign every fine class"):
+            call()
 
 
 def test_admissible_partition_need_not_give_a_scheme():
@@ -730,15 +762,12 @@ def test_fusion_check_is_not_fooled_by_sampled_rows():
     """At q = 9, class 3 of the psl scheme alone and every other
     nontrivial class together form an admissible partition whose fused
     numbers look constant on the sampled rows, yet the fused matrix is
-    not a scheme."""
+    not a scheme: neither the exhaustive check nor `fuse` builds it."""
     fine = fi.psl_scheme(field(9))
     part = np.array([0, 1, 1, 2, 1, 1, 1, 1, 1])
-    coarse = Scheme(part[fine.relation_matrix].astype(np.uint8), check=False)
-    coarse.p_tensor()
-    with pytest.raises(NotASchemeError):
-        coarse.verify_exhaustive()
-    assert not is_fusion(coarse, fine, part)
-    with pytest.raises(NotASchemeError):
+    with pytest.raises(NotASchemeError, match="not constant"):
+        Scheme(part[fine.relation_matrix].astype(np.uint8))
+    with pytest.raises(NotASchemeError, match="not constant"):
         fuse(fine, part)
 
 
@@ -756,8 +785,8 @@ def test_is_fusion_rejects_transpose_open_partition():
     part = np.ones(fine.d + 1, dtype=np.int64)
     part[0] = 0
     part[k] = 2  # its transpose partner stays in block 1
-    coarse = Scheme(part[fine.relation_matrix].astype(np.uint8), check=False)
-    assert not is_fusion(coarse, fine, part)
+    with pytest.raises(NotASchemeError, match="transposition"):
+        Scheme(part[fine.relation_matrix].astype(np.uint8))
     with pytest.raises(NotASchemeError, match="not admissible"):
         fuse(fine, part)
 
@@ -893,16 +922,14 @@ def _circulant_distance_classes():
 
 
 def test_circulant_distance_classes_are_not_a_scheme():
-    S = Scheme(_circulant_distance_classes(), check=False)
-    with pytest.raises(NotASchemeError):
-        S.verify_exhaustive()
+    with pytest.raises(NotASchemeError, match="not constant"):
+        Scheme(_circulant_distance_classes())
 
 
 @pytest.mark.parametrize("q", [9, 25])
 def test_p_polynomial_screen_matches_dense_reference(q, t10):
     """The class search on the exact p-tensor gives what the dense
-    distance check gives, and a matrix checked for structure only, such
-    as the circulant non-scheme, is refused rather than searched."""
+    distance check gives."""
     fld = field(q)
     dom_ = pairs_domain(Plane(fld))
     # the 4-cycle as a scheme: class 2 is the cycle, class 1 the
@@ -916,26 +943,24 @@ def test_p_polynomial_screen_matches_dense_reference(q, t10):
         assert p_polynomial_orderings(S) == want
         accepted += len(want)
     assert accepted >= 3  # both classes of T(10), the 4-cycle
-    with pytest.raises(ValueError, match="proven"):
-        p_polynomial_orderings(Scheme(_circulant_distance_classes(), check=False))
 
 
 def _schemes_of_the_verify_plan(monkeypatch, q):
     """Every scheme that `verify_paper([q])` builds, in build order."""
     built = []
-    init, from_orbits = sc.Scheme.__init__, sc.Scheme._from_orbits.__func__
+    init, from_rows = sc.Scheme.__init__, sc.Scheme._from_rows.__func__
 
     def spy_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
-    def spy_from_orbits(cls, *args, **kwargs):
-        built.append(from_orbits(cls, *args, **kwargs))
+    def spy_from_rows(cls, *args, **kwargs):
+        built.append(from_rows(cls, *args, **kwargs))
         return built[-1]
 
     with monkeypatch.context() as m:
         m.setattr(sc.Scheme, "__init__", spy_init)
-        m.setattr(sc.Scheme, "_from_orbits", classmethod(spy_from_orbits))
+        m.setattr(sc.Scheme, "_from_rows", classmethod(spy_from_rows))
         assert all(r.passed for r in fi.verify_paper([q]))
     return built
 
@@ -947,7 +972,6 @@ def test_p_polynomial_orderings_match_the_dense_oracle_on_the_verify_plan(q, mon
     the dense oracle then does."""
     built = _schemes_of_the_verify_plan(monkeypatch, q)
     assert len(built) == {9: 18, 25: 3}.get(q, 14)
-    assert all(S.verified_by != "structure" for S in built)
     for S in built:
         unfilled = S._matrix is None
         got = p_polynomial_orderings(S)
@@ -1030,7 +1054,7 @@ def test_renumber_dtype_at_the_uint8_boundary(nclasses, row0_complete):
     assert (got[raw == missing] == 255).all() and (got[raw != missing] < nclasses - 1).all()
 
 
-@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("certified", [True, False])
 @pytest.mark.parametrize(
     "M",
     [
@@ -1041,16 +1065,18 @@ def test_renumber_dtype_at_the_uint8_boundary(nclasses, row0_complete):
     ],
     ids=["row0-misses-a-class", "float", "negative"],
 )
-def test_row0_must_hold_every_class_of_integer_type(M, check):
+def test_row0_must_hold_every_class_of_integer_type(M, certified):
+    """The structure checks run before either proof: with automorphisms
+    (here the identity) and without."""
     with pytest.raises(NotASchemeError):
-        Scheme(M, check=check)
+        Scheme(M, automorphisms=[np.arange(len(M))] if certified else None)
 
 
-@pytest.mark.parametrize("check", [True, False])
-def test_negative_entry_outside_row0_rejected(check):
+@pytest.mark.parametrize("certified", [True, False])
+def test_negative_entry_outside_row0_rejected(certified):
     M = np.array([[0, 1, 1], [1, 0, -1], [1, 1, 0]], dtype=np.int8)
     with pytest.raises(NotASchemeError):
-        Scheme(M, check=check)
+        Scheme(M, automorphisms=[np.arange(len(M))] if certified else None)
 
 
 def test_p_polynomial_absent_for_psl9():
@@ -1074,13 +1100,12 @@ def test_size_guard():
 
 def test_bare_matrix_above_the_exhaustive_limit_raises():
     """The exhaustive check of a bare q = 49 matrix would take minutes;
-    it raises at once, naming the two ways round."""
+    it raises at once, naming the way round."""
     fld = field(49)
     M = orbital_scheme_via_stabilizer(fld, "psl", pairs_domain(Plane(fld))).relation_matrix
     assert M.shape[0] > sc.MAX_EXHAUSTIVE_N
-    with pytest.raises(DomainSizeError, match="automorphisms.*check=False"):
+    with pytest.raises(DomainSizeError, match="pass automorphisms to certify the matrix"):
         Scheme(M)
-    assert Scheme(M, check=False).verified_by == "structure"
 
 
 def _admissible_by_blocks(fine, part):
