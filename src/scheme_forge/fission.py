@@ -397,6 +397,20 @@ def psl_class_count_formula(q):
 
 # -- theorem verifiers -----------------------------------------------------------------
 
+# Per-q predictions from the paper: the `m` scheme's symmetry and
+# commutativity, and the `pgammal` scheme's class count and P-polynomiality.
+M_COMMUTATIVITY = {
+    9: {"symmetric": True, "commutative": True},
+    25: {"symmetric": False, "commutative": True},
+    49: {"symmetric": False, "commutative": False},
+    81: {"symmetric": False, "commutative": False},
+}
+PGAMMAL_PREDICTED = {
+    9: {"classes": 4, "p_polynomial": True},
+    25: {"classes": 9, "p_polynomial": False},
+    49: {"classes": 16, "p_polynomial": False},
+}
+
 
 def report_psl_class_count(psl):
     q = psl.domain.field.q
@@ -441,12 +455,7 @@ def report_m9_octagon(S):
 
 def report_commutativity(msch):
     q = msch.domain.field.q
-    predicted = {
-        9: {"symmetric": True, "commutative": True},
-        25: {"symmetric": False, "commutative": True},
-        49: {"symmetric": False, "commutative": False},
-        81: {"symmetric": False, "commutative": False},
-    }[q]
+    predicted = dict(M_COMMUTATIVITY[q])
     t0 = time.perf_counter()
     computed = {"symmetric": msch.is_symmetric(), "commutative": msch.is_commutative()}
     dt = time.perf_counter() - t0
@@ -483,12 +492,11 @@ def report_pgammal(S):
     fld = S.domain.field
     q = fld.q
     count = count_pgammal_classes(fld)
-    predicted = {"classes": {9: 4, 25: 9, 49: 16}.get(q, count), "symmetric": True, "count_agrees": True}
-    if q in (9, 25, 49):
-        predicted["p_polynomial"] = q == 9
+    predicted = {"classes": count, "symmetric": True, "count_agrees": True}
+    predicted.update(PGAMMAL_PREDICTED.get(q, {}))
     t0 = time.perf_counter()
     computed = {"classes": S.d, "symmetric": S.is_symmetric(), "count_agrees": S.d == count}
-    if q in (9, 25, 49):
+    if "p_polynomial" in predicted:
         computed["p_polynomial"] = bool(sc.p_polynomial_orderings(S))
     dt = time.perf_counter() - t0
     return TheoremReport("pgammal-class-count", q, predicted, computed, predicted == computed, dt)
@@ -780,7 +788,7 @@ def _group_reports(gid, S):
     reports = []
     if q > 9:
         reports.append(report_m_class_count(S))
-    if q in (9, 25, 49, 81):
+    if q in M_COMMUTATIVITY:
         reports.append(report_commutativity(S))
     return reports
 

@@ -5,8 +5,10 @@ base-p digit vector of a polynomial residue: the int v corresponds to the
 coefficient vector (c_0, c_1, ..., c_{m-1}) with v = sum c_i * p^i.  All
 arithmetic is table-backed (numpy arrays of shape (q,) or (q, q)), so the
 bulk engine paths can apply field operations to whole arrays with fancy
-indexing.  A thin ``FieldElement`` wrapper provides operator overloading
-and field-mismatch checking for the public API.
+indexing.  Every field, prime fields included, is built by one path from
+its modulus, which is accepted when the multiplication table it gives
+has no zero divisors.  A thin ``FieldElement`` wrapper provides operator
+overloading and field-mismatch checking for the public API.
 
 The canonical total order on elements is lexicographic on the coefficient
 vector, low degree first.  For prime fields this is the usual integer
@@ -19,7 +21,8 @@ import functools
 import numpy as np
 
 # Conway polynomials, little-endian monic coefficient tuples.  Each is
-# irreducible with x primitive; verified again by the test suite.
+# irreducible (every build checks it) with x primitive (the test suite
+# checks it).
 CONWAY_POLYNOMIALS = {
     9: (2, 2, 1),
     25: (2, 4, 1),
@@ -55,77 +58,16 @@ def _factor_prime_power(q):
     raise ValueError(f"{q} is not a prime power")
 
 
-def _poly_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mulmod(a, b, mod, p):
-    """Product of digit lists a, b reduced mod the monic polynomial mod."""
-    m = len(mod) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    for k in range(len(res) - 1, m - 1, -1):
-        lead = res[k]
-        if lead:
-            res[k] = 0
-            for t in range(m + 1):
-                res[k - m + t] = (res[k - m + t] - lead * mod[t]) % p
-    res = res[:m]
-    res += [0] * (m - len(res))
-    return res
-
-
-def _poly_gcd_is_constant(a, b, p):
-    """True iff gcd(a, b) over GF(p) has degree 0."""
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b) and a:
-            c = a[-1] * inv % p
-            off = len(a) - len(b)
-            for t in range(len(b)):
-                a[off + t] = (a[off + t] - c * b[t]) % p
-            _poly_trim(a)
-        a, b = b, a
-    return len(a) == 1
-
-
-def _is_irreducible(mod, p):
-    """Check irreducibility of the monic polynomial mod over GF(p).
-
-    A reducible monic polynomial of degree m has an irreducible factor of
-    degree <= m/2, and the product of all monic irreducibles of degree
-    dividing i is x^(p^i) - x; so mod is irreducible iff
-    gcd(x^(p^i) - x, mod) is constant for 1 <= i <= m/2.
-    """
-    m = len(mod) - 1
-    if m == 1:
-        return True
-    t = [0, 1]
-    for i in range(1, m // 2 + 1):
-        # t = t^p mod `mod`, by square and multiply
-        r, b, e = [1], list(t), p
-        while e:
-            if e & 1:
-                r = _poly_mulmod(r, b, mod, p)
-            b = _poly_mulmod(b, b, mod, p)
-            e >>= 1
-        t = r
-        d = list(t) + [0] * (m - len(t))
-        d[1] = (d[1] - 1) % p
-        if not _poly_gcd_is_constant(d, mod, p):
-            return False
-    return True
-
-
 class GF:
     """The finite field GF(q) for an odd prime power q >= 5.
+
+    Every field, prime or not, is built one way: from the reductions of
+    x^0..x^(2m-2) modulo its modulus (``[1]`` when m = 1) come the
+    multiplication table and then every other table.  GF(p)[x]/(f) is a
+    field exactly when f is irreducible, and a finite commutative ring is
+    a field exactly when it has no zero divisors, so a modulus is
+    accepted when ``MUL[1:, 1:]`` holds no 0 (a factorization f = gh
+    would give MUL[g, h] = 0).
 
     Use the module-level factory :func:`field` to get cached instances.
     The int-level methods (``add``, ``mul``, ...) form the fast engine
@@ -138,11 +80,7 @@ class GF:
             raise ValueError("characteristic 2 is not supported (q must be odd)")
         if q < 5:
             raise ValueError("q must be at least 5")
-        if m == 1:
-            if modulus is not None:
-                raise ValueError("prime fields take no modulus")
-            self.modulus = None
-        else:
+        if m > 1:
             if modulus is None:
                 if q not in CONWAY_POLYNOMIALS:
                     raise ValueError(
@@ -153,9 +91,9 @@ class GF:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {m}")
-            if not _is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-            self.modulus = modulus
+        elif modulus is not None:
+            raise ValueError("prime fields take no modulus")
+        self.modulus = modulus
         self.p = p
         self.m = m
         self.q = q
@@ -172,40 +110,33 @@ class GF:
         self.ADD = ((digits[:, None, :] + digits[None, :, :]) % p @ powers).astype(np.int32)
         self.NEG = (((-digits) % p) @ powers).astype(np.int32)
 
-        if m == 1:
-            self.MUL = (np.arange(q, dtype=np.int64)[:, None] * np.arange(q, dtype=np.int64)[None, :] % p).astype(np.int32)
-        else:
-            # xred[k] = digits of x^k reduced mod the modulus, k < 2m-1
-            xred = np.zeros((2 * m - 1, m), dtype=np.int64)
-            cur = [1]
-            for k in range(2 * m - 1):
-                row = cur + [0] * (m - len(cur))
-                xred[k] = row
-                cur = _poly_mulmod(cur, [0, 1], list(self.modulus), p)
-            red3 = np.zeros((m, m, m), dtype=np.int64)
-            for i in range(m):
-                for j in range(m):
-                    red3[i, j] = xred[i + j]
-            prod = np.einsum("xi,yj,ijk->xyk", digits, digits, red3) % p
-            self.MUL = (prod @ powers).astype(np.int32)
+        # xred[k] = digits of x^k reduced mod the modulus, k < 2m-1: row k
+        # is row k-1 moved up one degree, less its top digit times the modulus
+        xred = np.zeros((2 * m - 1, m), dtype=np.int64)
+        xred[0, 0] = 1
+        for k in range(1, 2 * m - 1):
+            xred[k, 1:] = xred[k - 1, :-1]
+            xred[k] = (xred[k] - xred[k - 1, -1] * np.array(self.modulus[:m])) % p
+        red3 = xred[np.add.outer(range(m), range(m))]
+        prod = np.einsum("xi,yj,ijk->xyk", digits, digits, red3) % p
+        self.MUL = (prod @ powers).astype(np.int32)
+        if not self.MUL[1:, 1:].all():
+            raise ValueError(f"modulus {self.modulus} is reducible over GF({p})")
 
-        inv = np.zeros(q, dtype=np.int32)
-        inv[1:] = np.argmax(self.MUL[1:, :] == 1, axis=1)
-        self.INV = inv
+        self.INV = np.zeros(q, dtype=np.int32)
+        self.INV[1:] = np.argmax(self.MUL[1:, :] == 1, axis=1)
 
-        frob = np.zeros((m, q), dtype=np.int32)
-        frob[0] = np.arange(q)
-        if m > 1:
-            step = np.array([self._pow_int(x, p) for x in range(q)], dtype=np.int32)
-            for j in range(1, m):
-                frob[j] = step[frob[j - 1]]
-        self.FROB = frob
+        # FROB[j] = x^(p^j): row j is row j-1 raised to the p-th power
+        self.FROB = np.zeros((m, q), dtype=np.int32)
+        self.FROB[0] = np.arange(q)
+        for j in range(1, m):
+            self.FROB[j] = self.FROB[j - 1]
+            for _ in range(p - 1):
+                self.FROB[j] = self.MUL[self.FROB[j], self.FROB[j - 1]]
 
-        half = (q - 1) // 2
-        sq = np.zeros(q, dtype=bool)
-        for x in range(1, q):
-            sq[x] = self._pow_int(x, half) == 1
-        self.SQUARE = sq
+        # the nonzero squares are the diagonal of MUL, less its 0
+        self.SQUARE = np.zeros(q, dtype=bool)
+        self.SQUARE[self.MUL.diagonal()[1:]] = True
 
         # canonical order: lexicographic on (c_0, ..., c_{m-1})
         order = np.lexsort(tuple(digits[:, k] for k in reversed(range(m))))
@@ -214,15 +145,9 @@ class GF:
         self.RANK = rank
         self.BY_RANK = order.astype(np.int32)
 
-        prim = None
-        for v in self.BY_RANK:
-            v = int(v)
-            if v == 0:
-                continue
-            if self._mult_order(v) == q - 1:
-                prim = v
-                break
-        self._primitive = prim
+        # the least generator of GF(q)*, which is cyclic since the build
+        # proved GF(q) a field; BY_RANK[0] is 0
+        self._primitive = next(int(v) for v in self.BY_RANK[1:] if self._mult_order(int(v)) == q - 1)
 
     def _pow_int(self, x, n):
         if x == 0:
@@ -345,7 +270,7 @@ class GF:
         return FieldElement(self, 1)
 
     def __repr__(self):
-        if self.m == 1:
+        if self.modulus is None:
             return f"GF({self.q})"
         return f"GF({self.q}={self.p}^{self.m})"
 
@@ -446,8 +371,6 @@ class FieldElement:
         return FieldElement(self.field, self.field.inv(self.val))
 
     def __repr__(self):
-        if self.field.m == 1:
-            return str(self.val)
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:

@@ -90,6 +90,26 @@ def test_modulus_override_is_isomorphic(capsys):
     assert a["d"] == b["d"] and sorted(a["valencies"]) == sorted(b["valencies"])
 
 
+def test_reducible_modulus_is_a_usage_error(capsys):
+    # (x^2 + 1)^2 has no root in GF(3), yet it is reducible
+    code, out, err = run(
+        capsys, "scheme", "labels", "--q", "81", "--group", "psl", "--modulus", "1,0,2,0,1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: modulus (1, 0, 2, 0, 1) is reducible over GF(3)\n"
+
+
+def test_build_exhaustive_keeps_the_bytes(capsys, monkeypatch):
+    checked = []
+    real = sc.Scheme.verify_exhaustive
+    monkeypatch.setattr(sc.Scheme, "verify_exhaustive", lambda S: checked.append(S.n) or real(S))
+    args = ("build", "--q", "9", "--group", "m")
+    code, out, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args, "--exhaustive")
+    assert code == code2 == 0
+    assert out2 == out and checked == [45]
+
+
 def test_verify_paper_q9(capsys):
     code, out, _ = run(capsys, "verify", "paper", "--q", "9")
     assert code == 0

@@ -1,5 +1,8 @@
 """Field arithmetic: exhaustive axioms for small q, square-class
-structure, the Frobenius group, and the built-in modulus table."""
+structure, the Frobenius group, the built-in modulus table, and the
+modulus check against every monic modulus of small degree."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -165,6 +168,59 @@ def test_custom_modulus():
         field(9, modulus=(2, 0, 1))  # x^2 + 2 = (x+1)(x+2) mod 3
     with pytest.raises(ValueError):
         field(9, modulus=(1, 1))  # wrong degree
+
+
+def _irreducible_count(p, m):
+    """N(p, m) = (1/m) sum over d | m of mu(d) p^(m/d), the number of
+    monic irreducible polynomials of degree m over GF(p)."""
+
+    def mu(d):
+        sign = 1
+        for r in range(2, d + 1):
+            if d % r == 0:
+                d //= r
+                if d % r == 0:
+                    return 0
+                sign = -sign
+        return sign
+
+    return sum(mu(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
+@pytest.mark.parametrize(
+    "q, p, m, irreducible, rootless_reducible",
+    [
+        (9, 3, 2, 3, 0),
+        (25, 5, 2, 10, 0),
+        (27, 3, 3, 8, 0),
+        (49, 7, 2, 21, 0),
+        (81, 3, 4, 18, 6),
+        (125, 5, 3, 40, 0),
+    ],
+)
+def test_modulus_check_decides_irreducibility_exactly(q, p, m, irreducible, rootless_reducible):
+    """The zero-divisor check on MUL accepts exactly the N(p, m)
+    irreducible monic moduli, each giving a field, and rejects the rest,
+    among them the reducible moduli with no root in GF(p): at q = 81 the
+    six quartics that are products of two irreducible quadratics, such
+    as (x^2 + 1)^2.  `GF` is called directly, so the `field` cache is
+    left as it was."""
+    assert _irreducible_count(p, m) == irreducible
+    accepted, rootless_rejected = 0, 0
+    for low in itertools.product(range(p), repeat=m):
+        modulus = low + (1,)
+        try:
+            f = GF(q, modulus)
+        except ValueError as err:
+            assert str(err) == f"modulus {modulus} is reducible over GF({p})"
+            values = (sum(c * a**i for i, c in enumerate(modulus)) % p for a in range(p))
+            rootless_rejected += all(values)
+            continue
+        accepted += 1
+        nonzero = np.arange(1, q)
+        assert np.all(f.MUL[nonzero, f.INV[nonzero]] == 1)
+    assert accepted == irreducible
+    assert rootless_rejected == rootless_reducible
 
 
 def test_rejects_bad_q():
