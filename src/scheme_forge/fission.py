@@ -714,7 +714,7 @@ def report_embedding(fld):
     maps = mo.coefficients(gens)
     det_ok = all(g.rho().det == fld.pow(g.det, 3) for g in gens)
     C = np.array(pl.conic_points())
-    images = mo._coords_transform(fld, mo._rho(fld, maps), maps[:, 4], C[None])
+    images = mo._coords_transform(fld, mo._rho(fld, maps), maps[:, 4], C)
     equiv_ok = np.array_equal(images, C[mo.point_perms(fld, maps)])
     # the images of the conic are the conic: equal sorted point codes
     codes = np.array([q * q, q, 1])

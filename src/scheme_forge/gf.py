@@ -107,8 +107,9 @@ class GF:
         digits = (np.arange(q, dtype=np.int64)[:, None] // powers) % p
         self._digits = digits.astype(np.int32)
 
-        self.ADD = ((digits[:, None, :] + digits[None, :, :]) % p @ powers).astype(np.int32)
-        self.NEG = (((-digits) % p) @ powers).astype(np.int32)
+        # einsum, not `@ powers`: a matmul over the short digit axis is slower
+        self.ADD = np.einsum("xyk,k->xy", (digits[:, None, :] + digits[None, :, :]) % p, powers).astype(np.int32)
+        self.NEG = np.einsum("xk,k->x", (-digits) % p, powers).astype(np.int32)
 
         # xred[k] = digits of x^k reduced mod the modulus, k < 2m-1: row k
         # is row k-1 moved up one degree, less its top digit times the modulus
@@ -119,7 +120,7 @@ class GF:
             xred[k] = (xred[k] - xred[k - 1, -1] * np.array(self.modulus[:m])) % p
         red3 = xred[np.add.outer(range(m), range(m))]
         prod = np.einsum("xi,yj,ijk->xyk", digits, digits, red3) % p
-        self.MUL = (prod @ powers).astype(np.int32)
+        self.MUL = np.einsum("xyk,k->xy", prod, powers).astype(np.int32)
         if not self.MUL[1:, 1:].all():
             raise ValueError(f"modulus {self.modulus} is reducible over GF({p})")
 

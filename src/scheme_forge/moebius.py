@@ -442,17 +442,16 @@ def _cofactors(fld, mats):
 
 
 def _coords_transform(fld, mats, js, coords):
-    """Apply k 3x3 matrices, each after its entrywise Frobenius, to the
-    rows of `coords` and normalize.  `coords` has shape (k, m, 3), row r
-    moved by matrix r, or (1, m, 3), moved by every matrix; the result
-    has shape (k, m, 3).
+    """Apply k 3x3 matrices, each after its entrywise Frobenius, to every
+    row of the (m, 3) array `coords` and normalize; the result has shape
+    (k, m, 3), entry (r, i) row i moved by matrix r.
 
     Field operations are lookups x * q + y in the flattened tables, as
     one `take` on a flat index is much faster than two-array indexing.
     """
     q = fld.q
     mul, add = fld.MUL.ravel(), fld.ADD.ravel()
-    C = fld.FROB.ravel().take(np.asarray(js, dtype=np.intp)[:, None, None] * q + coords)
+    C = fld.FROB.ravel().take(np.asarray(js, dtype=np.intp)[:, None, None] * q + coords[None])
     mq = np.asarray(mats, dtype=np.intp) * q
     out = np.empty(C.shape, dtype=np.intp)
     for r in range(3):
@@ -464,49 +463,27 @@ def _coords_transform(fld, mats, js, coords):
     return mul.take(out + inv * q)
 
 
-def label_table(dom, labels):
-    """The table through which `domain_images` reads `labels`, an array
-    over the domain, at the images: on `pairs` the (q+1) x (q+1) table
-    labels[pair_table], indexed by the codes of the image points, so a
-    row of labels costs one gather of n entries, not two; elsewhere
-    `labels` itself.  Build it once per labeling: on pairs it has
-    (q+1)^2 entries."""
-    return labels[dom.plane.pg1.pair_table] if dom.kind == "pairs" else labels
+def domain_perms(maps, dom):
+    """Permutation arrays of k maps on an enumerated domain, shape (k, n).
 
-
-def domain_images(maps, dom, elements, table=None):
-    """Images of domain elements under k maps: entry (r, i) is the image
-    under map r of element elements[r, i].  `elements` has shape (k, m),
-    or (1, m) to move the same elements by every map, or is None for
-    every element in index order.  With `table`, from
-    `label_table(dom, labels)`, entry (r, i) is instead the label of
-    that image.
-
-    On `pairs` the maps act through their point images.  On the plane
-    domains they act through `rho`: points by the matrix, lines by its
-    cofactor matrix (the inverse transpose up to a scalar), after the
-    Frobenius of the map's exponent, and the image coordinates are
-    normalized and looked up.  Every temporary has k * q or k * m
-    entries, times three on the plane domains, so callers bound memory
-    by the size of the batches they pass.
+    On `pairs` the maps act through their point images
+    (`PG1.pair_images`).  On the plane domains they act through `rho`:
+    points by the matrix, lines by its cofactor matrix (the inverse
+    transpose up to a scalar), after the Frobenius of the map's
+    exponent, and the image coordinates are normalized and looked up.
+    Every temporary has k * n entries, times three on the plane domains.
+    The stabilizer path reads them on a plane domain only for the
+    generators, in its certificate (`schemes.orbital_scheme_via_stabilizer`).
     """
     fld = dom.field
     maps = np.asarray(maps)
     if dom.kind == "pairs":
-        return dom.plane.pg1.pair_images(point_perms(fld, maps), elements, table)
+        return dom.plane.pg1.pair_images(point_perms(fld, maps))
     mats = _rho(fld, maps)
     if dom.kind != "hyp-points":
         mats = _cofactors(fld, mats)
-    coords = dom.coords[None] if elements is None else dom.coords[elements]
-    moved = _coords_transform(fld, mats, maps[:, 4], coords)
-    images = dom.index_of_coords(moved.reshape(-1, 3)).reshape(moved.shape[:2])
-    return images if table is None else table.take(images)
-
-
-def domain_perms(maps, dom, table=None):
-    """Permutation arrays of k maps on an enumerated domain, shape (k, n),
-    or with `table` the labels of the images, as in `domain_images`."""
-    return domain_images(maps, dom, None, table)
+    moved = _coords_transform(fld, mats, maps[:, 4], dom.coords)
+    return dom.index_of_coords(moved.reshape(-1, 3)).reshape(moved.shape[:2])
 
 
 def point_perm(g):

@@ -415,49 +415,65 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
     one transporter T_x per element x, with exact parameters and no n x n
     matrix.  The matrix, whose row x is the base row read at T_x, is
     filled one row block at a time the first time something reads it,
-    byte-identical to ``orbital_scheme`` for the same action.
+    byte-identical to ``orbital_scheme`` for the same action.  Every step
+    but the last runs on pairs, whatever the domain.
 
     Proof.  G is the set of maps that `moebius.in_group` accepts, of order
     `moebius.group_order`.  These checks raise NotASchemeError:
       1. every generator and every transporter is in G;
-      2. T_x(x) = b for every x, so G is transitive on the domain and its
-         stabilizer G_b has order |G| / n;
+      2. T_x(x) = b for every pair x, so G is transitive on the pairs and
+         its stabilizer G_b has order |G| / n;
       3. the generators that fix b generate a group H of order |G| / n,
          counted by closure on their permutations of PG(1,q), on which
          PGammaL(2,q) acts faithfully; H lies in G_b, so H = G_b;
-      4. L, the `_orbits` of H on the domain, labels the G_b-orbits.
+      4. L, the `_orbits` of H on the pairs, labels the G_b-orbits;
+      5. the generators are transitive on the pairs, so, as they generate
+         H = G_b, they generate G, and they move the domain
+         (`moebius.domain_perms`) as they move the pairs.
     A pair (x, y) goes by T_x to (b, T_x(y)), and (b, z), (b, z') lie in
     one orbital of G exactly when G_b moves z to z', so R(x, y) = L[T_x(y)]
-    is the orbital partition of G, a scheme whose parameters, read at any
-    pair of a class, are exact (Bannai-Ito, Algebraic Combinatorics I,
-    2.2).  Classes are numbered by first occurrence in row 0
+    is the orbital partition of G on the pairs, a scheme whose parameters,
+    read at any pair of a class, are exact (Bannai-Ito, Algebraic
+    Combinatorics I, 2.2).  G acts on the plane domains through `rho`, a
+    homomorphism (checked in the test suite), and two actions that agree
+    on generators agree on G, so by step 5 this is the scheme on every
+    domain.  Classes are numbered by first occurrence in row 0
     (`_renumber_first_occurrence`), as every builder numbers them, and
     T_b lies in G_b, so L numbered so is the base row.  The scheme's row
-    reader moves the rows xs by the transporters through
-    `moebius.domain_perms`, reading the base row through
-    `moebius.label_table`, and `Scheme._from_rows` reads the
-    parameters through it.
+    reader lifts the transporters of the rows xs to pairs, reading the
+    base row through labels[pair_table], and `Scheme._from_rows` reads
+    the parameters through it.
     """
     gid = mo.check_group_defined(fld, gid)
+    pg1 = dom.plane.pg1
     n, base = dom.n, dom.base_index
     gens = mo.coefficients(mo.generators(fld, gid))
-    transporters = mo.transporters_to_base(fld, gid, dom.plane.pg1.pairs)
+    transporters = mo.transporters_to_base(fld, gid, pg1.pairs)
     if not (mo.in_group(fld, gens, gid).all() and mo.in_group(fld, transporters, gid).all()):
         raise NotASchemeError(f"a generator or a transporter is not in {gid}")
-    perms = mo.domain_perms(gens, dom)
+
+    def lift(maps, elements=None, table=None):
+        return pg1.pair_images(mo.point_perms(fld, maps), elements, table)
+
+    points = mo.point_perms(fld, gens)
+    perms = pg1.pair_images(points)
     fixing = perms[:, base] == base
-    if _group_order(mo.point_perms(fld, gens[fixing])) * n != mo.group_order(fld, gid):
+    if _group_order(points[fixing]) * n != mo.group_order(fld, gid):
         raise NotASchemeError("the generators fixing the base element miss part of its stabilizer")
     lab = _orbits(perms[fixing], (n,))
 
     for r0, r1 in _row_blocks(n, fld.q + 1):
-        moved = mo.domain_images(transporters[r0:r1], dom, np.arange(r0, r1)[:, None])
-        if (moved != base).any():
+        if (lift(transporters[r0:r1], np.arange(r0, r1)[:, None]) != base).any():
             raise NotASchemeError("a transporter does not reach the base element")
 
-    remap, _ = _renumber_first_occurrence(lab[mo.domain_perms(transporters[:1], dom)[0]], n)
-    table = mo.label_table(dom, remap[lab])
-    return Scheme._from_rows(dom, lambda xs: mo.domain_perms(transporters[xs], dom, table), "orbits")
+    if _orbits(perms, (n,)).any():
+        raise NotASchemeError("the generators are not transitive on the pairs")
+    if not np.array_equal(mo.domain_perms(gens, dom), perms):
+        raise NotASchemeError(f"the generators move the {dom.kind} domain unlike the pairs")
+
+    remap, _ = _renumber_first_occurrence(lab[lift(transporters[:1])[0]], n)
+    table = remap[lab][pg1.pair_table]
+    return Scheme._from_rows(dom, lambda xs: lift(transporters[xs], None, table), "orbits")
 
 
 def triangular_scheme(dom):

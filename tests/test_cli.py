@@ -323,6 +323,31 @@ def test_build_p_tensor_outputs_keep_their_bytes(q, capsys, monkeypatch):
     assert h.hexdigest() == BUILD_DIGESTS[q]
 
 
+# sha256 of the stdout of `build --domain <kind> --format json --p-tensor`,
+# then of `build --domain <kind> --format csv`, for each group in turn,
+# each preceded by the domain, group, format and exit code; computed when
+# every plane-domain row was moved through `rho`
+PLANE_BUILD_DIGESTS = {
+    (9, "hyp-lines"): "5f1031801aafd5749e68184773cb4fc77e9495c071d062d5c41161caa507384c",
+    (9, "hyp-points"): "be7e3a1085d58251e5012196f2cf59d76c92c39d21fd477c5a5a4a7bdba2a318",
+    (25, "hyp-lines"): "98a23e2787126566748dc7a9ef4ed2ce29691d227a5b84c5c2ece5ce96429fb7",
+    (25, "hyp-points"): "ef56fff7a93db509154813f42a3f5ccd3c8b6756d6973587920305c06edd265a",
+    (81, "hyp-lines"): "7c0538b5eb39f1f56f4d364cc26b8c11d04bc15d018af49bc8dce5c1d58b2ada",
+    (81, "hyp-points"): "652c9fdf46d8fc3ba230b83eacfba545a343c151221e294e4254e12d73e06ec6",
+}
+
+
+@pytest.mark.parametrize("q, kind", sorted(PLANE_BUILD_DIGESTS))
+def test_plane_domain_builds_keep_their_bytes(q, kind, capsys, monkeypatch):
+    monkeypatch.delenv("SCHEME_FORGE_CACHE_DIR", raising=False)
+    h = hashlib.sha256()
+    for name in mo.GROUPS:
+        for fmt in (["--format", "json", "--p-tensor"], ["--format", "csv"]):
+            code, out, _ = run(capsys, "build", "--q", str(q), "--domain", kind, "--group", name, *fmt)
+            h.update(f"{kind} {name} {fmt[1]} {code}\n{out}".encode())
+    assert h.hexdigest() == PLANE_BUILD_DIGESTS[q, kind]
+
+
 # sha256 of `verify paper --all-q --deep --format json` with its
 # `elapsed` lines removed
 VERIFY_DIGEST = "21b258f739f2615b8ef99af7416a69bc91cfb27ef9c285c80a476b60d8c43840"

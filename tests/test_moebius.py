@@ -14,7 +14,6 @@ from scheme_forge.moebius import (
     base_pair_stabilizer,
     coefficients,
     conic_param,
-    domain_images,
     domain_perm,
     domain_perms,
     enumerate_group,
@@ -23,6 +22,7 @@ from scheme_forge.moebius import (
     in_group,
     membership,
     point_perm,
+    point_perms,
     transporter_to_base,
     transporters_to_base,
 )
@@ -457,8 +457,10 @@ def test_batched_domain_perms_match_per_map(q):
             assert batch.shape == (len(maps), dom.n) and batch.dtype == np.int32
             for g, row in zip(maps, batch):
                 assert np.array_equal(row, domain_perm(g, dom))
+            # element i of every domain is pair i, so the pairs of the
+            # picked elements, one row of picks per map, move like them
             picks = np.random.default_rng(q).integers(dom.n, size=(len(maps), 4))
-            moved = domain_images(coefficients(maps), dom, picks)
+            moved = pl.pg1.pair_images(point_perms(fld, coefficients(maps)), picks)
             assert np.array_equal(moved, np.take_along_axis(batch, picks, axis=1))
             if q == 9:
                 for g, row in zip(maps, batch):

@@ -378,7 +378,7 @@ def test_p_tensor_allocates_no_n_by_n_array():
 @pytest.mark.parametrize("q", [5, 9, 13, 25, 27])
 def test_composed_label_rows_equal_the_generic_path(q):
     """Rows of a stabilizer-path scheme on pairs, read through the label
-    table of `moebius.label_table`, equal the matrix of the generic path
+    table labels[pair_table], equal the matrix of the generic path
     for every group; `row_blocks` fills nothing, and the p-tensor counted
     from the rows is the generic scheme's, counted from its matrix."""
     fld = field(q)
@@ -454,6 +454,54 @@ def test_stabilizer_path_proof_checks_raise_when_broken(monkeypatch, gid, fault,
     fault(monkeypatch)
     with pytest.raises(NotASchemeError, match=message):
         orbital_scheme_via_stabilizer(fld, gid, dom_)
+
+
+def _one_plane_image_swapped(monkeypatch):
+    orig = mo._coords_transform
+
+    def swapped(*args):
+        out = orig(*args)
+        out[0, [1, 2]] = out[0, [2, 1]]
+        return out
+
+    monkeypatch.setattr(mo, "_coords_transform", swapped)
+
+
+def _without_the_shift(monkeypatch):
+    monkeypatch.setattr(mo, "generators", mo.stabilizer_generators)
+
+
+@pytest.mark.parametrize(
+    "kind, fault, message",
+    [
+        # the first generator moves two secant lines unlike their pairs
+        ("hyp-lines", _one_plane_image_swapped, "unlike the pairs"),
+        # the stabilizer generators pass steps 1 to 4 and move the poles
+        # as they move the pairs, but generate only the stabilizer
+        ("hyp-points", _without_the_shift, "not transitive on the pairs"),
+    ],
+)
+def test_plane_domain_certificate_raises_when_broken(monkeypatch, kind, fault, message):
+    fld = field(9)
+    dom_ = domain(Plane(fld), kind)
+    orbital_scheme_via_stabilizer(fld, "psl", dom_)
+    fault(monkeypatch)
+    with pytest.raises(NotASchemeError, match=message):
+        orbital_scheme_via_stabilizer(fld, "psl", dom_)
+
+
+def test_plane_domain_rows_are_read_on_pairs(monkeypatch):
+    """A plane-domain build and a full row pass move the domain through
+    `rho` once, for the generators in the certificate: no row is read
+    through `rho`."""
+    fld = field(25)
+    dom_ = domain(Plane(fld), "hyp-lines")
+    calls, real = [], mo._rho
+    monkeypatch.setattr(mo, "_rho", lambda fld, maps: calls.append(np.array(maps)) or real(fld, maps))
+    S = orbital_scheme_via_stabilizer(fld, "psl", dom_)
+    assert len(list(S.row_blocks())) > 1
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], mo.coefficients(mo.generators(fld, "psl")))
 
 
 def test_orbital_scheme_rejects_a_map_that_is_not_a_permutation():
