@@ -7,6 +7,19 @@ the projective line, together with their isomorphic models on secant
 lines and square-type points of a conic in PG(2,q).
 """
 
+import os
+
+# When numpy loads, OpenBLAS starts one worker per core, and each worker
+# busy-waits 2^28 cycles for a job before it sleeps. Each command of this
+# program runs in its own short process and rarely calls BLAS, so the wait
+# is pure cost: on 2 vCPUs `import numpy` took 0.23-0.28 CPU-s by default
+# and 0.16 CPU-s with a timeout of 2^4, and the `cli` benchmark's cpu_s fell
+# from a median of 4.67 to 2.82 s. The workers still serve large products
+# (`build --q 49 --group psl --exhaustive` kept 16-20 s, where one thread
+# took 24-26 s). A value the user sets wins. This must run before the first
+# import below loads numpy.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .gf import (
     CONWAY_POLYNOMIALS,
     GF,

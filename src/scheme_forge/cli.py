@@ -192,8 +192,7 @@ def _p_tensor_csv(S):
     lines = []
     for i in range(d1):
         lines.append(f"B_{i}")
-        for k in range(d1):
-            lines.append(",".join(str(int(P[k, i, j])) for j in range(d1)))
+        lines.extend(",".join(map(str, row)) for row in P[:, i, :].tolist())
     return "\n".join(lines) + "\n"
 
 

