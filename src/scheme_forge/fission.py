@@ -111,49 +111,18 @@ def domain_for(fld, kind):
 
 
 def build_ft(fld):
-    """The cross-ratio fission scheme on pairs, built with no group at all.
-
-    With D[a, c] = det(h_a, h_c) for homogeneous coordinates h, pairs
-    {a, b} and {c, d} get the code 2 - z when z, the number of zeros among
-    D[a, c], D[b, d], D[a, d] and D[b, c], is 1 or 2 (one or both points
-    shared), else 2 + the lesser rank of r and 1/r for the cross-ratio
-    r = D[a, c] D[b, d] / (D[a, d] D[b, c]); swapping a and b, or c and d,
-    inverts r, so the code is one of unordered pairs.
-
-    Proof that the `pgl` generators preserve the codes.  For a generator A
-    with point permutation s, let m_a be the last nonzero coordinate of
-    A h_a.  Checked: each m_a is nonzero and D[s a, s c] m_a m_c =
-    det(A) D[a, c].  So D moves by nonzero scalars, its zeros stay put, and
-    each point occurs once above and once below in r, so r is unchanged.
-    The generators lifted to the pairs then certify the scheme
-    (`schemes.closed_form_scheme`); labels attached.
+    """FT(q+1), the cross-ratio fission scheme on pairs, with no group
+    enumeration: `schemes.cross_ratio_scheme` of D[a, c] = det(h_a, h_c),
+    h the homogeneous coordinates, proved by the point permutations of the
+    `pgl` generators; labels attached.  A map A of PGL(2,q) that moves a
+    to s(a) sends h_a to m_a h_(s a), m_a nonzero, so D[s a, s c] = det(A)
+    D[a, c] / (m_a m_c) is scaled as `cross_ratio_scheme` checks; a field
+    automorphism raises D to a power instead, and is refused.
     """
-    dom = domain_for(fld, "pairs")
-    q, pg1 = fld.q, dom.plane.pg1
-    MUL, ADD, NEG, INV = fld.MUL, fld.ADD, fld.NEG, fld.INV
-    u, v = np.append(fld.BY_RANK, 1), np.append(np.ones(q, dtype=np.int32), 0)
-    D = ADD[MUL[u[:, None], v], NEG[MUL[v[:, None], u]]]
-
-    gens = mo.coefficients(mo.generators(fld, "pgl"))
-    points = mo.point_perms(fld, gens)
-    for (a, b, c, d, _), s in zip(gens, points):
-        x, y = ADD[MUL[a, u], MUL[b, v]], ADD[MUL[c, u], MUL[d, v]]
-        m = np.where(y != 0, y, x)
-        det = ADD[MUL[a, d], NEG[MUL[b, c]]]
-        if (m == 0).any() or not np.array_equal(MUL[MUL[D[s[:, None], s], m[:, None]], m], MUL[det, D]):
-            raise sc.NotASchemeError("a generator does not scale the determinant table")
-
-    lesser = np.minimum(fld.RANK, fld.RANK[INV])
-    c, d = pg1.pairs.T
-
-    def codes(xs):
-        a, b = pg1.pairs[xs, 0, None], pg1.pairs[xs, 1, None]
-        dets = D[a, c], D[b, d], D[a, d], D[b, c]
-        zeros = sum((t == 0).astype(np.int8) for t in dets)
-        r = MUL[MUL[dets[0], dets[1]], INV[MUL[dets[2], dets[3]]]]
-        return np.where(zeros > 0, 2 - zeros, 2 + lesser[r])
-
-    return label_scheme(fld, "pgl", sc.closed_form_scheme(dom, codes, pg1.pair_images(points)))
+    u, v = np.append(fld.BY_RANK, 1), np.append(np.ones(fld.q, dtype=np.int32), 0)
+    D = fld.ADD[fld.MUL[u[:, None], v], fld.NEG[fld.MUL[v[:, None], u]]]
+    points = mo.point_perms(fld, mo.coefficients(mo.generators(fld, "pgl")))
+    return label_scheme(fld, "pgl", sc.cross_ratio_scheme(domain_for(fld, "pairs"), D, points))
 
 
 def _ft_label_of_pair(fld, pair):

@@ -10,12 +10,12 @@ or exhaustively.  Every other builder proves its classes itself and
 hands its row reader to `Scheme._from_rows`, which reads the parameters
 at one pair of each class, as `Scheme` does, and fills no matrix until
 one is read whole: `orbital_scheme` and the stabilizer path prove them
-the orbitals of a group, `closed_form_scheme` from codes and
-automorphisms proved on (q+1)^2 point tables (T(q+1) here, FT(q+1) in
-`fission`), and `fuse` from the admissible partition of a proven
-scheme.  One routine, `Scheme.p_tensor`, counts intersection numbers;
-structural queries and fusions (`fusion_map`) read that tensor or row
-blocks.
+the orbitals of a group, `cross_ratio_scheme` from the cross-ratios of
+a (q+1) x (q+1) table of field codes and point permutations that it
+checks scale the table (T(q+1) here, FT(q+1) in `fission`), and `fuse`
+from the admissible partition of a proven scheme.  One routine,
+`Scheme.p_tensor`, counts intersection numbers; structural queries and
+fusions (`fusion_map`) read that tensor or row blocks.
 
 Classes are numbered one way, by `_renumber_first_occurrence`: by first
 occurrence in row 0, which is their least pair in row-major order, so
@@ -109,7 +109,7 @@ class Scheme:
     class 0..d, a diagonal other than class 0 or a class 0 off the
     diagonal raise NotASchemeError.  Every builder proves its classes
     itself and ends in `_from_rows`: "orbits" (`orbital_scheme` and the
-    stabilizer path), "certificate" (`closed_form_scheme`: T and FT) and
+    stabilizer path), "cross-ratio" (`cross_ratio_scheme`: T and FT) and
     "fusion" (`fuse`).
 
     The one row reader `_rows(xs)`, xs a slice or an index array, reads
@@ -337,16 +337,17 @@ def _orbits(perms, shape):
 
 def _orbit_certificate(perms, dom, d1):
     """Prove a relation partition with d1 classes, class 0 the diagonal,
-    preserved by the permutation arrays `perms` of the domain, the orbital
-    partition of the group G they generate: NotASchemeError unless G is
-    transitive and the group H generated by the p fixing the base element
-    b has d1 orbits (least elements, which `_orbits` leaves fixed).  Row b
-    is row 0 moved by G, so it holds all d1 classes, and H preserves them,
-    so its orbits are the classes of row b.  So G moves a pair of class k
-    to some (b, y'), and H then to the first pair of class k in row b:
-    every class is one orbital of G, and intersection numbers, valencies
-    and transposes read at one pair are exact (Bannai-Ito, Algebraic
-    Combinatorics I, 2.2).
+    preserved by the permutation arrays `perms` of the domain (as each
+    caller proves: `Scheme._certify` on the matrix, `cross_ratio_scheme`
+    on its point table), the orbital partition of the group G they
+    generate: NotASchemeError unless G is transitive and the group H
+    generated by the p fixing the base element b has d1 orbits (least
+    elements, which `_orbits` leaves fixed).  Row b is row 0 moved by G,
+    so it holds all d1 classes, and H preserves them, so its orbits are
+    the classes of row b.  So G moves a pair of class k to some (b, y'),
+    and H then to the first pair of class k in row b: every class is one
+    orbital of G, and intersection numbers, valencies and transposes read
+    at one pair are exact (Bannai-Ito, Algebraic Combinatorics I, 2.2).
     """
     n, b = dom.n, dom.base_index
     if _orbits(perms, (n,)).any():
@@ -356,17 +357,53 @@ def _orbit_certificate(perms, dom, d1):
         raise NotASchemeError("the classes of the base row are not the orbits of its stabilizer")
 
 
-def closed_form_scheme(dom, codes, perms):
-    """The scheme whose rows xs, a slice or an index array, hold the
-    relations codes(xs), numbered by first occurrence in row 0 and proved
-    by `perms`, permutation arrays of the domain (checked here) that
-    preserve the codes, as the caller proves: `_orbit_certificate`."""
+def cross_ratio_scheme(dom, table, points):
+    """The scheme on the pairs of PG(1,q) read off `table`, a (q+1) x (q+1)
+    table t of field codes, zero exactly on the diagonal, and proved by
+    `points`, permutation arrays of PG(1,q).  Pairs {a, b} and {c, d} get
+    the code 2 - z for z > 0 zeros among t[a, c], t[b, d], t[a, d] and
+    t[b, c] (shared points; z = 2 exactly on the diagonal), else 2 + the
+    lesser rank of r and 1/r for the cross-ratio r = t[a, c] t[b, d] /
+    (t[a, d] t[b, c]), which swapping a and b, or c and d, inverts.
+
+    Proof that each s in `points` keeps the codes, in O(q^2): with rho[a, c]
+    = t[s a, s c] / t[a, c] off the diagonal, nu = rho[0] and nu[0] = kappa
+    = nu[1] nu[2] / rho[1, 2], checked: kappa rho[a, c] = nu[a] nu[c] for
+    all a != c.  So s scales t[a, c] by kappa mu[a] mu[c], mu = nu / kappa,
+    keeping its zeros and every cross-ratio.  Lifted to pairs, `points`
+    then certify the classes (`_orbit_certificate`).
+    """
+    fld, pg1 = dom.field, dom.plane.pg1
+    q, MUL, INV = fld.q, fld.MUL, fld.INV
+    t, points = np.asarray(table), np.asarray(points)
+    off = ~np.eye(q + 1, dtype=bool)
+    int_table = t.shape == off.shape and np.issubdtype(t.dtype, np.integer)
+    if not int_table or t.min() < 0 or t.max() >= q or ((t != 0) != off).any():
+        raise NotASchemeError("the table must hold field codes, zero exactly on the diagonal")
+    if points.shape[1:] != (q + 1,) or (np.sort(points, axis=1) != np.arange(q + 1)).any():
+        raise NotASchemeError("every generator must be a permutation array of PG(1,q)")
+    rho = MUL[t[points[:, :, None], points[:, None]], INV[t]]
+    nu = rho[:, 0].copy()
+    nu[:, 0] = MUL[MUL[nu[:, 1], nu[:, 2]], INV[rho[:, 1, 2]]]
+    if (MUL[nu[:, :1, None], rho] != MUL[nu[:, :, None], nu[:, None]])[:, off].any():
+        raise NotASchemeError("a generator does not scale the table")
+
+    lesser, mul = np.minimum(fld.RANK, fld.RANK[INV]), MUL.ravel()
+    c, d = pg1.pairs.T
+
+    def codes(xs):
+        # u[c] = t[a, c] / t[b, c] is zero exactly at c = a and c = b, as
+        # INV[0] = 0, so z counts the zeros of u[c] and u[d], and r = u[c] / u[d]
+        a, b = pg1.pairs[xs].T
+        u = MUL[t[a], INV[t[b]]].astype(np.intp)
+        uc, ud = u.take(c, axis=1), u.take(d, axis=1)
+        zeros = (uc == 0).astype(np.int8) + (ud == 0)
+        return np.where(zeros > 0, 2 - zeros, 2 + lesser.take(mul.take(uc * q + INV.take(ud))))
+
     row = codes(slice(0, 1))[0]
     remap, first = _renumber_first_occurrence(row, int(row.max()) + 1)
-    if perms.shape[1:] != (dom.n,) or (np.sort(perms, axis=1) != np.arange(dom.n)).any():
-        raise NotASchemeError("every automorphism must be a permutation array of the domain")
-    _orbit_certificate(perms, dom, len(first))
-    return Scheme._from_rows(dom, lambda xs: remap[codes(xs)], "certificate")
+    _orbit_certificate(pg1.pair_images(points), dom, len(first))
+    return Scheme._from_rows(dom, lambda xs: remap[codes(xs)], "cross-ratio")
 
 
 def orbital_scheme(perms, dom):
@@ -478,24 +515,17 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
 
 def triangular_scheme(dom):
     """T(q+1), the orbital scheme of the symmetric group of PG(1,q) on
-    pairs: the code 2 minus the number of shared points, which every point
-    permutation keeps, so (0 1), (0 1 ... q) and the base pair stabilizer's
-    (0 q), (1 2), (1 2 ... q-1), lifted to pairs, certify it."""
-    pg1 = dom.plane.pg1
-    q, ends = pg1.n_points - 1, pg1.pairs.T
-
-    def codes(xs):
-        a, b = pg1.pairs[xs, 0, None], pg1.pairs[xs, 1, None]
-        # cast first: a sum of numpy bools is a logical or
-        return 2 - ((a == ends[0]).astype(np.int8) + (a == ends[1]) + (b == ends[0]) + (b == ends[1]))
-
+    pairs: the cross-ratio scheme of the table of 1s off the diagonal,
+    which every point permutation keeps, certified by (0 1), (0 1 ... q)
+    and the base pair stabilizer's generators (0 q), (1 2), (1 2 ... q-1)."""
+    q = dom.field.q
     points = np.tile(np.arange(q + 1), (5, 1))
     points[0, [0, q]] = [q, 0]
     points[1, [1, 2]] = [2, 1]
     points[2, 1:q] = np.roll(points[2, 1:q], -1)
     points[3, [0, 1]] = [1, 0]
     points[4] = np.roll(points[4], -1)
-    return closed_form_scheme(dom, codes, pg1.pair_images(points))
+    return cross_ratio_scheme(dom, 1 - np.eye(q + 1, dtype=np.intp), points)
 
 
 def group_orbital_scheme(fld, gid, dom):

@@ -94,12 +94,14 @@ def test_ft_fuses_to_triangular():
 
 
 # sha256 of the FT(q+1) relation matrices, all uint8, as built by the
-# earlier one-row-at-a-time construction
+# earlier one-row-at-a-time construction (q = 27 by the code-function
+# build that preceded `cross_ratio_scheme`)
 FT_DIGESTS = {
     5: "dc378dcc0e6c727cdd7dda65e8f9a7ecc6bd6502b636716413eddf97e7fb0dfe",
     9: "e4b01fc7c1b0e9d146933ea36b58b60268a86c323af7a4a6a4308fa4f1c05d68",
     13: "d6a8eef982b1ef2f68d42586acdf3738b72f94a5e1cf68e16057e53a10ebbc46",
     25: "1a888bd2977bc4daa9cfd8f98c19fb53b5859d10f3f16cd4e8110d935e480f77",
+    27: "551634c3909b0bda0a26d38bee6704e2265900f6ec5f442087241f4a2d06b482",
     49: "8fab25a08a814c46c5441d364f8d201f772e46051def5a1fd6a5284aa2aface8",
 }
 
@@ -115,7 +117,7 @@ def test_ft_keeps_its_bytes(q):
 def test_closed_form_build_and_p_tensor_hold_no_n_by_n_array(name):
     """FT and T at q = 121 (n = 7381), built, certified on point tables
     and counted into their p-tensor with no matrix: measured 0.08 n^2
-    bytes for FT, mostly the row blocks of the p-tensor, and 0.01 n^2 for
+    bytes for FT, mostly the row blocks of the p-tensor, and 0.03 n^2 for
     T; the n x n fill and its certificate had peaked at 1.03 n^2 for the
     FT build alone."""
     fld = field(121)
@@ -127,7 +129,7 @@ def test_closed_form_build_and_p_tensor_hold_no_n_by_n_array(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert S._matrix is None and S.verified_by == "certificate"
+    assert S._matrix is None and S.verified_by == "cross-ratio"
     assert peak < 0.2 * n * n
 
 
@@ -144,7 +146,7 @@ def test_closed_form_builders_take_no_dense_path(monkeypatch):
     monkeypatch.setattr(sc.Scheme, "__init__", dense)
     monkeypatch.setattr(sc, "_fill_matrix", dense)
     for S in (fi.build_ft(fld), triangular_scheme(dom)):
-        assert S.verified_by == "certificate" and S.n == dom.n
+        assert S.verified_by == "cross-ratio" and S.n == dom.n
         S.p_tensor()
         p_polynomial_orderings(S)
         assert S._matrix is None
@@ -152,8 +154,8 @@ def test_closed_form_builders_take_no_dense_path(monkeypatch):
 
 def test_ft_certificate_refuses_what_does_not_prove_it(monkeypatch):
     """The Frobenius t -> t^3 at q = 9 maps the cross-ratio r to r^3,
-    so it scales no determinant table; the shift t -> t + 1 alone fixes
-    infinity, so it is not transitive on the pairs."""
+    so it does not scale the determinant table; the shift t -> t + 1
+    alone fixes infinity, so it is not transitive on the pairs."""
     from scheme_forge import moebius as mo
 
     real = mo.generators
@@ -162,11 +164,94 @@ def test_ft_certificate_refuses_what_does_not_prove_it(monkeypatch):
         return real(fld, gid) + [mo.Moebius(fld, 1, 0, 0, 1, j=1)]
 
     monkeypatch.setattr(mo, "generators", with_frobenius)
-    with pytest.raises(sc.NotASchemeError, match="determinant table"):
+    with pytest.raises(sc.NotASchemeError, match="does not scale"):
         fi.build_ft(field(9))
     monkeypatch.setattr(mo, "generators", lambda fld, gid: real(fld, gid)[:1])
     with pytest.raises(sc.NotASchemeError, match="not transitive"):
         fi.build_ft(field(7))
+
+
+def _ft_arguments(monkeypatch, q):
+    """The pairs domain, determinant table and `pgl` point permutations
+    that `build_ft` hands to `cross_ratio_scheme` at q."""
+    seen = {}
+    real = sc.cross_ratio_scheme
+
+    def spy(dom, table, points):
+        seen.update(dom=dom, table=table.copy(), points=points.copy())
+        return real(dom, table, points)
+
+    with monkeypatch.context() as m:
+        m.setattr(sc, "cross_ratio_scheme", spy)
+        fi.build_ft(field(q))
+    return seen["dom"], seen["table"], seen["points"]
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("zeroed pair", "zero exactly on the diagonal"),
+        ("nonzero diagonal", "zero exactly on the diagonal"),
+        ("not a field code", "zero exactly on the diagonal"),
+        ("repeated point", "permutation"),
+    ],
+)
+def test_cross_ratio_scheme_refuses_data_it_cannot_read(monkeypatch, fault, message):
+    """The codes count shared points by the zeros of the table, so its
+    zeros must be exactly the diagonal and its entries field codes, and
+    every generator must be a permutation of PG(1,q)."""
+    dom, D, points = _ft_arguments(monkeypatch, 7)
+    if fault == "zeroed pair":
+        D[2, 5] = D[5, 2] = 0
+    elif fault == "nonzero diagonal":
+        D[3, 3] = 1
+    elif fault == "not a field code":
+        D[1, 4] = dom.field.q
+    else:
+        points[-1, 0] = points[-1, 1]
+    with pytest.raises(sc.NotASchemeError, match=message):
+        sc.cross_ratio_scheme(dom, D, points)
+
+
+def test_cross_ratio_scheme_refuses_a_generator_that_does_not_scale_the_table(monkeypatch):
+    """The `pgl` generators scale D and certify FT(6); the transposition
+    (0 1) added as the last generator is a permutation but lies in no
+    PGL(2,5), which fixes no 3 points but the identity, and it breaks
+    the cross-ratios.  It does not fix the base pair {0, oo}, so the
+    orbit certificate alone would accept the codes: only the scaling
+    check sees it."""
+    dom, D, points = _ft_arguments(monkeypatch, 5)
+    assert sc.cross_ratio_scheme(dom, D, points).verified_by == "cross-ratio"
+    swap = np.arange(6, dtype=points.dtype)
+    swap[[0, 1]] = [1, 0]
+    with pytest.raises(sc.NotASchemeError, match="does not scale"):
+        sc.cross_ratio_scheme(dom, D, np.vstack([points, swap]))
+
+
+def test_cross_ratio_scheme_checks_the_scaling_of_column_0(monkeypatch):
+    """Column 0 of D multiplied by the point's own field element (1 at
+    oo): row 0 and the block of rows and columns 1..q still scale under
+    t -> g t, which fixes 0 and oo, but column 0 moves by one more factor
+    g at every finite point and not at oo, which changes the cross-ratio
+    of some {x, oo} against some {0, y}, so the generator is refused."""
+    dom, D, points = _ft_arguments(monkeypatch, 7)
+    fld, q = dom.field, dom.field.q
+    D[1:q, 0] = fld.MUL[D[1:q, 0], fld.BY_RANK[1:q]]
+    scaling = points[1:2]
+    assert np.array_equal(scaling[0, [0, q]], [0, q])
+    with pytest.raises(sc.NotASchemeError, match="does not scale"):
+        sc.cross_ratio_scheme(dom, D, scaling)
+
+
+def test_cross_ratio_certificate_binds_the_class_count(monkeypatch):
+    """T's table of 1s is scaled by every permutation, so the `pgl`
+    generators pass the scaling check on it; but the stabilizer of the
+    base pair in PGL(2,q) has more orbits than T has classes, and the
+    certificate refuses them."""
+    dom, _, points = _ft_arguments(monkeypatch, 9)
+    ones = 1 - np.eye(10, dtype=np.intp)
+    with pytest.raises(sc.NotASchemeError, match="base row"):
+        sc.cross_ratio_scheme(dom, ones, points)
 
 
 # -- the square-determinant subgroup ------------------------------------------------

@@ -70,14 +70,15 @@ def test_triangular_matches_intersection_size_rule(t10):
 def test_closed_form_triangular_scheme_equals_the_symmetric_group_orbitals(q):
     """The closed form equals the orbital scheme of (0 1) and (0 1 ... q)
     on pairs, which `_orbits` labels over all n^2 ordered pairs, and is
-    proved by the certificate of the symmetric group's generators."""
+    proved by the cross-ratio certificate of the symmetric group's
+    generators."""
     dom_ = pairs_domain(Plane(field(q)))
     T = triangular_scheme(dom_)
     swap = np.arange(q + 1)
     swap[[0, 1]] = [1, 0]
     cycle = np.roll(np.arange(q + 1), -1)
     generic = orbital_scheme(dom_.plane.pg1.pair_images(np.stack([swap, cycle])), dom_)
-    assert T.verified_by == "certificate"
+    assert T.verified_by == "cross-ratio"
     assert T.relation_matrix.dtype == generic.relation_matrix.dtype == np.uint8
     assert np.array_equal(T.relation_matrix, generic.relation_matrix)
     assert T.class_reps == generic.class_reps
@@ -88,8 +89,8 @@ def test_triangular_certificate_needs_the_base_pair_stabilizer(monkeypatch):
     """(0 1) and (0 1 ... q) alone are transitive but fix no pair, so the
     stabilizer of the base pair has one orbit per element and the
     certificate refuses them."""
-    real = sc.closed_form_scheme
-    monkeypatch.setattr(sc, "closed_form_scheme", lambda dom, codes, perms: real(dom, codes, perms[3:]))
+    real = sc.cross_ratio_scheme
+    monkeypatch.setattr(sc, "cross_ratio_scheme", lambda dom, table, points: real(dom, table, points[3:]))
     with pytest.raises(NotASchemeError, match="base row"):
         triangular_scheme(pairs_domain(Plane(field(9))))
 
@@ -522,7 +523,8 @@ def test_each_builder_records_the_check_it_passed(t10):
     part = fusion_map(ft, psl)
     certified = Scheme(psl.relation_matrix, domain=dom_, automorphisms=_generator_perms(fld, "psl", dom_))
     expected = {
-        "certificate": [ft, t10, certified],
+        "cross-ratio": [ft, t10],
+        "certificate": [certified],
         "orbits": [
             psl,
             fi.m_scheme(fld),
