@@ -3,8 +3,9 @@ Exact arithmetic in small odd fields
 ====================================
 
 Every construction downstream runs on table-backed GF(p^m) arithmetic
-with elements encoded as ints.  This script walks through the basics:
-the built-in moduli, square classes, and the Frobenius automorphisms.
+with elements encoded as ints, written out by `element_text`.  This
+script walks through the basics: the built-in moduli, square classes,
+and the Frobenius automorphisms.
 """
 
 from scheme_forge import CONWAY_POLYNOMIALS, field
@@ -12,20 +13,20 @@ from scheme_forge import CONWAY_POLYNOMIALS, field
 f9 = field(9)
 print(f9, "with modulus", f9.modulus, "(coefficients, low degree first)")
 
-x = f9((0, 1))
-print("x * x =", x * x, "   (reduction by the modulus)")
-print("x has multiplicative order", next(k for k in range(1, 9) if x**k == f9.one()))
-print("the canonical primitive element is", f9.element_from_code(f9.primitive_element()))
+x = 3  # the code of x: digits (0, 1) in base p = 3, low degree first
+print("x * x =", f9.element_text(f9.mul(x, x)), "   (reduction by the modulus)")
+print("x has multiplicative order", next(k for k in range(1, 9) if f9.pow(x, k) == 1))
+print("the canonical primitive element is", f9.element_text(f9.primitive_element()))
 
 print("\nSquare classes of GF(9):")
 squares = [v for v in range(1, 9) if f9.is_square(v)]
-print("  squares:", [f9.element_from_code(v) for v in squares])
+print("  squares: [" + ", ".join(f9.element_text(v) for v in squares) + "]")
 print("  -1 is a square?", f9.is_square(f9.neg(1)), "(q = 1 mod 4 forces yes)")
 
 print("\nThe involutory automorphism of GF(9): a -> a^3")
 for v in range(9):
     if f9.sigma(v) == v:
-        print("  fixes", f9.element_from_code(v))
+        print("  fixes", f9.element_text(v))
 
 print("\nIs 2 a square?  (the classical criterion, checked per field)")
 for q in (5, 7, 9, 13, 25, 49):

@@ -13,9 +13,10 @@ from scheme_forge import (
     Plane,
     build_ft,
     field,
-    ft_equals_orbital,
+    group_orbital_scheme,
     m_scheme,
     pairs_domain,
+    partition_bijection,
     pgammal_scheme,
     psl_class_count_formula,
     psl_scheme,
@@ -36,7 +37,10 @@ for q in (5, 9, 13, 25):
 
 print("\ncross-ratio construction vs orbital construction (q <= 13):")
 for q in (5, 7, 9, 11, 13):
-    print(f"  q={q}: identical up to a unique relabeling -> {ft_equals_orbital(field(q))}")
+    f = field(q)
+    orbital = group_orbital_scheme(f, "pgl", pairs_domain(Plane(f)))
+    same = partition_bijection(build_ft(f), orbital) is not None
+    print(f"  q={q}: identical up to a unique relabeling -> {same}")
 
 f = field(9)
 ft = build_ft(f)

@@ -14,7 +14,7 @@ import numpy as np
 from scheme_forge import build_ft, field, fusion_map, is_fusion, m_scheme, pgammal_scheme, psl_scheme
 
 f = field(9)
-g = f.element_from_code(f.primitive_element())
+g = f.element_text(f.primitive_element())
 print(f"primitive element g = {g}")
 
 ft = build_ft(f)

@@ -23,16 +23,11 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 from .gf import (
     CONWAY_POLYNOMIALS,
     GF,
-    FieldElement,
-    FieldMismatchError,
     NoInvolutionError,
     field,
 )
 from .geometry import (
-    INFINITY,
-    DegeneratePairError,
     Domain,
-    IndeterminateCrossRatioError,
     PG1,
     Plane,
     domain,
@@ -43,16 +38,12 @@ from .geometry import (
 from .moebius import (
     GROUPS,
     InvalidGroupError,
-    Moebius,
-    Semilinear3,
     base_pair_stabilizer,
-    conic_param,
     domain_perm,
-    enumerate_group,
     generators,
     group_order,
-    membership,
-    point_perm,
+    in_group,
+    point_perms,
     transporter_to_base,
 )
 from .schemes import (
@@ -77,7 +68,6 @@ from .fission import (
     build_ft,
     count_pgammal_classes,
     default_q_list,
-    ft_equals_orbital,
     m_orbit_label,
     m_scheme,
     pgammal_orbit_label,
@@ -86,7 +76,6 @@ from .fission import (
     psl_class_count_formula,
     psl_orbit_label,
     psl_scheme,
-    triangular_partition,
     verify_paper,
 )
 

@@ -9,8 +9,8 @@ Subcommands:
   scheme labels   class labels with representative pairs
   fusion check    test whether one named scheme fuses onto another
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or OS
-error (an unwritable --out or cache directory).  Output is
+Exit codes: 0 success, 1 verification failure, 2 usage error, OS
+error (an unwritable --out or cache directory) or out of memory.  Output is
 deterministic for a fixed configuration; elapsed times only ever appear
 in the dedicated `elapsed` field of verification reports.
 """
@@ -57,10 +57,10 @@ def _elem_vec(fld, code):
     return list(fld.coeffs(code))
 
 
-def _moebius_dict(g):
+def _moebius_dict(fld, row):
     return {
-        "matrix": [_elem_vec(g.field, v) for v in (g.a, g.b, g.c, g.d)],
-        "frob": g.j,
+        "matrix": [_elem_vec(fld, v) for v in row[:4]],
+        "frob": int(row[4]),
     }
 
 
@@ -126,7 +126,7 @@ def _cache_load(cache_dir, fld, gid, kind):
     dom = fi.domain_for(fld, "pairs")
     if M.shape != (dom.n, dom.n) or M.dtype.kind != "u":
         return None
-    perms = mo.domain_perms(mo.coefficients(mo.generators(fld, gid)), dom)
+    perms = mo.domain_perms(mo.generators(fld, gid), dom)
     try:
         S = sc.Scheme(M, domain=dom, automorphisms=perms)
         if (np.diff([y for _, y in S.class_reps]) <= 0).any():
@@ -289,7 +289,7 @@ def cmd_group(args):
             "q": fld.q,
             "group": gid,
             "order": mo.group_order(fld, gid),
-            "generators": [_moebius_dict(g) for g in gens],
+            "generators": [_moebius_dict(fld, g) for g in gens.tolist()],
             "base_pair_stabilizer_size": stab_size,
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -299,7 +299,7 @@ def cmd_group(args):
             f"order = {mo.group_order(fld, gid)}",
             f"generators ({len(gens)}):",
         ]
-        lines += [f"  {g!r}" for g in gens]
+        lines += [f"  {mo.map_text(fld, g)}" for g in gens]
         lines.append(f"stabilizer of {{0, oo}}: {stab_size} elements")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -315,7 +315,7 @@ def cmd_labels(args):
     rows = []
     for k, y in enumerate(reps.tolist()):
         i, j = (int(v) for v in pg1.pairs[y])
-        rep = f"{{{pg1.point(i)!r}, {pg1.point(j)!r}}}"
+        rep = f"{{{pg1.point_text(i)}, {pg1.point_text(j)}}}"
         rows.append(
             {
                 "class": k,
@@ -443,6 +443,9 @@ def main(argv=None):
         return args.fn(args)
     except (ValueError, OSError, sc.DomainSizeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:
+        print(f"error: out of memory ({e})" if str(e) else "error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except (sc.NotASchemeError, sc.NotTransitiveError, fi.TheoremViolationError) as e:
         print(f"verification error: {e}", file=sys.stderr)

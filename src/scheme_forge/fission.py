@@ -79,7 +79,7 @@ class RelationLabel:
     def text(self, fld):
         sub = {"diagonal": "0", "share": "1", "harmonic": "-1"}.get(self.kind)
         if sub is None:
-            sub = repr(fld.element_from_code(self.rep))
+            sub = fld.element_text(self.rep)
             if " " in sub:
                 sub = f"({sub})"
         sup = {1: "^+", -1: "^-", 0: ""}[self.sign]
@@ -121,7 +121,7 @@ def build_ft(fld):
     """
     u, v = np.append(fld.BY_RANK, 1), np.append(np.ones(fld.q, dtype=np.int32), 0)
     D = fld.ADD[fld.MUL[u[:, None], v], fld.NEG[fld.MUL[v[:, None], u]]]
-    points = mo.point_perms(fld, mo.coefficients(mo.generators(fld, "pgl")))
+    points = mo.point_perms(fld, mo.generators(fld, "pgl"))
     return label_scheme(fld, "pgl", sc.cross_ratio_scheme(domain_for(fld, "pairs"), D, points))
 
 
@@ -166,26 +166,6 @@ def _labels_from_base_row(fld, row, dom, d, label_of_pair):
     if len({lab.key() for lab in labels}) != len(labels):
         raise TheoremViolationError("one label appears in two distinct computed orbits")
     return labels
-
-
-def ft_equals_orbital(fld):
-    """Whether the cross-ratio construction equals the group-orbital one,
-    under a unique relabeling of classes."""
-    orb = sc.group_orbital_scheme(fld, "pgl", domain_for(fld, "pairs"))
-    return sc.partition_bijection(build_ft(fld), orb) is not None
-
-
-def triangular_partition(ft):
-    """Fusion map from FT(q+1) classes onto the 2-class triangular scheme."""
-    part = np.empty(ft.d + 1, dtype=np.int64)
-    for k, lab in enumerate(ft.labels):
-        if lab.kind == "diagonal":
-            part[k] = 0
-        elif lab.kind == "share":
-            part[k] = 1
-        else:
-            part[k] = 2
-    return part
 
 
 # -- closed-form orbit labelings -----------------------------------------------------
@@ -336,20 +316,26 @@ def three_domain_schemes(fld, gid):
 
 
 def pgl_scheme(fld):
-    """The full fractional-linear group scheme, labeled by cross-ratio."""
+    """The full fractional-linear group scheme, labeled by cross-ratio;
+    `_labeled_scheme(fld, "pgl")` under the name the demos use."""
     return _labeled_scheme(fld, "pgl")
 
 
 def psl_scheme(fld):
+    """The square-determinant subgroup scheme with Gamma labels;
+    `_labeled_scheme(fld, "psl")` under the name the demos use."""
     return _labeled_scheme(fld, "psl")
 
 
 def m_scheme(fld):
-    """The twisted-group scheme with Delta labels and orbit bookkeeping."""
+    """The twisted-group scheme with Delta labels and orbit bookkeeping;
+    `_labeled_scheme(fld, "m")` under the name the demos use."""
     return _labeled_scheme(fld, "m")
 
 
 def pgammal_scheme(fld):
+    """The semilinear-group scheme with Lambda labels;
+    `_labeled_scheme(fld, "pgammal")` under the name the demos use."""
     return _labeled_scheme(fld, "pgammal")
 
 
@@ -508,7 +494,7 @@ def report_transpose_rules(S):
         one_minus = fld.sub(1, lab.rep)
         crit = not fld.is_square(one_minus) if q % 4 == 1 else fld.is_square(one_minus)
         paired = bool(tmap[k] == partner(k))
-        rules[repr(fld.element_from_code(lab.rep))] = {
+        rules[fld.element_text(lab.rep)] = {
             "predicted": bool(crit),
             "computed": bool(paired),
         }
@@ -674,16 +660,22 @@ def report_geometry(fld):
 
 def report_embedding(fld):
     """det rho = det^3, equivariance of the conic parametrization, and
-    conic preservation, over all generators and points; rho moves the
-    conic under every generator in one batched pass."""
+    conic preservation, over all generators and points, in one batched
+    pass: det rho is the expansion of the first row of each `_rho`
+    matrix along its `_cofactors`, and rho moves the conic under every
+    generator at once."""
     q = fld.q
     t0 = time.perf_counter()
     pl = plane_for(fld)
-    gens = mo.generators(fld, "pgammal")
-    maps = mo.coefficients(gens)
-    det_ok = all(g.rho().det == fld.pow(g.det, 3) for g in gens)
+    M, A = fld.MUL, fld.ADD
+    maps = mo.generators(fld, "pgammal")
+    R = mo._rho(fld, maps)
+    row0 = M[R[:, 0], mo._cofactors(fld, R)[:, 0]]
+    a, b, c, d = maps[:, :4].T
+    det = A[M[a, d], fld.NEG[M[b, c]]]
+    det_ok = bool(np.array_equal(A[A[row0[:, 0], row0[:, 1]], row0[:, 2]], M[M[det, det], det]))
     C = np.array(pl.conic_points())
-    images = mo._coords_transform(fld, mo._rho(fld, maps), maps[:, 4], C)
+    images = mo._coords_transform(fld, R, maps[:, 4], C)
     equiv_ok = np.array_equal(images, C[mo.point_perms(fld, maps)])
     # the images of the conic are the conic: equal sorted point codes
     codes = np.array([q * q, q, 1])

@@ -1,45 +1,20 @@
 """PG(1,q) and PG(2,q) with the quadratic form Q = x1^2 - x0*x2.
 
 The plane carries the fixed conic {(t^2 : t : 1)} u {(1:0:0)}, its
-polarity, the hyperbolic/tangent/elliptic classification of lines, and
-the cross-ratio on the projective line.  Points and lines of PG(2,q) are
-normalized coordinate triples (tuples of field codes) with the first
-nonzero coordinate scaled to 1, so equality is plain tuple equality.
+polarity and the hyperbolic/tangent/elliptic classification of lines,
+computed by batched kernels on (k, 3) arrays of field codes.  Points and
+lines of PG(2,q) are normalized coordinate triples of field codes with
+the first nonzero coordinate scaled to 1, so equality is plain equality
+of rows.
 
-Points of PG(1,q) are addressed two ways: publicly as FieldElement or
-the INFINITY singleton, and in the engine as positions 0..q where
-position i < q is the i-th field element in canonical order and
-position q is the point at infinity.
+A point of PG(1,q) is a position 0..q: position i < q is the i-th field
+element in canonical order and position q is the point at infinity;
+`PG1.point_text` writes one.
 """
 
 import numpy as np
 
-from .gf import FieldElement
-
-
-class _Infinity:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "oo"
-
-
-INFINITY = _Infinity()
-
 LINE_CLASSES = ("elliptic", "tangent", "hyperbolic")  # by conic points on the line
-
-
-class IndeterminateCrossRatioError(ValueError):
-    """Cross-ratio requested for a configuration where it is 0/0."""
-
-
-class DegeneratePairError(ValueError):
-    """A construction needing two distinct points got a repeated one."""
 
 
 class PG1:
@@ -61,21 +36,9 @@ class PG1:
         self.pair_table[i, j] = self.pair_table[j, i] = np.arange(self.n_pairs)
         self.base_pair = int(self.pair_table[0, q])  # index of {0, oo}
 
-    def pos(self, pt):
-        """Position of a point given as FieldElement, int code, or INFINITY."""
-        if pt is INFINITY:
-            return self.INF
-        if isinstance(pt, FieldElement):
-            return int(self.field.RANK[pt.val])
-        return int(self.field.RANK[int(pt)])
-
-    def point(self, pos):
-        if pos == self.INF:
-            return INFINITY
-        return self.field.element_from_code(int(self.val_of_pos[pos]))
-
-    def points(self):
-        return [self.point(i) for i in range(self.n_points)]
+    def point_text(self, pos):
+        """Position pos as text: "oo" at infinity, else its field element."""
+        return "oo" if pos == self.INF else self.field.element_text(int(self.val_of_pos[pos]))
 
     def pair_images(self, point_perms, elements=None, table=None):
         """Lift k permutations of positions, shape (k, q+1), to the pairs:
@@ -102,52 +65,6 @@ class PG1:
             codes += P.ravel().take(off + ends[1])
         return table.take(codes)
 
-    # -- cross-ratio ---------------------------------------------------------
-
-    def _homog(self, pt):
-        if pt is INFINITY:
-            return (1, 0)
-        if isinstance(pt, FieldElement):
-            if pt.field is not self.field:
-                raise ValueError("point from a different field")
-            return (pt.val, 1)
-        return (int(pt), 1)  # raw code
-
-    def cross_ratio_code(self, x, y, z, w):
-        """Cross-ratio of four positions/codes; returns a code or self.INF.
-
-        Arguments are homogeneous pairs as produced by ``_homog``.
-        """
-        f = self.field
-
-        def det(u, v):
-            return f.sub(f.mul(u[0], v[1]), f.mul(u[1], v[0]))
-
-        num = f.mul(det(x, z), det(y, w))
-        den = f.mul(det(x, w), det(y, z))
-        if den != 0:
-            return f.div(num, den)
-        if num != 0:
-            return self.INF
-        raise IndeterminateCrossRatioError("cross-ratio is 0/0 here")
-
-    def cross_ratio(self, x, y, z, w):
-        """cr(x,y;z,w) = (x-z)(y-w) / ((x-w)(y-z)), with limit rules at oo.
-
-        Returns a FieldElement or INFINITY.
-        """
-        r = self.cross_ratio_code(*(self._homog(t) for t in (x, y, z, w)))
-        if r == self.INF:
-            return INFINITY
-        return self.field.element_from_code(r)
-
-    def cross_ratio_pos(self, xp, yp, zp, wp):
-        """Cross-ratio of four positions; returns a code, or q for infinity."""
-        def h(p):
-            return (1, 0) if p == self.INF else (int(self.val_of_pos[p]), 1)
-
-        return self.cross_ratio_code(h(xp), h(yp), h(zp), h(wp))
-
 
 class Plane:
     """PG(2,q) with the conic of Q = x1^2 - x0*x2 and its polarity."""
@@ -158,108 +75,26 @@ class Plane:
         self._conic = None
         self._reps = None
 
-    # -- coordinates ----------------------------------------------------------
-
-    def normalize(self, v):
-        """Scale a nonzero triple so its first nonzero coordinate is 1."""
-        f = self.field
-        v = tuple(int(c) for c in v)
-        for c in v:
-            if c != 0:
-                s = f.inv(c)
-                return tuple(f.mul(s, c2) for c2 in v)
-        raise ValueError("the zero triple is not a projective point")
-
     def quadratic_form(self, v):
         """Q(x0,x1,x2) = x1^2 - x0*x2 on a raw triple (code arithmetic)."""
         f = self.field
         x0, x1, x2 = (int(c) for c in v)
         return f.sub(f.mul(x1, x1), f.mul(x0, x2))
 
-    def bilinear_form(self, u, v):
-        """B(u,v) = 2*u1*v1 - u0*v2 - u2*v0, the polarization of Q."""
-        f = self.field
-        u0, u1, u2 = (int(c) for c in u)
-        v0, v1, v2 = (int(c) for c in v)
-        two = f.add(1, 1)
-        s = f.mul(two, f.mul(u1, v1))
-        s = f.sub(s, f.mul(u0, v2))
-        s = f.sub(s, f.mul(u2, v0))
-        return s
-
-    # -- conic ----------------------------------------------------------------
-
-    def conic_point(self, pos):
-        """The conic point attached to PG(1,q) position `pos` (the map f)."""
-        f = self.field
-        if pos == self.pg1.INF:
-            return (1, 0, 0)
-        t = int(self.pg1.val_of_pos[pos])
-        return self.normalize((f.mul(t, t), t, 1))
-
     def conic_points(self):
-        """All q+1 conic points, ordered like PG(1,q) positions."""
+        """All q+1 conic points, ordered like PG(1,q) positions: (t^2 : t : 1)
+        at the element t of each finite position, then (1 : 0 : 0)."""
         if self._conic is None:
-            self._conic = [self.conic_point(i) for i in range(self.pg1.n_points)]
+            f, t = self.field, self.field.BY_RANK
+            V = np.stack([f.MUL[t, t], t, np.ones_like(t)], axis=1)
+            self._conic = [tuple(P) for P in self.normalize_rows(V).tolist()] + [(1, 0, 0)]
         return self._conic
-
-    # -- polarity -------------------------------------------------------------
-
-    def polarity_point_to_line(self, P):
-        """P -> P^perp: the line {R : B(P,R) = 0}, as dual coordinates."""
-        f = self.field
-        x0, x1, x2 = (int(c) for c in P)
-        two = f.add(1, 1)
-        return self.normalize((f.neg(x2), f.mul(two, x1), f.neg(x0)))
-
-    def polarity_line_to_point(self, l):
-        f = self.field
-        a0, a1, a2 = (int(c) for c in l)
-        half = f.inv(f.add(1, 1))
-        return self.normalize((f.neg(a2), f.mul(half, a1), f.neg(a0)))
-
-    # -- lines ----------------------------------------------------------------
-
-    def line_through(self, P, Q):
-        """Dual coordinates of the unique line through distinct points P, Q."""
-        f = self.field
-        p0, p1, p2 = (int(c) for c in P)
-        q0, q1, q2 = (int(c) for c in Q)
-        l = (
-            f.sub(f.mul(p1, q2), f.mul(p2, q1)),
-            f.sub(f.mul(p2, q0), f.mul(p0, q2)),
-            f.sub(f.mul(p0, q1), f.mul(p1, q0)),
-        )
-        if l == (0, 0, 0):
-            raise DegeneratePairError("coincident points span no line")
-        return self.normalize(l)
-
-    def hyperbolic_line_pos(self, i, j):
-        """The line through conic points at PG(1,q) positions i != j."""
-        if i == j:
-            raise DegeneratePairError("a hyperbolic line needs two distinct points")
-        return self.line_through(self.conic_point(i), self.conic_point(j))
-
-    def hyperbolic_line(self, x, y):
-        """L_{x,y}: the secant through the conic points of parameters x, y."""
-        return self.hyperbolic_line_pos(self.pg1.pos(x), self.pg1.pos(y))
-
-    def incident(self, P, l):
-        f = self.field
-        s = 0
-        for pc, lc in zip(P, l):
-            s = f.add(s, f.mul(int(lc), int(pc)))
-        return s == 0
-
-    def classify_line(self, l):
-        """'hyperbolic', 'tangent' or 'elliptic' by |l . conic| = 2, 1, 0."""
-        return LINE_CLASSES[self.conic_counts([l])[0]]
 
     # -- batched kernels on (k, 3) arrays of field codes, through the field tables --
 
     def normalize_rows(self, V):
         """Scale each row of the (k, 3) code array V so its first nonzero
-        coordinate is 1, as `normalize` scales one triple."""
+        coordinate is 1; ValueError for a zero row."""
         f, V = self.field, np.asarray(V, dtype=np.intp)
         if not V.any(axis=1).all():
             raise ValueError("the zero triple is not a projective point")
@@ -268,23 +103,26 @@ class Plane:
 
     def secant_lines(self, pairs):
         """The lines through the conic points at the two PG(1,q) positions
-        of each row of the (k, 2) array `pairs`, as `hyperbolic_line_pos`
-        gives them: cross products, normalized by `normalize_rows`."""
+        of each row of the (k, 2) array `pairs`, as dual coordinates: cross
+        products, normalized by `normalize_rows`."""
         f = self.field
         C = np.array(self.conic_points())[np.asarray(pairs)]
         P, Q, r1, r2 = C[:, 0], C[:, 1], [1, 2, 0], [2, 0, 1]
         return self.normalize_rows(f.ADD[f.MUL[P[:, r1], Q[:, r2]], f.NEG[f.MUL[P[:, r2], Q[:, r1]]]])
 
     def poles(self, lines):
-        """The poles of the rows of the (k, 3) array `lines`, as
-        `polarity_line_to_point` gives them, normalized by `normalize_rows`."""
+        """The poles of the rows of the (k, 3) array `lines` under the
+        polarity of Q, (a0, a1, a2) -> (-a2, a1/2, -a0), normalized by
+        `normalize_rows`: a point R lies on the line exactly when
+        2 P1 R1 - P0 R2 - P2 R0 = 0 for its pole P."""
         f = self.field
         a0, a1, a2 = np.asarray(lines).T
         return self.normalize_rows(np.stack([f.NEG[a2], f.MUL[f.INV[f.ADD[1, 1]], a1], f.NEG[a0]], 1))
 
     def conic_counts(self, lines):
         """The number of conic points on each row of the (k, 3) array
-        `lines` (any scaling), the count of `incident` over the conic."""
+        `lines` (any scaling): 2 for a secant, 1 for a tangent, 0 for an
+        elliptic line, the index of its class in LINE_CLASSES."""
         M, A = self.field.MUL, self.field.ADD
         L, C = np.asarray(lines)[:, None], np.array(self.conic_points())
         s = A[A[M[L[..., 0], C[:, 0]], M[L[..., 1], C[:, 1]]], M[L[..., 2], C[:, 2]]]

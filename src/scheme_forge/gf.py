@@ -7,8 +7,8 @@ arithmetic is table-backed (numpy arrays of shape (q,) or (q, q)), so the
 bulk engine paths can apply field operations to whole arrays with fancy
 indexing.  Every field, prime fields included, is built by one path from
 its modulus, which is accepted when the multiplication table it gives
-has no zero divisors.  A thin ``FieldElement`` wrapper provides operator
-overloading and field-mismatch checking for the public API.
+has no zero divisors.  The int code is the only representation of an
+element; `GF.element_text` writes one as a polynomial in x.
 
 The canonical total order on elements is lexicographic on the coefficient
 vector, low degree first.  For prime fields this is the usual integer
@@ -35,8 +35,10 @@ CONWAY_POLYNOMIALS = {
 }
 
 
-class FieldMismatchError(ValueError):
-    """Raised when elements of different field instances are combined."""
+# The largest q a field is built for.  `_build_tables` peaks at about
+# 23 q^2 bytes of RSS (414 MB at q = 4093), so a larger q gets ValueError
+# before any allocation, not the out-of-memory killer.
+MAX_Q = 4096
 
 
 class NoInvolutionError(ValueError):
@@ -70,11 +72,14 @@ class GF:
     would give MUL[g, h] = 0).
 
     Use the module-level factory :func:`field` to get cached instances.
-    The int-level methods (``add``, ``mul``, ...) form the fast engine
-    API; ``__call__`` wraps ints or coefficient vectors as FieldElement.
+    The int-level methods (``add``, ``mul``, ...) act on single codes,
+    the tables on arrays of them.  A q above MAX_Q raises ValueError
+    before anything is allocated.
     """
 
     def __init__(self, q, modulus=None):
+        if q > MAX_Q:
+            raise ValueError(f"q = {q} is above {MAX_Q}: its field tables would take over 0.4 GB")
         p, m = _factor_prime_power(q)
         if p == 2:
             raise ValueError("characteristic 2 is not supported (q must be odd)")
@@ -235,48 +240,20 @@ class GF:
     def rank(self, x):
         return int(self.RANK[x])
 
-    def elements(self):
-        """All elements in canonical order."""
-        return [int(v) for v in self.BY_RANK]
-
     def coeffs(self, x):
         return tuple(int(c) for c in self._digits[x])
 
-    def from_coeffs(self, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) > self.m:
-            raise ValueError(f"at most {self.m} coefficients expected")
-        coeffs += [0] * (self.m - len(coeffs))
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + (int(c) % self.p)
-        return v
-
-    # -- element wrapper ----------------------------------------------------
-
-    def __call__(self, value):
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise FieldMismatchError("element belongs to a different field")
-            return value
-        if isinstance(value, (list, tuple)):
-            return FieldElement(self, self.from_coeffs(value))
-        # ints are read as prime-subfield values; full encodings must use
-        # coefficient vectors or from_coeffs to avoid ambiguity
-        return FieldElement(self, int(value) % self.p)
-
-    def element_from_code(self, v):
-        """Wrap a raw table code 0..q-1 (engine representation)."""
-        v = int(v)
-        if not 0 <= v < self.q:
-            raise ValueError("code out of range")
-        return FieldElement(self, v)
-
-    def zero(self):
-        return FieldElement(self, 0)
-
-    def one(self):
-        return FieldElement(self, 1)
+    def element_text(self, x):
+        """The element of code x as a polynomial in x, low degree first
+        and zero terms left out: "0", "2", "x", "1 + 2x^2"."""
+        terms = []
+        for i, c in enumerate(self.coeffs(x)):
+            if c and i == 0:
+                terms.append(str(c))
+            elif c:
+                xi = "x" if i == 1 else f"x^{i}"
+                terms.append(xi if c == 1 else f"{c}{xi}")
+        return " + ".join(terms) if terms else "0"
 
     def __repr__(self):
         if self.modulus is None:
@@ -285,111 +262,6 @@ class GF:
 
     def __reduce__(self):
         return (field, (self.q, self.modulus))
-
-
-class FieldElement:
-    """An element of a GF instance, supporting field operator syntax."""
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, fld, val):
-        self.field = fld
-        self.val = int(val)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldMismatchError("elements from different fields")
-            return other.val
-        if isinstance(other, int):
-            return self.field(other).val
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.ADD[self.val, v])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.NEG[self.val])
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.val, v))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.MUL[self.val, v])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.val, v))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.inv(self.val)) * other
-
-    def __pow__(self, n):
-        return FieldElement(self.field, self.field.pow(self.val, n))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.val == other.val
-        if isinstance(other, int):
-            return self.val == self.field(other).val
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.val))
-
-    def __lt__(self, other):
-        v = self._coerce(other)
-        return self.field.RANK[self.val] < self.field.RANK[v]
-
-    def __le__(self, other):
-        v = self._coerce(other)
-        return self.field.RANK[self.val] <= self.field.RANK[v]
-
-    def __bool__(self):
-        return self.val != 0
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs(self.val)
-
-    def is_square(self):
-        return self.field.is_square(self.val)
-
-    def frobenius(self, j):
-        return FieldElement(self.field, self.field.frobenius(self.val, j))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.val))
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                xi = "x" if i == 1 else f"x^{i}"
-                terms.append(xi if c == 1 else f"{c}{xi}")
-        return " + ".join(terms) if terms else "0"
 
 
 @functools.lru_cache(maxsize=None)

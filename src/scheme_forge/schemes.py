@@ -484,7 +484,7 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
     gid = mo.check_group_defined(fld, gid)
     pg1 = dom.plane.pg1
     n, base = dom.n, dom.base_index
-    gens = mo.coefficients(mo.generators(fld, gid))
+    gens = mo.generators(fld, gid)
     transporters = mo.transporters_to_base(fld, gid, pg1.pairs)
     if not (mo.in_group(fld, gens, gid).all() and mo.in_group(fld, transporters, gid).all()):
         raise NotASchemeError(f"a generator or a transporter is not in {gid}")
@@ -530,7 +530,7 @@ def triangular_scheme(dom):
 
 def group_orbital_scheme(fld, gid, dom):
     """Generic-path scheme of one of the named groups on a domain."""
-    perms = mo.domain_perms(mo.coefficients(mo.generators(fld, gid)), dom)
+    perms = mo.domain_perms(mo.generators(fld, gid), dom)
     return orbital_scheme(perms, dom)
 
 

@@ -458,6 +458,87 @@ def test_benchmark_cli_session_keeps_its_bytes_cold_and_warm(tmp_path, monkeypat
     assert len(list(tmp_path.glob("*.npz"))) == 7
 
 
+# sha256 of the stdout of `group info` at every defined group and of
+# `scheme labels` for psl, m and ft, in text and json, computed when both
+# commands printed through the Moebius and FieldElement objects
+GROUP_INFO_DIGESTS = {
+    ("info", 5, "pgl", "text"): "9c6271a08c98b111a6df20e8471faed9215c987d3bb910fa0797682e972c5ddf",
+    ("info", 5, "pgl", "json"): "48fd886c2788fb880b86060db1ae5d468d386920670c6ae4fc1003da99403917",
+    ("info", 5, "psl", "text"): "6cb57c41e85ac2ed546e1aa2dc9ec825c0a949157a9fd9f8819716489f777e0d",
+    ("info", 5, "psl", "json"): "123014274e44389f4c97f29d9b33186036b7839c3f9072ff46fb249f48a61e5e",
+    ("info", 5, "pgammal", "text"): "7e82d06b04330513fc3a1f7d684c074c97e3881596468b982a63ed13c980a153",
+    ("info", 5, "pgammal", "json"): "59400ddf769d6074c74a96967afa26a18e1ff68a24ed2eb52a5d16cabc904fa9",
+    ("info", 9, "pgl", "text"): "84502e8060293d58a35067e95298ecc9cb608bcbb0caf3afca17fc61a7667dc8",
+    ("info", 9, "pgl", "json"): "9eba6d46417e0f3a6a96c5e268312b13a3a7243bdf4bb5d9713c29fe4414067c",
+    ("info", 9, "psl", "text"): "cf9ddc1be1cf3a8066d7f76c8f990aeb25b096de989a14dc236c0012c20def7d",
+    ("info", 9, "psl", "json"): "29fd1a8875d14c14958f5a8de5d407555ee3de2b83326980fcf5f275cd28ef64",
+    ("info", 9, "m", "text"): "68d7b90b5227d52ae66185678c4b90699032d2c6e5f9ace987bb69f681f0453f",
+    ("info", 9, "m", "json"): "aa956f728ddd38789b7cba1ba9e3376d8e50897c7cf1f0f723ac20b6c7ff9bf2",
+    ("info", 9, "pgammal", "text"): "f8be58622d3b6ab4217d21f1fb82b8d51b6ea489cc8dabdc9176180d9a97bb48",
+    ("info", 9, "pgammal", "json"): "f4682ec02170daf97fed1b8deb7145c074b03e9d116a01853b97fb928743668b",
+    ("info", 25, "pgl", "text"): "08d2c9d715eb22962016b522a71c749a8f756bca793afa3ffe3ead0922ad7fbe",
+    ("info", 25, "pgl", "json"): "fcd5a35255b2ddc23e45de771d3e6428ba17260fd5ed47cf4dbaa711a230e790",
+    ("info", 25, "psl", "text"): "2619e8ce184ff0259cc8324cb13bdd349bdbeea73c7eb86efca276b6c404e0fd",
+    ("info", 25, "psl", "json"): "b8e1abc4c1d5b0488283a532b5c690e08b64986fa93dc189137a5e09b939a4ec",
+    ("info", 25, "m", "text"): "fe0baa541b67251cc37c59d8541a6ac1d795ebdeb1e865ab7ad59cf03fadf772",
+    ("info", 25, "m", "json"): "396857b2485aa5a9caf21e4c7b6b4283a1ca378d9da8c6e763917b49ee7ccef7",
+    ("info", 25, "pgammal", "text"): "15d5b79eb48bf2c8401a45e309fbc3f9b6a51f42fc8e3dbf9dcfa6546b3e42c5",
+    ("info", 25, "pgammal", "json"): "6327bcba69a090ba5e08d382b77b597e866e016284af70499d97e459121b93ca",
+    ("info", 27, "pgl", "text"): "a5e58374f50af44b8a90cdf7ff4888200d547d66b300e697a3ad6089e14b84ca",
+    ("info", 27, "pgl", "json"): "8d89b28200b75b998c7a978702e61b5a0d6b980c50dc71c34b9bbd2e8d12bdfe",
+    ("info", 27, "psl", "text"): "a956f610d53c24276826ce3280a099d46311ebe767002f6f1f9d55a9e2dd08d9",
+    ("info", 27, "psl", "json"): "d2e4184d1b7d7ca9be38efa135aae66a43a7efa5fcfde0b09ebae8c977bb8055",
+    ("info", 27, "pgammal", "text"): "ca08eea6bc30e60a78e051ef535d9ee89c84f7bee5a7cf950869065d8ac82da6",
+    ("info", 27, "pgammal", "json"): "d1020c4c96a10011459f7fc7b65c69a928c1510a557fc79dd8a0eab9642404bc",
+    ("info", 49, "pgl", "text"): "7907ce15171ddd47d1b1a8490b73269b4e6d68062e40a1da3cba99c107e28a27",
+    ("info", 49, "pgl", "json"): "b82c976f39e8b1d2bc23e1ff78c085656c163cde671963b60fc7411ef4087094",
+    ("info", 49, "psl", "text"): "7ef3cab7bd765a718ce73f2cf6e691f465e8af100f68e205ed4a3ac48c2bd22f",
+    ("info", 49, "psl", "json"): "2b3efea58d538d2862d4587f25ca1da25b3ea74698d5dc708f0f677b98489612",
+    ("info", 49, "m", "text"): "bfdb96bf273d463d9c731781c7ce4cb37a90a2d99dffebb783e777a0850550a3",
+    ("info", 49, "m", "json"): "b031c9458ece4a4a6d2de6005cc5e3154506174f7b8268554723c8bf460a36c1",
+    ("info", 49, "pgammal", "text"): "fe63f623baf6abad6b826dcdae87f4b71895040ea52d1951caaa0cc8d7d2fa1d",
+    ("info", 49, "pgammal", "json"): "0232e1a9b6863384f4a8f1151db570e906221bf1b1ea141dadbb666c3782e987",
+    ("info", 81, "pgl", "text"): "f03c9f4dbc13def6be8f86c01bb9bba38be1d2b35989775567caae2bd9b5ba22",
+    ("info", 81, "pgl", "json"): "ab8449e923a304871125146fb8790522d93e9cb776d6a7e19716c4001cbd3916",
+    ("info", 81, "psl", "text"): "728bced24cf2f60740a2f1a2c7dc0828147e026e054bb94c2a06f621f67272ef",
+    ("info", 81, "psl", "json"): "74c0c5d3450dfa0ba37b7fc3ff8148d40cc406687ce64225832d1d121b4b1bca",
+    ("info", 81, "m", "text"): "d8d1f01af39a82c7320a347b7e7f47d34900950c013b60aa7441a1c418ad34ae",
+    ("info", 81, "m", "json"): "ead150664ab279aea45a11460d56edf82836bf9556615008c81ff203008499ba",
+    ("info", 81, "pgammal", "text"): "cf4e87423ac0ab8f7fa4e586e93dd7be95bb7ebfd7a49ee3253aab6a41d6291b",
+    ("info", 81, "pgammal", "json"): "208b35ca888448020bd7dfcd98e70f76293d4c512d682e70406b7764dde63e3d",
+    ("info", 125, "pgl", "text"): "092f93492edb4747e8fca3fb26ef7041456de1face189921cdf71357860ee922",
+    ("info", 125, "pgl", "json"): "e62ea840cbee925c455e63b5756fb77ac86654401af36f1079b57306ae7b8b5a",
+    ("info", 125, "psl", "text"): "b9cbd576e5dfef282a18a34bb83b127b09ec0cc334bfd0e1d08d83e984f38dc4",
+    ("info", 125, "psl", "json"): "e8bb22ded241d97b9ffdc0b92d09ca920164dbbf3c0c5385d40b9e132949695a",
+    ("info", 125, "pgammal", "text"): "47bf3d97f7202e255623e5f3b838c53df1335d8dc1a0aaa00a9f77ef483689d0",
+    ("info", 125, "pgammal", "json"): "484a9c6d24899eac92ac4c7ac8255d9887581bc99e95c0b88d9ed315e292fe50",
+    ("labels", 25, "psl", "text"): "38e64672bbb6e5e495ce581e940e8cafe6c0c4f8417a257ee2af8d037228b7ec",
+    ("labels", 25, "psl", "json"): "eeb4655c42c96ad7571c4f7eba8c4d55853878226f888f27eee44b2f1761385e",
+    ("labels", 25, "m", "text"): "f950a826ff70ec5250cc20234f4996d05a8c5f06fc434390d703b6fbbbeb15e6",
+    ("labels", 25, "m", "json"): "7bc67e99952477e362bdd9c037dd3a9490d1b94eb9cba0cc6bd611967ace368c",
+    ("labels", 25, "ft", "text"): "60d84d193c036341ca9667e1523964fbe8050641d2ddaaa12bb93e72d4949ccd",
+    ("labels", 25, "ft", "json"): "3676e9ff67af2db2720d7aaafb91de50a757534feb2e3a56544005b437e10493",
+    ("labels", 27, "psl", "text"): "b7a57be59d852d053e2edd8158c7af78a042f029887637551c49091fa10ff27e",
+    ("labels", 27, "psl", "json"): "a0ab70bfb96fb170c345f6f2f2a11e0c1783a7415ea83930c8e1864761785aec",
+    ("labels", 27, "ft", "text"): "087f0aea953b5ca56848d200224e08555f1122b656ed1a14671bc4a20016e44b",
+    ("labels", 27, "ft", "json"): "35095abcc9fc681198b117e110dfc510748b74a9ba4253300f79e2902d5d3e88",
+    ("labels", 49, "psl", "text"): "5d035d38d2d286dc17e66c4fd56889524ae22bf2556fe8adc1696176bea9f4e6",
+    ("labels", 49, "psl", "json"): "e991d455e5c8d2b2833e7c00ceb1e77cfc8613de3bd2438e1a2433ef187031b9",
+    ("labels", 49, "m", "text"): "72f8e84a676aff52c908bc687a602190e7257384a46939d5ed129dc664199638",
+    ("labels", 49, "m", "json"): "f244e15446706dbe944fcb575bdad5ff282357665960f5aa2eba3d8fb14e90da",
+    ("labels", 49, "ft", "text"): "924a7132c434ac384be7b9331cedea84d553c9682dac2a14422bb094909d9d6f",
+    ("labels", 49, "ft", "json"): "ab242ad2bf82bc563c7b9a956e54859c1669b3326beb169554539954dc3e3c60",
+}
+
+
+@pytest.mark.parametrize("cmd, q, name, fmt", sorted(GROUP_INFO_DIGESTS))
+def test_group_info_and_scheme_labels_keep_their_bytes(cmd, q, name, fmt, capsys, monkeypatch):
+    monkeypatch.delenv("SCHEME_FORGE_CACHE_DIR", raising=False)
+    argv = ("group", "info") if cmd == "info" else ("scheme", "labels")
+    code, out, _ = run(capsys, *argv, "--q", str(q), "--group", name, "--format", fmt)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, GROUP_INFO_DIGESTS[cmd, q, name, fmt])
+
+
 def test_cold_cache_write_holds_no_n_by_n_array(tmp_path):
     """The cache file of a stabilizer-path scheme is streamed from its row
     blocks: the matrix is never filled, the file holds the matrix that a
@@ -648,3 +729,28 @@ def test_group_info_stabilizer_size_is_the_enumerated_one(capsys, q):
         code, out, _ = run(capsys, "group", "info", "--q", str(q), "--group", gid, "--format", "json")
         assert code == 0
         assert json.loads(out)["base_pair_stabilizer_size"] == len(mo.base_pair_stabilizer(fld, gid))
+
+
+def test_huge_q_with_allow_large_is_a_usage_error_at_once():
+    """`--allow-large` lifts the q <= 127 check, but a field above
+    `gf.MAX_Q` is refused before it is factored or any table is allocated,
+    so a ten-digit prime exits 2 with a message within a second."""
+    import time
+
+    t0 = time.perf_counter()
+    proc = _run_module(["build", "--q", "1000000007", "--group", "psl", "--allow-large"])
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_memory_error_is_a_usage_error(capsys, monkeypatch):
+    from scheme_forge import cli
+
+    def exhausted(q, modulus=None):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "field", exhausted)
+    code, out, err = run(capsys, "build", "--q", "9", "--group", "psl")
+    assert (code, out, err) == (2, "", "error: out of memory\n")

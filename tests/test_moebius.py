@@ -1,28 +1,29 @@
-"""Semilinear fractional maps: action, group law, membership, the four
-subgroups, stabilizers, transporters, and the plane embedding."""
+"""Semilinear fractional maps as rows (a, b, c, d, j): action, group law,
+membership, the four subgroups, stabilizers, transporters, and the plane
+embedding, against the scalar oracles and closures of permutations."""
 
 import random
 
 import numpy as np
 import pytest
 
+import oracles as orc
 from scheme_forge.gf import field
-from scheme_forge.geometry import INFINITY, Plane, domain
+from scheme_forge.geometry import Plane, domain
 from scheme_forge.moebius import (
+    GROUPS,
     InvalidGroupError,
-    Moebius,
+    _cofactors,
+    _coords_transform,
+    _rho,
     base_pair_stabilizer,
-    coefficients,
-    conic_param,
     domain_perm,
     domain_perms,
-    enumerate_group,
     generators,
     group_order,
     in_group,
-    membership,
-    point_perm,
     point_perms,
+    stabilizer_generators,
     transporter_to_base,
     transporters_to_base,
 )
@@ -30,118 +31,141 @@ from scheme_forge.moebius import (
 SMALL_Q = [5, 7, 9]
 
 
-def random_moebius(fld, rng, j_choices=(0,)):
+def groups_of(fld):
+    return ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ())
+
+
+def random_map(fld, rng, j_choices=(0,)):
     while True:
-        a, b, c, d = (rng.randrange(fld.q) for _ in range(4))
         try:
-            return Moebius(fld, a, b, c, d, j=rng.choice(j_choices))
+            return orc.canonical(fld, *(rng.randrange(fld.q) for _ in range(4)), rng.choice(j_choices))
         except ValueError:
             continue
 
 
+def group(fld, gid):
+    """The group as an array of its distinct point permutations, the
+    closure of its generators' (`point_perms` rows)."""
+    return np.array(sorted(orc.closure(point_perms(fld, generators(fld, gid)))))
+
+
+@pytest.mark.parametrize("q", SMALL_Q + [25, 27])
+def test_generators_are_the_canonical_rows_of_the_documented_maps(q):
+    """t -> t + 1, then t -> g t and t -> 1/t (pgl), t -> g^2 t and
+    t -> -1/t (psl), these plus t -> g t^(p^(m/2)) (m), and the pgl ones
+    plus t -> t^p (pgammal), each scaled by the oracle."""
+    fld = field(q)
+    g = fld.primitive_element()
+    stab = {
+        "pgl": [(g, 0, 0, 1, 0), (0, 1, 1, 0, 0)],
+        "psl": [(fld.mul(g, g), 0, 0, 1, 0), (0, fld.neg(1), 1, 0, 0)],
+    }
+    stab["m"] = stab["psl"] + [(g, 0, 0, 1, fld.m // 2)]
+    stab["pgammal"] = stab["pgl"] + [(1, 0, 0, 1, 1)] * (fld.m > 1)
+    for gid in groups_of(fld):
+        want = [list(orc.canonical(fld, *row)) for row in [(1, 1, 0, 1, 0)] + stab[gid]]
+        assert generators(fld, gid).tolist() == want
+        assert stabilizer_generators(fld, gid).tolist() == want[1:]
+
+
 def test_identity_and_inversion_map():
     f = field(9)
-    e = Moebius.identity(f)
-    for pos in range(10):
-        assert e.apply_pos(pos) == pos
-    g = Moebius(f, 0, 1, 1, 0)  # t -> 1/t
-    assert g(f.zero()) is INFINITY
-    assert g(INFINITY) == f.zero()
-    assert g(f.one()) == f.one()
+    ident, inversion = point_perms(f, [(1, 0, 0, 1, 0), (0, 1, 1, 0, 0)])  # t -> t, t -> 1/t
+    assert ident.tolist() == list(range(10))
+    zero, one = int(f.RANK[0]), int(f.RANK[1])
+    assert inversion[zero] == 9 and inversion[9] == zero and inversion[one] == one
 
 
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_nonidentity_fixes_at_most_two_points(q):
     fld = field(q)
-    for g in enumerate_group(fld, "pgl"):
-        if g.is_identity():
-            continue
-        fixed = int((point_perm(g) == np.arange(q + 1)).sum())
-        assert fixed <= 2
+    fixes = group(fld, "pgl") == np.arange(q + 1)
+    moving = ~fixes.all(axis=1)
+    assert moving.sum() == q**3 - q - 1
+    assert (fixes[moving].sum(axis=1) <= 2).all()
 
 
 @pytest.mark.parametrize("q", SMALL_Q + [25])
 def test_compose_matches_pointwise(q):
+    """`point_perms` equals the oracle action point by point, and moves a
+    composition, and an inverse, as the composed permutations."""
     fld = field(q)
     rng = random.Random(q)
     js = tuple(range(fld.m))
     for _ in range(40):
-        g = random_moebius(fld, rng, js)
-        h = random_moebius(fld, rng, js)
-        gh = g * h
-        assert gh.j == (g.j + h.j) % fld.m
-        pg = point_perm(g)
-        ph = point_perm(h)
-        assert np.array_equal(point_perm(gh), pg[ph])
-        assert (g * g.inverse()).is_identity()
-        assert (g.inverse() * g).is_identity()
+        g, h = random_map(fld, rng, js), random_map(fld, rng, js)
+        gh = orc.compose(fld, g, h)
+        assert gh[4] == (g[4] + h[4]) % fld.m
+        pg, ph, pgh, pinv = point_perms(fld, [g, h, gh, orc.inverse(fld, g)])
+        assert pg.tolist() == [orc.apply(fld, g, pos) for pos in range(q + 1)]
+        assert np.array_equal(pgh, pg[ph])
+        assert np.array_equal(pg[pinv], np.arange(q + 1))
 
 
 def test_det_class_multiplies():
+    """In PGL(2,q) a product lies in psl exactly when both factors do or
+    neither does, as the square class of the determinant multiplies."""
     fld = field(13)
     rng = random.Random(0)
     for _ in range(50):
-        g = random_moebius(fld, rng)
-        h = random_moebius(fld, rng)
-        assert (g * h).det_is_square == (g.det_is_square == h.det_is_square)
+        g, h = random_map(fld, rng), random_map(fld, rng)
+        ing, inh, ingh = in_group(fld, [g, h, orc.compose(fld, g, h)], "psl")
+        assert ingh == (ing == inh)
 
 
 def test_membership_predicates():
     f = field(9)
     z = f.fixed_nonsquare()
-    scale_z = Moebius(f, z, 0, 0, 1)
-    assert membership(scale_z, "pgl")
-    assert not membership(scale_z, "psl")
-    assert not membership(scale_z, "m")
-    twisted = Moebius(f, z, 0, 0, 1, j=1)
-    assert membership(twisted, "m")
-    assert not membership(twisted, "pgl")
-    assert membership(twisted, "pgammal")
+    scale_z, twisted = (z, 0, 0, 1, 0), (z, 0, 0, 1, 1)
+    assert in_group(f, [scale_z, twisted], "pgl").tolist() == [True, False]
+    assert in_group(f, [scale_z, twisted], "psl").tolist() == [False, False]
+    assert in_group(f, [scale_z, twisted], "m").tolist() == [False, True]
+    assert in_group(f, [scale_z, twisted], "pgammal").tolist() == [True, True]
     with pytest.raises(InvalidGroupError):
-        membership(Moebius.identity(field(7)), "m")
+        in_group(field(7), (1, 0, 0, 1, 0), "m")
     with pytest.raises(InvalidGroupError):
-        membership(scale_z, "so3")
+        in_group(f, scale_z, "so3")
 
 
 def test_membership_counts_in_pgammal_q9():
+    """Every canonical row over GF(9) is one of the 1440 elements of
+    PGammaL(2,9), which act as distinct permutations and are exactly the
+    closure of the pgammal generators."""
     f = field(9)
-    elements = enumerate_group(f, "pgammal")
-    assert len(elements) == 1440
-    counts = {
-        gid: sum(1 for g in elements if membership(g, gid))
-        for gid in ("pgl", "psl", "m", "pgammal")
-    }
+    rows = orc.all_maps(f, range(f.m))
+    assert len(rows) == 1440
+    perms = point_perms(f, rows)
+    assert {tuple(p) for p in perms.tolist()} == orc.closure(point_perms(f, generators(f, "pgammal")))
+    member = {gid: in_group(f, rows, gid) for gid in GROUPS}
+    counts = {gid: int(ok.sum()) for gid, ok in member.items()}
     assert counts == {"pgl": 720, "psl": 360, "m": 720, "pgammal": 1440}
     # the intersection of the two sharply 3-transitive groups
-    both = [g for g in elements if membership(g, "pgl") and membership(g, "m")]
-    assert all(membership(g, "psl") for g in both)
-    assert len(both) == 360
-    rows = coefficients(elements)
+    both = member["pgl"] & member["m"]
+    assert (member["psl"][both]).all()
+    assert int(both.sum()) == 360
     for gid in counts:
-        assert in_group(f, rows, gid).tolist() == [membership(g, gid) for g in elements]
+        assert member[gid].tolist() == [orc.in_group(f, g, gid) for g in rows]
 
 
 def test_in_group_rejects_rows_that_are_not_maps():
     f = field(9)
-    good = coefficients([Moebius(f, 2, 1, 0, 1)])[0]
+    good = np.array([2, 1, 0, 1, 0])
     bad = np.array([good] * 5)
     bad[0, :4] = (1, 1, 1, 1)  # singular
     bad[1, 0] = f.q  # not a field code
     bad[2, 3] = -1
     bad[3, 4] = f.m  # no such exponent
     bad[4, 4] = -1
-    for gid in ("pgl", "psl", "m", "pgammal"):
+    for gid in GROUPS:
         assert not in_group(f, bad, gid).any()
-        assert in_group(f, good, gid).tolist() == [membership(Moebius(f, *good), gid)]
+        assert in_group(f, good, gid).tolist() == [orc.in_group(f, tuple(good), gid)]
 
 
 @pytest.mark.parametrize("q", [9, 25])
 def test_psl_is_intersection_as_permutation_groups(q):
     fld = field(q)
-    perms = {
-        gid: {tuple(point_perm(g)) for g in enumerate_group(fld, gid)}
-        for gid in ("pgl", "psl", "m")
-    }
+    perms = {gid: orc.closure(point_perms(fld, generators(fld, gid))) for gid in ("pgl", "psl", "m")}
+    assert [len(perms[gid]) for gid in ("pgl", "psl", "m")] == [q**3 - q, (q**3 - q) // 2, q**3 - q]
     assert perms["pgl"] & perms["m"] == perms["psl"]
     assert perms["pgl"] != perms["m"]
 
@@ -149,22 +173,22 @@ def test_psl_is_intersection_as_permutation_groups(q):
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_generator_closure_orders(q):
     fld = field(q)
-    for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
-        gens = generators(fld, gid)
-        assert all(membership(g, gid) for g in gens)
-        assert len(enumerate_group(fld, gid)) == group_order(fld, gid)
+    for gid in groups_of(fld):
+        assert in_group(fld, generators(fld, gid), gid).all()
+        assert len(group(fld, gid)) == group_order(fld, gid)
 
 
 def test_psl_generators_have_square_det():
     for q in SMALL_Q:
-        for g in generators(field(q), "psl"):
-            assert g.j == 0 and g.det_is_square
+        fld = field(q)
+        for g in generators(fld, "psl").tolist():
+            assert g[4] == 0 and fld.is_square(orc.det(fld, g))
 
 
 def test_m9_differs_from_pgl9_as_permutation_set():
     f = field(9)
-    pgl = {tuple(point_perm(g)) for g in enumerate_group(f, "pgl")}
-    m = {tuple(point_perm(g)) for g in enumerate_group(f, "m")}
+    pgl = orc.closure(point_perms(f, generators(f, "pgl")))
+    m = orc.closure(point_perms(f, generators(f, "m")))
     assert len(pgl) == len(m) == 720
     assert pgl != m
 
@@ -179,13 +203,26 @@ def test_base_pair_stabilizer_sizes(q, gid, size):
     fld = field(q)
     stab = base_pair_stabilizer(fld, gid)
     assert len(stab) == size
-    base = {0, fld.q}
-    for g in stab:
-        assert membership(g, gid)
-        assert {g.apply_pos(0), g.apply_pos(fld.q)} == base
+    assert in_group(fld, stab, gid).all()
+    assert [orc.canonical(fld, *g) for g in stab.tolist()] == list(map(tuple, stab.tolist()))
+    moved = point_perms(fld, stab)
+    assert (np.sort(moved[:, [0, q]], axis=1) == [0, q]).all()
     # orbit-stabilizer cross-check for the whole group
     if gid != "pgammal":
         assert len(stab) * (fld.q * (fld.q + 1) // 2) == group_order(fld, gid)
+
+
+def test_base_pair_stabilizer_order():
+    """Rows in order of j, then e in canonical order, t -> e t before
+    t -> e / t, filtered by the group."""
+    fld = field(9)
+    want = [orc.canonical(fld, *row, j)
+            for j in range(fld.m) for e in fld.BY_RANK[1:].tolist()
+            for row in ((e, 0, 0, 1), (0, e, 1, 0))]
+    for gid in GROUPS:
+        assert list(map(tuple, base_pair_stabilizer(fld, gid).tolist())) == [
+            g for g in want if orc.in_group(fld, g, gid)
+        ]
 
 
 def test_pgl_stabilizer_size_formula():
@@ -196,11 +233,11 @@ def test_pgl_stabilizer_size_formula():
 def test_psl_stabilizer_structure():
     for q in (5, 9, 13):
         fld = field(q)
-        for g in base_pair_stabilizer(fld, "psl"):
-            if g.c == 0:  # t -> e t
-                assert fld.is_square(fld.div(g.a, g.d))
+        for a, b, c, d, _ in base_pair_stabilizer(fld, "psl").tolist():
+            if c == 0:  # t -> e t
+                assert fld.is_square(fld.div(a, d))
             else:  # t -> e / t
-                assert fld.is_square(fld.neg(fld.div(g.b, g.c)))
+                assert fld.is_square(fld.neg(fld.div(b, c)))
 
 
 @pytest.mark.parametrize("q", SMALL_Q)
@@ -210,20 +247,17 @@ def test_sharp_3_transitivity(q):
     fld = field(q)
     zero, one, inf = 0, int(fld.RANK[1]), fld.q
     for gid in ("pgl",) + (("m",) if fld.m % 2 == 0 else ()):
-        served = {}
-        for g in enumerate_group(fld, gid):
-            inv = point_perm(g.inverse())
-            key = (int(inv[zero]), int(inv[one]), int(inv[inf]))
-            served[key] = served.get(key, 0) + 1
+        inv = np.argsort(group(fld, gid), axis=1)
+        served = np.unique(inv[:, [zero, one, inf]], axis=0, return_counts=True)[1]
         assert len(served) == (q + 1) * q * (q - 1)
-        assert set(served.values()) == {1}
+        assert set(served.tolist()) == {1}
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
 def test_psl_doubly_transitive(q):
     """Orbit count of the point-pair action: 2 (diagonal, off-diagonal)."""
     fld = field(q)
-    perms = [point_perm(g) for g in generators(fld, "psl")]
+    perms = point_perms(fld, generators(fld, "psl"))
     n = q + 1
     seen = {(0, 0), (0, 1)}
     for seed in [(0, 0), (0, 1)]:
@@ -242,23 +276,21 @@ def test_psl_doubly_transitive(q):
 def test_transporter_properties(q):
     fld = field(q)
     rng = random.Random(q)
-    groups = ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ())
-    for gid in groups:
+    for gid in groups_of(fld):
         for _ in range(200):
             pair = tuple(sorted(rng.sample(range(q + 1), 2)))
             g = transporter_to_base(fld, pair, gid)
-            assert membership(g, gid)
-            assert {g.apply_pos(pair[0]), g.apply_pos(pair[1])} == {0, fld.q}
+            assert in_group(fld, g, gid)[0]
+            assert set(point_perms(fld, [g])[0, list(pair)].tolist()) == {0, fld.q}
 
 
 def test_transporter_examples():
     fld = field(9)
-    assert transporter_to_base(fld, (0, 9), "pgl").is_identity()
+    assert transporter_to_base(fld, (0, 9), "pgl").tolist() == [1, 0, 0, 1, 0]
     f7 = field(7)
     one, minus1 = int(f7.RANK[1]), int(f7.RANK[6])
-    g = transporter_to_base(f7, (one, minus1), "pgl")
     # t -> (t-1)/(t+1)
-    assert g == Moebius(f7, 1, f7.neg(1), 1, 1)
+    assert transporter_to_base(f7, (one, minus1), "pgl").tolist() == [1, f7.neg(1), 1, 1, 0]
 
 
 # -- the embedding into the plane ------------------------------------------------
@@ -266,68 +298,63 @@ def test_transporter_examples():
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
 def test_rho_det_cube(q):
+    """`_rho` is the oracle's rho, and det rho = det^3, with det rho the
+    first-row expansion along `_cofactors`."""
     fld = field(q)
     rng = random.Random(q)
-    for _ in range(100):
-        g = random_moebius(fld, rng, tuple(range(fld.m)))
-        assert g.rho().det == fld.pow(g.det, 3)
+    maps = np.array([random_map(fld, rng, tuple(range(fld.m))) for _ in range(100)])
+    R, cof = _rho(fld, maps), _cofactors(fld, _rho(fld, maps))
+    for g, r, c in zip(maps.tolist(), R.tolist(), cof[:, 0].tolist()):
+        assert tuple(map(tuple, r)) == orc.rho(fld, g)
+        det3 = fld.add(fld.add(fld.mul(r[0][0], c[0]), fld.mul(r[0][1], c[1])), fld.mul(r[0][2], c[2]))
+        assert det3 == fld.pow(orc.det(fld, g), 3)
 
 
 def test_rho_identity_and_middle_column():
     f = field(9)
-    assert Moebius.identity(f).rho().matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert _rho(f, [(1, 0, 0, 1, 0)]).tolist() == [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
     rng = random.Random(3)
     two = f.add(1, 1)
     for _ in range(30):
-        g = random_moebius(f, rng)
-        col = tuple(row[1] for row in g.rho().matrix)
-        expect = (
-            f.mul(two, f.mul(g.a, g.b)),
-            f.add(f.mul(g.a, g.d), f.mul(g.b, g.c)),
-            f.mul(two, f.mul(g.c, g.d)),
-        )
+        a, b, c, d, j = g = random_map(f, rng)
+        col = _rho(f, [g])[0, :, 1].tolist()
+        expect = [
+            f.mul(two, f.mul(a, b)),
+            f.add(f.mul(a, d), f.mul(b, c)),
+            f.mul(two, f.mul(c, d)),
+        ]
         assert col == expect
 
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_rho_is_injective_homomorphism(q):
     fld = field(q)
-    pl = Plane(fld)
-    elements = enumerate_group(fld, "pgl")
-    images = {g.rho() for g in elements}
+    elements = orc.all_maps(fld, [0])
+    R = _rho(fld, elements).reshape(-1, 9).tolist()
+    images = {orc.normalize(fld, r) for r in R}
     assert len(images) == len(elements)  # kernel is only +-identity
     rng = random.Random(1)
     for _ in range(40):
         g, h = rng.choice(elements), rng.choice(elements)
-        lhs = (g * h).rho()
-        rhs_mat = tuple(
-            tuple(
-                _dot_row_col(fld, g.rho().matrix, h.rho().matrix, r, c) for c in range(3)
-            )
-            for r in range(3)
-        )
-        from scheme_forge.moebius import Semilinear3
-
-        assert lhs == Semilinear3(fld, rhs_mat, 0)
-
-
-def _dot_row_col(fld, A, B, r, c):
-    s = 0
-    for t in range(3):
-        s = fld.add(s, fld.mul(A[r][t], B[t][c]))
-    return s
+        lhs = _rho(fld, [orc.compose(fld, g, h)])[0]
+        rg, rh = orc.rho(fld, g), orc.rho(fld, h)
+        product = [orc.times(fld, rg, [row[c] for row in rh]) for c in range(3)]
+        assert orc.normalize(fld, lhs.ravel().tolist()) == orc.normalize(fld, np.array(product).T.ravel().tolist())
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
 def test_conic_param_equivariance_exhaustive(q):
     fld = field(q)
     pl = Plane(fld)
-    assert conic_param(pl, fld.zero()) == (0, 0, 1)
-    assert conic_param(pl, INFINITY) == (1, 0, 0)
-    for g in generators(fld, "pgammal"):
-        r = g.rho()
+    C = np.array(pl.conic_points())
+    assert C[int(fld.RANK[0])].tolist() == [0, 0, 1] and C[q].tolist() == [1, 0, 0]
+    maps = generators(fld, "pgammal")
+    images = _coords_transform(fld, _rho(fld, maps), maps[:, 4], C)
+    assert np.array_equal(images, C[point_perms(fld, maps)])
+    for g in maps.tolist():
         for pos in range(q + 1):
-            assert pl.conic_point(g.apply_pos(pos)) == r.apply_point(pl.conic_point(pos), pl)
+            moved = orc.move_point(fld, orc.rho(fld, g), g[4], C[pos].tolist())
+            assert moved == orc.conic_point(fld, orc.apply(fld, g, pos))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
@@ -335,9 +362,9 @@ def test_rho_fixes_conic_setwise(q):
     fld = field(q)
     pl = Plane(fld)
     conic = set(pl.conic_points())
-    for g in generators(fld, "pgammal"):
-        r = g.rho()
-        assert {r.apply_point(P, pl) for P in conic} == conic
+    maps = generators(fld, "pgammal")
+    for images in _coords_transform(fld, _rho(fld, maps), maps[:, 4], np.array(pl.conic_points())):
+        assert set(map(tuple, images.tolist())) == conic
 
 
 def test_rho_scales_quadratic_form_by_det_squared():
@@ -345,50 +372,29 @@ def test_rho_scales_quadratic_form_by_det_squared():
     pl = Plane(fld)
     rng = random.Random(5)
     for _ in range(50):
-        g = random_moebius(fld, rng)
-        r = g.rho()
-        det2 = fld.mul(g.det, g.det)
-        # compare on raw (unnormalized) images: apply the matrix by hand
+        g = random_map(fld, rng)
+        r = orc.rho(fld, g)
+        det2 = fld.mul(orc.det(fld, g), orc.det(fld, g))
+        # compare on raw (unnormalized) images
         for P in (pl.all_points()[k] for k in rng.sample(range(91), 10)):
-            img = tuple(
-                _dot_row_col3(fld, r.matrix, P, row) for row in range(3)
-            )
-            assert pl.quadratic_form(img) == fld.mul(det2, pl.quadratic_form(P))
-
-
-def _dot_row_col3(fld, A, v, r):
-    s = 0
-    for t in range(3):
-        s = fld.add(s, fld.mul(A[r][t], v[t]))
-    return s
+            assert pl.quadratic_form(orc.times(fld, r, P)) == fld.mul(det2, pl.quadratic_form(P))
 
 
 def test_line_action_matches_point_action():
     """Moving a secant line and moving its two conic points agree."""
     fld = field(9)
     pl = Plane(fld)
-    for g in generators(fld, "pgammal"):
-        r = g.rho()
-        for i in range(4):
-            for j in range(i + 1, 6):
-                l = pl.hyperbolic_line_pos(i, j)
-                moved = r.apply_line(l, pl)
-                expect = pl.hyperbolic_line_pos(g.apply_pos(i), g.apply_pos(j))
-                assert moved == expect
+    maps = generators(fld, "pgammal")
+    pairs = np.array([(i, j) for i in range(4) for j in range(i + 1, 6)])
+    moved = _coords_transform(fld, _cofactors(fld, _rho(fld, maps)), maps[:, 4], pl.secant_lines(pairs))
+    for lines, perm in zip(moved, point_perms(fld, maps)):
+        assert np.array_equal(lines, pl.secant_lines(perm[pairs]))
 
 
 def test_domain_perm_consistency():
     fld = field(9)
     pl = Plane(fld)
-    from scheme_forge.geometry import (
-        hyperbolic_lines_domain,
-        hyperbolic_points_domain,
-        pairs_domain,
-    )
-
-    dpairs = pairs_domain(pl)
-    dlines = hyperbolic_lines_domain(pl)
-    dpoints = hyperbolic_points_domain(pl)
+    dpairs, dlines, dpoints = (domain(pl, kind) for kind in ("pairs", "hyp-lines", "hyp-points"))
     for g in generators(fld, "pgammal"):
         p1 = domain_perm(g, dpairs)
         p2 = domain_perm(g, dlines)
@@ -397,35 +403,17 @@ def test_domain_perm_consistency():
         assert np.array_equal(p1, p3)
 
 
-def _transporter_reference(fld, pair, gid):
-    """One transporter at a time with Moebius objects: t -> (t - alpha) /
-    (t - beta), after t -> z*t when the group needs a square determinant."""
-    q = fld.q
-    alpha, beta = (None if p == q else int(fld.BY_RANK[p]) for p in pair)
-    if alpha is None:
-        h = Moebius(fld, 0, 1, 1, fld.neg(beta))
-    elif beta is None:
-        h = Moebius(fld, 1, fld.neg(alpha), 0, 1)
-    else:
-        h = Moebius(fld, 1, fld.neg(alpha), 1, fld.neg(beta))
-    if gid in ("psl", "m") and not h.det_is_square:
-        h = Moebius(fld, fld.fixed_nonsquare(), 0, 0, 1) * h
-    return h
-
-
 @pytest.mark.parametrize("q", [5, 7, 9, 25, 27, 49])
 def test_batched_transporters_match_one_at_a_time(q):
     fld = field(q)
     pairs = Plane(fld).pg1.pairs
     # both orders of each pair, so that alpha = oo is covered too
     both = np.concatenate([pairs, pairs[:, ::-1]])
-    for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
+    for gid in groups_of(fld):
         batch = transporters_to_base(fld, gid, both)
         assert batch.shape == (len(both), 5)
-        for row, pair in zip(batch.tolist(), both.tolist()):
-            g = transporter_to_base(fld, pair, gid)
-            assert g == _transporter_reference(fld, pair, gid)
-            assert row == [g.a, g.b, g.c, g.d, g.j]
+        assert batch.tolist() == [list(orc.transporter(fld, pair, gid)) for pair in both.tolist()]
+        assert transporter_to_base(fld, both[-1], gid).tolist() == batch[-1].tolist()
 
 
 def test_batched_transporter_rejects_a_repeated_point():
@@ -433,15 +421,14 @@ def test_batched_transporter_rejects_a_repeated_point():
         transporters_to_base(field(9), "pgl", [[0, 9], [3, 3]])
 
 
-def _scalar_perm(g, dom):
+def _scalar_perm(fld, g, dom):
     """Permutation of g on the domain, one element at a time."""
     pl = dom.plane
     if dom.kind == "pairs":
         tab = pl.pg1.pair_table
-        return [int(tab[g.apply_pos(int(i)), g.apply_pos(int(j))]) for i, j in pl.pg1.pairs]
-    r = g.rho()
-    act = r.apply_point if dom.kind == "hyp-points" else r.apply_line
-    images = [act(e, pl) for e in map(tuple, dom.coords.tolist())]
+        return [int(tab[orc.apply(fld, g, i), orc.apply(fld, g, j)]) for i, j in pl.pg1.pairs.tolist()]
+    act = orc.move_point if dom.kind == "hyp-points" else orc.move_line
+    images = [act(fld, orc.rho(fld, g), g[4], e) for e in dom.coords.tolist()]
     return dom.index_of_coords(np.array(images)).tolist()
 
 
@@ -451,20 +438,20 @@ def test_batched_domain_perms_match_per_map(q):
     pl = Plane(fld)
     for kind in ("pairs", "hyp-lines", "hyp-points"):
         dom = domain(pl, kind)
-        for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
-            maps = base_pair_stabilizer(fld, gid) + generators(fld, gid)
-            batch = domain_perms(coefficients(maps), dom)
+        for gid in groups_of(fld):
+            maps = np.concatenate([base_pair_stabilizer(fld, gid), generators(fld, gid)])
+            batch = domain_perms(maps, dom)
             assert batch.shape == (len(maps), dom.n) and batch.dtype == np.int32
             for g, row in zip(maps, batch):
                 assert np.array_equal(row, domain_perm(g, dom))
             # element i of every domain is pair i, so the pairs of the
             # picked elements, one row of picks per map, move like them
             picks = np.random.default_rng(q).integers(dom.n, size=(len(maps), 4))
-            moved = pl.pg1.pair_images(point_perms(fld, coefficients(maps)), picks)
+            moved = pl.pg1.pair_images(point_perms(fld, maps), picks)
             assert np.array_equal(moved, np.take_along_axis(batch, picks, axis=1))
             if q == 9:
-                for g, row in zip(maps, batch):
-                    assert row.tolist() == _scalar_perm(g, dom)
+                for g, row in zip(maps.tolist(), batch):
+                    assert row.tolist() == _scalar_perm(fld, g, dom)
 
 
 @pytest.mark.parametrize("q", [5, 9, 13, 25])
@@ -476,7 +463,7 @@ def test_every_domain_is_indexed_like_the_pairs(q):
     pl = Plane(fld)
     doms = [domain(pl, kind) for kind in ("pairs", "hyp-lines", "hyp-points")]
     assert [dom.base_index for dom in doms] == [pl.pg1.base_pair] * 3
-    assert pl.pg1.pairs[pl.pg1.base_pair].tolist() == [pl.pg1.pos(0), pl.pg1.INF]
-    for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
-        pairs, lines, points = (domain_perms(coefficients(generators(fld, gid)), dom) for dom in doms)
+    assert pl.pg1.pairs[pl.pg1.base_pair].tolist() == [int(fld.RANK[0]), pl.pg1.INF]
+    for gid in groups_of(fld):
+        pairs, lines, points = (domain_perms(generators(fld, gid), dom) for dom in doms)
         assert np.array_equal(pairs, lines) and np.array_equal(pairs, points)
