@@ -53,15 +53,8 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _elem_vec(fld, code):
-    return list(fld.coeffs(code))
-
-
 def _moebius_dict(fld, row):
-    return {
-        "matrix": [_elem_vec(fld, v) for v in row[:4]],
-        "frob": int(row[4]),
-    }
+    return {"matrix": fld._digits[row[:4]].tolist(), "frob": int(row[4])}
 
 
 def build_named_scheme(fld, name, kind="pairs"):
@@ -257,21 +250,20 @@ def cmd_geometry(args):
     fld = field(args.q, _parse_modulus(args.modulus))
     pl = fi.plane_for(fld)
 
-    def coords(v):
-        return [_elem_vec(fld, c) for c in v]
+    def coords(triples):
+        return fld._digits[triples].tolist()
 
     if args.what == "conic":
-        data = [coords(P) for P in pl.conic_points()]
+        data = coords(pl.conic_points())
     elif args.what == "lines":
         lines = pl.all_lines()
         data = [
-            {"coords": coords(l), "class": LINE_CLASSES[h]}
-            for l, h in zip(lines, pl.conic_counts(lines).tolist())
+            {"coords": c, "class": LINE_CLASSES[h]}
+            for c, h in zip(coords(lines), pl.conic_counts(lines).tolist())
         ]
     else:
-        data = [
-            {"coords": coords(P), "class": pl.classify_point(P)} for P in pl.all_points()
-        ]
+        points = pl.all_points()
+        data = [{"coords": c, "class": pl.classify_point(P)} for c, P in zip(coords(points), points)]
     payload = {"schema": 1, "q": fld.q, "what": args.what, "elements": data}
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK

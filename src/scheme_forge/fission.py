@@ -26,7 +26,7 @@ import numpy as np
 
 from . import moebius as mo
 from . import schemes as sc
-from .geometry import Plane, domain
+from .geometry import Domain, Plane, domain
 from .gf import field
 
 
@@ -307,14 +307,6 @@ def _labeled_scheme(fld, gid):
     return label_scheme(fld, gid, sc.orbital_scheme_via_stabilizer(fld, gid, domain_for(fld, "pairs")))
 
 
-def three_domain_schemes(fld, gid):
-    """Generic-path schemes of a group on pairs, secant lines and poles."""
-    return [
-        sc.group_orbital_scheme(fld, gid, domain_for(fld, kind))
-        for kind in ("pairs", "hyp-lines", "hyp-points")
-    ]
-
-
 def pgl_scheme(fld):
     """The full fractional-linear group scheme, labeled by cross-ratio;
     `_labeled_scheme(fld, "pgl")` under the name the demos use."""
@@ -518,18 +510,24 @@ def report_transpose_rules(S):
     return TheoremReport("transpose-rules", q, predicted, computed, bool(ok), dt, note=str(details))
 
 
-def report_three_domain_isomorphism(gid, on_pairs, on_lines, on_points):
-    """The schemes of group `gid` on pairs, on secant lines and on their
-    poles, each built with the native action, have the same pair
-    partition under the explicit bijections of the domains."""
-    q = on_pairs.domain.field.q
+def report_three_domain_isomorphism(fld, gid):
+    """The schemes of group `gid` on pairs, secant lines and poles are one
+    scheme under the index bijection of the domains (element i of each is
+    pair i, through the conic).  Proof: an orbital scheme is a function of
+    its generators' permutation arrays (`group_orbital_scheme` reads only
+    `moebius.domain_perms`), so when the generators move the three
+    domains, each by its native action, by equal arrays, the relation
+    matrices are equal entry by entry: a permutation isomorphism, which
+    is stronger than one pair partition up to the names of the classes.
+    """
     predicted = {"isomorphic": True}
     t0 = time.perf_counter()
-    maps = [sc.partition_bijection(on_pairs, S) for S in (on_lines, on_points)]
-    computed = {"isomorphic": all(m is not None for m in maps)}
+    gens = mo.generators(fld, gid)
+    pairs, *plane = [mo.domain_perms(gens, domain_for(fld, kind)) for kind in Domain.KINDS]
+    computed = {"isomorphic": all(np.array_equal(pairs, perms) for perms in plane)}
     dt = time.perf_counter() - t0
     return TheoremReport(
-        f"three-domain-isomorphism[{gid}]", q, predicted, computed, predicted == computed, dt
+        f"three-domain-isomorphism[{gid}]", fld.q, predicted, computed, predicted == computed, dt
     )
 
 
@@ -760,8 +758,9 @@ def _reports_at(fld):
     reads it, so a report's `elapsed` times its checks, not builds.
 
     At q <= 13 every matrix is under 9 kB, and everything is built up
-    front: FT(q+1), T(q+1), and for each group its labeled scheme on
-    pairs and its generic-path schemes on pairs, secant lines and poles.
+    front: FT(q+1), T(q+1), each group's labeled scheme on pairs, and the
+    generic-path `pgl` scheme on pairs, `report_ft`'s cross-check.  The
+    three-domain reports build no scheme (see their proof).
     Above, only the labeled `psl`, `pgammal` and `m` schemes are read.
     They are built one group at a time, each passed straight to its
     reports and dropped with them, and their reports read parameters,
@@ -774,16 +773,16 @@ def _reports_at(fld):
     ft = build_ft(fld)
     tri = sc.triangular_scheme(domain_for(fld, "pairs"))
     labeled = {gid: _labeled_scheme(fld, gid) for gid in gids}
-    native = {gid: three_domain_schemes(fld, gid) for gid in gids}
+    pgl_orbital = sc.group_orbital_scheme(fld, "pgl", domain_for(fld, "pairs"))
     psl, pgml, msch = labeled["psl"], labeled["pgammal"], labeled.get("m")
     reports = [
         report_geometry(fld),
         report_embedding(fld),
-        report_ft(ft, native["pgl"][0]),
+        report_ft(ft, pgl_orbital),
         report_scheme_axioms(labeled),
         report_fusion_lattice(tri, ft, psl, pgml, msch),
     ]
-    reports += [report_three_domain_isomorphism(gid, *native[gid]) for gid in gids]
+    reports += [report_three_domain_isomorphism(fld, gid) for gid in gids]
     for gid in gids[1:]:
         reports += _group_reports(gid, labeled[gid])
     if q == 9:

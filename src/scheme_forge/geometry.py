@@ -40,13 +40,10 @@ class PG1:
         """Position pos as text: "oo" at infinity, else its field element."""
         return "oo" if pos == self.INF else self.field.element_text(int(self.val_of_pos[pos]))
 
-    def pair_images(self, point_perms, elements=None, table=None):
+    def pair_images(self, point_perms, table=None):
         """Lift k permutations of positions, shape (k, q+1), to the pairs:
-        entry (r, i) is the index of the image under row r of the pair
-        elements[r, i].  `elements` has shape (k, m), or (1, m) to move
-        the same pairs by every row, or is None for every pair in index
-        order, whose points are gathered once, in `__init__`.  The image
-        of {a, b} is read at the code a (q+1) + b of its points in
+        entry (r, i) is the index of the image of pair i under row r.  The
+        image of {a, b} is read at the code a (q+1) + b of its points in
         `table`, by default `pair_table`; a composed table such as
         labels[pair_table] reads labels of the images with no array of
         pair indices between.  Codes stay in the dtype of `point_perms`:
@@ -54,15 +51,8 @@ class PG1:
         every code below (q+1)^2."""
         P = np.asarray(point_perms)
         table = self.pair_table if table is None else table
-        ends = self._ends[:, None] if elements is None else self._ends.take(elements, axis=1)
-        if ends.shape[1] == 1:
-            # one row of pairs: gathering along the rows of P is much faster
-            codes = np.take(P * self.n_points, ends[0, 0], axis=-1)
-            codes += np.take(P, ends[1, 0], axis=-1)
-        else:
-            off = (np.arange(len(P)) * self.n_points)[:, None]
-            codes = (P * self.n_points).ravel().take(off + ends[0])
-            codes += P.ravel().take(off + ends[1])
+        codes = np.take(P * self.n_points, self._ends[0], axis=-1)
+        codes += np.take(P, self._ends[1], axis=-1)
         return table.take(codes)
 
 

@@ -177,22 +177,28 @@ def map_text(fld, row):
 # -- the batched action kernel ---------------------------------------------------
 
 
-def point_perms(fld, maps):
-    """Permutation arrays of k maps on PG(1,q) positions, shape (k, q+1).
-
+def point_images(fld, maps, points):
+    """Images of PG(1,q) positions under k maps, int32: row r of the result
+    is row r of `points`, shape (k, m) or (1, m) for one row for all maps,
+    moved by map r.  A position is (t : 1) for its element t, or (1 : 0)
+    at infinity, and (x : s) goes to (a x^(p^j) + b s : c x^(p^j) + d s).
     Field operations are flat-table lookups, as in `_coords_transform`.
     """
     q = fld.q
     mul, add = fld.MUL.ravel(), fld.ADD.ravel()
     a, b, c, d, j = np.asarray(maps, dtype=np.intp).T[:, :, None]
-    x = fld.FROB.ravel().take(j * q + fld.BY_RANK)
-    num = add.take(mul.take(a * q + x) * q + b)
-    den = add.take(mul.take(c * q + x) * q + d)
-    out = np.empty((len(x), q + 1), dtype=np.int32)
-    out[:, :q] = np.where(den != 0, fld.RANK.take(mul.take(num * q + fld.INV.take(den))), q)
-    a, c = a[:, 0], c[:, 0]
-    out[:, q] = np.where(c != 0, fld.RANK.take(mul.take(a * q + fld.INV.take(c))), q)
-    return out
+    points = np.asarray(points, dtype=np.intp)
+    s = (points < q).astype(np.intp)
+    x = fld.FROB.ravel().take(j * q + np.append(fld.BY_RANK, 1).take(points))
+    num = add.take(mul.take(a * q + x) * q + b * s)
+    den = add.take(mul.take(c * q + x) * q + d * s)
+    return np.where(den != 0, fld.RANK.take(mul.take(num * q + fld.INV.take(den))), q)
+
+
+def point_perms(fld, maps):
+    """Permutation arrays of k maps on PG(1,q) positions, shape (k, q+1):
+    `point_images` of every position."""
+    return point_images(fld, maps, np.arange(fld.q + 1)[None])
 
 
 def _rho(fld, maps):

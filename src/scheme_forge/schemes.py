@@ -245,12 +245,13 @@ class Scheme:
         time into base-(n+1) digits of one weight matrix W, the sum of
         (n+1)^(j-j0) B_j, with (n+1)^w <= 2^53: every count is at most n,
         so the digits never carry, and every entry and partial sum of
-        B_i W is an integer below 2^53, exact in float64.  One product
-        per i and chunk is compared, a row block at a time, with the
-        packed p-tensor; on a mismatch the chunk's classes are compared
-        one by one, so the error names the first (i, j) in i-then-j
-        order.  W (float64, written in place), B_i (bool) and one block
-        are alive at a time.
+        B_i W is an integer below 2^53, exact in float64.  W is built
+        once per chunk of classes j, and one product per class i is
+        compared, a row block at a time, with the packed p-tensor.  On a
+        mismatch the chunks run again in i-then-j order, and a failing
+        one class by class, so the error names the first failing (i, j).
+        W (float64, written in place) and one block of B_i are alive at a
+        time.
         """
         M = self.relation_matrix
         P = self.p_tensor()
@@ -260,26 +261,36 @@ class Scheme:
             w += 1
         blocks = _row_blocks(n, n)
         W = np.empty((n, n))
+
+        def weigh(j0, j1):
+            weights = np.zeros(d1)
+            weights[j0:j1] = (n + 1) ** np.arange(j1 - j0)
+            for r0, r1 in blocks:
+                # entries of M are valid indices, so "clip" changes
+                # nothing and spares the copy of `out` that "raise" makes
+                np.take(weights, M[r0:r1], out=W[r0:r1], mode="clip")
+
+        def holds(i, j0, j1):
+            packed = (P[:, i, j0:j1] @ (n + 1) ** np.arange(j1 - j0)).astype(np.float64)
+            return all(np.array_equal((M[r0:r1] == i) @ W, packed.take(M[r0:r1])) for r0, r1 in blocks)
+
+        chunks = [(j0, min(d1, j0 + w)) for j0 in range(0, d1, w)]
+        for j0, j1 in chunks:
+            weigh(j0, j1)
+            if not all(holds(i, j0, j1) for i in range(d1)):
+                break
+        else:
+            return True
+        # a mismatch: search again, in i-then-j order, for the first one
         for i in range(d1):
             Bi = M == i
-            for j0 in range(0, d1, w):
-                j1 = min(d1, j0 + w)
-                digits = (n + 1) ** np.arange(j1 - j0, dtype=np.int64)
-                weights = np.zeros(d1)
-                weights[j0:j1] = digits
-                for r0, r1 in blocks:
-                    # entries of M are valid indices, so "clip" changes
-                    # nothing and spares the copy of `out` that "raise" makes
-                    np.take(weights, M[r0:r1], out=W[r0:r1], mode="clip")
-                packed = (P[:, i, j0:j1] @ digits).astype(np.float64)
-                if all(np.array_equal(Bi[r0:r1] @ W, packed.take(M[r0:r1])) for r0, r1 in blocks):
+            for j0, j1 in chunks:
+                weigh(j0, j1)
+                if holds(i, j0, j1):
                     continue
                 for j in range(j0, j1):
                     if not np.array_equal(Bi @ (M == j).astype(np.float64), P[:, i, j][M]):
-                        raise NotASchemeError(
-                            f"p^k_({i},{j}) is not constant over all representatives"
-                        )
-        return True
+                        raise NotASchemeError(f"p^k_({i},{j}) is not constant over all representatives")
 
     # -- predicates --------------------------------------------------------------
 
@@ -459,7 +470,8 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
     `moebius.group_order`.  These checks raise NotASchemeError:
       1. every generator and every transporter is in G;
       2. T_x(x) = b for every pair x, so G is transitive on the pairs and
-         its stabilizer G_b has order |G| / n;
+         its stabilizer G_b has order |G| / n (checked by moving the two
+         points of each x alone, `moebius.point_images`);
       3. the generators that fix b generate a group H of order |G| / n,
          counted by closure on their permutations of PG(1,q), on which
          PGammaL(2,q) acts faithfully; H lies in G_b, so H = G_b;
@@ -489,8 +501,8 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
     if not (mo.in_group(fld, gens, gid).all() and mo.in_group(fld, transporters, gid).all()):
         raise NotASchemeError(f"a generator or a transporter is not in {gid}")
 
-    def lift(maps, elements=None, table=None):
-        return pg1.pair_images(mo.point_perms(fld, maps), elements, table)
+    def lift(maps, table=None):
+        return pg1.pair_images(mo.point_perms(fld, maps), table)
 
     points = mo.point_perms(fld, gens)
     perms = pg1.pair_images(points)
@@ -499,9 +511,9 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
         raise NotASchemeError("the generators fixing the base element miss part of its stabilizer")
     lab = _orbits(perms[fixing], (n,))
 
-    for r0, r1 in _row_blocks(n, fld.q + 1):
-        if (lift(transporters[r0:r1], np.arange(r0, r1)[:, None]) != base).any():
-            raise NotASchemeError("a transporter does not reach the base element")
+    ends = mo.point_images(fld, transporters, pg1.pairs)
+    if (pg1.pair_table[ends[:, 0], ends[:, 1]] != base).any():
+        raise NotASchemeError("a transporter does not reach the base element")
 
     if _orbits(perms, (n,)).any():
         raise NotASchemeError("the generators are not transitive on the pairs")
@@ -510,7 +522,7 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
 
     remap, _ = _renumber_first_occurrence(lab[lift(transporters[:1])[0]], n)
     table = remap[lab][pg1.pair_table]
-    return Scheme._from_rows(dom, lambda xs: lift(transporters[xs], None, table), "orbits")
+    return Scheme._from_rows(dom, lambda xs: lift(transporters[xs], table), "orbits")
 
 
 def triangular_scheme(dom):

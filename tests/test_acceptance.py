@@ -13,7 +13,12 @@ import pytest
 
 from scheme_forge.gf import field
 from scheme_forge.geometry import Plane, pairs_domain
-from scheme_forge.schemes import group_orbital_scheme, p_polynomial_orderings, triangular_scheme
+from scheme_forge.schemes import (
+    group_orbital_scheme,
+    p_polynomial_orderings,
+    partition_bijection,
+    triangular_scheme,
+)
 from scheme_forge import fission as fi
 
 
@@ -106,8 +111,13 @@ def test_criterion_08_three_domain_isomorphism():
     for q in (5, 7, 9, 13):
         fld = field(q)
         for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
-            rep = fi.report_three_domain_isomorphism(gid, *fi.three_domain_schemes(fld, gid))
-            ok &= rep.passed
+            ok &= fi.report_three_domain_isomorphism(fld, gid).passed
+            # the dense generic-path schemes the report stands for
+            on_pairs, *on_plane = [
+                group_orbital_scheme(fld, gid, fi.domain_for(fld, kind))
+                for kind in ("pairs", "hyp-lines", "hyp-points")
+            ]
+            ok &= all(partition_bijection(on_pairs, S) is not None for S in on_plane)
     _report(8, "pairs / secant lines / poles carry identical schemes, every group", ok)
 
 

@@ -255,6 +255,30 @@ def test_geometry_dump(capsys):
     assert len(json.loads(out)["elements"]) == 31
 
 
+# sha256 of the stdout of `geometry dump`, computed when each coordinate
+# was written through one `GF.coeffs` call per field code
+GEOMETRY_DUMP_DIGESTS = {
+    (5, "conic"): "e619d83185638d85c6c52080f28def925f0478f39845fd47e51aa1be3ab3d1b7",
+    (5, "lines"): "51eed3ad3e3dad296e5408cb60d3feff43f422329347d65791c64b0b96815002",
+    (5, "points"): "d51d026496e68f30bc092a491a757113aecc1621e2a3604669599b4ac33d749b",
+    (9, "conic"): "d90ca1d2e5d31dda18fc7bacd2e0b3dab53dccd21ba86e5b2a7f8e8e01ad971f",
+    (9, "lines"): "163be86dc153d316f58a7693053fd26c7734a180e16156022100cf3f896f0f58",
+    (9, "points"): "6a2fa51036e29c38047d12e9a1e793a115cd663dbe845f7e268870fd11b193c5",
+    (27, "conic"): "be831d1676b1098688d2a4e2d5843d0e6bdcbb2c05de58510c21a663278720f0",
+    (27, "lines"): "bd7406af85aee712b2f2cb397393e385c7f891a68cf0c94002967c05f49bdaca",
+    (27, "points"): "bd1412c27b8f90c46f46ac8b9b1c6a9f941ac5f7729780261274be85d72ef807",
+    (49, "conic"): "4ef0265e8c06b93e9f808f4460c862b1d46310f3589b365cb0675873c9242e54",
+    (49, "lines"): "59314117a7d6a74c194c5265618ad745ec0f4f7e7edfff2c176df0fbf0d6add1",
+    (49, "points"): "c3113dcb90a9ad518a8d2d0109ff97cd3f7f0f050dae401b60ba6140b972e79c",
+}
+
+
+@pytest.mark.parametrize("q, what", sorted(GEOMETRY_DUMP_DIGESTS))
+def test_geometry_dump_keeps_its_bytes(q, what, capsys):
+    code, out, _ = run(capsys, "geometry", "dump", "--q", str(q), "--what", what)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, GEOMETRY_DUMP_DIGESTS[q, what])
+
+
 def test_group_info(capsys):
     code, out, _ = run(capsys, "group", "info", "--q", "9", "--group", "pgammal", "--format", "json")
     assert code == 0

@@ -634,10 +634,35 @@ def test_pgammal_share_class_is_original_triangular_relation(q):
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
 def test_three_domain_isomorphism(q):
+    """The report passes, and the dense generic-path schemes it stands
+    for have one pair partition on the three domains."""
     fld = field(q)
     for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
-        rep = fi.report_three_domain_isomorphism(gid, *fi.three_domain_schemes(fld, gid))
+        rep = fi.report_three_domain_isomorphism(fld, gid)
         assert rep.passed, (q, gid)
+        on_pairs, *on_plane = [
+            group_orbital_scheme(fld, gid, fi.domain_for(fld, kind))
+            for kind in ("pairs", "hyp-lines", "hyp-points")
+        ]
+        assert all(sc.partition_bijection(on_pairs, S) is not None for S in on_plane), (q, gid)
+
+
+def test_three_domain_report_fails_on_a_swapped_line_permutation(monkeypatch):
+    """Two entries of one generator's permutation of the secant lines
+    swapped: the three arrays differ, and the report says so."""
+    from scheme_forge import moebius as mo
+
+    def swapped_on_lines(maps, dom, _orig=mo.domain_perms):
+        perms = _orig(maps, dom)
+        if dom.kind == "hyp-lines":
+            perms[1, [0, 1]] = perms[1, [1, 0]]
+        return perms
+
+    fld = field(9)
+    assert fi.report_three_domain_isomorphism(fld, "psl").passed
+    monkeypatch.setattr(mo, "domain_perms", swapped_on_lines)
+    rep = fi.report_three_domain_isomorphism(fld, "psl")
+    assert not rep.passed and rep.computed == {"isomorphic": False}
 
 
 def _lattice_schemes(fld):
@@ -742,13 +767,10 @@ def _reports_called_directly(q):
     return [
         fi.report_geometry(fld),
         fi.report_embedding(fld),
-        fi.report_ft(fi.build_ft(fld), fi.three_domain_schemes(fld, "pgl")[0]),
+        fi.report_ft(fi.build_ft(fld), group_orbital_scheme(fld, "pgl", fi.domain_for(fld, "pairs"))),
         fi.report_scheme_axioms({gid: fi._labeled_scheme(fld, gid) for gid in gids}),
         fi.report_fusion_lattice(*_lattice_schemes(fld)),
-        *(
-            fi.report_three_domain_isomorphism(gid, *fi.three_domain_schemes(fld, gid))
-            for gid in gids
-        ),
+        *(fi.report_three_domain_isomorphism(fld, gid) for gid in gids),
         fi.report_psl_class_count(fi.psl_scheme(fld)),
         fi.report_transpose_rules(fi.psl_scheme(fld)),
         fi.report_pgammal(fi.pgammal_scheme(fld)),
@@ -805,7 +827,7 @@ def test_verify_paper_builds_each_scheme_at_most_once_per_q(monkeypatch):
         )
     assert all(r.passed for r in fi.verify_paper([5, 7, 9, 11, 13, 25, 49]))
     keys = [(name, fld.q, gid, kind) for name, fld, gid, kind in builds]
-    assert len(keys) == len(set(keys)) == 80
+    assert len(keys) == len(set(keys)) == 37
 
 
 def test_suites_past_q13_never_fill_a_matrix(monkeypatch):
@@ -880,7 +902,7 @@ def test_no_earlier_group_scheme_is_alive_at_a_stabilizer_build(monkeypatch):
 def test_built_schemes_die_with_the_call(monkeypatch):
     refs = _weakrefs_to_builds(monkeypatch)
     fi.verify_paper([9])
-    assert len(refs) == 18 and all(r() is None for r in refs)
+    assert len(refs) == 7 and all(r() is None for r in refs)
 
 
 def test_built_schemes_die_when_a_report_raises(monkeypatch):
@@ -902,7 +924,7 @@ def test_built_schemes_die_when_a_report_raises(monkeypatch):
     else:
         raise AssertionError("the failing report did not raise")
     gc.collect()
-    assert len(refs) == 18 and all(r() is None for r in refs)
+    assert len(refs) == 7 and all(r() is None for r in refs)
 
 
 # -- the batched conic reports ---------------------------------------------------------

@@ -22,6 +22,7 @@ from scheme_forge.moebius import (
     generators,
     group_order,
     in_group,
+    point_images,
     point_perms,
     stabilizer_generators,
     transporter_to_base,
@@ -100,6 +101,28 @@ def test_compose_matches_pointwise(q):
         assert pg.tolist() == [orc.apply(fld, g, pos) for pos in range(q + 1)]
         assert np.array_equal(pgh, pg[ph])
         assert np.array_equal(pg[pinv], np.arange(q + 1))
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+def test_point_images_match_the_oracle_action(q):
+    """Row r of `point_images` is row r of the points moved by map r, as
+    the oracle moves it, infinity among the points and among the images;
+    a single row of points is moved by every map."""
+    fld = field(q)
+    rng = np.random.default_rng(q)
+    for gid in groups_of(fld):
+        maps = np.concatenate(
+            [generators(fld, gid), base_pair_stabilizer(fld, gid), transporters_to_base(fld, gid, Plane(fld).pg1.pairs)]
+        )
+        points = np.column_stack([np.full(len(maps), q), rng.integers(q + 1, size=(len(maps), 3))])
+        images = point_images(fld, maps, points)
+        assert images.shape == points.shape and images.dtype == np.int32
+        assert images.tolist() == [
+            [orc.apply(fld, g, pos) for pos in row] for g, row in zip(maps.tolist(), points.tolist())
+        ]
+        assert (images == q).any() and (images != q).any()
+        one_row = point_images(fld, maps, points[:1])
+        assert one_row.tolist() == [[orc.apply(fld, g, pos) for pos in points[0].tolist()] for g in maps.tolist()]
 
 
 def test_det_class_multiplies():
@@ -444,10 +467,11 @@ def test_batched_domain_perms_match_per_map(q):
             assert batch.shape == (len(maps), dom.n) and batch.dtype == np.int32
             for g, row in zip(maps, batch):
                 assert np.array_equal(row, domain_perm(g, dom))
-            # element i of every domain is pair i, so the pairs of the
+            # element i of every domain is pair i, so the points of the
             # picked elements, one row of picks per map, move like them
             picks = np.random.default_rng(q).integers(dom.n, size=(len(maps), 4))
-            moved = pl.pg1.pair_images(point_perms(fld, maps), picks)
+            ends = point_images(fld, maps, pl.pg1.pairs[picks].reshape(len(maps), -1))
+            moved = pl.pg1.pair_table[ends[:, 0::2], ends[:, 1::2]]
             assert np.array_equal(moved, np.take_along_axis(batch, picks, axis=1))
             if q == 9:
                 for g, row in zip(maps.tolist(), batch):

@@ -461,6 +461,43 @@ def test_stabilizer_path_proof_checks_raise_when_broken(monkeypatch, gid, fault,
         orbital_scheme_via_stabilizer(fld, gid, dom_)
 
 
+def test_a_transporter_of_another_pair_is_refused(monkeypatch):
+    """One transporter row replaced by the transporter of the next pair:
+    a map of the group that is not the identity, so step 1 passes, but
+    it sends its own pair to {0, oo}, not this one, and step 2 refuses it."""
+    fld = field(25)
+    dom_ = pairs_domain(Plane(fld))
+    orig = mo.transporters_to_base
+    x = dom_.n // 2
+
+    def transporters(fld, gid, pairs):
+        out = orig(fld, gid, pairs)
+        out[x] = out[x + 1]
+        return out
+
+    monkeypatch.setattr(mo, "transporters_to_base", transporters)
+    doctored = mo.transporters_to_base(fld, "psl", dom_.plane.pg1.pairs)[x]
+    assert mo.in_group(fld, doctored[None], "psl").all() and doctored.tolist() != [1, 0, 0, 1, 0]
+    with pytest.raises(NotASchemeError, match="does not reach the base element"):
+        orbital_scheme_via_stabilizer(fld, "psl", dom_)
+
+
+def test_the_stabilizer_build_moves_each_transporter_at_its_own_pair(monkeypatch):
+    """The q = 49 `psl` build evaluates a map at a point O(n + (d + k)(q+1))
+    times, k the generators: two points per transporter in the check, and
+    all q + 1 only for the generators (twice: their pair permutations,
+    then the domain certificate), the base row (twice: the numbering,
+    then row 0 of the scheme) and the class representatives' rows; never
+    all points of all n transporters."""
+    fld = field(49)
+    dom_ = pairs_domain(Plane(fld))
+    evaluated, real = [], mo.point_images
+    monkeypatch.setattr(mo, "point_images", lambda *args: evaluated.append(real(*args).size) or real(*args))
+    S = orbital_scheme_via_stabilizer(fld, "psl", dom_)
+    k, n, q = len(mo.generators(fld, "psl")), dom_.n, fld.q
+    assert 2 * n <= sum(evaluated) <= 2 * n + (S.d + 1 + 2 * k + 2) * (q + 1) < n * (q + 1) // 4
+
+
 def _one_plane_image_swapped(monkeypatch):
     orig = mo._coords_transform
 
@@ -1021,10 +1058,22 @@ def _schemes_of_the_verify_plan(monkeypatch, q):
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25])
 def test_p_polynomial_orderings_match_the_dense_oracle_on_the_verify_plan(q, monkeypatch):
-    """77 proven schemes over these q: 14 at each q <= 13 but 9, 18 at 9
-    and 3 at 25.  Reading the orderings fills no stabilizer-path matrix;
-    the dense oracle then does."""
+    """77 proven schemes over these q: the plan builds 6 at each q <= 13
+    but 9, 7 at 9 and 3 at 25, and at q <= 13 each group's generic-path
+    schemes on the three domains join them, but the plan's own `pgl` on
+    pairs: 14 at each q <= 13 but 9, 18 at 9.  Reading the orderings
+    fills no stabilizer-path matrix; the dense oracle then does."""
     built = _schemes_of_the_verify_plan(monkeypatch, q)
+    assert len(built) == {9: 7, 25: 3}.get(q, 6)
+    fld = field(q)
+    if q <= 13:
+        kinds = ("pairs", "hyp-lines", "hyp-points")
+        built += [
+            group_orbital_scheme(fld, gid, fi.domain_for(fld, kind))
+            for gid in GROUPS_FOR(fld)
+            for kind in kinds
+            if (gid, kind) != ("pgl", "pairs")
+        ]
     assert len(built) == {9: 18, 25: 3}.get(q, 14)
     for S in built:
         unfilled = S._matrix is None
