@@ -8,6 +8,8 @@ script walks through the basics: the built-in moduli, square classes,
 and the Frobenius automorphisms.
 """
 
+from itertools import accumulate
+
 from scheme_forge import CONWAY_POLYNOMIALS, field
 
 f9 = field(9)
@@ -15,7 +17,8 @@ print(f9, "with modulus", f9.modulus, "(coefficients, low degree first)")
 
 x = 3  # the code of x: digits (0, 1) in base p = 3, low degree first
 print("x * x =", f9.element_text(f9.mul(x, x)), "   (reduction by the modulus)")
-print("x has multiplicative order", next(k for k in range(1, 9) if f9.pow(x, k) == 1))
+powers = list(accumulate([x] * 8, f9.mul))  # x, x^2, ..., x^8 by the table
+print("x has multiplicative order", 1 + powers.index(1))
 print("the canonical primitive element is", f9.element_text(f9.primitive_element()))
 
 print("\nSquare classes of GF(9):")

@@ -11,7 +11,7 @@ the bilinear form swaps each line class with a point class.
 from collections import Counter
 
 from scheme_forge import Plane, field
-from scheme_forge.geometry import LINE_CLASSES
+from scheme_forge.geometry import LINE_CLASSES, POINT_CLASSES
 
 q = 9
 plane = Plane(field(q))
@@ -19,7 +19,7 @@ f = plane.field
 pos = f.RANK  # PG(1,q) position of each field code; position q is oo
 
 conic = plane.conic_points()
-print(f"conic in PG(2,{q}): {len(conic)} points, first few:", conic[:4])
+print(f"conic in PG(2,{q}): {len(conic)} points, first few:", conic[:4].tolist())
 
 counts = Counter(LINE_CLASSES[h] for h in plane.conic_counts(plane.all_lines()))
 print(f"line census: {dict(counts)}")
@@ -31,10 +31,9 @@ print("\nthe secant through the parameter-0 and parameter-oo conic points:", tup
 print("its pole:", tuple(plane.poles(l)[0].tolist()))
 
 print("\npoles of secants are 'square type': Q evaluates to a nonzero square")
-sample = plane.secant_lines([(pos[1], pos[v]) for v in (0, 2, 5)])
-for P in map(tuple, plane.poles(sample).tolist()):
-    qv = plane.quadratic_form(P)
-    print(f"  pole {P}: Q = {f.element_text(qv)}, square: {f.is_square(qv)}")
+poles = plane.poles(plane.secant_lines([(pos[1], pos[v]) for v in (0, 2, 5)]))
+for P, qv, k in zip(poles.tolist(), plane.quadratic_form(poles).tolist(), plane.point_classes(poles)):
+    print(f"  pole {tuple(P)}: Q = {f.element_text(qv)}, square: {f.is_square(qv)}, class: {POINT_CLASSES[k]}")
 
 # cr(x, oo; z, w) = (x - z)(oo - w) / ((x - w)(oo - z)), and the factors at
 # oo cancel in the limit, leaving (x - z) / (x - w), here computed on codes

@@ -31,7 +31,7 @@ from . import schemes as sc
 # `build_domain` stays bound for perfbench/tests/test_bench.py, which checks
 # that the layer tracer wraps `geometry.domain` here too; domains are built
 # through `fission.domain_for`.
-from .geometry import LINE_CLASSES, Domain, domain as build_domain  # noqa: F401
+from .geometry import LINE_CLASSES, POINT_CLASSES, Domain, domain as build_domain  # noqa: F401
 from .gf import field
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -255,15 +255,13 @@ def cmd_geometry(args):
 
     if args.what == "conic":
         data = coords(pl.conic_points())
-    elif args.what == "lines":
-        lines = pl.all_lines()
-        data = [
-            {"coords": c, "class": LINE_CLASSES[h]}
-            for c, h in zip(coords(lines), pl.conic_counts(lines).tolist())
-        ]
-    else:
-        points = pl.all_points()
-        data = [{"coords": c, "class": pl.classify_point(P)} for c, P in zip(coords(points), points)]
+    else:  # the same triples: lines classed by their conic points, points by Q
+        triples = pl.all_points()
+        if args.what == "lines":
+            names, classes = LINE_CLASSES, pl.conic_counts(triples)
+        else:
+            names, classes = POINT_CLASSES, pl.point_classes(triples)
+        data = [{"coords": c, "class": k} for c, k in zip(coords(triples), np.array(names)[classes].tolist())]
     payload = {"schema": 1, "q": fld.q, "what": args.what, "elements": data}
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK

@@ -558,8 +558,7 @@ def report_q9_fusion_diagram(tri, ft, psl, pgml, msch):
 
     m_labels = {(l.kind, l.orbit) for l in msch.labels if l.kind == "ratio"}
     t_orbit = tuple(sorted({g, fld.inv(g), fld.sigma(g), fld.inv(fld.sigma(g))}, key=fld.rank))
-    m_expected = {("ratio", (g2, fld.inv(g2)) if fld.rank(g2) <= fld.rank(fld.inv(g2)) else (fld.inv(g2), g2)), ("ratio", t_orbit)}
-    m_expected = {(k, tuple(sorted(o, key=fld.rank))) for k, o in m_expected}
+    m_expected = {("ratio", tuple(sorted((g2, fld.inv(g2)), key=fld.rank))), ("ratio", t_orbit)}
 
     computed = {
         "ft_classes": ft.d,
@@ -621,7 +620,6 @@ def report_geometry(fld):
     q = fld.q
     t0 = time.perf_counter()
     pl = plane_for(fld)
-    conic = pl.conic_points()
     # conic points on each line: no three are collinear iff no line has more than two
     hits = pl.conic_counts(pl.all_lines())
     # Q is evaluated on the closed-form pole of the secant through x, g at i < j,
@@ -634,10 +632,10 @@ def report_geometry(fld):
     half = fld.INV[A[1, 1]]
     h = M[A[g, N[x]], half]
     rep = np.stack([np.where(inf, A[x, x], M[g, x]), np.where(inf, 1, M[A[x, g], half]), ~inf], axis=1)
-    quad = A[M[rep[:, 1], rep[:, 1]], N[M[rep[:, 0], rep[:, 2]]]]
+    quad = pl.quadratic_form(rep)
     poles_ok = np.array_equal(pl.poles(pl.secant_lines(pl.pg1.pairs)), pl.normalize_rows(rep))
     computed = {
-        "conic_size": len(conic),
+        "conic_size": len(pl.conic_points()),
         "no_three_collinear": bool(hits.max() <= 2),
         "hyperbolic": int((hits == 2).sum()),
         "tangent": int((hits == 1).sum()),
@@ -672,7 +670,7 @@ def report_embedding(fld):
     a, b, c, d = maps[:, :4].T
     det = A[M[a, d], fld.NEG[M[b, c]]]
     det_ok = bool(np.array_equal(A[A[row0[:, 0], row0[:, 1]], row0[:, 2]], M[M[det, det], det]))
-    C = np.array(pl.conic_points())
+    C = pl.conic_points()
     images = mo._coords_transform(fld, R, maps[:, 4], C)
     equiv_ok = np.array_equal(images, C[mo.point_perms(fld, maps)])
     # the images of the conic are the conic: equal sorted point codes

@@ -1,11 +1,11 @@
 """PG(1,q) and PG(2,q) with the quadratic form Q = x1^2 - x0*x2.
 
 The plane carries the fixed conic {(t^2 : t : 1)} u {(1:0:0)}, its
-polarity and the hyperbolic/tangent/elliptic classification of lines,
-computed by batched kernels on (k, 3) arrays of field codes.  Points and
-lines of PG(2,q) are normalized coordinate triples of field codes with
-the first nonzero coordinate scaled to 1, so equality is plain equality
-of rows.
+polarity, the hyperbolic/tangent/elliptic classification of lines and
+the hyperbolic/singular/elliptic classification of points, computed by
+batched kernels on (k, 3) arrays of field codes.  Points and lines of
+PG(2,q) are normalized coordinate triples of field codes with the first
+nonzero coordinate scaled to 1, so equality is plain equality of rows.
 
 A point of PG(1,q) is a position 0..q: position i < q is the i-th field
 element in canonical order and position q is the point at infinity;
@@ -15,6 +15,7 @@ element in canonical order and position q is the point at infinity;
 import numpy as np
 
 LINE_CLASSES = ("elliptic", "tangent", "hyperbolic")  # by conic points on the line
+POINT_CLASSES = ("elliptic", "singular", "hyperbolic")  # by the square class of Q
 
 
 class PG1:
@@ -62,23 +63,28 @@ class Plane:
     def __init__(self, fld):
         self.field = fld
         self.pg1 = PG1(fld)
-        self._conic = None
-        self._reps = None
-
-    def quadratic_form(self, v):
-        """Q(x0,x1,x2) = x1^2 - x0*x2 on a raw triple (code arithmetic)."""
-        f = self.field
-        x0, x1, x2 = (int(c) for c in v)
-        return f.sub(f.mul(x1, x1), f.mul(x0, x2))
 
     def conic_points(self):
-        """All q+1 conic points, ordered like PG(1,q) positions: (t^2 : t : 1)
-        at the element t of each finite position, then (1 : 0 : 0)."""
-        if self._conic is None:
-            f, t = self.field, self.field.BY_RANK
-            V = np.stack([f.MUL[t, t], t, np.ones_like(t)], axis=1)
-            self._conic = [tuple(P) for P in self.normalize_rows(V).tolist()] + [(1, 0, 0)]
-        return self._conic
+        """All q+1 conic points as a (q+1, 3) code array in PG(1,q) position
+        order: (t^2 : t : 1) = (1 : 1/t : 1/t^2) at each finite t, save
+        (0 : 0 : 1) at t = 0 (position 0), then (1 : 0 : 0), as INV[0] = 0."""
+        f = self.field
+        u = f.INV[np.append(f.BY_RANK, 0)]
+        C = np.stack([np.ones_like(u), u, f.MUL[u, u]], axis=1)
+        C[0] = (0, 0, 1)
+        return C
+
+    def all_points(self):
+        """All q^2+q+1 points as a code array: (0 : 0 : 1), then (0 : 1 : a),
+        then (1 : a : b), with a, then b, in canonical order."""
+        t, q = self.field.BY_RANK, self.field.q
+        ones = np.ones_like(t)
+        affine = np.stack([ones.repeat(q), t.repeat(q), np.tile(t, q)], axis=1)
+        return np.concatenate([[[0, 0, 1]], np.stack([0 * t, ones, t], axis=1), affine], dtype=np.int32)
+
+    def all_lines(self):
+        """All q^2+q+1 lines (dual coordinates): the triples of `all_points`."""
+        return self.all_points()
 
     # -- batched kernels on (k, 3) arrays of field codes, through the field tables --
 
@@ -96,7 +102,7 @@ class Plane:
         of each row of the (k, 2) array `pairs`, as dual coordinates: cross
         products, normalized by `normalize_rows`."""
         f = self.field
-        C = np.array(self.conic_points())[np.asarray(pairs)]
+        C = self.conic_points()[np.asarray(pairs)]
         P, Q, r1, r2 = C[:, 0], C[:, 1], [1, 2, 0], [2, 0, 1]
         return self.normalize_rows(f.ADD[f.MUL[P[:, r1], Q[:, r2]], f.NEG[f.MUL[P[:, r2], Q[:, r1]]]])
 
@@ -114,28 +120,24 @@ class Plane:
         `lines` (any scaling): 2 for a secant, 1 for a tangent, 0 for an
         elliptic line, the index of its class in LINE_CLASSES."""
         M, A = self.field.MUL, self.field.ADD
-        L, C = np.asarray(lines)[:, None], np.array(self.conic_points())
+        L, C = np.asarray(lines)[:, None], self.conic_points()
         s = A[A[M[L[..., 0], C[:, 0]], M[L[..., 1], C[:, 1]]], M[L[..., 2], C[:, 2]]]
         return (s == 0).sum(axis=1)
 
-    def classify_point(self, P):
-        """Dual classification: 'hyperbolic' iff Q(P) is a nonzero square
-        (the pole of a secant), 'singular' iff Q(P) = 0, else 'elliptic'."""
-        qv = self.quadratic_form(P)
-        if qv == 0:
-            return "singular"
-        return "hyperbolic" if self.field.is_square(qv) else "elliptic"
+    def quadratic_form(self, V):
+        """Q(x0, x1, x2) = x1^2 - x0 x2 on each row of the (k, 3) code array
+        V: not projective, as scaling a row by s scales Q by s^2."""
+        f = self.field
+        x0, x1, x2 = np.asarray(V).T
+        return f.ADD[f.MUL[x1, x1], f.NEG[f.MUL[x0, x2]]]
 
-    def all_points(self):
-        """All q^2+q+1 points, in a fixed canonical enumeration."""
-        if self._reps is None:
-            order = [int(v) for v in self.field.BY_RANK]
-            self._reps = [(0, 0, 1)] + [(0, 1, a) for a in order] + [(1, a, b) for a in order for b in order]
-        return self._reps
-
-    def all_lines(self):
-        """All q^2+q+1 lines (dual coordinates): the triples of `all_points`."""
-        return self.all_points()
+    def point_classes(self, V):
+        """The class of each point, a row of the (k, 3) array V, as its
+        index in POINT_CLASSES: hyperbolic iff Q is a nonzero square (the
+        pole of a secant), singular iff Q = 0 (a conic point), else
+        elliptic."""
+        Q = self.quadratic_form(V)
+        return np.where(Q == 0, 1, 2 * self.field.SQUARE[Q])
 
 
 class Domain:

@@ -163,24 +163,6 @@ class GF:
         # proved GF(q) a field; BY_RANK[0] is 0
         self._primitive = next(int(v) for v in self.BY_RANK[1:] if self._mult_order(int(v)) == q - 1)
 
-    def _pow_int(self, x, n):
-        if x == 0:
-            if n <= 0:
-                raise ZeroDivisionError("0 has no inverse")
-            return 0
-        if n < 0:
-            x = int(self.INV[x])
-            n = -n
-        r = 1
-        b = x
-        mul = self.MUL
-        while n:
-            if n & 1:
-                r = int(mul[r, b])
-            b = int(mul[b, b])
-            n >>= 1
-        return r
-
     def _mult_order(self, x):
         r = x
         n = 1
@@ -210,14 +192,6 @@ class GF:
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
-
-    def pow(self, x, n):
-        return self._pow_int(x, n)
-
-    def frobenius(self, x, j):
-        if not 0 <= j < self.m:
-            raise ValueError(f"automorphism exponent must be in 0..{self.m - 1}")
-        return int(self.FROB[j, x])
 
     def sigma(self, x):
         """The involutory automorphism x -> x^(p^(m/2)); m must be even."""

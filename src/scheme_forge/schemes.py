@@ -114,7 +114,7 @@ class Scheme:
 
     The one row reader `_rows(xs)`, xs a slice or an index array, reads
     the matrix once there is one and computes the rows before; `row`,
-    `row_blocks`, `relation` and `p_tensor` read only through it, and
+    `row_blocks` and `p_tensor` read only through it, and
     `relation_matrix` fills the matrix from it, a row block at a time,
     the first time it is read.  Row 0 holds every class 0..d, as every
     row of a scheme does, and `class_reps[k]` is the first pair (0, y)
@@ -300,9 +300,6 @@ class Scheme:
     def is_commutative(self):
         P = self.p_tensor()
         return bool(np.array_equal(P, P.transpose(0, 2, 1)))
-
-    def relation(self, x, y):
-        return int(self.row(x)[y])
 
     def label_text(self):
         if self.labels is None:

@@ -3,14 +3,17 @@
 Each kernel that a test checks against a reference has one scalar action
 here, built only on the int API of `scheme_forge.gf.GF` and its tables:
 
+  * `power`, `frobenius`: x^n by n multiplications, and x^(p^j) read from
+    the Frobenius table (which `power` checks in the field tests);
   * `apply`, `compose`, `inverse`: maps of PG(1,q) as rows (a, b, c, d, j),
     acting on positions (`moebius.point_perms`);
   * `in_group`: the group conditions of `moebius.in_group`;
   * `transporter`: the map of `moebius.transporters_to_base`;
   * `rho`, `move_point`, `move_line`: the plane embedding and its action
     (`moebius._rho`, `moebius.domain_perms` on the plane domains);
-  * `normalize`, `conic_point`, `line_through`, `pole`, `incident`: the
-    conic kernels of `geometry.Plane`;
+  * `normalize`, `conic_point`, `plane_points`, `line_through`, `pole`,
+    `incident`, `quadratic_form`, `point_class`: the conic kernels and
+    point enumeration of `geometry.Plane`;
   * `cross_ratio`: the codes of `schemes.cross_ratio_scheme`;
   * `all_maps` and `closure`: the groups, listed without the package.
 
@@ -25,6 +28,19 @@ import numpy as np
 def _element(fld, pos):
     """The field code at PG(1,q) position pos < q (canonical order)."""
     return int(fld.BY_RANK[pos])
+
+
+def power(fld, x, n):
+    """x^n for n >= 0, by n multiplications."""
+    r = 1
+    for _ in range(n):
+        r = fld.mul(r, x)
+    return r
+
+
+def frobenius(fld, x, j):
+    """x^(p^j), the j-th power of the Frobenius automorphism."""
+    return int(fld.FROB[j, x])
 
 
 def det(fld, g):
@@ -49,7 +65,7 @@ def apply(fld, g, pos):
     if pos == q:
         num, den = a, c
     else:
-        x = fld.frobenius(_element(fld, pos), j)
+        x = frobenius(fld, _element(fld, pos), j)
         num, den = fld.add(fld.mul(a, x), b), fld.add(fld.mul(c, x), d)
     return q if den == 0 else fld.rank(fld.div(num, den))
 
@@ -58,7 +74,7 @@ def compose(fld, g, h):
     """g after h, canonical: the matrix of g times h with g's Frobenius
     applied to the entries of h."""
     a, b, c, d, j = g
-    ha, hb, hc, hd = (fld.frobenius(v, j) for v in h[:4])
+    ha, hb, hc, hd = (frobenius(fld, v, j) for v in h[:4])
     return canonical(
         fld,
         fld.add(fld.mul(a, ha), fld.mul(b, hc)),
@@ -72,7 +88,7 @@ def compose(fld, g, h):
 def inverse(fld, g):
     a, b, c, d, j = g
     k = (-j) % fld.m
-    return canonical(fld, *(fld.frobenius(v, k) for v in (d, fld.neg(b), fld.neg(c), a)), k)
+    return canonical(fld, *(frobenius(fld, v, k) for v in (d, fld.neg(b), fld.neg(c), a)), k)
 
 
 def in_group(fld, g, gid):
@@ -162,7 +178,7 @@ def times(fld, mat, v):
 
 def move_point(fld, mat, j, v):
     """The point mat . v^(p^j), normalized."""
-    return normalize(fld, times(fld, mat, [fld.frobenius(int(c), j) for c in v]))
+    return normalize(fld, times(fld, mat, [frobenius(fld, int(c), j) for c in v]))
 
 
 def move_line(fld, mat, j, line):
@@ -183,6 +199,28 @@ def conic_point(fld, pos):
         return (1, 0, 0)
     t = _element(fld, pos)
     return normalize(fld, (fld.mul(t, t), t, 1))
+
+
+def plane_points(fld):
+    """The q^2+q+1 points (0 : 0 : 1), (0 : 1 : a), (1 : a : b), with a,
+    then b, in canonical order."""
+    order = [_element(fld, pos) for pos in range(fld.q)]
+    return [(0, 0, 1)] + [(0, 1, a) for a in order] + [(1, a, b) for a in order for b in order]
+
+
+def quadratic_form(fld, v):
+    """Q(x0, x1, x2) = x1^2 - x0 x2 of a raw triple."""
+    x0, x1, x2 = (int(c) for c in v)
+    return fld.sub(fld.mul(x1, x1), fld.mul(x0, x2))
+
+
+def point_class(fld, P):
+    """'hyperbolic' iff Q(P) is a nonzero square (the pole of a secant),
+    'singular' iff Q(P) = 0, else 'elliptic'."""
+    qv = quadratic_form(fld, P)
+    if qv == 0:
+        return "singular"
+    return "hyperbolic" if fld.is_square(qv) else "elliptic"
 
 
 def line_through(fld, P, Q):

@@ -8,7 +8,7 @@ import pytest
 
 import oracles as orc
 from scheme_forge.fission import build_ft
-from scheme_forge.geometry import LINE_CLASSES, Plane, domain, pairs_domain
+from scheme_forge.geometry import LINE_CLASSES, POINT_CLASSES, Plane, domain, pairs_domain
 from scheme_forge.gf import field
 from scheme_forge.moebius import generators, point_perms
 
@@ -38,10 +38,8 @@ def _polars(plane, points):
 def test_quadratic_form_basics():
     pl = Plane(field(9))
     f = pl.field
-    assert pl.quadratic_form((1, 0, 0)) == 0
-    assert pl.quadratic_form((0, 1, 0)) == 1
-    for t in range(9):
-        assert pl.quadratic_form((f.mul(t, t), t, 1)) == 0
+    assert pl.quadratic_form([(1, 0, 0), (0, 1, 0)]).tolist() == [0, 1]
+    assert pl.quadratic_form([(f.mul(t, t), t, 1) for t in range(9)]).tolist() == [0] * 9
 
 
 def test_bilinear_form(plane):
@@ -57,11 +55,11 @@ def test_bilinear_form(plane):
     assert B((0, 1, 0), (0, 1, 0)) == two
     pts = plane.all_points()[:: max(1, len(plane.all_points()) // 15)]
     poles = plane.poles(pts).tolist()
-    for u in pts:
-        for v, pole in zip(pts, poles):
+    for u, qu in zip(pts.tolist(), plane.quadratic_form(pts).tolist()):
+        for v, pole in zip(pts.tolist(), poles):
             assert B(u, v) == B(v, u)
             assert (B(pole, u) == 0) == (_values(f, v, u) == 0)
-        assert B(u, u) == f.mul(two, plane.quadratic_form(u))
+        assert B(u, u) == f.mul(two, qu) == f.mul(two, orc.quadratic_form(f, u))
 
 
 def test_conic(plane):
@@ -69,17 +67,18 @@ def test_conic(plane):
     through two of them meets the conic in exactly those two."""
     q = plane.field.q
     conic = plane.conic_points()
-    assert len(conic) == q + 1
-    assert len(set(conic)) == q + 1
-    assert all(plane.quadratic_form(P) == 0 for P in conic)
+    assert conic.shape == (q + 1, 3)
+    assert len(set(map(tuple, conic.tolist()))) == q + 1
+    assert not plane.quadratic_form(conic).any()
+    assert (plane.point_classes(conic) == POINT_CLASSES.index("singular")).all()
     assert (plane.conic_counts(plane.secant_lines(plane.pg1.pairs)) == 2).all()
 
 
 def test_point_line_counts(plane):
     q = plane.field.q
-    assert len(plane.all_points()) == q * q + q + 1
-    assert len(set(plane.all_points())) == q * q + q + 1
-    assert len(plane.all_lines()) == q * q + q + 1
+    assert plane.all_points().shape == (q * q + q + 1, 3)
+    assert len(set(map(tuple, plane.all_points().tolist()))) == q * q + q + 1
+    assert plane.all_lines().shape == (q * q + q + 1, 3)
 
 
 def test_line_classification_counts(plane):
@@ -100,7 +99,7 @@ def test_classification_by_root_count_oracle(plane):
     iff a0 = 0; count roots directly."""
     f = plane.field
     lines = plane.all_lines()
-    for (a0, a1, a2), counted in zip(lines, plane.conic_counts(lines).tolist()):
+    for (a0, a1, a2), counted in zip(lines.tolist(), plane.conic_counts(lines).tolist()):
         hits = sum(
             1
             for t in range(f.q)
@@ -114,14 +113,14 @@ def test_classification_by_root_count_oracle(plane):
 def test_polarity_involution(plane):
     """Line -> pole -> polar is the identity on lines, point -> polar ->
     pole the identity on points, so both maps are bijections."""
-    points = np.array(plane.all_points())
+    points = plane.all_points()
     assert np.array_equal(plane.poles(_polars(plane, points)), points)
     assert np.array_equal(_polars(plane, plane.poles(points)), points)
 
 
 def test_polarity_preserves_incidence(plane):
-    pts = np.array(plane.all_points()[:: max(1, len(plane.all_points()) // 12)])
-    lines = np.array(plane.all_lines()[:: max(1, len(plane.all_lines()) // 12)])
+    pts = plane.all_points()[:: max(1, len(plane.all_points()) // 12)]
+    lines = plane.all_lines()[:: max(1, len(plane.all_lines()) // 12)]
     f = plane.field
     on = _values(f, lines[None], pts[:, None]) == 0
     dual = _values(f, _polars(plane, pts)[:, None], plane.poles(lines)[None]) == 0
@@ -131,11 +130,11 @@ def test_polarity_preserves_incidence(plane):
 def test_tangents_are_polars_of_conic_points(plane):
     """The tangents are the lines through one conic point, and the pole of
     each is its point of contact."""
-    lines = np.array(plane.all_lines())
+    lines = plane.all_lines()
     tangents = lines[plane.conic_counts(lines) == 1]
     conic = plane.conic_points()
     poles = plane.poles(tangents)
-    assert sorted(map(tuple, poles.tolist())) == sorted(conic)
+    assert sorted(poles.tolist()) == sorted(conic.tolist())
     assert not _values(plane.field, tangents, poles).any()
     assert np.array_equal(plane.poles(_polars(plane, conic)), conic)
 
@@ -155,12 +154,12 @@ def test_perp_formulas(plane):
         if j == q:
             xi = int(f.BY_RANK[i])
             rep = (f.mul(f.add(1, 1), xi), 1, 0)
-            assert plane.quadratic_form(rep) == 1
+            assert plane.quadratic_form([rep]).tolist() == [1]
         else:
             xi, ga = int(f.BY_RANK[i]), int(f.BY_RANK[j])
             h = f.mul(half, f.sub(ga, xi))
             rep = (f.mul(ga, xi), f.mul(half, f.add(xi, ga)), 1)
-            assert plane.quadratic_form(rep) == f.mul(h, h)
+            assert plane.quadratic_form([rep]).tolist() == [f.mul(h, h)]
         assert pole == plane.normalize_rows([rep])[0].tolist()
 
 
@@ -169,17 +168,23 @@ def test_line_class_matches_pole_square_type(plane):
     nonzero square / zero / a non-square."""
     f = plane.field
     lines = plane.all_lines()
+    poles = plane.poles(lines)
     count_hyp_points = 0
-    for P, h in zip(plane.poles(lines).tolist(), plane.conic_counts(lines).tolist()):
-        qv = plane.quadratic_form(P)
+    for P, qv, h, k in zip(
+        poles.tolist(),
+        plane.quadratic_form(poles).tolist(),
+        plane.conic_counts(lines).tolist(),
+        plane.point_classes(poles).tolist(),
+    ):
         cls = LINE_CLASSES[h]
+        assert qv == orc.quadratic_form(f, P)
         if cls == "tangent":
             assert qv == 0
         elif cls == "hyperbolic":
             assert qv != 0 and f.is_square(qv)
         else:
             assert qv != 0 and not f.is_square(qv)
-        assert plane.classify_point(P) == {"tangent": "singular"}.get(cls, cls)
+        assert POINT_CLASSES[k] == {"tangent": "singular"}.get(cls, cls)
         if cls == "hyperbolic":
             count_hyp_points += 1
     assert count_hyp_points == f.q * (f.q + 1) // 2
@@ -195,7 +200,7 @@ def _ft_ratio(ft, fld, x, y, z, w):
     """The least of r and 1/r in canonical order, by FT's label of the
     pairs {x, y} and {z, w} of positions: q for a shared point."""
     table = ft.domain.plane.pg1.pair_table
-    lab = ft.labels[ft.relation(int(table[x, y]), int(table[z, w]))]
+    lab = ft.labels[ft.row(int(table[x, y]))[int(table[z, w])]]
     return {"harmonic": fld.neg(1), "share": fld.q, "diagonal": fld.q}.get(lab.kind, lab.rep)
 
 
@@ -295,11 +300,11 @@ def test_batched_kernels_equal_the_scalar_methods(q):
     f = pl.field
     pairs = pl.pg1.pairs
     conic = [orc.conic_point(f, pos) for pos in range(q + 1)]
-    assert pl.conic_points() == conic
+    assert list(map(tuple, pl.conic_points().tolist())) == conic
     secants = [orc.line_through(f, conic[i], conic[j]) for i, j in pairs.tolist()]
     assert list(map(tuple, pl.secant_lines(pairs).tolist())) == secants
     assert list(map(tuple, pl.secant_lines(pairs[:, ::-1]).tolist())) == secants
-    lines = pl.all_lines()
+    lines = pl.all_lines().tolist()
     assert list(map(tuple, pl.poles(lines).tolist())) == [orc.pole(f, l) for l in lines]
     counts = [sum(orc.incident(f, P, l) for P in conic) for l in lines]
     assert pl.conic_counts(lines).tolist() == counts
@@ -312,6 +317,40 @@ def test_batched_kernels_equal_the_scalar_methods(q):
         pl.normalize_rows([(1, 0, 0), (0, 0, 0)])
     with pytest.raises(ValueError):
         pl.secant_lines([(1, 1)])
+
+
+@pytest.mark.parametrize("q", [5, 9, 27])
+def test_quadratic_form_and_point_classes_equal_the_scalar_oracle(q):
+    """On every point, and on every point scaled by a non-square (Q moves
+    by a square factor, its class not at all)."""
+    pl = Plane(field(q))
+    f = pl.field
+    points = pl.all_points()
+    values = [orc.quadratic_form(f, P) for P in points.tolist()]
+    classes = [orc.point_class(f, P) for P in points.tolist()]
+    assert pl.quadratic_form(points).tolist() == values
+    assert [POINT_CLASSES[k] for k in pl.point_classes(points).tolist()] == classes
+    z = f.fixed_nonsquare()
+    scaled = f.MUL[z, points]
+    assert pl.quadratic_form(scaled).tolist() == [f.mul(f.mul(z, z), v) for v in values]
+    assert [POINT_CLASSES[k] for k in pl.point_classes(scaled).tolist()] == classes
+    assert [classes.count(c) for c in POINT_CLASSES] == [q * (q - 1) // 2, q + 1, q * (q + 1) // 2]
+
+
+@pytest.mark.parametrize("q", [5, 9, 27, 49])
+def test_all_points_is_the_scalar_enumeration(q):
+    points = Plane(field(q)).all_points()
+    assert points.dtype == np.int32
+    assert list(map(tuple, points.tolist())) == orc.plane_points(field(q))
+
+
+@pytest.mark.parametrize("q", [5, 9, 27, 49])
+def test_conic_points_follow_the_positions_and_end_at_infinity(q):
+    fld = field(q)
+    conic = Plane(fld).conic_points()
+    assert conic.shape == (q + 1, 3) and conic.dtype == np.int32
+    assert conic[-1].tolist() == [1, 0, 0]
+    assert list(map(tuple, conic.tolist())) == [orc.conic_point(fld, pos) for pos in range(q + 1)]
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 25, 27, 49])
@@ -336,7 +375,6 @@ def test_plane_domains_hold_an_order_q2_lookup(q):
     from scheme_forge.geometry import hyperbolic_lines_domain, hyperbolic_points_domain
 
     pl = Plane(field(q))
-    pl.conic_points()
     for build in (hyperbolic_lines_domain, hyperbolic_points_domain):
         tracemalloc.start()
         try:
@@ -354,7 +392,8 @@ def test_index_of_coords_rejects_every_triple_off_the_domain(q):
     two = f.add(1, 1)
     tangent = (1, 0, 0)  # x0 = 0, the tangent at (0 : 0 : 1)
     assert pl.conic_counts([tangent]).tolist() == [1]
-    elliptic = next(P for P in pl.all_points() if pl.classify_point(P) == "elliptic")
+    points = pl.all_points()
+    elliptic = points[pl.point_classes(points) == POINT_CLASSES.index("elliptic")][0]
     for kind, off_domain in (("hyp-lines", tangent), ("hyp-points", elliptic)):
         dom = domain(pl, kind)
         assert dom.index_of_coords(dom.coords).tolist() == list(range(dom.n))

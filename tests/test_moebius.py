@@ -330,7 +330,7 @@ def test_rho_det_cube(q):
     for g, r, c in zip(maps.tolist(), R.tolist(), cof[:, 0].tolist()):
         assert tuple(map(tuple, r)) == orc.rho(fld, g)
         det3 = fld.add(fld.add(fld.mul(r[0][0], c[0]), fld.mul(r[0][1], c[1])), fld.mul(r[0][2], c[2]))
-        assert det3 == fld.pow(orc.det(fld, g), 3)
+        assert det3 == orc.power(fld, orc.det(fld, g), 3)
 
 
 def test_rho_identity_and_middle_column():
@@ -369,7 +369,7 @@ def test_rho_is_injective_homomorphism(q):
 def test_conic_param_equivariance_exhaustive(q):
     fld = field(q)
     pl = Plane(fld)
-    C = np.array(pl.conic_points())
+    C = pl.conic_points()
     assert C[int(fld.RANK[0])].tolist() == [0, 0, 1] and C[q].tolist() == [1, 0, 0]
     maps = generators(fld, "pgammal")
     images = _coords_transform(fld, _rho(fld, maps), maps[:, 4], C)
@@ -384,9 +384,10 @@ def test_conic_param_equivariance_exhaustive(q):
 def test_rho_fixes_conic_setwise(q):
     fld = field(q)
     pl = Plane(fld)
-    conic = set(pl.conic_points())
+    C = pl.conic_points()
+    conic = set(map(tuple, C.tolist()))
     maps = generators(fld, "pgammal")
-    for images in _coords_transform(fld, _rho(fld, maps), maps[:, 4], np.array(pl.conic_points())):
+    for images in _coords_transform(fld, _rho(fld, maps), maps[:, 4], C):
         assert set(map(tuple, images.tolist())) == conic
 
 
@@ -398,9 +399,12 @@ def test_rho_scales_quadratic_form_by_det_squared():
         g = random_map(fld, rng)
         r = orc.rho(fld, g)
         det2 = fld.mul(orc.det(fld, g), orc.det(fld, g))
-        # compare on raw (unnormalized) images
-        for P in (pl.all_points()[k] for k in rng.sample(range(91), 10)):
-            assert pl.quadratic_form(orc.times(fld, r, P)) == fld.mul(det2, pl.quadratic_form(P))
+        # compare on raw (unnormalized) images, batched and against the oracle
+        points = pl.all_points()[rng.sample(range(91), 10)].tolist()
+        images = [orc.times(fld, r, P) for P in points]
+        expected = [fld.mul(det2, orc.quadratic_form(fld, P)) for P in points]
+        assert pl.quadratic_form(images).tolist() == expected
+        assert pl.quadratic_form(points).tolist() == [orc.quadratic_form(fld, P) for P in points]
 
 
 def test_line_action_matches_point_action():
