@@ -18,8 +18,8 @@ from scheme_forge import (
     pairs_domain,
     partition_bijection,
     pgammal_scheme,
-    psl_class_count_formula,
     psl_scheme,
+    report_theorem,
     triangular_scheme,
 )
 
@@ -33,7 +33,7 @@ for q in (5, 9, 13, 25):
     if f.m % 2 == 0:
         row.insert(3, f"twisted: {m_scheme(f).d}")
     print(f"q={q:3d}  classes  " + "   ".join(row))
-    assert psl.d == psl_class_count_formula(q)
+    assert report_theorem("psl-class-count", psl).passed
 
 print("\ncross-ratio construction vs orbital construction (q <= 13):")
 for q in (5, 7, 9, 11, 13):

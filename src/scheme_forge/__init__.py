@@ -73,9 +73,9 @@ from .fission import (
     pgammal_orbit_label,
     pgammal_scheme,
     pgl_scheme,
-    psl_class_count_formula,
     psl_orbit_label,
     psl_scheme,
+    report_theorem,
     verify_paper,
 )
 

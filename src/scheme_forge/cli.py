@@ -103,8 +103,9 @@ def _cache_load(cache_dir, fld, gid, kind):
     lacks the matrix, has the wrong shape or type, is not certified a
     scheme by the group's generators, does not number its classes by
     first occurrence in row 0 as every builder does, or whose base row
-    does not match the group's labels and theorems also counts as a
-    miss; the caller rebuilds and overwrites it."""
+    does not match the group's labels (and, for `m`, its split and
+    non-square class counts) also counts as a miss; the caller rebuilds
+    and overwrites it."""
     path = _cache_path(cache_dir, fld, gid, kind)
     if not path or not os.path.exists(path):
         return None

@@ -40,9 +40,12 @@ class TheoremReport:
     q: int
     predicted: object
     computed: object
-    passed: bool
     elapsed: float = 0.0
     note: str = ""
+
+    @property
+    def passed(self):
+        return self.predicted == self.computed
 
     def to_dict(self):
         return {
@@ -271,23 +274,15 @@ def _m_theorems(fld, S):
     for k in tclasses:
         if S.valencies[k] != 2 * (q - 1):
             raise TheoremViolationError("non-square ratio classes must have valency 2(q-1)")
-    if q > 9 and S.d != (3 * q + 5) // 8:
-        raise TheoremViolationError(f"class count {S.d} != (3q+5)/8 = {(3 * q + 5) // 8}")
 
 
-def _pgammal_theorems(fld, S):
-    if not S.is_symmetric():
-        raise TheoremViolationError("the semilinear-group scheme must be symmetric")
-    if S.d != count_pgammal_classes(fld):
-        raise TheoremViolationError("class count disagrees with the direct orbit count")
-
-
-# group id -> (label of a pair against {0, oo}, theorem check or None)
+# group id -> (label of a pair against {0, oo}, theorem check or None); the
+# class counts are `PREDICTIONS`, reported rather than checked at each build
 GROUP_SCHEMES = {
     "pgl": (_ft_label_of_pair, None),
     "psl": (psl_orbit_label, None),
     "m": (m_orbit_label, _m_theorems),
-    "pgammal": (pgammal_orbit_label, _pgammal_theorems),
+    "pgammal": (pgammal_orbit_label, None),
 }
 
 
@@ -338,75 +333,67 @@ def _int_sqrt(q):
     return r
 
 
-def psl_class_count_formula(q):
-    return (3 * q + 5) // 4 if q % 4 == 1 else (3 * q + 3) // 4
-
-
 # -- theorem verifiers -----------------------------------------------------------------
 
-# Per-q predictions from the paper: the `m` scheme's symmetry and
-# commutativity, and the `pgammal` scheme's class count and P-polynomiality.
-M_COMMUTATIVITY = {
-    9: {"symmetric": True, "commutative": True},
-    25: {"symmetric": False, "commutative": True},
-    49: {"symmetric": False, "commutative": False},
-    81: {"symmetric": False, "commutative": False},
-}
-PGAMMAL_PREDICTED = {
-    9: {"classes": 4, "p_polynomial": True},
-    25: {"classes": 9, "p_polynomial": False},
-    49: {"classes": 16, "p_polynomial": False},
-}
-
-
-def report_psl_class_count(psl):
-    q = psl.domain.field.q
-    predicted = {"classes": psl_class_count_formula(q), "symmetric": False}
-    t0 = time.perf_counter()
-    computed = {"classes": psl.d, "symmetric": psl.is_symmetric()}
-    dt = time.perf_counter() - t0
-    return TheoremReport("psl-class-count", q, predicted, computed, predicted == computed, dt)
-
-
-def report_m_class_count(msch):
-    q = msch.domain.field.q
-    predicted = {"classes": (3 * q + 5) // 8, "symmetric": q == 9}
-    t0 = time.perf_counter()
-    computed = {"classes": msch.d, "symmetric": msch.is_symmetric()}
-    dt = time.perf_counter() - t0
-    return TheoremReport("m-class-count", q, predicted, computed, predicted == computed, dt)
-
-
-def report_m9_octagon(S):
-    """The twisted-group scheme `S` at q = 9 is the distance-regular
-    scheme of the generalized octagon of order (2, 1)."""
-    predicted = {
+# theorem id -> (the group whose labeled scheme the report reads, the paper's
+# prediction over the field, or None where it predicts nothing at that q);
+# `_group_reports` runs a group's entries in this order
+PREDICTIONS = {
+    "psl-class-count": ("psl", lambda f: {
+        "classes": (3 * f.q + 5) // 4 if f.q % 4 == 1 else (3 * f.q + 3) // 4,
+        "symmetric": False,
+    }),
+    "pgammal-class-count": ("pgammal", lambda f: {
+        # the paper's counts where it gives them, else the direct orbit count
+        "classes": {9: 4, 25: 9, 49: 16}.get(f.q) or count_pgammal_classes(f),
+        "symmetric": True,
+        "count_agrees": True,
+        **({"p_polynomial": f.q == 9} if f.q in (9, 25, 49) else {}),
+    }),
+    # q = 9 is the octagon below
+    "m-class-count": ("m", lambda f: None if f.q <= 9 else {
+        "classes": (3 * f.q + 5) // 8,
+        "symmetric": False,
+    }),
+    "m-commutativity": ("m", lambda f: {
+        9: {"symmetric": True, "commutative": True},
+        25: {"symmetric": False, "commutative": True},
+        49: {"symmetric": False, "commutative": False},
+        81: {"symmetric": False, "commutative": False},
+    }.get(f.q)),
+    # the distance-regular scheme of the generalized octagon of order (2, 1)
+    "m9-octagon": ("m", lambda f: None if f.q != 9 else {
         "n": 45,
         "symmetric": True,
         "p_polynomial": True,
         "intersection_array": ([4, 2, 2, 2], [1, 1, 1, 2]),
-    }
-    t0 = time.perf_counter()
-    orders = sc.p_polynomial_orderings(S)
-    arrays = [o["intersection_array"] for o in orders]
-    computed = {
-        "n": S.n,
-        "symmetric": S.is_symmetric(),
-        "p_polynomial": bool(orders),
-        "intersection_array": arrays[0] if arrays else None,
-    }
-    dt = time.perf_counter() - t0
-    q = S.domain.field.q
-    return TheoremReport("m9-octagon", q, predicted, computed, predicted == computed, dt)
+    }),
+}
+
+# how `report_theorem` computes each key of a prediction on the labeled scheme
+OBSERVED = {
+    "n": lambda S: S.n,
+    "classes": lambda S: S.d,
+    "symmetric": lambda S: S.is_symmetric(),
+    "commutative": lambda S: S.is_commutative(),
+    "count_agrees": lambda S: S.d == count_pgammal_classes(S.domain.field),
+    "p_polynomial": lambda S: bool(sc.p_polynomial_orderings(S)),
+    "intersection_array": lambda S: next(
+        (o["intersection_array"] for o in sc.p_polynomial_orderings(S)), None
+    ),
+}
 
 
-def report_commutativity(msch):
-    q = msch.domain.field.q
-    predicted = dict(M_COMMUTATIVITY[q])
+def report_theorem(theorem_id, S):
+    """The `PREDICTIONS` entry `theorem_id` against `S`, the labeled scheme
+    of its group: the paper's prediction over S's field, and exactly the
+    predicted keys computed on `S` by `OBSERVED`.  The entry must predict
+    something at this q."""
+    fld = S.domain.field
+    predicted = PREDICTIONS[theorem_id][1](fld)
     t0 = time.perf_counter()
-    computed = {"symmetric": msch.is_symmetric(), "commutative": msch.is_commutative()}
-    dt = time.perf_counter() - t0
-    return TheoremReport("m-commutativity", q, predicted, computed, predicted == computed, dt)
+    computed = {key: OBSERVED[key](S) for key in predicted}
+    return TheoremReport(theorem_id, fld.q, predicted, computed, time.perf_counter() - t0)
 
 
 def report_ft(ft, pgl_orbital):
@@ -432,21 +419,7 @@ def report_ft(ft, pgl_orbital):
         "symmetric": ft.is_symmetric(),
     }
     dt = time.perf_counter() - t0
-    return TheoremReport("ft-cross-ratio", q, predicted, computed, predicted == computed, dt)
-
-
-def report_pgammal(S):
-    fld = S.domain.field
-    q = fld.q
-    count = count_pgammal_classes(fld)
-    predicted = {"classes": count, "symmetric": True, "count_agrees": True}
-    predicted.update(PGAMMAL_PREDICTED.get(q, {}))
-    t0 = time.perf_counter()
-    computed = {"classes": S.d, "symmetric": S.is_symmetric(), "count_agrees": S.d == count}
-    if "p_polynomial" in predicted:
-        computed["p_polynomial"] = bool(sc.p_polynomial_orderings(S))
-    dt = time.perf_counter() - t0
-    return TheoremReport("pgammal-class-count", q, predicted, computed, predicted == computed, dt)
+    return TheoremReport("ft-cross-ratio", q, predicted, computed, dt)
 
 
 def report_transpose_rules(S):
@@ -507,7 +480,7 @@ def report_transpose_rules(S):
     dt = time.perf_counter() - t0
     predicted = {"all_rules_hold": True}
     computed = {"all_rules_hold": bool(ok)}
-    return TheoremReport("transpose-rules", q, predicted, computed, bool(ok), dt, note=str(details))
+    return TheoremReport("transpose-rules", q, predicted, computed, dt, note=str(details))
 
 
 def report_three_domain_isomorphism(fld, gid):
@@ -526,9 +499,7 @@ def report_three_domain_isomorphism(fld, gid):
     pairs, *plane = [mo.domain_perms(gens, domain_for(fld, kind)) for kind in Domain.KINDS]
     computed = {"isomorphic": all(np.array_equal(pairs, perms) for perms in plane)}
     dt = time.perf_counter() - t0
-    return TheoremReport(
-        f"three-domain-isomorphism[{gid}]", fld.q, predicted, computed, predicted == computed, dt
-    )
+    return TheoremReport(f"three-domain-isomorphism[{gid}]", fld.q, predicted, computed, dt)
 
 
 def report_q9_fusion_diagram(tri, ft, psl, pgml, msch):
@@ -589,7 +560,7 @@ def report_q9_fusion_diagram(tri, ft, psl, pgml, msch):
         "t_fuses_ft": True,
     }
     dt = time.perf_counter() - t0
-    return TheoremReport("q9-fusion-diagram", fld.q, predicted, computed, predicted == computed, dt)
+    return TheoremReport("q9-fusion-diagram", fld.q, predicted, computed, dt)
 
 
 def report_fusion_lattice(tri, ft, psl, pgml, msch=None):
@@ -611,7 +582,7 @@ def report_fusion_lattice(tri, ft, psl, pgml, msch=None):
         computed["pgammal_fuses_m"] = sc.fusion_map(pgml, msch) is not None
     predicted = {k: True for k in computed}
     dt = time.perf_counter() - t0
-    return TheoremReport("fusion-lattice", q, predicted, computed, predicted == computed, dt)
+    return TheoremReport("fusion-lattice", q, predicted, computed, dt)
 
 
 def report_geometry(fld):
@@ -651,7 +622,7 @@ def report_geometry(fld):
         "perp_formulas": True,
     }
     dt = time.perf_counter() - t0
-    return TheoremReport("geometry-counts", q, predicted, computed, predicted == computed, dt)
+    return TheoremReport("geometry-counts", q, predicted, computed, dt)
 
 
 def report_embedding(fld):
@@ -679,7 +650,7 @@ def report_embedding(fld):
     computed = {"det_cubed": det_ok, "equivariance": equiv_ok, "fixes_conic": fix_ok}
     predicted = {"det_cubed": True, "equivariance": True, "fixes_conic": True}
     dt = time.perf_counter() - t0
-    return TheoremReport("embedding-contract", q, predicted, computed, predicted == computed, dt)
+    return TheoremReport("embedding-contract", q, predicted, computed, dt)
 
 
 def report_scheme_axioms(schemes):
@@ -712,9 +683,7 @@ def report_scheme_axioms(schemes):
                 notes.append(f"{gid}: {e}")
     ok = not notes
     dt = time.perf_counter() - t0
-    return TheoremReport(
-        "scheme-axioms", q, {"all_pass": True}, {"all_pass": ok}, ok, dt, note="; ".join(notes)
-    )
+    return TheoremReport("scheme-axioms", q, {"all_pass": True}, {"all_pass": ok}, dt, note="; ".join(notes))
 
 
 # -- the full suite ----------------------------------------------------------------------
@@ -736,17 +705,14 @@ def verify_paper(qs):
 
 
 def _group_reports(gid, S):
-    """The reports that read only the labeled scheme `S` of one group."""
-    q = S.domain.field.q
+    """The reports that read only the labeled scheme `S` of one group: its
+    `PREDICTIONS` entries that predict something at this q, in table
+    order, then the transpose rules for `psl`."""
+    fld = S.domain.field
+    tids = [tid for tid, (g, predict) in PREDICTIONS.items() if g == gid and predict(fld) is not None]
+    reports = [report_theorem(tid, S) for tid in tids]
     if gid == "psl":
-        return [report_psl_class_count(S), report_transpose_rules(S)]
-    if gid == "pgammal":
-        return [report_pgammal(S)]
-    reports = []
-    if q > 9:
-        reports.append(report_m_class_count(S))
-    if q in M_COMMUTATIVITY:
-        reports.append(report_commutativity(S))
+        reports.append(report_transpose_rules(S))
     return reports
 
 
@@ -784,6 +750,5 @@ def _reports_at(fld):
     for gid in gids[1:]:
         reports += _group_reports(gid, labeled[gid])
     if q == 9:
-        reports.append(report_m9_octagon(msch))
         reports.append(report_q9_fusion_diagram(tri, ft, psl, pgml, msch))
     return reports

@@ -126,43 +126,39 @@ def base_pair_stabilizer(fld, gid):
     return maps[in_group(fld, maps, gid)]
 
 
-def transporters_to_base(fld, gid, pairs):
+def transporters_to_base(fld, pairs):
     """The canonical row of one transporter per 2-subset, in one pass.
 
     `pairs` is a (k, 2) array of PG(1,q) positions, each row two distinct
     points.  Row r of the result holds (a, b, c, d, j) of the map
     t -> (t - alpha)/(t - beta) that sends the r-th subset {alpha, beta}
     to {0, oo}, with the limit forms t -> 1/(t - beta) at alpha = oo and
-    t -> t - alpha at beta = oo.  For `psl` and `m`, a map with a
-    non-square determinant is composed after the canonical non-square
-    scaling t -> z*t, which makes the determinant square.  The rows are
-    canonical (`_canonical`).
+    t -> t - alpha at beta = oo; a map with a non-square determinant is
+    composed after the canonical non-square scaling t -> z*t.  Every row
+    so has a square determinant and exponent 0: a map of `psl`, which
+    lies in every group here.  The rows are canonical (`_canonical`).
     """
-    cells = _cells(fld, gid)
-    q = fld.q
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     alpha, beta = pairs.T
     if (alpha == beta).any():
         raise ValueError("a transporter needs a genuine 2-subset")
-    a_inf, b_inf = alpha == q, beta == q
+    a_inf, b_inf = alpha == fld.q, beta == fld.q
     neg_alpha = fld.NEG[fld.BY_RANK[np.where(a_inf, 0, alpha)]]
     neg_beta = fld.NEG[fld.BY_RANK[np.where(b_inf, 0, beta)]]
     a = np.where(a_inf, 0, 1)
     b = np.where(a_inf, 1, neg_alpha)
     c = np.where(b_inf, 0, 1)
     d = np.where(b_inf, 1, neg_beta)
-    if not cells[0, 0]:
-        det = fld.ADD[fld.MUL[a, d], fld.NEG[fld.MUL[b, c]]]
-        z = np.where(fld.SQUARE[det], 1, fld.fixed_nonsquare())
-        a, b = fld.MUL[z, a], fld.MUL[z, b]
-    return _canonical(fld, a, b, c, d, np.zeros_like(a))
+    det = fld.ADD[fld.MUL[a, d], fld.NEG[fld.MUL[b, c]]]
+    z = np.where(fld.SQUARE[det], 1, fld.fixed_nonsquare())
+    return _canonical(fld, fld.MUL[z, a], fld.MUL[z, b], c, d, np.zeros_like(a))
 
 
-def transporter_to_base(fld, pair, gid):
+def transporter_to_base(fld, pair):
     """The row of `transporters_to_base` for one pair of positions.  No
     build calls it; it is kept for the layer tracer of the benchmark
     (perfbench/tracer.py), which wraps it by name."""
-    return transporters_to_base(fld, gid, [pair])[0]
+    return transporters_to_base(fld, [pair])[0]
 
 
 def map_text(fld, row):

@@ -480,7 +480,10 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
     one orbital of G exactly when G_b moves z to z', so R(x, y) = L[T_x(y)]
     is the orbital partition of G on the pairs, a scheme whose parameters,
     read at any pair of a class, are exact (Bannai-Ito, Algebraic
-    Combinatorics I, 2.2).  G acts on the plane domains through `rho`, a
+    Combinatorics I, 2.2).  Two transporters of x differ by an element of
+    G_b, under which L is constant, so every choice gives this R; each
+    group takes the `psl` ones of `moebius.transporters_to_base`, which
+    lie in every group here.  G acts on the plane domains through `rho`, a
     homomorphism (checked in the test suite), and two actions that agree
     on generators agree on G, so by step 5 this is the scheme on every
     domain.  Classes are numbered by first occurrence in row 0
@@ -494,7 +497,7 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
     pg1 = dom.plane.pg1
     n, base = dom.n, dom.base_index
     gens = mo.generators(fld, gid)
-    transporters = mo.transporters_to_base(fld, gid, pg1.pairs)
+    transporters = mo.transporters_to_base(fld, pg1.pairs)
     if not (mo.in_group(fld, gens, gid).all() and mo.in_group(fld, transporters, gid).all()):
         raise NotASchemeError(f"a generator or a transporter is not in {gid}")
 

@@ -128,10 +128,10 @@ def closure(perms):
     return seen
 
 
-def transporter(fld, pair, gid):
+def transporter(fld, pair):
     """t -> (t - alpha) / (t - beta), canonical, for the positions pair =
-    (alpha, beta), after t -> z t for z the fixed non-square when the
-    group needs a square determinant and this one has none."""
+    (alpha, beta), after t -> z t for z the fixed non-square when its
+    determinant is a non-square."""
     q = fld.q
     alpha, beta = (None if p == q else _element(fld, p) for p in pair)
     if alpha is None:
@@ -140,7 +140,7 @@ def transporter(fld, pair, gid):
         h = canonical(fld, 1, fld.neg(alpha), 0, 1)
     else:
         h = canonical(fld, 1, fld.neg(alpha), 1, fld.neg(beta))
-    if gid in ("psl", "m") and not fld.is_square(det(fld, h)):
+    if not fld.is_square(det(fld, h)):
         h = compose(fld, (fld.fixed_nonsquare(), 0, 0, 1, 0), h)
     return h
 

@@ -32,7 +32,7 @@ def test_criterion_01_psl_class_counts():
     ok = True
     for q, want in sorted(expected.items()):
         t0 = time.perf_counter()
-        rep = fi.report_psl_class_count(fi.psl_scheme(field(q)))
+        rep = fi.report_theorem("psl-class-count", fi.psl_scheme(field(q)))
         dt = time.perf_counter() - t0
         ok &= rep.passed and rep.computed["classes"] == want
         ok &= rep.computed["symmetric"] is False
@@ -45,7 +45,7 @@ def test_criterion_02_m_class_counts():
     budgets = {25: 60, 49: 300, 81: 1800}
     for q, want in ((25, 10), (49, 19), (81, 31)):
         t0 = time.perf_counter()
-        rep = fi.report_m_class_count(fi.m_scheme(field(q)))
+        rep = fi.report_theorem("m-class-count", fi.m_scheme(field(q)))
         dt = time.perf_counter() - t0
         ok &= rep.passed and rep.computed == {"classes": want, "symmetric": False}
         ok &= dt < budgets[q]
@@ -53,7 +53,7 @@ def test_criterion_02_m_class_counts():
 
 
 def test_criterion_03_m9_generalized_octagon():
-    rep = fi.report_m9_octagon(fi.m_scheme(field(9)))
+    rep = fi.report_theorem("m9-octagon", fi.m_scheme(field(9)))
     ok = rep.passed
     ok &= rep.computed["n"] == 45 and rep.computed["symmetric"]
     ok &= rep.computed["intersection_array"] == ([4, 2, 2, 2], [1, 1, 1, 2])
@@ -87,19 +87,19 @@ def test_criterion_05_q9_fusion_diagram():
 def test_criterion_06_pgammal_class_counts():
     ok = True
     for q, want in ((9, 4), (25, 9), (49, 16)):
-        rep = fi.report_pgammal(fi.pgammal_scheme(field(q)))
+        rep = fi.report_theorem("pgammal-class-count", fi.pgammal_scheme(field(q)))
         ok &= rep.passed and rep.computed["classes"] == want
         ok &= rep.computed["count_agrees"] and rep.computed["symmetric"]
         ok &= rep.computed["p_polynomial"] is (q == 9)
     for q in (5, 7, 11, 13):
-        rep = fi.report_pgammal(fi.pgammal_scheme(field(q)))
+        rep = fi.report_theorem("pgammal-class-count", fi.pgammal_scheme(field(q)))
         ok &= rep.passed and rep.computed["symmetric"] and rep.computed["count_agrees"]
     _report(6, "semilinear-group class counts 4/9/16, symmetry, direct-count agreement", ok)
 
 
 def test_criterion_07_commutativity_survey():
-    r25 = fi.report_commutativity(fi.m_scheme(field(25)))
-    r49 = fi.report_commutativity(fi.m_scheme(field(49)))
+    r25 = fi.report_theorem("m-commutativity", fi.m_scheme(field(25)))
+    r49 = fi.report_theorem("m-commutativity", fi.m_scheme(field(49)))
     ok = r25.passed and r49.passed
     ok &= r25.computed == {"symmetric": False, "commutative": True}
     ok &= r49.computed == {"symmetric": False, "commutative": False}

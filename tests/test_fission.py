@@ -1,8 +1,10 @@
 """The labeled fission schemes and every structural claim about them."""
 
 import hashlib
+import json
 import tracemalloc
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,8 +268,8 @@ def test_cross_ratio_certificate_binds_the_class_count(monkeypatch):
     "q,expected", [(5, 5), (7, 6), (9, 8), (11, 9), (13, 11), (19, 15), (25, 20)]
 )
 def test_psl_class_count(q, expected):
-    assert fi.psl_class_count_formula(q) == expected
-    rep = fi.report_psl_class_count(fi.psl_scheme(field(q)))
+    assert fi.PREDICTIONS["psl-class-count"][1](field(q))["classes"] == expected
+    rep = fi.report_theorem("psl-class-count", fi.psl_scheme(field(q)))
     assert rep.passed, rep.computed
     assert rep.computed["classes"] == expected
     assert rep.computed["symmetric"] is False
@@ -406,7 +408,7 @@ def test_transpose_rule_q13_harmonic_swapped():
 
 @pytest.mark.parametrize("q,expected", [(25, 10), (49, 19), (81, 31)])
 def test_m_class_count(q, expected):
-    rep = fi.report_m_class_count(fi.m_scheme(field(q)))
+    rep = fi.report_theorem("m-class-count", fi.m_scheme(field(q)))
     assert rep.passed, rep.computed
     assert rep.computed == {"classes": expected, "symmetric": False}
 
@@ -469,7 +471,7 @@ def test_m_nonsymmetry_via_split_pairs(q):
 
 def test_m9_structure_with_bfs_oracle():
     S = fi.m_scheme(field(9))
-    rep = fi.report_m9_octagon(S)
+    rep = fi.report_theorem("m9-octagon", S)
     assert rep.passed, rep.computed
     orders = p_polynomial_orderings(S)
     assert [o["intersection_array"] for o in orders] == [([4, 2, 2, 2], [1, 1, 1, 2])]
@@ -525,12 +527,12 @@ def _bfs_intersection_array(adj):
 
 @pytest.mark.parametrize("q", [9, 25, 49])
 def test_commutativity_survey(q):
-    rep = fi.report_commutativity(fi.m_scheme(field(q)))
+    rep = fi.report_theorem("m-commutativity", fi.m_scheme(field(q)))
     assert rep.passed, rep.computed
 
 
 def test_commutativity_survey_deep_q81():
-    rep = fi.report_commutativity(fi.m_scheme(field(81)))
+    rep = fi.report_theorem("m-commutativity", fi.m_scheme(field(81)))
     assert rep.passed, rep.computed
 
 
@@ -539,7 +541,7 @@ def test_commutativity_survey_deep_q81():
 
 @pytest.mark.parametrize("q,expected", [(9, 4), (25, 9), (49, 16)])
 def test_pgammal_class_count(q, expected):
-    rep = fi.report_pgammal(fi.pgammal_scheme(field(q)))
+    rep = fi.report_theorem("pgammal-class-count", fi.pgammal_scheme(field(q)))
     assert rep.passed, rep.computed
     assert rep.computed["classes"] == expected
 
@@ -589,7 +591,7 @@ def test_pgammal_report_counts_the_classes_once(monkeypatch):
     calls = []
     real = fi.count_pgammal_classes
     monkeypatch.setattr(fi, "count_pgammal_classes", lambda fld: calls.append(1) or real(fld))
-    assert fi.report_pgammal(S).passed
+    assert fi.report_theorem("pgammal-class-count", S).passed
     assert len(calls) == 1
 
 
@@ -740,6 +742,37 @@ def test_verify_paper_aggregate():
         assert {"theorem", "q", "predicted", "computed", "passed", "elapsed", "note"} <= set(d)
 
 
+def test_a_report_passes_exactly_when_its_data_agree():
+    rep = fi.TheoremReport("t", 5, {"classes": 3}, {"classes": 4})
+    assert not rep.passed and rep.to_dict()["passed"] is False
+    rep.computed["classes"] = 3
+    assert rep.passed and rep.to_dict()["passed"] is True
+
+
+def _changed(value):
+    """Another value of the same kind: a bool negated, a number plus one."""
+    return (not value) if isinstance(value, bool) else value + 1
+
+
+@pytest.mark.parametrize("theorem_id", list(fi.PREDICTIONS))
+def test_one_changed_prediction_fails_exactly_its_report(monkeypatch, theorem_id):
+    """Each prediction lives in one table entry and is checked by one
+    report: changing the first predicted value of an entry fails that
+    report alone, at q = 25 or, for an entry silent there, q = 9, and no
+    build raises."""
+    gid, predict = fi.PREDICTIONS[theorem_id]
+    q = next(q for q in (25, 9) if predict(field(q)) is not None)
+
+    def changed(fld):
+        predicted = predict(fld)
+        key = next(iter(predicted))
+        return {**predicted, key: _changed(predicted[key])}
+
+    monkeypatch.setitem(fi.PREDICTIONS, theorem_id, (gid, changed))
+    reports = fi.verify_paper([q])
+    assert [r.theorem_id for r in reports if not r.passed] == [theorem_id]
+
+
 # -- the build plan of verify_paper ----------------------------------------------------
 
 
@@ -758,11 +791,11 @@ def _reports_called_directly(q):
     fld = field(q)
     if q == 25:
         return [
-            fi.report_psl_class_count(fi.psl_scheme(fld)),
+            fi.report_theorem("psl-class-count", fi.psl_scheme(fld)),
             fi.report_transpose_rules(fi.psl_scheme(fld)),
-            fi.report_pgammal(fi.pgammal_scheme(fld)),
-            fi.report_m_class_count(fi.m_scheme(fld)),
-            fi.report_commutativity(fi.m_scheme(fld)),
+            fi.report_theorem("pgammal-class-count", fi.pgammal_scheme(fld)),
+            fi.report_theorem("m-class-count", fi.m_scheme(fld)),
+            fi.report_theorem("m-commutativity", fi.m_scheme(fld)),
         ]
     gids = ("pgl", "psl", "pgammal", "m")
     return [
@@ -772,11 +805,11 @@ def _reports_called_directly(q):
         fi.report_scheme_axioms({gid: fi._labeled_scheme(fld, gid) for gid in gids}),
         fi.report_fusion_lattice(*_lattice_schemes(fld)),
         *(fi.report_three_domain_isomorphism(fld, gid) for gid in gids),
-        fi.report_psl_class_count(fi.psl_scheme(fld)),
+        fi.report_theorem("psl-class-count", fi.psl_scheme(fld)),
         fi.report_transpose_rules(fi.psl_scheme(fld)),
-        fi.report_pgammal(fi.pgammal_scheme(fld)),
-        fi.report_commutativity(fi.m_scheme(fld)),
-        fi.report_m9_octagon(fi.m_scheme(fld)),
+        fi.report_theorem("pgammal-class-count", fi.pgammal_scheme(fld)),
+        fi.report_theorem("m-commutativity", fi.m_scheme(fld)),
+        fi.report_theorem("m9-octagon", fi.m_scheme(fld)),
         fi.report_q9_fusion_diagram(*_lattice_schemes(fld)),
     ]
 
@@ -784,6 +817,22 @@ def _reports_called_directly(q):
 @pytest.mark.parametrize("q", [9, 25])
 def test_verify_paper_equals_the_reports_called_directly(q):
     assert _stripped(fi.verify_paper([q])) == _stripped(_reports_called_directly(q))
+
+
+def test_verify_paper_keeps_the_benchmark_reference_order(monkeypatch):
+    """`verify_paper([q])` without `elapsed`, as JSON data, is the benchmark's
+    reference list for q, report for report and in order, at every q the
+    `verify` workload runs.  The CLI digest hashes reports sorted by (q,
+    id), so it does not pin this order.  The test only reads perfbench/."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root))
+    from perfbench import workloads
+
+    reference = json.loads((root / "perfbench" / "reference.json").read_text())["verify"]
+    assert sorted(reference, key=int) == [str(q) for q in workloads.VERIFY_QS]
+    for q in workloads.VERIFY_QS:
+        reports = [workloads.strip_report(r) for r in fi.verify_paper([q])]
+        assert json.loads(json.dumps(reports)) == reference[str(q)], q
 
 
 def _spy(monkeypatch, module, name, seen):
@@ -911,10 +960,14 @@ def test_built_schemes_die_when_a_report_raises(monkeypatch):
 
     refs = _weakrefs_to_builds(monkeypatch)
 
-    def failing_report(S):
-        raise RuntimeError("report failed")
+    real = fi.report_theorem
 
-    monkeypatch.setattr(fi, "report_pgammal", failing_report)
+    def failing_report(theorem_id, S):
+        if theorem_id == "pgammal-class-count":
+            raise RuntimeError("report failed")
+        return real(theorem_id, S)
+
+    monkeypatch.setattr(fi, "report_theorem", failing_report)
     # caught here rather than with pytest.raises, whose record of the
     # exception would keep the frames of verify_paper, and their schemes,
     # alive as long as the test runs

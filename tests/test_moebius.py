@@ -112,7 +112,7 @@ def test_point_images_match_the_oracle_action(q):
     rng = np.random.default_rng(q)
     for gid in groups_of(fld):
         maps = np.concatenate(
-            [generators(fld, gid), base_pair_stabilizer(fld, gid), transporters_to_base(fld, gid, Plane(fld).pg1.pairs)]
+            [generators(fld, gid), base_pair_stabilizer(fld, gid), transporters_to_base(fld, Plane(fld).pg1.pairs)]
         )
         points = np.column_stack([np.full(len(maps), q), rng.integers(q + 1, size=(len(maps), 3))])
         images = point_images(fld, maps, points)
@@ -302,18 +302,18 @@ def test_transporter_properties(q):
     for gid in groups_of(fld):
         for _ in range(200):
             pair = tuple(sorted(rng.sample(range(q + 1), 2)))
-            g = transporter_to_base(fld, pair, gid)
+            g = transporter_to_base(fld, pair)
             assert in_group(fld, g, gid)[0]
             assert set(point_perms(fld, [g])[0, list(pair)].tolist()) == {0, fld.q}
 
 
 def test_transporter_examples():
     fld = field(9)
-    assert transporter_to_base(fld, (0, 9), "pgl").tolist() == [1, 0, 0, 1, 0]
+    assert transporter_to_base(fld, (0, 9)).tolist() == [1, 0, 0, 1, 0]
     f7 = field(7)
     one, minus1 = int(f7.RANK[1]), int(f7.RANK[6])
     # t -> (t-1)/(t+1)
-    assert transporter_to_base(f7, (one, minus1), "pgl").tolist() == [1, f7.neg(1), 1, 1, 0]
+    assert transporter_to_base(f7, (one, minus1)).tolist() == [1, f7.neg(1), 1, 1, 0]
 
 
 # -- the embedding into the plane ------------------------------------------------
@@ -436,16 +436,18 @@ def test_batched_transporters_match_one_at_a_time(q):
     pairs = Plane(fld).pg1.pairs
     # both orders of each pair, so that alpha = oo is covered too
     both = np.concatenate([pairs, pairs[:, ::-1]])
+    batch = transporters_to_base(fld, both)
+    assert batch.shape == (len(both), 5)
+    assert batch.tolist() == [list(orc.transporter(fld, pair)) for pair in both.tolist()]
+    assert transporter_to_base(fld, both[-1]).tolist() == batch[-1].tolist()
+    # one family for every group: each transporter lies in psl, so in all
     for gid in groups_of(fld):
-        batch = transporters_to_base(fld, gid, both)
-        assert batch.shape == (len(both), 5)
-        assert batch.tolist() == [list(orc.transporter(fld, pair, gid)) for pair in both.tolist()]
-        assert transporter_to_base(fld, both[-1], gid).tolist() == batch[-1].tolist()
+        assert in_group(fld, batch, gid).all()
 
 
 def test_batched_transporter_rejects_a_repeated_point():
     with pytest.raises(ValueError):
-        transporters_to_base(field(9), "pgl", [[0, 9], [3, 3]])
+        transporters_to_base(field(9), [[0, 9], [3, 3]])
 
 
 def _scalar_perm(fld, g, dom):

@@ -425,15 +425,23 @@ def _without_frobenius(monkeypatch):
 
 
 def _psl_by_pgl_transporters(monkeypatch):
+    """One transporter T replaced by t -> T(t)/z, z a non-square: a map of
+    pgl, not of psl, that still sends its pair to {0, oo}."""
     orig = mo.transporters_to_base
-    monkeypatch.setattr(mo, "transporters_to_base", lambda fld, gid, pairs: orig(fld, "pgl", pairs))
+
+    def transporters(fld, pairs):
+        out = orig(fld, pairs)
+        out[len(out) // 2, 2:4] = fld.MUL[fld.fixed_nonsquare(), out[len(out) // 2, 2:4]]
+        return out
+
+    monkeypatch.setattr(mo, "transporters_to_base", transporters)
 
 
 def _one_transporter_is_the_identity(monkeypatch):
     orig = mo.transporters_to_base
 
-    def transporters(fld, gid, pairs):
-        out = orig(fld, gid, pairs)
+    def transporters(fld, pairs):
+        out = orig(fld, pairs)
         out[len(out) // 2] = (1, 0, 0, 1, 0)
         return out
 
@@ -446,7 +454,7 @@ def _one_transporter_is_the_identity(monkeypatch):
         # the Frobenius generator fixes {0, oo}, and without it the
         # stabilizer generators give only the pgl stabilizer, of half its order
         ("pgammal", _without_frobenius, "miss part of its stabilizer"),
-        # (t - a)/(t - b) has a non-square determinant for some pairs
+        # a transporter whose determinant is a non-square
         ("psl", _psl_by_pgl_transporters, "not in psl"),
         # the identity is in the group, but moves no pair to {0, oo}
         ("psl", _one_transporter_is_the_identity, "does not reach the base element"),
@@ -470,13 +478,13 @@ def test_a_transporter_of_another_pair_is_refused(monkeypatch):
     orig = mo.transporters_to_base
     x = dom_.n // 2
 
-    def transporters(fld, gid, pairs):
-        out = orig(fld, gid, pairs)
+    def transporters(fld, pairs):
+        out = orig(fld, pairs)
         out[x] = out[x + 1]
         return out
 
     monkeypatch.setattr(mo, "transporters_to_base", transporters)
-    doctored = mo.transporters_to_base(fld, "psl", dom_.plane.pg1.pairs)[x]
+    doctored = mo.transporters_to_base(fld, dom_.plane.pg1.pairs)[x]
     assert mo.in_group(fld, doctored[None], "psl").all() and doctored.tolist() != [1, 0, 0, 1, 0]
     with pytest.raises(NotASchemeError, match="does not reach the base element"):
         orbital_scheme_via_stabilizer(fld, "psl", dom_)
