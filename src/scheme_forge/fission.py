@@ -253,7 +253,7 @@ def count_pgammal_classes(fld):
 def _m_theorems(fld, S):
     """Orbit bookkeeping of the twisted-group scheme."""
     q = fld.q
-    root = _int_sqrt(q)
+    root = fld.p ** (fld.m // 2)
     split = [k for k, l in enumerate(S.labels) if l.kind == "ratio" and l.sign != 0]
     tclasses = [
         k
@@ -326,13 +326,6 @@ def pgammal_scheme(fld):
     return _labeled_scheme(fld, "pgammal")
 
 
-def _int_sqrt(q):
-    r = int(round(q**0.5))
-    if r * r != q:
-        raise ValueError(f"{q} is not a square")
-    return r
-
-
 # -- theorem verifiers -----------------------------------------------------------------
 
 # theorem id -> (the group whose labeled scheme the report reads, the paper's
@@ -384,13 +377,15 @@ OBSERVED = {
 }
 
 
-def report_theorem(theorem_id, S):
+def report_theorem(theorem_id, S, predicted=None):
     """The `PREDICTIONS` entry `theorem_id` against `S`, the labeled scheme
-    of its group: the paper's prediction over S's field, and exactly the
-    predicted keys computed on `S` by `OBSERVED`.  The entry must predict
-    something at this q."""
+    of its group: the paper's prediction over S's field (`predicted`, if
+    the caller has evaluated it already), and exactly the predicted keys
+    computed on `S` by `OBSERVED`.  The entry must predict something at
+    this q."""
     fld = S.domain.field
-    predicted = PREDICTIONS[theorem_id][1](fld)
+    if predicted is None:
+        predicted = PREDICTIONS[theorem_id][1](fld)
     t0 = time.perf_counter()
     computed = {key: OBSERVED[key](S) for key in predicted}
     return TheoremReport(theorem_id, fld.q, predicted, computed, time.perf_counter() - t0)
@@ -709,8 +704,8 @@ def _group_reports(gid, S):
     `PREDICTIONS` entries that predict something at this q, in table
     order, then the transpose rules for `psl`."""
     fld = S.domain.field
-    tids = [tid for tid, (g, predict) in PREDICTIONS.items() if g == gid and predict(fld) is not None]
-    reports = [report_theorem(tid, S) for tid in tids]
+    predictions = [(tid, predict(fld)) for tid, (g, predict) in PREDICTIONS.items() if g == gid]
+    reports = [report_theorem(tid, S, p) for tid, p in predictions if p is not None]
     if gid == "psl":
         reports.append(report_transpose_rules(S))
     return reports

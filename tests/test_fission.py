@@ -1,6 +1,5 @@
 """The labeled fission schemes and every structural claim about them."""
 
-import hashlib
 import json
 import tracemalloc
 from collections import defaultdict
@@ -98,26 +97,6 @@ def test_ft_fuses_to_triangular():
         tri = triangular_scheme(pairs_domain(Plane(fld)))
         part = [{"diagonal": 0, "share": 1}.get(lab.kind, 2) for lab in ft.labels]
         assert is_fusion(tri, ft, part)
-
-
-# sha256 of the FT(q+1) relation matrices, all uint8, as built by the
-# earlier one-row-at-a-time construction (q = 27 by the code-function
-# build that preceded `cross_ratio_scheme`)
-FT_DIGESTS = {
-    5: "dc378dcc0e6c727cdd7dda65e8f9a7ecc6bd6502b636716413eddf97e7fb0dfe",
-    9: "e4b01fc7c1b0e9d146933ea36b58b60268a86c323af7a4a6a4308fa4f1c05d68",
-    13: "d6a8eef982b1ef2f68d42586acdf3738b72f94a5e1cf68e16057e53a10ebbc46",
-    25: "1a888bd2977bc4daa9cfd8f98c19fb53b5859d10f3f16cd4e8110d935e480f77",
-    27: "551634c3909b0bda0a26d38bee6704e2265900f6ec5f442087241f4a2d06b482",
-    49: "8fab25a08a814c46c5441d364f8d201f772e46051def5a1fd6a5284aa2aface8",
-}
-
-
-@pytest.mark.parametrize("q", sorted(FT_DIGESTS))
-def test_ft_keeps_its_bytes(q):
-    M = fi.build_ft(field(q)).relation_matrix
-    assert M.dtype == np.uint8
-    assert hashlib.sha256(M.tobytes()).hexdigest() == FT_DIGESTS[q]
 
 
 @pytest.mark.parametrize("name", ["ft", "t"])
@@ -587,12 +566,16 @@ def test_pgammal_class_count_equals_the_scalar_search():
 
 
 def test_pgammal_report_counts_the_classes_once(monkeypatch):
-    S = fi.pgammal_scheme(field(25))
+    """Each prediction is evaluated once per report: at q = 25 the paper
+    gives the count, so only `count_agrees` counts; at q = 5 the prediction
+    counts too."""
     calls = []
     real = fi.count_pgammal_classes
     monkeypatch.setattr(fi, "count_pgammal_classes", lambda fld: calls.append(1) or real(fld))
-    assert fi.report_theorem("pgammal-class-count", S).passed
-    assert len(calls) == 1
+    for q, want in ((25, 1), (5, 2)):
+        calls.clear()
+        (rep,) = fi._group_reports("pgammal", fi.pgammal_scheme(field(q)))
+        assert (rep.theorem_id, rep.passed, len(calls)) == ("pgammal-class-count", True, want)
 
 
 @pytest.mark.parametrize("q", [9, 25, 49])
@@ -962,10 +945,10 @@ def test_built_schemes_die_when_a_report_raises(monkeypatch):
 
     real = fi.report_theorem
 
-    def failing_report(theorem_id, S):
+    def failing_report(theorem_id, S, *predicted):
         if theorem_id == "pgammal-class-count":
             raise RuntimeError("report failed")
-        return real(theorem_id, S)
+        return real(theorem_id, S, *predicted)
 
     monkeypatch.setattr(fi, "report_theorem", failing_report)
     # caught here rather than with pytest.raises, whose record of the
