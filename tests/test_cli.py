@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import golden
 from scheme_forge import moebius as mo
 from scheme_forge import schemes as sc
 from scheme_forge.cli import main
@@ -251,6 +252,28 @@ def test_geometry_dump(capsys):
     assert counts == {"hyperbolic": 15, "tangent": 6, "elliptic": 10}
     code, out, _ = run(capsys, "geometry", "dump", "--q", "5", "--what", "points")
     assert len(json.loads(out)["elements"]) == 31
+
+
+# the byte gates of the CLI outputs, entries of golden.json
+test_geometry_dump_keeps_its_bytes = golden.gate(r"geometry dump --q (\d+) --what (\w+)")
+test_group_info_and_scheme_labels_keep_their_bytes = golden.gate(
+    r"(?:group|scheme) (info|labels) --q (\d+) --group (\w+) --format (\w+)"
+)
+# the closed-form FT and T(q+1) above q = 27, one output each
+test_closed_form_builds_keep_their_bytes = golden.gate(
+    r"build --q (\d+) --group (ft|t) --format (\w+)(?: --p-tensor)?",
+    lambda q, name, fmt: (q, name, fmt) if int(q) > 27 else None,
+)
+# every scheme on pairs at q, json and csv (every group above q = 27)
+test_build_p_tensor_outputs_keep_their_bytes = golden.gate(
+    r"build --q (\d+) --group (\w+) --format \w+(?: --p-tensor)?",
+    lambda q, name: (q,) if int(q) <= 27 or name in mo.GROUPS else None,
+)
+# every group on a conic domain at q, json and csv
+test_plane_domain_builds_keep_their_bytes = golden.gate(
+    r"build --q (\d+) --domain ([\w-]+) --group \w+ --format \w+(?: --p-tensor)?"
+)
+test_verify_report_keeps_its_bytes = golden.gate(r"verify paper --all-q --deep --format json")
 
 
 def test_group_info(capsys):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import golden
 import oracles as orc
 from scheme_forge.gf import GF, field
 from scheme_forge.geometry import Plane, domain, pairs_domain
@@ -97,6 +98,9 @@ def test_ft_fuses_to_triangular():
         tri = triangular_scheme(pairs_domain(Plane(fld)))
         part = [{"diagonal": 0, "share": 1}.get(lab.kind, 2) for lab in ft.labels]
         assert is_fusion(tri, ft, part)
+
+
+test_ft_keeps_its_bytes = golden.gate(r"matrix ft --q (\d+)")
 
 
 @pytest.mark.parametrize("name", ["ft", "t"])

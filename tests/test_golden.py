@@ -1,87 +1,29 @@
-"""The byte gates: every pinned output, one entry of `golden.json` each.
+"""The manifest of the byte gates, `golden.json`, itself: every entry is
+checked by exactly one gate, and the file keeps one canonical layout."""
 
-An id is the invocation that produces its output.  A CLI id is the argv
-of a `scheme-forge` command, and its entry holds the exit code and the
-size and sha256 of its stdout (`verify` without its `elapsed` lines), as
-the `cli` entries of `perfbench/reference.json` do.  A `matrix <builder>
---opt value ...` id names a relation matrix built by `MATRIX_BUILDERS`,
-and its entry holds the matrix's dtype and the sha256 of its bytes.
-
-A failing entry's message carries the new value.  A change that means
-to alter an output pastes that value into `golden.json` and names the id
-in CHANGES.md.
-"""
-
-import hashlib
 import json
-import re
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-from scheme_forge import fission as fi
-from scheme_forge import geometry as geo
-from scheme_forge.gf import field
-from scheme_forge.schemes import fuse, fusion_map, group_orbital_scheme, orbital_scheme_via_stabilizer
-from test_cli import run
-
-GOLDEN = Path(__file__).with_name("golden.json")
+import golden
 
 
-def _refuse_repeats(pairs):
-    """A JSON object as a dict, refusing a repeated key, which a plain
-    `json.load` would silently resolve to its last value."""
-    repeated = sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-    if repeated:
-        raise ValueError(f"{GOLDEN.name} repeats {repeated}")
-    return dict(pairs)
+def test_every_entry_is_checked_by_exactly_one_gate():
+    import test_cli  # noqa: F401  (importing a module builds its gates)
+    import test_fission  # noqa: F401
+    import test_schemes  # noqa: F401
 
-
-MANIFEST = json.loads(GOLDEN.read_text(), object_pairs_hook=_refuse_repeats)
-
-
-def _fused(fld, coarse):
-    """psl fused onto FT or `m`, or FT fused onto T(q+1)."""
-    ft = fi.build_ft(fld)
-    if coarse == "t":
-        return fuse(ft, [{"diagonal": 0, "share": 1}.get(lab.kind, 2) for lab in ft.labels])
-    psl = fi.psl_scheme(fld)
-    return fuse(psl, fusion_map(ft if coarse == "ft" else fi.m_scheme(fld), psl))
-
-
-# builder of a `matrix` id -> its scheme, from the field and the id's
-# other options
-MATRIX_BUILDERS = {
-    "ft": fi.build_ft,
-    "generic": lambda fld, domain, group: group_orbital_scheme(
-        fld, group, geo.domain(geo.Plane(fld), domain)
-    ),
-    "stabilizer": lambda fld, group: orbital_scheme_via_stabilizer(
-        fld, group, geo.pairs_domain(geo.Plane(fld))
-    ),
-    "fuse": _fused,
-}
-
-
-@pytest.mark.parametrize("key", list(MANIFEST))
-def test_golden(key, capsys, monkeypatch):
-    words = key.split()
-    if words[0] == "matrix":
-        opts = {flag.lstrip("-"): value for flag, value in zip(words[2::2], words[3::2])}
-        M = MATRIX_BUILDERS[words[1]](field(int(opts.pop("q"))), **opts).relation_matrix
-        got = {"dtype": str(M.dtype), "sha256": hashlib.sha256(M.tobytes()).hexdigest()}
-    else:
-        monkeypatch.delenv("SCHEME_FORGE_CACHE_DIR", raising=False)
-        code, out, _ = run(capsys, *words)
-        if words[0] == "verify":
-            out = re.sub(r'\n *"elapsed": [^\n]*', "", out)
-            assert out.count("elapsed") == 0
-        stdout = out.encode()
-        got = {"exit": code, "bytes": len(stdout), "sha256": hashlib.sha256(stdout).hexdigest()}
-    assert got == MANIFEST[key], f"new value of {key!r}: {json.dumps(got, sort_keys=True)}"
+    claims = Counter(golden.CLAIMED)
+    assert sorted(k for k in golden.MANIFEST if claims[k] != 1) == []
+    assert sorted(set(claims) - set(golden.MANIFEST)) == []
 
 
 def test_golden_manifest_is_canonical():
     """Sorted ids in one layout, so that a refreshed entry is a small diff."""
-    assert GOLDEN.read_text() == json.dumps(MANIFEST, sort_keys=True, indent=1) + "\n"
+    assert golden.GOLDEN.read_text() == json.dumps(golden.MANIFEST, sort_keys=True, indent=1) + "\n"
+
+
+def test_a_repeated_id_is_refused():
+    with pytest.raises(ValueError, match="repeats"):
+        json.loads('{"a": 1, "b": 2, "a": 3}', object_pairs_hook=golden._refuse_repeats)

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import golden
 from scheme_forge import fission as fi
 from scheme_forge import moebius as mo
 from scheme_forge import schemes as sc
@@ -134,6 +135,12 @@ def test_orbits_of_a_non_transitive_group_match_union_find():
     want = _union_find_least(perms, n)
     assert lab.tolist() == want
     assert len(set(want)) > 4
+
+
+# every group defined at q, on the domain
+test_generic_matrices_keep_their_bytes = golden.gate(
+    r"matrix generic --q (\d+) --domain ([\w-]+) --group \w+"
+)
 
 
 def test_pgl9_has_five_classes():
@@ -558,6 +565,9 @@ def test_each_builder_records_the_check_it_passed(t10):
         assert [S.verified_by for S in built] == [want] * len(built)
 
 
+test_q81_matrices_keep_their_bytes = golden.gate(r"matrix stabilizer --q 81 --group (\w+)")
+
+
 def test_q81_build_memory_stays_near_the_matrix():
     # measured 0.21 n^2 bytes: the build fills no matrix (1.23 n^2 when it
     # filled the uint8 matrix and certified it)
@@ -703,6 +713,9 @@ def test_fusion_positive_cases():
         assert is_fusion(coarse, fine, part)
     # refinement fails in the other direction
     assert fusion_map(psl, pgl) is None
+
+
+test_fuse_keeps_its_bytes = golden.gate(r"matrix fuse --q (\d+) --coarse (\w+)")
 
 
 def test_fusion_checks_compare_in_the_coarse_dtype():
