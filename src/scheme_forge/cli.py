@@ -120,9 +120,8 @@ def _cache_load(cache_dir, fld, gid, kind):
     dom = fi.domain_for(fld, "pairs")
     if M.shape != (dom.n, dom.n) or M.dtype.kind != "u":
         return None
-    perms = mo.domain_perms(mo.generators(fld, gid), dom)
     try:
-        S = sc.Scheme(M, domain=dom, automorphisms=perms)
+        S = sc.Scheme(M, domain=dom, automorphisms=mo.generator_perms(gid, dom))
         if (np.diff([y for _, y in S.class_reps]) <= 0).any():
             return None
         return fi.label_scheme(fld, gid, S)

@@ -19,6 +19,7 @@ against the actual orbit computation; the verifiers return TheoremReport
 records with the predicted and computed values side by side.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -90,24 +91,18 @@ class RelationLabel:
 
 
 # -- plane/domain caches -----------------------------------------------------------
-# Kept on the field object itself, so each lives exactly as long as its
+# Kept in the field's memo (`GF.memo`), so each lives exactly as long as its
 # field and can never be handed to a later field that reuses its id().
 # A domain is O(n) arrays plus, on the plane domains, a 2q^2 + 1 lookup.
 
 
 def plane_for(fld):
-    if not hasattr(fld, "_plane"):
-        fld._plane = Plane(fld)
-    return fld._plane
+    return fld.memo("plane", lambda: Plane(fld))
 
 
 def domain_for(fld, kind):
     """The enumerated domain of this kind over the field, built once."""
-    if not hasattr(fld, "_domains"):
-        fld._domains = {}
-    if kind not in fld._domains:
-        fld._domains[kind] = domain(plane_for(fld), kind)
-    return fld._domains[kind]
+    return fld.memo(("domain", kind), lambda: domain(plane_for(fld), kind))
 
 
 # -- FT(q+1): the cross-ratio fission of the triangular scheme ----------------------
@@ -128,10 +123,10 @@ def build_ft(fld):
     return label_scheme(fld, "pgl", sc.cross_ratio_scheme(domain_for(fld, "pairs"), D, points))
 
 
-def _ft_label_of_pair(fld, pair):
+def _ft_label_of_pair(fld, pair, gamma=None):
     """Label of the relation holding between {0, oo} and `pair`."""
-    lab = psl_orbit_label(fld, pair)
-    return RelationLabel("R", lab.kind, lab.rep, 0, lab.orbit)
+    gamma = gamma or psl_orbit_label(fld, pair)
+    return RelationLabel("R", gamma.kind, gamma.rep, 0, gamma.orbit)
 
 
 def _labels_from_base_row(fld, row, dom, d, label_of_pair):
@@ -143,23 +138,30 @@ def _labels_from_base_row(fld, row, dom, d, label_of_pair):
     b = oo, and whether a is a square (b when a = 0); the Gamma labels
     read r and the square class of a or of b = r*a, the others read the
     Gamma label.  The base pair is keyed apart and r = 1 never occurs, so
-    there are at most 2q + 1 keys, computed for all pairs in one pass.
+    there are at most 2q + 1 keys, computed for all pairs in one pass and
+    kept by `GF.memo` with the Gamma label of each key's first pair.
     Every key must lie in one class of the row, and each is labeled once,
     at its first pair: one label per class, no label in two classes and
     every class labeled, or TheoremViolationError is raised.
     """
     q, pairs = fld.q, dom.plane.pg1.pairs
-    a, b = fld.BY_RANK[pairs[:, 0]], fld.BY_RANK[np.minimum(pairs[:, 1], q - 1)]
-    # INV[0] = 0, so r takes position 0 exactly when a = 0
-    r = np.where(pairs[:, 1] == q, q, fld.RANK[fld.MUL[b, fld.INV[a]]])
-    keys = 2 * r + fld.SQUARE[np.where(a == 0, b, a)]
-    keys[dom.base_index] = -1
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+
+    def keyed():
+        a, b = fld.BY_RANK[pairs[:, 0]], fld.BY_RANK[np.minimum(pairs[:, 1], q - 1)]
+        # INV[0] = 0, so r takes position 0 exactly when a = 0
+        r = np.where(pairs[:, 1] == q, q, fld.RANK[fld.MUL[b, fld.INV[a]]])
+        keys = 2 * r + fld.SQUARE[np.where(a == 0, b, a)]
+        keys[dom.base_index] = -1
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        ys = np.sort(first)
+        return first, inv, ys, tuple(psl_orbit_label(fld, tuple(pairs[y].tolist())) for y in ys)
+
+    first, inv, ys, gammas = fld.memo("cross-ratio keys", keyed)
     if not np.array_equal(row[first][inv], row):
         raise TheoremViolationError("a cross-ratio key spans two computed orbits")
     labels = [None] * (d + 1)
-    for y in np.sort(first).tolist():
-        k, lab = int(row[y]), label_of_pair(fld, tuple(pairs[y].tolist()))
+    for y, gamma in zip(ys.tolist(), gammas):
+        k, lab = int(row[y]), label_of_pair(fld, tuple(pairs[y].tolist()), gamma)
         if labels[k] is None:
             labels[k] = lab
         elif labels[k].key() != lab.key():
@@ -209,10 +211,10 @@ def psl_orbit_label(fld, pair):
     return RelationLabel("Γ", "ratio", rep, 0, orbit)
 
 
-def m_orbit_label(fld, pair):
+def m_orbit_label(fld, pair, gamma=None):
     """Predicted twisted-group orbit label: Gamma classes fused along the
     involutory automorphism."""
-    gamma = psl_orbit_label(fld, pair)
+    gamma = gamma or psl_orbit_label(fld, pair)
     if gamma.kind in ("diagonal", "share", "harmonic"):
         return RelationLabel("Δ", gamma.kind)
     r = gamma.rep
@@ -227,10 +229,10 @@ def m_orbit_label(fld, pair):
     return RelationLabel("Δ", "ratio", rep, sign, orbit)
 
 
-def pgammal_orbit_label(fld, pair):
+def pgammal_orbit_label(fld, pair, gamma=None):
     """Predicted semilinear-group orbit label: Gamma classes fused along
     the group generated by Frobenius and inversion."""
-    gamma = psl_orbit_label(fld, pair)
+    gamma = gamma or psl_orbit_label(fld, pair)
     if gamma.kind != "ratio":
         return RelationLabel("Λ", gamma.kind)
     frob = fld.FROB[:, gamma.rep]
@@ -276,11 +278,12 @@ def _m_theorems(fld, S):
             raise TheoremViolationError("non-square ratio classes must have valency 2(q-1)")
 
 
-# group id -> (label of a pair against {0, oo}, theorem check or None); the
-# class counts are `PREDICTIONS`, reported rather than checked at each build
+# group id -> (label of a pair against {0, oo}, given its Gamma label if the
+# caller has it, theorem check or None); the class counts are `PREDICTIONS`,
+# reported rather than checked at each build
 GROUP_SCHEMES = {
     "pgl": (_ft_label_of_pair, None),
-    "psl": (psl_orbit_label, None),
+    "psl": (lambda fld, pair, gamma=None: gamma or psl_orbit_label(fld, pair), None),
     "m": (m_orbit_label, _m_theorems),
     "pgammal": (pgammal_orbit_label, None),
 }
@@ -363,16 +366,17 @@ PREDICTIONS = {
     }),
 }
 
-# how `report_theorem` computes each key of a prediction on the labeled scheme
+# how `report_theorem` computes each key of a prediction on the labeled
+# scheme S, given `orderings()`, its P-polynomial orderings, computed once
 OBSERVED = {
-    "n": lambda S: S.n,
-    "classes": lambda S: S.d,
-    "symmetric": lambda S: S.is_symmetric(),
-    "commutative": lambda S: S.is_commutative(),
-    "count_agrees": lambda S: S.d == count_pgammal_classes(S.domain.field),
-    "p_polynomial": lambda S: bool(sc.p_polynomial_orderings(S)),
-    "intersection_array": lambda S: next(
-        (o["intersection_array"] for o in sc.p_polynomial_orderings(S)), None
+    "n": lambda S, orderings: S.n,
+    "classes": lambda S, orderings: S.d,
+    "symmetric": lambda S, orderings: S.is_symmetric(),
+    "commutative": lambda S, orderings: S.is_commutative(),
+    "count_agrees": lambda S, orderings: S.d == count_pgammal_classes(S.domain.field),
+    "p_polynomial": lambda S, orderings: bool(orderings()),
+    "intersection_array": lambda S, orderings: next(
+        (o["intersection_array"] for o in orderings()), None
     ),
 }
 
@@ -387,7 +391,8 @@ def report_theorem(theorem_id, S, predicted=None):
     if predicted is None:
         predicted = PREDICTIONS[theorem_id][1](fld)
     t0 = time.perf_counter()
-    computed = {key: OBSERVED[key](S) for key in predicted}
+    orderings = functools.cache(lambda: sc.p_polynomial_orderings(S))
+    computed = {key: OBSERVED[key](S, orderings) for key in predicted}
     return TheoremReport(theorem_id, fld.q, predicted, computed, time.perf_counter() - t0)
 
 
@@ -483,15 +488,14 @@ def report_three_domain_isomorphism(fld, gid):
     scheme under the index bijection of the domains (element i of each is
     pair i, through the conic).  Proof: an orbital scheme is a function of
     its generators' permutation arrays (`group_orbital_scheme` reads only
-    `moebius.domain_perms`), so when the generators move the three
+    `moebius.generator_perms`), so when the generators move the three
     domains, each by its native action, by equal arrays, the relation
     matrices are equal entry by entry: a permutation isomorphism, which
     is stronger than one pair partition up to the names of the classes.
     """
     predicted = {"isomorphic": True}
     t0 = time.perf_counter()
-    gens = mo.generators(fld, gid)
-    pairs, *plane = [mo.domain_perms(gens, domain_for(fld, kind)) for kind in Domain.KINDS]
+    pairs, *plane = [mo.generator_perms(gid, domain_for(fld, kind)) for kind in Domain.KINDS]
     computed = {"isomorphic": all(np.array_equal(pairs, perms) for perms in plane)}
     dt = time.perf_counter() - t0
     return TheoremReport(f"three-domain-isomorphism[{gid}]", fld.q, predicted, computed, dt)

@@ -71,10 +71,10 @@ class GF:
     accepted when ``MUL[1:, 1:]`` holds no 0 (a factorization f = gh
     would give MUL[g, h] = 0).
 
-    Use the module-level factory :func:`field` to get cached instances.
-    The int-level methods (``add``, ``mul``, ...) act on single codes,
-    the tables on arrays of them.  A q above MAX_Q raises ValueError
-    before anything is allocated.
+    Use the module-level factory :func:`field` to get cached instances,
+    and `memo` to keep what is built from one.  The int-level methods
+    (``add``, ``mul``, ...) act on single codes, the tables on arrays of
+    them.  A q above MAX_Q raises ValueError before anything is allocated.
     """
 
     def __init__(self, q, modulus=None):
@@ -102,6 +102,7 @@ class GF:
         self.p = p
         self.m = m
         self.q = q
+        self._memo = {}
         self._build_tables()
 
     # -- table construction -------------------------------------------------
@@ -170,6 +171,17 @@ class GF:
             r = int(self.MUL[r, x])
             n += 1
         return n
+
+    def memo(self, key, build):
+        """build() at the first lookup of `key`, kept while the field lives,
+        read-only if an array or a tuple of them; a raise keeps nothing."""
+        if key not in self._memo:
+            value = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            self._memo[key] = value
+        return self._memo[key]
 
     # -- int-level API ------------------------------------------------------
 

@@ -108,8 +108,11 @@ def stabilizer_generators(fld, gid):
 
 def generators(fld, gid):
     """A small generating set, as canonical rows: the shift t -> t + 1,
-    then the stabilizer generators of {0, oo}; every row passes `in_group`."""
-    return np.vstack([[(1, 1, 0, 1, 0)], stabilizer_generators(fld, gid)])
+    then the stabilizer generators of {0, oo}; every row passes `in_group`.
+    Built once per field and group (`GF.memo`), and read-only."""
+    gid = check_group_defined(fld, gid)
+    shift = [(1, 1, 0, 1, 0)]
+    return fld.memo(("generators", gid), lambda: np.vstack([shift, stabilizer_generators(fld, gid)]))
 
 
 def base_pair_stabilizer(fld, gid):
@@ -270,6 +273,16 @@ def domain_perms(maps, dom):
         mats = _cofactors(fld, mats)
     moved = _coords_transform(fld, mats, maps[:, 4], dom.coords)
     return dom.index_of_coords(moved.reshape(-1, 3)).reshape(moved.shape[:2])
+
+
+def generator_perms(gid, dom):
+    """`domain_perms(generators(fld, gid), dom)`, fld the field of `dom`, cut from
+    `GF.memo`: the permutations of all groups' distinct generator rows, once per kind."""
+    fld = dom.field
+    gids = [g for g in GROUPS if g != "m" or fld.m % 2 == 0]
+    rows = fld.memo("generator rows", lambda: {r.tobytes(): r for g in gids for r in generators(fld, g)})
+    perms = fld.memo(("generator perms", dom.kind), lambda: domain_perms(np.array(list(rows.values())), dom))
+    return perms[[list(rows).index(r.tobytes()) for r in generators(fld, gid)]]
 
 
 def domain_perm(row, dom):

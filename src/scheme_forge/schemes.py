@@ -153,16 +153,16 @@ class Scheme:
         self.verified_by = "exhaustive"
 
     @classmethod
-    def _from_rows(cls, domain, rows, verified_by):
+    def _from_rows(cls, domain, rows, verified_by, row0=None):
         """The scheme whose builder proved it by `verified_by`, read through
         `rows`: the row reader, `rows(xs)` the rows xs, a slice or an index
-        array, or the filled matrix."""
+        array, or the filled matrix; `row0`, if given, is its row 0."""
         S = cls.__new__(cls)
-        S._read(domain, rows)
+        S._read(domain, rows, row0)
         S.verified_by = verified_by
         return S
 
-    def _read(self, domain, rows):
+    def _read(self, domain, rows, row0=None):
         """Take the row reader, or the matrix, and read the parameters at
         one pair of each class, exact in a scheme: class_reps from the
         first occurrences in row 0, valencies from its counts and
@@ -172,7 +172,7 @@ class Scheme:
         else:
             self._matrix, self._rows, self.n = None, rows, domain.n
         self.domain, self.labels, self._p_tensor = domain, None, None
-        row0 = self.row(0)
+        row0 = self.row(0) if row0 is None else row0
         first = np.unique(row0, return_index=True)[1]
         self.d = len(first) - 1
         self.class_reps = [(0, int(y)) for y in first]
@@ -411,7 +411,7 @@ def cross_ratio_scheme(dom, table, points):
     row = codes(slice(0, 1))[0]
     remap, first = _renumber_first_occurrence(row, int(row.max()) + 1)
     _orbit_certificate(pg1.pair_images(points), dom, len(first))
-    return Scheme._from_rows(dom, lambda xs: remap[codes(xs)], "cross-ratio")
+    return Scheme._from_rows(dom, lambda xs: remap[codes(xs)], "cross-ratio", remap[row])
 
 
 def orbital_scheme(perms, dom):
@@ -468,14 +468,15 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
       1. every generator and every transporter is in G;
       2. T_x(x) = b for every pair x, so G is transitive on the pairs and
          its stabilizer G_b has order |G| / n (checked by moving the two
-         points of each x alone, `moebius.point_images`);
+         points of each x alone, `moebius.point_images`, once per field:
+         `GF.memo` keeps the transporters only if they pass);
       3. the generators that fix b generate a group H of order |G| / n,
          counted by closure on their permutations of PG(1,q), on which
          PGammaL(2,q) acts faithfully; H lies in G_b, so H = G_b;
       4. L, the `_orbits` of H on the pairs, labels the G_b-orbits;
       5. the generators are transitive on the pairs, so, as they generate
-         H = G_b, they generate G, and they move the domain
-         (`moebius.domain_perms`) as they move the pairs.
+         H = G_b, they generate G, and they move a plane domain
+         (`moebius.generator_perms`) as they move the pairs.
     A pair (x, y) goes by T_x to (b, T_x(y)), and (b, z), (b, z') lie in
     one orbital of G exactly when G_b moves z to z', so R(x, y) = L[T_x(y)]
     is the orbital partition of G on the pairs, a scheme whose parameters,
@@ -491,13 +492,20 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
     T_b lies in G_b, so L numbered so is the base row.  The scheme's row
     reader lifts the transporters of the rows xs to pairs, reading the
     base row through labels[pair_table], and `Scheme._from_rows` reads
-    the parameters through it.
+    the parameters through it, taking row 0 from the numbering.
     """
     gid = mo.check_group_defined(fld, gid)
     pg1 = dom.plane.pg1
     n, base = dom.n, dom.base_index
-    gens = mo.generators(fld, gid)
-    transporters = mo.transporters_to_base(fld, pg1.pairs)
+
+    def reaching():
+        transporters = mo.transporters_to_base(fld, pg1.pairs)
+        ends = mo.point_images(fld, transporters, pg1.pairs)
+        if (pg1.pair_table[ends[:, 0], ends[:, 1]] != base).any():
+            raise NotASchemeError("a transporter does not reach the base element")
+        return transporters
+
+    gens, transporters = mo.generators(fld, gid), fld.memo("psl transporters", reaching)
     if not (mo.in_group(fld, gens, gid).all() and mo.in_group(fld, transporters, gid).all()):
         raise NotASchemeError(f"a generator or a transporter is not in {gid}")
 
@@ -511,18 +519,15 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
         raise NotASchemeError("the generators fixing the base element miss part of its stabilizer")
     lab = _orbits(perms[fixing], (n,))
 
-    ends = mo.point_images(fld, transporters, pg1.pairs)
-    if (pg1.pair_table[ends[:, 0], ends[:, 1]] != base).any():
-        raise NotASchemeError("a transporter does not reach the base element")
-
     if _orbits(perms, (n,)).any():
         raise NotASchemeError("the generators are not transitive on the pairs")
-    if not np.array_equal(mo.domain_perms(gens, dom), perms):
+    if dom.kind != "pairs" and not np.array_equal(mo.generator_perms(gid, dom), perms):
         raise NotASchemeError(f"the generators move the {dom.kind} domain unlike the pairs")
 
-    remap, _ = _renumber_first_occurrence(lab[lift(transporters[:1])[0]], n)
+    row0 = lab[lift(transporters[:1])[0]]
+    remap, _ = _renumber_first_occurrence(row0, n)
     table = remap[lab][pg1.pair_table]
-    return Scheme._from_rows(dom, lambda xs: lift(transporters[xs], table), "orbits")
+    return Scheme._from_rows(dom, lambda xs: lift(transporters[xs], table), "orbits", remap[row0])
 
 
 def triangular_scheme(dom):
@@ -542,8 +547,7 @@ def triangular_scheme(dom):
 
 def group_orbital_scheme(fld, gid, dom):
     """Generic-path scheme of one of the named groups on a domain."""
-    perms = mo.domain_perms(mo.generators(fld, gid), dom)
-    return orbital_scheme(perms, dom)
+    return orbital_scheme(mo.generator_perms(gid, dom), dom)
 
 
 # -- comparisons and fusions -----------------------------------------------------------

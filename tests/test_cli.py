@@ -311,9 +311,14 @@ def test_fusion_check(capsys):
 
 
 def test_fusion_check_is_one_comparison(capsys, monkeypatch):
+    from scheme_forge import cli
+    from scheme_forge.gf import GF
+
     calls = []
     real = sc._fuses_onto
     monkeypatch.setattr(sc, "_fuses_onto", lambda *args: calls.append(1) or real(*args))
+    # the spy is a patched kernel: no cached field may fill its memo under it
+    monkeypatch.setattr(cli, "field", GF)
     code, out, _ = run(capsys, "fusion", "check", "--q", "25", "--fine", "psl", "--coarse", "m")
     assert code == 0 and "is a fusion" in out
     assert len(calls) == 1

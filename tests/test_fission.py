@@ -11,7 +11,7 @@ import pytest
 import golden
 import oracles as orc
 from scheme_forge.gf import GF, field
-from scheme_forge.geometry import Plane, domain, pairs_domain
+from scheme_forge.geometry import Domain, Plane, domain, pairs_domain
 from scheme_forge.schemes import (
     fusion_map,
     group_orbital_scheme,
@@ -21,6 +21,7 @@ from scheme_forge.schemes import (
     triangular_scheme,
 )
 from scheme_forge import fission as fi
+from scheme_forge import moebius as mo
 from scheme_forge import schemes as sc
 
 
@@ -49,6 +50,80 @@ def test_domain_for_builds_each_kind_once():
     assert dom.kind == fresh.kind == "hyp-lines"
     assert np.array_equal(dom.coords, fresh.coords) and dom.base_index == fresh.base_index
     assert fi.domain_for(fld, "pairs") is not dom
+
+
+# the entries of the field memo that hold arrays, once a `psl` build and a
+# three-domain report have run
+MEMO_ARRAYS = (
+    ("generators", "psl"),
+    "psl transporters",
+    ("generator perms", "pairs"),
+    ("generator perms", "hyp-lines"),
+    ("generator perms", "hyp-points"),
+    "cross-ratio keys",
+)
+
+
+def _memo_arrays(fld):
+    fi.psl_scheme(fld)
+    fi.report_three_domain_isomorphism(fld, "psl")
+    return {key: fld._memo[key] for key in MEMO_ARRAYS}
+
+
+def _equal_entries(x, y):
+    pairs = zip(x, y, strict=True) if isinstance(x, tuple) else [(x, y)]
+    return all(np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v for u, v in pairs)
+
+
+def test_memo_arrays_are_read_only():
+    """No reader can change what every later build over the field reads."""
+    for key, value in _memo_arrays(field(9)).items():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        mo.generators(field(9), "pgl")[0, 0] = 0
+
+
+def test_memo_entries_are_keyed_by_the_field():
+    """field(9) and field(9, modulus=(1, 0, 1)) code the elements apart:
+    each holds its own entries, equal to those a fresh field with its
+    modulus builds, and its transporters are those of the kernel."""
+    conway, other = field(9), field(9, modulus=(1, 0, 1))
+    held = {fld: _memo_arrays(fld) for fld in (conway, other)}
+    assert not np.array_equal(held[conway]["psl transporters"], held[other]["psl transporters"])
+    for fld, entries in held.items():
+        fresh = _memo_arrays(GF(9, modulus=fld.modulus))
+        assert all(_equal_entries(value, fresh[key]) for key, value in entries.items()), fld
+        pairs = fi.domain_for(fld, "pairs").plane.pg1.pairs
+        assert np.array_equal(entries["psl transporters"], mo.transporters_to_base(GF(9, fld.modulus), pairs))
+
+
+def test_verify_paper_shares_the_work_of_each_field(monkeypatch):
+    """On a fresh field, `verify_paper([9])` computes the `psl` transporters
+    once for its four stabilizer builds, moves each domain kind once by
+    the generators of every group, for the generic `pgl` build and the
+    four three-domain reports, and labels each cross-ratio key once for
+    the five labelings (FT and the four groups)."""
+    _on_uncached_fields(monkeypatch)
+    fields, kinds, gammas = [], [], []
+    _spy(monkeypatch, mo, "transporters_to_base", lambda args, out: fields.append(args[0]))
+    _spy(monkeypatch, mo, "domain_perms", lambda args, out: kinds.append(args[1].kind))
+    _spy(monkeypatch, fi, "psl_orbit_label", lambda args, out: gammas.append(args[1]))
+    assert all(r.passed for r in fi.verify_paper([9]))
+    (fld,) = fields
+    assert sorted(kinds) == sorted(Domain.KINDS)
+    assert len(gammas) == len(fld._memo["cross-ratio keys"][3]) <= 2 * fld.q + 1
+
+
+def test_octagon_report_computes_the_orderings_once(monkeypatch):
+    S = fi.m_scheme(field(9))
+    calls = []
+    _spy(monkeypatch, sc, "p_polynomial_orderings", lambda args, out: calls.append(args[0]))
+    reports = fi._group_reports("m", S)
+    assert [(r.theorem_id, r.passed) for r in reports] == [("m-commutativity", True), ("m9-octagon", True)]
+    assert calls == [S]
 
 
 # -- the cross-ratio fission scheme -----------------------------------------------
@@ -131,7 +206,7 @@ def test_closed_form_builders_take_no_dense_path(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("a closed-form builder took the dense path")
 
-    fld = field(25)
+    fld = GF(25)
     dom = fi.domain_for(fld, "pairs")
     monkeypatch.setattr(sc.Scheme, "__init__", dense)
     monkeypatch.setattr(sc, "_fill_matrix", dense)
@@ -146,19 +221,19 @@ def test_ft_certificate_refuses_what_does_not_prove_it(monkeypatch):
     """The Frobenius t -> t^3 at q = 9 maps the cross-ratio r to r^3,
     so it does not scale the determinant table; the shift t -> t + 1
     alone fixes infinity, so it is not transitive on the pairs."""
-    from scheme_forge import moebius as mo
-
-    real = mo.generators
+    real, calls = mo.generators, []
 
     def with_frobenius(fld, gid):
+        calls.append(gid)
         return np.vstack([real(fld, gid), [(1, 0, 0, 1, 1)]])
 
     monkeypatch.setattr(mo, "generators", with_frobenius)
     with pytest.raises(sc.NotASchemeError, match="does not scale"):
-        fi.build_ft(field(9))
-    monkeypatch.setattr(mo, "generators", lambda fld, gid: real(fld, gid)[:1])
+        fi.build_ft(GF(9))
+    monkeypatch.setattr(mo, "generators", lambda fld, gid: calls.append(gid) or real(fld, gid)[:1])
     with pytest.raises(sc.NotASchemeError, match="not transitive"):
-        fi.build_ft(field(7))
+        fi.build_ft(GF(7))
+    assert calls == ["pgl", "pgl"]
 
 
 def _ft_arguments(monkeypatch, q):
@@ -173,7 +248,7 @@ def _ft_arguments(monkeypatch, q):
 
     with monkeypatch.context() as m:
         m.setattr(sc, "cross_ratio_scheme", spy)
-        fi.build_ft(field(q))
+        fi.build_ft(GF(q))
     return seen["dom"], seen["table"], seen["points"]
 
 
@@ -640,19 +715,22 @@ def test_three_domain_isomorphism(q):
 def test_three_domain_report_fails_on_a_swapped_line_permutation(monkeypatch):
     """Two entries of one generator's permutation of the secant lines
     swapped: the three arrays differ, and the report says so."""
-    from scheme_forge import moebius as mo
+    swapped = []
 
     def swapped_on_lines(maps, dom, _orig=mo.domain_perms):
         perms = _orig(maps, dom)
         if dom.kind == "hyp-lines":
-            perms[1, [0, 1]] = perms[1, [1, 0]]
+            # the row of t -> g^2 t, the second `psl` generator
+            r = maps.tolist().index(mo.generators(dom.field, "psl")[1].tolist())
+            perms[r, [0, 1]] = perms[r, [1, 0]]
+            swapped.append(r)
         return perms
 
-    fld = field(9)
-    assert fi.report_three_domain_isomorphism(fld, "psl").passed
+    assert fi.report_three_domain_isomorphism(field(9), "psl").passed
     monkeypatch.setattr(mo, "domain_perms", swapped_on_lines)
-    rep = fi.report_three_domain_isomorphism(fld, "psl")
+    rep = fi.report_three_domain_isomorphism(GF(9), "psl")
     assert not rep.passed and rep.computed == {"isomorphic": False}
+    assert len(swapped) == 1
 
 
 def _lattice_schemes(fld):
@@ -822,6 +900,13 @@ def test_verify_paper_keeps_the_benchmark_reference_order(monkeypatch):
         assert json.loads(json.dumps(reports)) == reference[str(q)], q
 
 
+def _on_uncached_fields(monkeypatch):
+    """Make `verify_paper` build on a new GF(q) at each q, so a spy on a
+    kernel sees the work of the field's memo and leaves no entry in it
+    that a later test reads (see conftest.py)."""
+    monkeypatch.setattr(fi, "field", GF)
+
+
 def _spy(monkeypatch, module, name, seen):
     """Replace module.name by a wrapper that passes (args, result) to `seen`."""
     orig = getattr(module, name)
@@ -845,6 +930,7 @@ BUILDERS = [
 
 
 def test_verify_paper_builds_each_q49_scheme_once(monkeypatch):
+    _on_uncached_fields(monkeypatch)
     gids = []
     _spy(monkeypatch, sc, "orbital_scheme_via_stabilizer", lambda args, S: gids.append(args[1]))
     assert all(r.passed for r in fi.verify_paper([49]))
@@ -854,6 +940,7 @@ def test_verify_paper_builds_each_q49_scheme_once(monkeypatch):
 
 
 def test_verify_paper_builds_each_scheme_at_most_once_per_q(monkeypatch):
+    _on_uncached_fields(monkeypatch)
     builds = []
     for module, name, key in BUILDERS:
         _spy(
@@ -870,6 +957,7 @@ def test_verify_paper_builds_each_scheme_at_most_once_per_q(monkeypatch):
 def test_suites_past_q13_never_fill_a_matrix(monkeypatch):
     """Above q = 13 the reports read parameters, labels and p-tensors,
     which the stabilizer path proves without the relation matrix."""
+    _on_uncached_fields(monkeypatch)
     filled = []
     _spy(monkeypatch, sc, "_fill_matrix", lambda args, M: filled.append(M.shape))
     for q in (25, 49):
@@ -911,6 +999,7 @@ def _weakrefs_to_builds(monkeypatch, before_build=None):
     `before_build(refs)` runs as each stabilizer build starts."""
     import weakref
 
+    _on_uncached_fields(monkeypatch)
     refs = []
     for module, name, _ in BUILDERS:
         orig = getattr(module, name)
@@ -979,9 +1068,11 @@ def test_geometry_and_embedding_reports_pass_above_13(q):
 
 
 def _corrupt(monkeypatch, owner, name, spoil):
-    """Replace owner.name by a wrapper that passes its result through `spoil`."""
-    orig = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: spoil(orig(*args)))
+    """Replace owner.name by a wrapper that passes its result through
+    `spoil`; returns the list it appends to at each call."""
+    orig, calls = getattr(owner, name), []
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or spoil(orig(*args)))
+    return calls
 
 
 def _swap_first_rows(a):
@@ -991,34 +1082,33 @@ def _swap_first_rows(a):
 
 
 def test_geometry_report_fails_on_a_corrupted_pole_kernel(monkeypatch):
-    _corrupt(monkeypatch, Plane, "poles", _swap_first_rows)
-    rep = fi.report_geometry(field(9))
-    assert not rep.passed
+    calls = _corrupt(monkeypatch, Plane, "poles", _swap_first_rows)
+    rep = fi.report_geometry(GF(9))
+    assert calls and not rep.passed
     assert {k for k in rep.computed if rep.computed[k] != rep.predicted[k]} == {"perp_formulas"}
 
 
 def test_geometry_report_fails_on_a_corrupted_conic_count(monkeypatch):
-    _corrupt(monkeypatch, Plane, "conic_counts", lambda h: h + (np.arange(len(h)) == 0))
-    rep = fi.report_geometry(field(9))
-    assert not rep.passed and rep.computed["perp_formulas"]
+    calls = _corrupt(monkeypatch, Plane, "conic_counts", lambda h: h + (np.arange(len(h)) == 0))
+    rep = fi.report_geometry(GF(9))
+    assert calls and not rep.passed and rep.computed["perp_formulas"]
 
 
 def test_embedding_report_fails_on_a_corrupted_generator_image(monkeypatch):
-    from scheme_forge import moebius as mo
-
     def off_conic(images):
         images = images.copy()
         images[-1, 0] = (0, 1, 0)
         return images
 
-    _corrupt(monkeypatch, mo, "_coords_transform", off_conic)
-    rep = fi.report_embedding(field(9))
-    assert not rep.passed
+    calls = _corrupt(monkeypatch, mo, "_coords_transform", off_conic)
+    rep = fi.report_embedding(GF(9))
+    assert calls and not rep.passed
     assert rep.computed == {"det_cubed": True, "equivariance": False, "fixes_conic": False}
     monkeypatch.undo()
     # images of two conic points exchanged: still the conic, no longer equivariant
-    _corrupt(monkeypatch, mo, "point_perms", lambda P: _swap_first_rows(P.T).T)
-    rep = fi.report_embedding(field(9))
+    calls = _corrupt(monkeypatch, mo, "point_perms", lambda P: _swap_first_rows(P.T).T)
+    rep = fi.report_embedding(GF(9))
+    assert calls
     assert rep.computed == {"det_cubed": True, "equivariance": False, "fixes_conic": True}
 
 

@@ -242,3 +242,20 @@ def test_serialization_roundtrip():
     f = field(49)
     for v in range(49):
         assert sum(c * f.p**i for i, c in enumerate(f.coeffs(v))) == v
+
+
+def test_memo_builds_once_per_field_and_key():
+    """`memo` calls `build` at the first lookup of a key in a field only,
+    keeps nothing when it raises, and hands arrays out read-only, alone
+    or in a tuple."""
+    fld, calls = GF(7), []
+    assert [fld.memo("k", lambda: calls.append(1) or 5) for _ in range(3)] == [5, 5, 5]
+    assert calls == [1] and GF(7).memo("k", lambda: 6) == 6
+    with pytest.raises(ZeroDivisionError):
+        fld.memo("j", lambda: 1 // 0)
+    assert fld.memo("j", lambda: 3) == 3
+    a = fld.memo("a", lambda: np.arange(3))
+    first, label = fld.memo("t", lambda: (np.arange(3), "x"))
+    for arr in (a, first):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1

@@ -11,7 +11,7 @@ import golden
 from scheme_forge import fission as fi
 from scheme_forge import moebius as mo
 from scheme_forge import schemes as sc
-from scheme_forge.gf import field
+from scheme_forge.gf import GF, field
 from scheme_forge.geometry import Plane, domain, pairs_domain
 from scheme_forge.schemes import (
     DomainSizeError,
@@ -392,38 +392,49 @@ def test_relation_reads_one_row_without_filling_the_matrix():
     assert got == [int(S.relation_matrix[x, y]) for x, y in pairs]
 
 
+# The faults below doctor a kernel whose result the field's memo keeps, so
+# the doctored build runs on an uncached GF(q); each returns the list its
+# kernel appends to at each call.
+
+
 def _without_frobenius(monkeypatch):
-    orig = mo.generators
+    orig, calls = mo.generators, []
 
     def generators(fld, gid):
+        calls.append(gid)
         gens = orig(fld, gid)
         return gens[gens[:, 4] == 0]
 
     monkeypatch.setattr(mo, "generators", generators)
+    return calls
 
 
 def _psl_by_pgl_transporters(monkeypatch):
     """One transporter T replaced by t -> T(t)/z, z a non-square: a map of
     pgl, not of psl, that still sends its pair to {0, oo}."""
-    orig = mo.transporters_to_base
+    orig, calls = mo.transporters_to_base, []
 
     def transporters(fld, pairs):
+        calls.append(len(pairs))
         out = orig(fld, pairs)
         out[len(out) // 2, 2:4] = fld.MUL[fld.fixed_nonsquare(), out[len(out) // 2, 2:4]]
         return out
 
     monkeypatch.setattr(mo, "transporters_to_base", transporters)
+    return calls
 
 
 def _one_transporter_is_the_identity(monkeypatch):
-    orig = mo.transporters_to_base
+    orig, calls = mo.transporters_to_base, []
 
     def transporters(fld, pairs):
+        calls.append(len(pairs))
         out = orig(fld, pairs)
         out[len(out) // 2] = (1, 0, 0, 1, 0)
         return out
 
     monkeypatch.setattr(mo, "transporters_to_base", transporters)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -439,24 +450,25 @@ def _one_transporter_is_the_identity(monkeypatch):
     ],
 )
 def test_stabilizer_path_proof_checks_raise_when_broken(monkeypatch, gid, fault, message):
-    fld = field(9)
-    dom_ = pairs_domain(Plane(fld))
-    orbital_scheme_via_stabilizer(fld, gid, dom_)
-    fault(monkeypatch)
+    orbital_scheme_via_stabilizer(field(9), gid, pairs_domain(Plane(field(9))))
+    calls = fault(monkeypatch)
+    fld = GF(9)
     with pytest.raises(NotASchemeError, match=message):
-        orbital_scheme_via_stabilizer(fld, gid, dom_)
+        orbital_scheme_via_stabilizer(fld, gid, pairs_domain(Plane(fld)))
+    assert calls
 
 
 def test_a_transporter_of_another_pair_is_refused(monkeypatch):
     """One transporter row replaced by the transporter of the next pair:
     a map of the group that is not the identity, so step 1 passes, but
     it sends its own pair to {0, oo}, not this one, and step 2 refuses it."""
-    fld = field(25)
+    fld = GF(25)
     dom_ = pairs_domain(Plane(fld))
-    orig = mo.transporters_to_base
+    orig, calls = mo.transporters_to_base, []
     x = dom_.n // 2
 
     def transporters(fld, pairs):
+        calls.append(len(pairs))
         out = orig(fld, pairs)
         out[x] = out[x + 1]
         return out
@@ -466,37 +478,45 @@ def test_a_transporter_of_another_pair_is_refused(monkeypatch):
     assert mo.in_group(fld, doctored[None], "psl").all() and doctored.tolist() != [1, 0, 0, 1, 0]
     with pytest.raises(NotASchemeError, match="does not reach the base element"):
         orbital_scheme_via_stabilizer(fld, "psl", dom_)
+    assert calls == [dom_.n, dom_.n]
 
 
 def test_the_stabilizer_build_moves_each_transporter_at_its_own_pair(monkeypatch):
-    """The q = 49 `psl` build evaluates a map at a point O(n + (d + k)(q+1))
-    times, k the generators: two points per transporter in the check, and
-    all q + 1 only for the generators (twice: their pair permutations,
-    then the domain certificate), the base row (twice: the numbering,
-    then row 0 of the scheme) and the class representatives' rows; never
+    """The q = 49 `psl` build, on a field whose memo holds no transporters,
+    evaluates a map at a point O(n + (d + k)(q+1)) times, k the
+    generators: two points per transporter in the check, and all q + 1
+    only for the generators (once: their pair permutations, as on pairs
+    there is no domain certificate), row 0 (once: the numbering, which
+    gives row 0 of the scheme) and the class representatives' rows; never
     all points of all n transporters."""
-    fld = field(49)
+    fld = GF(49)
     dom_ = pairs_domain(Plane(fld))
     evaluated, real = [], mo.point_images
     monkeypatch.setattr(mo, "point_images", lambda *args: evaluated.append(real(*args).size) or real(*args))
     S = orbital_scheme_via_stabilizer(fld, "psl", dom_)
     k, n, q = len(mo.generators(fld, "psl")), dom_.n, fld.q
-    assert 2 * n <= sum(evaluated) <= 2 * n + (S.d + 1 + 2 * k + 2) * (q + 1) < n * (q + 1) // 4
+    assert 2 * n <= sum(evaluated) <= 2 * n + (S.d + 1 + k + 1) * (q + 1) < n * (q + 1) // 4
 
 
 def _one_plane_image_swapped(monkeypatch):
-    orig = mo._coords_transform
+    """The images of two secant lines under the first generator row, the
+    shift, which every group has, swapped."""
+    orig, calls = mo._coords_transform, []
 
     def swapped(*args):
+        calls.append(1)
         out = orig(*args)
         out[0, [1, 2]] = out[0, [2, 1]]
         return out
 
     monkeypatch.setattr(mo, "_coords_transform", swapped)
+    return calls
 
 
 def _without_the_shift(monkeypatch):
-    monkeypatch.setattr(mo, "generators", mo.stabilizer_generators)
+    calls = []
+    monkeypatch.setattr(mo, "generators", lambda fld, gid: calls.append(gid) or mo.stabilizer_generators(fld, gid))
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -510,26 +530,28 @@ def _without_the_shift(monkeypatch):
     ],
 )
 def test_plane_domain_certificate_raises_when_broken(monkeypatch, kind, fault, message):
-    fld = field(9)
-    dom_ = domain(Plane(fld), kind)
-    orbital_scheme_via_stabilizer(fld, "psl", dom_)
-    fault(monkeypatch)
+    orbital_scheme_via_stabilizer(field(9), "psl", domain(Plane(field(9)), kind))
+    calls = fault(monkeypatch)
+    fld = GF(9)
     with pytest.raises(NotASchemeError, match=message):
-        orbital_scheme_via_stabilizer(fld, "psl", dom_)
+        orbital_scheme_via_stabilizer(fld, "psl", domain(Plane(fld), kind))
+    assert calls
 
 
 def test_plane_domain_rows_are_read_on_pairs(monkeypatch):
     """A plane-domain build and a full row pass move the domain through
-    `rho` once, for the generators in the certificate: no row is read
-    through `rho`."""
-    fld = field(25)
+    `rho` once, for the generators in the certificate: the distinct
+    generator rows of every group, which the field's memo keeps for
+    every build on the domain kind.  No row is read through `rho`."""
+    fld = GF(25)
     dom_ = domain(Plane(fld), "hyp-lines")
     calls, real = [], mo._rho
     monkeypatch.setattr(mo, "_rho", lambda fld, maps: calls.append(np.array(maps)) or real(fld, maps))
     S = orbital_scheme_via_stabilizer(fld, "psl", dom_)
     assert len(list(S.row_blocks())) > 1
     assert len(calls) == 1
-    assert np.array_equal(calls[0], mo.generators(fld, "psl"))
+    rows = {tuple(r) for gid in mo.GROUPS for r in mo.generators(fld, gid).tolist()}
+    assert sorted(map(tuple, calls[0].tolist())) == sorted(rows)
 
 
 def test_orbital_scheme_rejects_a_map_that_is_not_a_permutation():
@@ -740,13 +762,15 @@ def test_fusion_checks_fill_no_matrix(q, monkeypatch):
     schemes, and the `fusion check` command, compare row blocks, and a
     fused scheme reads its rows through the fine ones, its parameters,
     p-tensor and row blocks included, so no relation matrix is filled."""
-    from scheme_forge.cli import main
+    from scheme_forge import cli
 
     filled = []
     real = sc._fill_matrix
     monkeypatch.setattr(sc, "_fill_matrix", lambda S: filled.append(S.n) or real(S))
     monkeypatch.delenv("SCHEME_FORGE_CACHE_DIR", raising=False)
-    fld = field(q)
+    # the spy is a patched kernel: no cached field may fill its memo under it
+    monkeypatch.setattr(cli, "field", GF)
+    fld = GF(q)
     dom_ = pairs_domain(Plane(fld))
     psl, m, pgl = (orbital_scheme_via_stabilizer(fld, gid, dom_) for gid in ("psl", "m", "pgl"))
     assert fusion_map(m, psl) is not None and fusion_map(psl, m) is None
@@ -759,7 +783,7 @@ def test_fusion_checks_fill_no_matrix(q, monkeypatch):
     assert np.array_equal(fused.p_tensor(), m.p_tensor())
     assert all(np.array_equal(f, r) for (_, _, f), (_, _, r) in zip(fused.row_blocks(), m.row_blocks()))
     argv = ["fusion", "check", "--q", str(q), "--fine", "psl", "--coarse", "m", "--format", "json"]
-    assert main(argv) == 0
+    assert cli.main(argv) == 0
     assert filled == []
 
 

@@ -47,7 +47,11 @@ def test_traced_verify_builds_each_q25_scheme_once(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from perfbench.tracer import Tracer
     from scheme_forge import fission
+    from scheme_forge.gf import GF
 
+    # the tracer wraps kernels, so the run fills the memo of a new field
+    # rather than one that later tests read (see conftest.py)
+    monkeypatch.setattr(fission, "field", GF)
     with Tracer() as tracer:
         reports = fission.verify_paper([25])
     assert all(r.passed for r in reports)
