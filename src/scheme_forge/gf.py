@@ -46,7 +46,9 @@ class NoInvolutionError(ValueError):
 
 
 def _factor_prime_power(q):
-    """Return (p, m) with q = p^m and p prime, or raise ValueError."""
+    """Return (p, m) with q = p^m and p prime, or raise ValueError (at once above MAX_Q)."""
+    if q > MAX_Q:
+        raise ValueError(f"q = {q} is above {MAX_Q}: its field tables would take over 0.4 GB")
     for p in range(2, q + 1):
         if q % p == 0:
             m = 0
@@ -78,8 +80,6 @@ class GF:
     """
 
     def __init__(self, q, modulus=None):
-        if q > MAX_Q:
-            raise ValueError(f"q = {q} is above {MAX_Q}: its field tables would take over 0.4 GB")
         p, m = _factor_prime_power(q)
         if p == 2:
             raise ValueError("characteristic 2 is not supported (q must be odd)")
@@ -256,7 +256,10 @@ def _field_cached(q, modulus):
 
 
 def field(q, modulus=None):
-    """Cached GF(q) factory; `modulus` overrides the built-in table."""
+    """Cached GF(q) factory; `modulus` overrides the built-in table.  It is
+    read mod p, so the built-in modulus spelled out names the built-in field."""
     if modulus is not None:
-        modulus = tuple(int(c) for c in modulus)
+        p, _ = _factor_prime_power(int(q))
+        modulus = tuple(int(c) % p for c in modulus)
+        modulus = None if modulus == CONWAY_POLYNOMIALS.get(int(q)) else modulus
     return _field_cached(int(q), modulus)

@@ -503,7 +503,7 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
         ends = mo.point_images(fld, transporters, pg1.pairs)
         if (pg1.pair_table[ends[:, 0], ends[:, 1]] != base).any():
             raise NotASchemeError("a transporter does not reach the base element")
-        return transporters
+        return transporters.astype(np.int16)  # every code and exponent is below gf.MAX_Q
 
     gens, transporters = mo.generators(fld, gid), fld.memo("psl transporters", reaching)
     if not (mo.in_group(fld, gens, gid).all() and mo.in_group(fld, transporters, gid).all()):

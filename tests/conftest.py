@@ -18,8 +18,8 @@ from scheme_forge import schemes as sc
 KERNELS = {(mod, name): value for mod in (mo, sc) for name, value in vars(mod).items() if callable(value)}
 
 # id -> field, for every field that `field()` hands out in the session; its
-# cache is keyed by the modulus argument, so field(q) and field(q, m), m the
-# built-in modulus, are two cached fields
+# cache is keyed by the modulus read mod p, with the built-in modulus keyed
+# as None, so field(q) and field(q, m), m the built-in modulus, are one field
 CACHED = {}
 _cached_factory = gf._field_cached
 

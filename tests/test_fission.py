@@ -86,6 +86,18 @@ def test_memo_arrays_are_read_only():
         mo.generators(field(9), "pgl")[0, 0] = 0
 
 
+@pytest.mark.parametrize("q", [9, 127])
+def test_psl_transporters_are_kept_as_int16(q):
+    """Every code and exponent of a transporter is below `gf.MAX_Q`, so the
+    memo keeps them as int16, a quarter of the kernel's int64 rows."""
+    fld = field(q)
+    fi.psl_scheme(fld)
+    transporters = fld._memo["psl transporters"]
+    assert transporters.dtype == np.int16 and not transporters.flags.writeable
+    pairs = fi.domain_for(fld, "pairs").plane.pg1.pairs
+    assert np.array_equal(transporters, mo.transporters_to_base(fld, pairs))
+
+
 def test_memo_entries_are_keyed_by_the_field():
     """field(9) and field(9, modulus=(1, 0, 1)) code the elements apart:
     each holds its own entries, equal to those a fresh field with its

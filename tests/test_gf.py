@@ -3,6 +3,7 @@ structure, the Frobenius group, the built-in modulus table, and the
 modulus check against every monic modulus of small degree."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -159,12 +160,27 @@ def test_canonical_order_is_low_degree_lex():
 def test_custom_modulus():
     f = field(9, modulus=(1, 0, 1))  # x^2 + 1, irreducible mod 3
     assert f.q == 9
+    assert f is not field(9) and field(9, (4, 3, -2)) is f  # read mod 3
+    assert pickle.loads(pickle.dumps(f)) is f
     x = f.p  # digits (0, 1)
     assert f.mul(x, x) == f.neg(1)
     with pytest.raises(ValueError):
         field(9, modulus=(2, 0, 1))  # x^2 + 2 = (x+1)(x+2) mod 3
     with pytest.raises(ValueError):
         field(9, modulus=(1, 1))  # wrong degree
+    with pytest.raises(ValueError, match="prime fields take no modulus"):
+        field(7, (0, 1))
+
+
+@pytest.mark.parametrize("q", [9, 49])
+def test_the_built_in_modulus_spelled_out_is_the_built_in_field(q):
+    """`field` reads a modulus mod p, and keys the built-in one as the
+    built-in field, so both spellings share one field and its memo; a
+    pickled field (`GF.__reduce__`) loads as the cached field itself."""
+    fld = field(q)
+    mod = CONWAY_POLYNOMIALS[q]
+    assert field(q, mod) is fld and field(q, [c + fld.p for c in mod]) is fld
+    assert pickle.loads(pickle.dumps(fld)) is fld
 
 
 def _irreducible_count(p, m):
