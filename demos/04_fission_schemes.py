@@ -14,11 +14,10 @@ from scheme_forge import (
     build_ft,
     field,
     group_orbital_scheme,
-    m_scheme,
+    groups,
+    labeled_scheme,
     pairs_domain,
     partition_bijection,
-    pgammal_scheme,
-    psl_scheme,
     report_theorem,
     triangular_scheme,
 )
@@ -27,11 +26,11 @@ for q in (5, 9, 13, 25):
     f = field(q)
     tri = triangular_scheme(pairs_domain(Plane(f)))
     ft = build_ft(f)
-    psl = psl_scheme(f)
-    pgm = pgammal_scheme(f)
+    psl = labeled_scheme(f, "psl")
+    pgm = labeled_scheme(f, "pgammal")
     row = [f"T: {tri.d}", f"cross-ratio: {ft.d}", f"psl: {psl.d}", f"semilinear: {pgm.d}"]
-    if f.m % 2 == 0:
-        row.insert(3, f"twisted: {m_scheme(f).d}")
+    if "m" in groups(f):
+        row.insert(3, f"twisted: {labeled_scheme(f, 'm').d}")
     print(f"q={q:3d}  classes  " + "   ".join(row))
     assert report_theorem("psl-class-count", psl).passed
 

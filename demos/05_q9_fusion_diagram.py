@@ -11,16 +11,16 @@ group gives exactly the twisted scheme here.
 
 import numpy as np
 
-from scheme_forge import build_ft, field, fusion_map, is_fusion, m_scheme, pgammal_scheme, psl_scheme
+from scheme_forge import build_ft, field, fusion_map, is_fusion, labeled_scheme
 
 f = field(9)
 g = f.element_text(f.primitive_element())
 print(f"primitive element g = {g}")
 
 ft = build_ft(f)
-psl = psl_scheme(f)
-mq = m_scheme(f)
-pgm = pgammal_scheme(f)
+psl = labeled_scheme(f, "psl")
+mq = labeled_scheme(f, "m")
+pgm = labeled_scheme(f, "pgammal")
 
 print("\ntop row    (cross-ratio):", "  ".join(l.text(f) for l in ft.labels[1:]))
 print("middle row (square dets):", "  ".join(l.text(f) for l in psl.labels[1:]))

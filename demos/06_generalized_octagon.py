@@ -9,9 +9,9 @@ octagon of order (2,1).  For larger (even-power) q the scheme stops
 being symmetric, and past q = 25 even commutativity fails.
 """
 
-from scheme_forge import field, m_scheme, p_polynomial_orderings
+from scheme_forge import field, labeled_scheme, p_polynomial_orderings
 
-S9 = m_scheme(field(9))
+S9 = labeled_scheme(field(9), "m")
 print(f"q=9: n = {S9.n}, classes = {S9.d}, symmetric = {S9.is_symmetric()}")
 orders = p_polynomial_orderings(S9)
 for o in orders:
@@ -21,7 +21,7 @@ for o in orders:
 
 print("\nthe survey over even powers of odd primes:")
 for q in (9, 25, 49, 81):
-    S = m_scheme(field(q))
+    S = labeled_scheme(field(q), "m")
     print(
         f"  q={q:3d}: classes {S.d:3d}  symmetric {str(S.is_symmetric()):5s}  "
         f"commutative {S.is_commutative()}"

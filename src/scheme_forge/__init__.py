@@ -42,6 +42,7 @@ from .moebius import (
     domain_perm,
     generators,
     group_order,
+    groups,
     in_group,
     point_perms,
     transporter_to_base,
@@ -68,13 +69,10 @@ from .fission import (
     build_ft,
     count_pgammal_classes,
     default_q_list,
+    labeled_scheme,
     m_orbit_label,
-    m_scheme,
     pgammal_orbit_label,
-    pgammal_scheme,
-    pgl_scheme,
     psl_orbit_label,
-    psl_scheme,
     report_theorem,
     verify_paper,
 )

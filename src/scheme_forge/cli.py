@@ -57,7 +57,6 @@ def build_named_scheme(fld, name, kind="pairs"):
     """Construct one of the named schemes on the requested domain.  Group
     schemes on pairs go through the cache directory named by the
     environment variable SCHEME_FORGE_CACHE_DIR, when it is set."""
-    name = name.lower()
     if name == "t":
         if kind != "pairs":
             raise ValueError("the triangular scheme lives on the pairs domain")
@@ -66,16 +65,16 @@ def build_named_scheme(fld, name, kind="pairs"):
         if kind != "pairs":
             raise ValueError("the cross-ratio fission scheme lives on the pairs domain")
         return fi.build_ft(fld)
-    gid = mo.check_group_defined(fld, name)
+    mo.group(fld, name)  # an undefined group raises before the cache directory is made
     if kind == "pairs":
         cache_dir = os.environ.get("SCHEME_FORGE_CACHE_DIR")
-        cached = _cache_load(cache_dir, fld, gid, kind)
+        cached = _cache_load(cache_dir, fld, name, kind)
         if cached is not None:
             return cached
-        S = fi._labeled_scheme(fld, gid)
-        _cache_save(cache_dir, fld, gid, kind, S)
+        S = fi._labeled_scheme(fld, name)
+        _cache_save(cache_dir, fld, name, kind, S)
         return S
-    return sc.orbital_scheme_via_stabilizer(fld, gid, fi.domain_for(fld, kind))
+    return sc.orbital_scheme_via_stabilizer(fld, name, fi.domain_for(fld, kind))
 
 
 # Bumped whenever the cached data or its meaning changes, so that files
@@ -265,24 +264,23 @@ def cmd_geometry(args):
 
 def cmd_group(args):
     fld = field(args.q, args.modulus)
-    gid = mo.check_group_defined(fld, args.group)
-    gens = mo.generators(fld, gid)
+    gens, order = mo.generators(fld, args.group), mo.group_order(fld, args.group)
     # the group is transitive on the n = q(q+1)/2 pairs
-    stab_size = mo.group_order(fld, gid) // (fld.q * (fld.q + 1) // 2)
+    stab_size = order // (fld.q * (fld.q + 1) // 2)
     if args.format == "json":
         payload = {
             "schema": 1,
             "q": fld.q,
-            "group": gid,
-            "order": mo.group_order(fld, gid),
+            "group": args.group,
+            "order": order,
             "generators": [_moebius_dict(fld, g) for g in gens.tolist()],
             "base_pair_stabilizer_size": stab_size,
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
         lines = [
-            f"group {gid} over GF({fld.q})",
-            f"order = {mo.group_order(fld, gid)}",
+            f"group {args.group} over GF({fld.q})",
+            f"order = {order}",
             f"generators ({len(gens)}):",
         ]
         lines += [f"  {mo.map_text(fld, g)}" for g in gens]

@@ -279,13 +279,13 @@ def _m_theorems(fld, S):
 
 
 # group id -> (label of a pair against {0, oo}, given its Gamma label if the
-# caller has it, theorem check or None); the class counts are `PREDICTIONS`,
-# reported rather than checked at each build
+# caller has it, theorem check or None), in the order of the reports; the
+# class counts are `PREDICTIONS`, reported rather than checked at each build
 GROUP_SCHEMES = {
     "pgl": (_ft_label_of_pair, None),
     "psl": (lambda fld, pair, gamma=None: gamma or psl_orbit_label(fld, pair), None),
-    "m": (m_orbit_label, _m_theorems),
     "pgammal": (pgammal_orbit_label, None),
+    "m": (m_orbit_label, _m_theorems),
 }
 
 
@@ -301,32 +301,17 @@ def label_scheme(fld, gid, S):
 
 
 def _labeled_scheme(fld, gid):
-    """Stabilizer-path scheme of a group on pairs, proved and labeled."""
+    """Stabilizer-path scheme of a group on pairs, proved and labeled;
+    exported as `labeled_scheme` (perfbench/tracer.py wraps this name)."""
     return label_scheme(fld, gid, sc.orbital_scheme_via_stabilizer(fld, gid, domain_for(fld, "pairs")))
 
 
-def pgl_scheme(fld):
-    """The full fractional-linear group scheme, labeled by cross-ratio;
-    `_labeled_scheme(fld, "pgl")` under the name the demos use."""
-    return _labeled_scheme(fld, "pgl")
+labeled_scheme = _labeled_scheme
 
 
 def psl_scheme(fld):
-    """The square-determinant subgroup scheme with Gamma labels;
-    `_labeled_scheme(fld, "psl")` under the name the demos use."""
+    """`labeled_scheme(fld, "psl")`, kept for perfbench/tests/test_bench.py."""
     return _labeled_scheme(fld, "psl")
-
-
-def m_scheme(fld):
-    """The twisted-group scheme with Delta labels and orbit bookkeeping;
-    `_labeled_scheme(fld, "m")` under the name the demos use."""
-    return _labeled_scheme(fld, "m")
-
-
-def pgammal_scheme(fld):
-    """The semilinear-group scheme with Lambda labels;
-    `_labeled_scheme(fld, "pgammal")` under the name the demos use."""
-    return _labeled_scheme(fld, "pgammal")
 
 
 # -- theorem verifiers -----------------------------------------------------------------
@@ -730,7 +715,7 @@ def _reports_at(fld):
     labels and p-tensors, never a relation matrix, so none is filled.
     """
     q = fld.q
-    gids = ["pgl", "psl", "pgammal"] + (["m"] if fld.m % 2 == 0 else [])
+    gids = [gid for gid in GROUP_SCHEMES if gid in mo.groups(fld)]
     if q > 13:
         return [r for gid in gids[1:] for r in _group_reports(gid, _labeled_scheme(fld, gid))]
     ft = build_ft(fld)

@@ -9,11 +9,10 @@ as
 with the usual limit rules at infinity.  k maps are a (k, 5) integer
 array; there is no map object.  A canonical row has the first nonzero of
 a, b, c, d scaled to 1 (`_canonical`), as `generators`,
-`stabilizer_generators`, `base_pair_stabilizer` and
-`transporters_to_base` return them; `map_text` writes one.  The four
-groups of interest are addressed by the ids "pgl", "psl", "m" (the
-twisted sharply 3-transitive group, defined when m is even) and
-"pgammal":
+`base_pair_stabilizer` and `transporters_to_base` return them;
+`map_text` writes one.  The four groups of interest are addressed by
+the ids "pgl", "psl", "m" (the twisted sharply 3-transitive group,
+defined when m is even) and "pgammal", and `groups` is their table:
 
     pgl      j = 0
     psl      j = 0 and det a square
@@ -34,44 +33,55 @@ class InvalidGroupError(ValueError):
     """Raised for group ids that do not exist over the given field."""
 
 
-def normalize_group(gid):
-    g = str(gid).lower().replace("(", "").replace(")", "")
-    g = "pgammal" if g == "pgamma" else g
-    if g not in GROUPS:
-        raise InvalidGroupError(f"unknown group {gid!r}; choose from {GROUPS}")
-    return g
+def groups(fld):
+    """The groups defined over the field, in `GROUPS` order without `m` at
+    odd m: id -> (cells, generators), built once per field (`GF.memo`)
+    and read-only.  cells[j, s] says whether the group holds the maps of
+    exponent j whose determinant is a square (s = 1) or not (s = 0).  The
+    generators are canonical rows: t -> t + 1, then generators of the
+    stabilizer of {0, oo} (checked orbit by orbit in the test suite), with
+    g primitive: t -> g*t and t -> 1/t for `pgl`, t -> g^2*t and t -> -1/t
+    for `psl`, plus t -> g*t^(p^(m/2)) for `m` and t -> t^p for `pgammal`."""
+
+    def build():
+        g, h = fld.primitive_element(), fld.m // 2
+        pgl = [(g, 0, 0, 1, 0), (0, 1, 1, 0, 0)]
+        psl = [(fld.mul(g, g), 0, 0, 1, 0), (0, fld.neg(1), 1, 0, 0)]
+        spec = {
+            "pgl": ([(0, 0), (0, 1)], pgl),
+            "psl": ([(0, 1)], psl),
+            "m": ([(0, 1), (h, 0)], psl + [(g, 0, 0, 1, h)]),
+            "pgammal": ([(j, s) for j in range(fld.m) for s in (0, 1)], pgl + [(1, 0, 0, 1, 1)] * (fld.m > 1)),
+        }
+
+        def entry(cells, rows):
+            table = np.zeros((fld.m, 2), dtype=bool)
+            table[tuple(zip(*cells))] = True
+            gens = _canonical(fld, *np.array([(1, 1, 0, 1, 0)] + rows).T)
+            table.flags.writeable = gens.flags.writeable = False
+            return table, gens
+
+        return {gid: entry(*spec[gid]) for gid in GROUPS if gid != "m" or fld.m % 2 == 0}
+
+    return fld.memo("groups", build)
 
 
-def check_group_defined(fld, gid):
-    gid = normalize_group(gid)
-    if gid == "m" and fld.m % 2 != 0:
-        raise InvalidGroupError(
-            f"M(q) needs q to be an even power of an odd prime; q={fld.q} has m={fld.m}"
-        )
-    return gid
-
-
-def _cells(fld, gid):
-    """The named group as a table of the cells of PGammaL(2,q), q = p^m:
-    entry [j, s] says whether it holds the maps of exponent j whose
-    determinant is a square (s = 1) or not (s = 0), unchanged by scaling."""
-    cells = {
-        "pgl": [(0, 0), (0, 1)],
-        "psl": [(0, 1)],
-        "m": [(0, 1), (fld.m // 2, 0)],
-        "pgammal": [(j, s) for j in range(fld.m) for s in (0, 1)],
-    }[check_group_defined(fld, gid)]
-    table = np.zeros((fld.m, 2), dtype=bool)
-    table[tuple(zip(*cells))] = True
-    return table
+def group(fld, gid):
+    """(cells, generators) of `gid` in `groups(fld)`; InvalidGroupError if it is not there."""
+    table = groups(fld)
+    if gid in table:
+        return table[gid]
+    if gid in GROUPS:
+        raise InvalidGroupError(f"M(q) needs q to be an even power of an odd prime; q={fld.q} has m={fld.m}")
+    raise InvalidGroupError(f"unknown group {gid!r}; choose from {GROUPS}")
 
 
 def in_group(fld, maps, gid):
     """Whether each row (a, b, c, d, j) of the (k, 5) array `maps` is a map
     of the named group: field codes with a nonzero determinant, an
     exponent j in 0..m-1, and the group's condition on j and on the
-    square class of the determinant: its cell in `_cells`."""
-    cells = _cells(fld, gid)
+    square class of the determinant: its cell in `groups`."""
+    cells = group(fld, gid)[0]
     maps = np.asarray(maps).reshape(-1, 5)
     coded = ((maps[:, :4] >= 0) & (maps[:, :4] < fld.q)).all(axis=1)
     a, b, c, d, j = np.where(coded[:, None], maps, 0).T
@@ -88,31 +98,11 @@ def _canonical(fld, a, b, c, d, j):
     return np.stack([fld.MUL[s, v] for v in (a, b, c, d)] + [j], axis=1).astype(np.int64)
 
 
-def stabilizer_generators(fld, gid):
-    """Canonical rows generating `base_pair_stabilizer(fld, gid)` (checked
-    orbit by orbit in the test suite), with g primitive: t -> g*t and
-    t -> 1/t for `pgl`, t -> g^2*t and t -> -1/t for `psl`, plus
-    t -> g*t^(p^(m/2)) for `m` and the Frobenius t -> t^p for `pgammal`."""
-    gid = check_group_defined(fld, gid)
-    g = fld.primitive_element()
-    pgl = [(g, 0, 0, 1, 0), (0, 1, 1, 0, 0)]
-    psl = [(fld.mul(g, g), 0, 0, 1, 0), (0, fld.neg(1), 1, 0, 0)]
-    rows = {
-        "pgl": pgl,
-        "psl": psl,
-        "m": psl + [(g, 0, 0, 1, fld.m // 2)],
-        "pgammal": pgl + [(1, 0, 0, 1, 1)] * (fld.m > 1),
-    }[gid]
-    return _canonical(fld, *np.array(rows).T)
-
-
 def generators(fld, gid):
     """A small generating set, as canonical rows: the shift t -> t + 1,
-    then the stabilizer generators of {0, oo}; every row passes `in_group`.
-    Built once per field and group (`GF.memo`), and read-only."""
-    gid = check_group_defined(fld, gid)
-    shift = [(1, 1, 0, 1, 0)]
-    return fld.memo(("generators", gid), lambda: np.vstack([shift, stabilizer_generators(fld, gid)]))
+    then the stabilizer generators of {0, oo} (`groups`); every row
+    passes `in_group`."""
+    return group(fld, gid)[1]
 
 
 def base_pair_stabilizer(fld, gid):
@@ -279,8 +269,7 @@ def generator_perms(gid, dom):
     """`domain_perms(generators(fld, gid), dom)`, fld the field of `dom`, cut from
     `GF.memo`: the permutations of all groups' distinct generator rows, once per kind."""
     fld = dom.field
-    gids = [g for g in GROUPS if g != "m" or fld.m % 2 == 0]
-    rows = fld.memo("generator rows", lambda: {r.tobytes(): r for g in gids for r in generators(fld, g)})
+    rows = fld.memo("generator rows", lambda: {r.tobytes(): r for g in groups(fld) for r in generators(fld, g)})
     perms = fld.memo(("generator perms", dom.kind), lambda: domain_perms(np.array(list(rows.values())), dom))
     return perms[[list(rows).index(r.tobytes()) for r in generators(fld, gid)]]
 
@@ -297,5 +286,5 @@ def domain_perm(row, dom):
 
 def group_order(fld, gid):
     """(q^3 - q)/2, the order of PSL(2,q), times the number of cells of
-    the group (`_cells`); closure-checked in the test suite."""
-    return (fld.q**3 - fld.q) // 2 * int(_cells(fld, gid).sum())
+    the group (`groups`); closure-checked in the test suite."""
+    return (fld.q**3 - fld.q) // 2 * int(group(fld, gid)[0].sum())

@@ -494,7 +494,6 @@ def orbital_scheme_via_stabilizer(fld, gid, dom):
     base row through labels[pair_table], and `Scheme._from_rows` reads
     the parameters through it, taking row 0 from the numbering.
     """
-    gid = mo.check_group_defined(fld, gid)
     pg1 = dom.plane.pg1
     n, base = dom.n, dom.base_index
 

@@ -51,8 +51,8 @@ def _fused(fld, coarse):
     ft = fi.build_ft(fld)
     if coarse == "t":
         return fuse(ft, [{"diagonal": 0, "share": 1}.get(lab.kind, 2) for lab in ft.labels])
-    psl = fi.psl_scheme(fld)
-    return fuse(psl, fusion_map(ft if coarse == "ft" else fi.m_scheme(fld), psl))
+    psl = fi.labeled_scheme(fld, "psl")
+    return fuse(psl, fusion_map(ft if coarse == "ft" else fi.labeled_scheme(fld, "m"), psl))
 
 
 # builder of a `matrix` id -> its scheme, from the field and the id's

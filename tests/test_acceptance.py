@@ -20,6 +20,7 @@ from scheme_forge.schemes import (
     triangular_scheme,
 )
 from scheme_forge import fission as fi
+from scheme_forge import moebius as mo
 
 
 def _report(num, desc, ok):
@@ -32,7 +33,7 @@ def test_criterion_01_psl_class_counts():
     ok = True
     for q, want in sorted(expected.items()):
         t0 = time.perf_counter()
-        rep = fi.report_theorem("psl-class-count", fi.psl_scheme(field(q)))
+        rep = fi.report_theorem("psl-class-count", fi.labeled_scheme(field(q), "psl"))
         dt = time.perf_counter() - t0
         ok &= rep.passed and rep.computed["classes"] == want
         ok &= rep.computed["symmetric"] is False
@@ -45,7 +46,7 @@ def test_criterion_02_m_class_counts():
     budgets = {25: 60, 49: 300, 81: 1800}
     for q, want in ((25, 10), (49, 19), (81, 31)):
         t0 = time.perf_counter()
-        rep = fi.report_theorem("m-class-count", fi.m_scheme(field(q)))
+        rep = fi.report_theorem("m-class-count", fi.labeled_scheme(field(q), "m"))
         dt = time.perf_counter() - t0
         ok &= rep.passed and rep.computed == {"classes": want, "symmetric": False}
         ok &= dt < budgets[q]
@@ -53,7 +54,7 @@ def test_criterion_02_m_class_counts():
 
 
 def test_criterion_03_m9_generalized_octagon():
-    rep = fi.report_theorem("m9-octagon", fi.m_scheme(field(9)))
+    rep = fi.report_theorem("m9-octagon", fi.labeled_scheme(field(9), "m"))
     ok = rep.passed
     ok &= rep.computed["n"] == 45 and rep.computed["symmetric"]
     ok &= rep.computed["intersection_array"] == ([4, 2, 2, 2], [1, 1, 1, 2])
@@ -79,7 +80,7 @@ def test_criterion_05_q9_fusion_diagram():
     fld = field(9)
     tri = triangular_scheme(fi.domain_for(fld, "pairs"))
     rep = fi.report_q9_fusion_diagram(
-        tri, fi.build_ft(fld), fi.psl_scheme(fld), fi.pgammal_scheme(fld), fi.m_scheme(fld)
+        tri, fi.build_ft(fld), fi.labeled_scheme(fld, "psl"), fi.labeled_scheme(fld, "pgammal"), fi.labeled_scheme(fld, "m")
     )
     _report(5, "q=9 three-row fusion diagram with all fusion edges", rep.passed)
 
@@ -87,19 +88,19 @@ def test_criterion_05_q9_fusion_diagram():
 def test_criterion_06_pgammal_class_counts():
     ok = True
     for q, want in ((9, 4), (25, 9), (49, 16)):
-        rep = fi.report_theorem("pgammal-class-count", fi.pgammal_scheme(field(q)))
+        rep = fi.report_theorem("pgammal-class-count", fi.labeled_scheme(field(q), "pgammal"))
         ok &= rep.passed and rep.computed["classes"] == want
         ok &= rep.computed["count_agrees"] and rep.computed["symmetric"]
         ok &= rep.computed["p_polynomial"] is (q == 9)
     for q in (5, 7, 11, 13):
-        rep = fi.report_theorem("pgammal-class-count", fi.pgammal_scheme(field(q)))
+        rep = fi.report_theorem("pgammal-class-count", fi.labeled_scheme(field(q), "pgammal"))
         ok &= rep.passed and rep.computed["symmetric"] and rep.computed["count_agrees"]
     _report(6, "semilinear-group class counts 4/9/16, symmetry, direct-count agreement", ok)
 
 
 def test_criterion_07_commutativity_survey():
-    r25 = fi.report_theorem("m-commutativity", fi.m_scheme(field(25)))
-    r49 = fi.report_theorem("m-commutativity", fi.m_scheme(field(49)))
+    r25 = fi.report_theorem("m-commutativity", fi.labeled_scheme(field(25), "m"))
+    r49 = fi.report_theorem("m-commutativity", fi.labeled_scheme(field(49), "m"))
     ok = r25.passed and r49.passed
     ok &= r25.computed == {"symmetric": False, "commutative": True}
     ok &= r49.computed == {"symmetric": False, "commutative": False}
@@ -110,7 +111,7 @@ def test_criterion_08_three_domain_isomorphism():
     ok = True
     for q in (5, 7, 9, 13):
         fld = field(q)
-        for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
+        for gid in mo.groups(fld):
             ok &= fi.report_three_domain_isomorphism(fld, gid).passed
             # the dense generic-path schemes the report stands for
             on_pairs, *on_plane = [
@@ -141,8 +142,7 @@ def test_criterion_11_scheme_axioms():
     ok = True
     for q in (5, 7, 9, 11, 13):
         fld = field(q)
-        gids = ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ())
-        rep = fi.report_scheme_axioms({gid: fi._labeled_scheme(fld, gid) for gid in gids})
+        rep = fi.report_scheme_axioms({gid: fi._labeled_scheme(fld, gid) for gid in mo.groups(fld)})
         ok &= rep.passed
     _report(11, "axioms, valency and counting identities, exhaustive constancy q<=13", ok)
 
@@ -152,7 +152,7 @@ def test_criterion_12_transpose_rules():
     reading = None
     for q in (5, 9, 13, 25):
         fld = field(q)
-        rep = fi.report_transpose_rules(fi.psl_scheme(fld))
+        rep = fi.report_transpose_rules(fi.labeled_scheme(fld, "psl"))
         ok &= rep.passed
         ok &= ("minus-sign partner" in rep.note)
         # the harmonic criterion is the square class of 2, cross-checked

@@ -467,7 +467,7 @@ def test_misfiled_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     import numpy as np
 
     from scheme_forge import cli
-    from scheme_forge.fission import pgl_scheme
+    from scheme_forge.fission import labeled_scheme
     from scheme_forge.gf import field
 
     argv = ("scheme", "labels", "--q", "9", "--group", "psl")
@@ -475,7 +475,7 @@ def test_misfiled_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     want = run(capsys, *argv)
     fld = field(9)
     path = cli._cache_path(str(tmp_path), fld, "psl", "pairs")
-    np.savez(path, relation_matrix=pgl_scheme(fld).relation_matrix)
+    np.savez(path, relation_matrix=labeled_scheme(fld, "pgl").relation_matrix)
     monkeypatch.setenv("SCHEME_FORGE_CACHE_DIR", str(tmp_path))
     assert run(capsys, *argv) == want
     assert run(capsys, *argv) == want  # the rebuilt file was written back
@@ -488,11 +488,11 @@ def test_cache_load_certifies_the_whole_matrix(tmp_path):
     import numpy as np
 
     from scheme_forge import cli
-    from scheme_forge.fission import psl_scheme
+    from scheme_forge.fission import labeled_scheme
     from scheme_forge.gf import field
 
     fld = field(9)
-    S = psl_scheme(fld)
+    S = labeled_scheme(fld, "psl")
     path = cli._cache_path(str(tmp_path), fld, "psl", "pairs")
     np.savez(path, relation_matrix=S.relation_matrix)
     loaded = cli._cache_load(str(tmp_path), fld, "psl", "pairs")
@@ -542,11 +542,10 @@ def test_cache_dir_under_a_file_is_a_usage_error(tmp_path):
 
 @pytest.mark.parametrize("q", [5, 9, 25, 27, 49, 81])
 def test_group_info_stabilizer_size_is_the_enumerated_one(capsys, q):
-    from scheme_forge import moebius as mo
     from scheme_forge.gf import field
 
     fld = field(q)
-    for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
+    for gid in mo.groups(fld):
         code, out, _ = run(capsys, "group", "info", "--q", str(q), "--group", gid, "--format", "json")
         assert code == 0
         assert json.loads(out)["base_pair_stabilizer_size"] == len(mo.base_pair_stabilizer(fld, gid))

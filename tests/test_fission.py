@@ -53,9 +53,8 @@ def test_domain_for_builds_each_kind_once():
 
 
 # the entries of the field memo that hold arrays, once a `psl` build and a
-# three-domain report have run
+# three-domain report have run, besides the table of groups
 MEMO_ARRAYS = (
-    ("generators", "psl"),
     "psl transporters",
     ("generator perms", "pairs"),
     ("generator perms", "hyp-lines"),
@@ -65,9 +64,10 @@ MEMO_ARRAYS = (
 
 
 def _memo_arrays(fld):
-    fi.psl_scheme(fld)
+    fi.labeled_scheme(fld, "psl")
     fi.report_three_domain_isomorphism(fld, "psl")
-    return {key: fld._memo[key] for key in MEMO_ARRAYS}
+    table = {("groups", gid): entry for gid, entry in fld._memo["groups"].items()}
+    return table | {key: fld._memo[key] for key in MEMO_ARRAYS}
 
 
 def _equal_entries(x, y):
@@ -91,7 +91,7 @@ def test_psl_transporters_are_kept_as_int16(q):
     """Every code and exponent of a transporter is below `gf.MAX_Q`, so the
     memo keeps them as int16, a quarter of the kernel's int64 rows."""
     fld = field(q)
-    fi.psl_scheme(fld)
+    fi.labeled_scheme(fld, "psl")
     transporters = fld._memo["psl transporters"]
     assert transporters.dtype == np.int16 and not transporters.flags.writeable
     pairs = fi.domain_for(fld, "pairs").plane.pg1.pairs
@@ -130,7 +130,7 @@ def test_verify_paper_shares_the_work_of_each_field(monkeypatch):
 
 
 def test_octagon_report_computes_the_orderings_once(monkeypatch):
-    S = fi.m_scheme(field(9))
+    S = fi.labeled_scheme(field(9), "m")
     calls = []
     _spy(monkeypatch, sc, "p_polynomial_orderings", lambda args, out: calls.append(args[0]))
     reports = fi._group_reports("m", S)
@@ -339,7 +339,7 @@ def test_cross_ratio_certificate_binds_the_class_count(monkeypatch):
 )
 def test_psl_class_count(q, expected):
     assert fi.PREDICTIONS["psl-class-count"][1](field(q))["classes"] == expected
-    rep = fi.report_theorem("psl-class-count", fi.psl_scheme(field(q)))
+    rep = fi.report_theorem("psl-class-count", fi.labeled_scheme(field(q), "psl"))
     assert rep.passed, rep.computed
     assert rep.computed["classes"] == expected
     assert rep.computed["symmetric"] is False
@@ -367,9 +367,8 @@ def test_closed_forms_agree_with_the_keyed_labels_at_every_pair(q):
     gives the label that the once-per-key pass gave that pair's class:
     the closed forms are constant on the cross-ratio keys."""
     fld = field(q)
-    for gid, (label_of_pair, _) in fi.GROUP_SCHEMES.items():
-        if gid == "m" and fld.m % 2:
-            continue
+    for gid in mo.groups(fld):
+        label_of_pair = fi.GROUP_SCHEMES[gid][0]
         S = fi._labeled_scheme(fld, gid)
         row = S.relation_matrix[S.domain.base_index].tolist()
         for k, pair in zip(row, S.domain.plane.pg1.pairs.tolist()):
@@ -381,7 +380,7 @@ def test_labels_that_do_not_match_the_classes_raise():
     a base row that puts the pairs of one key in two classes is rejected
     before any label is computed."""
     fld = field(9)
-    S = fi.psl_scheme(fld)
+    S = fi.labeled_scheme(fld, "psl")
     dom = S.domain
     row = S.row(dom.base_index)
     with pytest.raises(fi.TheoremViolationError, match="two distinct computed orbits"):
@@ -395,7 +394,7 @@ def test_labels_that_do_not_match_the_classes_raise():
 @pytest.mark.parametrize("q", [5, 9, 13, 25])
 def test_psl_orbit_length_bookkeeping(q):
     fld = field(q)
-    S = fi.psl_scheme(fld)
+    S = fi.labeled_scheme(fld, "psl")
     assert q % 4 == 1
     lengths = defaultdict(list)
     for k, lab in enumerate(S.labels):
@@ -412,7 +411,7 @@ def test_psl_orbit_length_bookkeeping(q):
 @pytest.mark.parametrize("q", [7, 11])
 def test_psl_orbit_length_bookkeeping_3mod4(q):
     fld = field(q)
-    S = fi.psl_scheme(fld)
+    S = fi.labeled_scheme(fld, "psl")
     lengths = defaultdict(list)
     for k, lab in enumerate(S.labels):
         lengths[(lab.kind, lab.sign != 0)].append(int(S.valencies[k]))
@@ -428,7 +427,7 @@ def test_psl_orbit_length_bookkeeping_3mod4(q):
 def test_psl_split_classes_pair_within_labels(q):
     """Split halves have equal valency and transpose within their own
     cross-ratio label, never across."""
-    S = fi.psl_scheme(field(q))
+    S = fi.labeled_scheme(field(q), "psl")
     by_key = {lab.key(): k for k, lab in enumerate(S.labels)}
     for k, lab in enumerate(S.labels):
         kt = int(S.transpose_map[k])
@@ -443,14 +442,14 @@ def test_psl_split_classes_pair_within_labels(q):
 
 @pytest.mark.parametrize("q", [5, 9, 13, 25])
 def test_transpose_rules_1mod4(q):
-    rep = fi.report_transpose_rules(fi.psl_scheme(field(q)))
+    rep = fi.report_transpose_rules(fi.labeled_scheme(field(q), "psl"))
     assert rep.passed, rep.note
     assert "minus-sign partner" in rep.note
 
 
 @pytest.mark.parametrize("q", [7, 11])
 def test_transpose_rules_3mod4(q):
-    rep = fi.report_transpose_rules(fi.psl_scheme(field(q)))
+    rep = fi.report_transpose_rules(fi.labeled_scheme(field(q), "psl"))
     assert rep.passed, rep.note
 
 
@@ -458,7 +457,7 @@ def test_transpose_rule_q9_harmonic_self_paired():
     """2 = -1 is a square in GF(9), so the harmonic halves are symmetric."""
     fld = field(9)
     assert fld.is_square(fld.add(1, 1))
-    S = fi.psl_scheme(fld)
+    S = fi.labeled_scheme(fld, "psl")
     for k, lab in enumerate(S.labels):
         if lab.kind == "harmonic":
             assert S.transpose_map[k] == k
@@ -467,7 +466,7 @@ def test_transpose_rule_q9_harmonic_self_paired():
 def test_transpose_rule_q13_harmonic_swapped():
     fld = field(13)
     assert not fld.is_square(2)
-    S = fi.psl_scheme(fld)
+    S = fi.labeled_scheme(fld, "psl")
     ks = [k for k, lab in enumerate(S.labels) if lab.kind == "harmonic"]
     assert len(ks) == 2
     assert int(S.transpose_map[ks[0]]) == ks[1]
@@ -478,24 +477,32 @@ def test_transpose_rule_q13_harmonic_swapped():
 
 @pytest.mark.parametrize("q,expected", [(25, 10), (49, 19), (81, 31)])
 def test_m_class_count(q, expected):
-    rep = fi.report_theorem("m-class-count", fi.m_scheme(field(q)))
+    rep = fi.report_theorem("m-class-count", fi.labeled_scheme(field(q), "m"))
     assert rep.passed, rep.computed
     assert rep.computed == {"classes": expected, "symmetric": False}
+
+
+def test_labeled_scheme_is_the_builder_the_tracer_names():
+    """The exported entry point is `_labeled_scheme` itself, so the layer
+    tracer, which wraps every binding of that object, times its calls."""
+    import scheme_forge
+
+    assert scheme_forge.labeled_scheme is fi.labeled_scheme is fi._labeled_scheme
 
 
 def test_m_rejects_odd_power():
     from scheme_forge.moebius import InvalidGroupError
 
     with pytest.raises(InvalidGroupError):
-        fi.m_scheme(field(7))
+        fi.labeled_scheme(field(7), "m")
     with pytest.raises(InvalidGroupError):
-        fi.m_scheme(field(27))
+        fi.labeled_scheme(field(27), "m")
 
 
 @pytest.mark.parametrize("q", [9, 25, 49])
 def test_m_labels_match_independent_orbitals(q):
     fld = field(q)
-    S = fi.m_scheme(fld)  # labeled builder already cross-checks; spot-check too
+    S = fi.labeled_scheme(fld, "m")  # labeled builder already cross-checks; spot-check too
     dom = S.domain
     base = dom.base_index
     for y in range(0, dom.n, 7):
@@ -507,7 +514,7 @@ def test_m_labels_match_independent_orbitals(q):
 @pytest.mark.parametrize("q", [9, 25, 49, 81])
 def test_m_orbit_bookkeeping(q):
     fld = field(q)
-    S = fi.m_scheme(fld)
+    S = fi.labeled_scheme(fld, "m")
     root = int(round(q**0.5))
     kinds = defaultdict(list)
     for k, lab in enumerate(S.labels):
@@ -529,7 +536,7 @@ def test_m_orbit_bookkeeping(q):
 @pytest.mark.parametrize("q", [25, 49, 81])
 def test_m_nonsymmetry_via_split_pairs(q):
     fld = field(q)
-    S = fi.m_scheme(fld)
+    S = fi.labeled_scheme(fld, "m")
     by_key = {lab.key(): k for k, lab in enumerate(S.labels)}
     nonsym = [k for k in range(S.d + 1) if S.transpose_map[k] != k]
     assert nonsym, "the scheme must be non-symmetric for q > 9"
@@ -540,7 +547,7 @@ def test_m_nonsymmetry_via_split_pairs(q):
 
 
 def test_m9_structure_with_bfs_oracle():
-    S = fi.m_scheme(field(9))
+    S = fi.labeled_scheme(field(9), "m")
     rep = fi.report_theorem("m9-octagon", S)
     assert rep.passed, rep.computed
     orders = p_polynomial_orderings(S)
@@ -597,12 +604,12 @@ def _bfs_intersection_array(adj):
 
 @pytest.mark.parametrize("q", [9, 25, 49])
 def test_commutativity_survey(q):
-    rep = fi.report_theorem("m-commutativity", fi.m_scheme(field(q)))
+    rep = fi.report_theorem("m-commutativity", fi.labeled_scheme(field(q), "m"))
     assert rep.passed, rep.computed
 
 
 def test_commutativity_survey_deep_q81():
-    rep = fi.report_theorem("m-commutativity", fi.m_scheme(field(81)))
+    rep = fi.report_theorem("m-commutativity", fi.labeled_scheme(field(81), "m"))
     assert rep.passed, rep.computed
 
 
@@ -611,7 +618,7 @@ def test_commutativity_survey_deep_q81():
 
 @pytest.mark.parametrize("q,expected", [(9, 4), (25, 9), (49, 16)])
 def test_pgammal_class_count(q, expected):
-    rep = fi.report_theorem("pgammal-class-count", fi.pgammal_scheme(field(q)))
+    rep = fi.report_theorem("pgammal-class-count", fi.labeled_scheme(field(q), "pgammal"))
     assert rep.passed, rep.computed
     assert rep.computed["classes"] == expected
 
@@ -619,7 +626,7 @@ def test_pgammal_class_count(q, expected):
 def test_pgammal_prime_field_reduces_to_ft():
     fld = field(7)
     assert fi.count_pgammal_classes(fld) == (7 + 1) // 2
-    S = fi.pgammal_scheme(fld)
+    S = fi.labeled_scheme(fld, "pgammal")
     ft = fi.build_ft(fld)
     assert partition_bijection(S, ft) is not None
 
@@ -665,31 +672,31 @@ def test_pgammal_report_counts_the_classes_once(monkeypatch):
     monkeypatch.setattr(fi, "count_pgammal_classes", lambda fld: calls.append(1) or real(fld))
     for q, want in ((25, 1), (5, 2)):
         calls.clear()
-        (rep,) = fi._group_reports("pgammal", fi.pgammal_scheme(field(q)))
+        (rep,) = fi._group_reports("pgammal", fi.labeled_scheme(field(q), "pgammal"))
         assert (rep.theorem_id, rep.passed, len(calls)) == ("pgammal-class-count", True, want)
 
 
 @pytest.mark.parametrize("q", [9, 25, 49])
 def test_pgammal_count_matches_built_scheme(q):
     fld = field(q)
-    assert fi.pgammal_scheme(fld).d == fi.count_pgammal_classes(fld)
+    assert fi.labeled_scheme(fld, "pgammal").d == fi.count_pgammal_classes(fld)
 
 
 def test_pgammal_q9_p_polynomial_via_harmonic():
-    S = fi.pgammal_scheme(field(9))
+    S = fi.labeled_scheme(field(9), "pgammal")
     orders = p_polynomial_orderings(S)
     assert orders and S.labels[orders[0]["relation"]].kind == "harmonic"
 
 
 @pytest.mark.parametrize("q", [25, 49])
 def test_pgammal_not_p_polynomial(q):
-    S = fi.pgammal_scheme(field(q))
+    S = fi.labeled_scheme(field(q), "pgammal")
     assert p_polynomial_orderings(S) == []
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
 def test_pgammal_symmetric(q):
-    assert fi.pgammal_scheme(field(q)).is_symmetric()
+    assert fi.labeled_scheme(field(q), "pgammal").is_symmetric()
 
 
 @pytest.mark.parametrize("q", [9, 25])
@@ -697,7 +704,7 @@ def test_pgammal_share_class_is_original_triangular_relation(q):
     """The touching relation survives unsplit all the way down: the
     semilinear share class is exactly the triangular 'meet' class."""
     fld = field(q)
-    S = fi.pgammal_scheme(fld)
+    S = fi.labeled_scheme(fld, "pgammal")
     tri = triangular_scheme(pairs_domain(Plane(fld)))
     part = fusion_map(tri, S)
     assert part is not None
@@ -714,7 +721,7 @@ def test_three_domain_isomorphism(q):
     """The report passes, and the dense generic-path schemes it stands
     for have one pair partition on the three domains."""
     fld = field(q)
-    for gid in ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ()):
+    for gid in mo.groups(fld):
         rep = fi.report_three_domain_isomorphism(fld, gid)
         assert rep.passed, (q, gid)
         on_pairs, *on_plane = [
@@ -747,7 +754,7 @@ def test_three_domain_report_fails_on_a_swapped_line_permutation(monkeypatch):
 
 def _lattice_schemes(fld):
     """The triangular, FT, psl, pgammal and (at even powers) m schemes."""
-    gids = ("psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ())
+    gids = [gid for gid in fi.GROUP_SCHEMES if gid in mo.groups(fld)][1:]
     tri = triangular_scheme(fi.domain_for(fld, "pairs"))
     return [tri, fi.build_ft(fld)] + [fi._labeled_scheme(fld, gid) for gid in gids]
 
@@ -779,7 +786,7 @@ def test_m9_merges_the_two_nonsquare_ratio_classes():
     its cube fuse; the square class and harmonic class split-and-refuse."""
     fld = field(9)
     g = fld.primitive_element()
-    msch = fi.m_scheme(fld)
+    msch = fi.labeled_scheme(fld, "m")
     ft = fi.build_ft(fld)
     part = fusion_map(msch, ft)
     assert part is not None
@@ -868,11 +875,11 @@ def _reports_called_directly(q):
     fld = field(q)
     if q == 25:
         return [
-            fi.report_theorem("psl-class-count", fi.psl_scheme(fld)),
-            fi.report_transpose_rules(fi.psl_scheme(fld)),
-            fi.report_theorem("pgammal-class-count", fi.pgammal_scheme(fld)),
-            fi.report_theorem("m-class-count", fi.m_scheme(fld)),
-            fi.report_theorem("m-commutativity", fi.m_scheme(fld)),
+            fi.report_theorem("psl-class-count", fi.labeled_scheme(fld, "psl")),
+            fi.report_transpose_rules(fi.labeled_scheme(fld, "psl")),
+            fi.report_theorem("pgammal-class-count", fi.labeled_scheme(fld, "pgammal")),
+            fi.report_theorem("m-class-count", fi.labeled_scheme(fld, "m")),
+            fi.report_theorem("m-commutativity", fi.labeled_scheme(fld, "m")),
         ]
     gids = ("pgl", "psl", "pgammal", "m")
     return [
@@ -882,11 +889,11 @@ def _reports_called_directly(q):
         fi.report_scheme_axioms({gid: fi._labeled_scheme(fld, gid) for gid in gids}),
         fi.report_fusion_lattice(*_lattice_schemes(fld)),
         *(fi.report_three_domain_isomorphism(fld, gid) for gid in gids),
-        fi.report_theorem("psl-class-count", fi.psl_scheme(fld)),
-        fi.report_transpose_rules(fi.psl_scheme(fld)),
-        fi.report_theorem("pgammal-class-count", fi.pgammal_scheme(fld)),
-        fi.report_theorem("m-commutativity", fi.m_scheme(fld)),
-        fi.report_theorem("m9-octagon", fi.m_scheme(fld)),
+        fi.report_theorem("psl-class-count", fi.labeled_scheme(fld, "psl")),
+        fi.report_transpose_rules(fi.labeled_scheme(fld, "psl")),
+        fi.report_theorem("pgammal-class-count", fi.labeled_scheme(fld, "pgammal")),
+        fi.report_theorem("m-commutativity", fi.labeled_scheme(fld, "m")),
+        fi.report_theorem("m9-octagon", fi.labeled_scheme(fld, "m")),
         fi.report_q9_fusion_diagram(*_lattice_schemes(fld)),
     ]
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from scheme_forge import fission as fi
 from scheme_forge.gf import field
 from scheme_forge.geometry import Plane, domain
 from scheme_forge.moebius import (
@@ -21,19 +22,15 @@ from scheme_forge.moebius import (
     domain_perms,
     generators,
     group_order,
+    groups,
     in_group,
     point_images,
     point_perms,
-    stabilizer_generators,
     transporter_to_base,
     transporters_to_base,
 )
 
 SMALL_Q = [5, 7, 9]
-
-
-def groups_of(fld):
-    return ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ())
 
 
 def random_map(fld, rng, j_choices=(0,)):
@@ -63,10 +60,30 @@ def test_generators_are_the_canonical_rows_of_the_documented_maps(q):
     }
     stab["m"] = stab["psl"] + [(g, 0, 0, 1, fld.m // 2)]
     stab["pgammal"] = stab["pgl"] + [(1, 0, 0, 1, 1)] * (fld.m > 1)
-    for gid in groups_of(fld):
-        want = [list(orc.canonical(fld, *row)) for row in [(1, 1, 0, 1, 0)] + stab[gid]]
-        assert generators(fld, gid).tolist() == want
-        assert stabilizer_generators(fld, gid).tolist() == want[1:]
+    for gid in groups(fld):
+        assert generators(fld, gid)[0].tolist() == [1, 1, 0, 1, 0]
+        assert generators(fld, gid)[1:].tolist() == [list(orc.canonical(fld, *row)) for row in stab[gid]]
+
+
+@pytest.mark.parametrize("q, even_power", [(5, False), (9, True), (25, True), (27, False), (81, True), (125, False)])
+def test_the_table_holds_the_groups_defined_over_the_field(q, even_power):
+    """`m` is in the table exactly when q is an even power of a prime, the
+    table keeps the order of `GROUPS`, and the labeled schemes of
+    `fission` name the same groups."""
+    assert tuple(groups(field(q))) == tuple(g for g in GROUPS if g != "m" or even_power)
+    assert set(fi.GROUP_SCHEMES) == set(GROUPS)
+
+
+def test_group_ids_have_one_spelling():
+    """An id outside `GROUPS`, any other spelling of one included, and `m`
+    over an odd power raise with these messages."""
+    for gid in ("so3", "PGL", "pgamma", "(psl)"):
+        with pytest.raises(InvalidGroupError) as err:
+            generators(field(9), gid)
+        assert str(err.value) == f"unknown group {gid!r}; choose from ('pgl', 'psl', 'm', 'pgammal')"
+    with pytest.raises(InvalidGroupError) as err:
+        group_order(field(27), "m")
+    assert str(err.value) == "M(q) needs q to be an even power of an odd prime; q=27 has m=3"
 
 
 def test_identity_and_inversion_map():
@@ -110,7 +127,7 @@ def test_point_images_match_the_oracle_action(q):
     a single row of points is moved by every map."""
     fld = field(q)
     rng = np.random.default_rng(q)
-    for gid in groups_of(fld):
+    for gid in groups(fld):
         maps = np.concatenate(
             [generators(fld, gid), base_pair_stabilizer(fld, gid), transporters_to_base(fld, Plane(fld).pg1.pairs)]
         )
@@ -196,7 +213,7 @@ def test_psl_is_intersection_as_permutation_groups(q):
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_generator_closure_orders(q):
     fld = field(q)
-    for gid in groups_of(fld):
+    for gid in groups(fld):
         assert in_group(fld, generators(fld, gid), gid).all()
         assert len(group(fld, gid)) == group_order(fld, gid)
 
@@ -269,7 +286,7 @@ def test_sharp_3_transitivity(q):
     count triples (g^-1(0), g^-1(1), g^-1(oo)) over the whole group."""
     fld = field(q)
     zero, one, inf = 0, int(fld.RANK[1]), fld.q
-    for gid in ("pgl",) + (("m",) if fld.m % 2 == 0 else ()):
+    for gid in groups(fld).keys() & {"pgl", "m"}:
         inv = np.argsort(group(fld, gid), axis=1)
         served = np.unique(inv[:, [zero, one, inf]], axis=0, return_counts=True)[1]
         assert len(served) == (q + 1) * q * (q - 1)
@@ -299,7 +316,7 @@ def test_psl_doubly_transitive(q):
 def test_transporter_properties(q):
     fld = field(q)
     rng = random.Random(q)
-    for gid in groups_of(fld):
+    for gid in groups(fld):
         for _ in range(200):
             pair = tuple(sorted(rng.sample(range(q + 1), 2)))
             g = transporter_to_base(fld, pair)
@@ -441,7 +458,7 @@ def test_batched_transporters_match_one_at_a_time(q):
     assert batch.tolist() == [list(orc.transporter(fld, pair)) for pair in both.tolist()]
     assert transporter_to_base(fld, both[-1]).tolist() == batch[-1].tolist()
     # one family for every group: each transporter lies in psl, so in all
-    for gid in groups_of(fld):
+    for gid in groups(fld):
         assert in_group(fld, batch, gid).all()
 
 
@@ -467,7 +484,7 @@ def test_batched_domain_perms_match_per_map(q):
     pl = Plane(fld)
     for kind in ("pairs", "hyp-lines", "hyp-points"):
         dom = domain(pl, kind)
-        for gid in groups_of(fld):
+        for gid in groups(fld):
             maps = np.concatenate([base_pair_stabilizer(fld, gid), generators(fld, gid)])
             batch = domain_perms(maps, dom)
             assert batch.shape == (len(maps), dom.n) and batch.dtype == np.int32
@@ -494,6 +511,6 @@ def test_every_domain_is_indexed_like_the_pairs(q):
     doms = [domain(pl, kind) for kind in ("pairs", "hyp-lines", "hyp-points")]
     assert [dom.base_index for dom in doms] == [pl.pg1.base_pair] * 3
     assert pl.pg1.pairs[pl.pg1.base_pair].tolist() == [int(fld.RANK[0]), pl.pg1.INF]
-    for gid in groups_of(fld):
+    for gid in groups(fld):
         pairs, lines, points = (domain_perms(generators(fld, gid), dom) for dom in doms)
         assert np.array_equal(pairs, lines) and np.array_equal(pairs, points)

@@ -29,7 +29,6 @@ from scheme_forge.schemes import (
     triangular_scheme,
 )
 
-GROUPS_FOR = lambda fld: ("pgl", "psl", "pgammal") + (("m",) if fld.m % 2 == 0 else ())
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +154,7 @@ def test_generic_and_stabilizer_paths_agree(q):
     pl = Plane(fld)
     for kind in ("pairs", "hyp-lines", "hyp-points"):
         dom_ = domain(pl, kind)
-        for gid in GROUPS_FOR(fld):
+        for gid in mo.groups(fld):
             a = group_orbital_scheme(fld, gid, dom_)
             b = orbital_scheme_via_stabilizer(fld, gid, dom_)
             assert np.array_equal(a.relation_matrix, b.relation_matrix), (q, gid, kind)
@@ -178,9 +177,8 @@ def test_stabilizer_generators_have_the_full_stabilizer_orbits(q):
     for kind in ("pairs", "hyp-lines", "hyp-points"):
         dom_ = domain(pl, kind)
         base = dom_.base_index
-        for gid in GROUPS_FOR(fld):
-            gens = mo.stabilizer_generators(fld, gid)
-            assert np.array_equal(mo.generators(fld, gid)[1:], gens)
+        for gid in mo.groups(fld):
+            gens = mo.generators(fld, gid)[1:]
             perms = mo.domain_perms(gens, dom_)
             assert (perms[:, base] == base).all()
             want = _least_image_labels(fld, gid, dom_)
@@ -197,7 +195,7 @@ def test_fused_non_scheme_is_rejected_with_check():
     passes every structure check and the transposition check but is not a
     scheme; the earlier check, which sampled rows 0..10, accepted it."""
     fld = field(9)
-    fine = fi.psl_scheme(fld)
+    fine = fi.labeled_scheme(fld, "psl")
     M = np.array([0, 1, 1, 2, 1, 1, 1, 1, 1], dtype=np.uint8)[fine.relation_matrix]
     with pytest.raises(NotASchemeError, match="not constant"):
         Scheme(M, domain=fine.domain)
@@ -209,7 +207,7 @@ def test_fused_non_scheme_is_rejected_with_check():
 
 def test_certificate_needs_the_whole_stabilizer():
     fld = field(9)
-    S = fi.pgammal_scheme(fld)
+    S = fi.labeled_scheme(fld, "pgammal")
     assert mo.generators(fld, "pgammal")[-1, 4] == 1  # the Frobenius map
     full = _generator_perms(fld, "pgammal", S.domain)
     assert Scheme(S.relation_matrix, domain=S.domain, automorphisms=full).verified_by == "certificate"
@@ -220,8 +218,8 @@ def test_certificate_needs_the_whole_stabilizer():
 
 def test_certificate_needs_a_transitive_group():
     fld = field(9)
-    S = fi.pgl_scheme(fld)
-    stab = mo.domain_perms(mo.stabilizer_generators(fld, "pgl"), S.domain)
+    S = fi.labeled_scheme(fld, "pgl")
+    stab = mo.domain_perms(mo.generators(fld, "pgl")[1:], S.domain)
     with pytest.raises(NotASchemeError, match="not transitive"):
         Scheme(S.relation_matrix, domain=S.domain, automorphisms=stab)
 
@@ -230,7 +228,7 @@ def test_certificate_reaches_the_last_row_block():
     """Two entries of the last row swapped: counts, diagonal, row 0 and
     the base row stay intact, so only the certificate can see it."""
     fld = field(49)
-    S = fi.psl_scheme(fld)
+    S = fi.labeled_scheme(fld, "psl")
     n = S.n
     assert len(sc._row_blocks(n, n)) > 1 and S.domain.base_index != n - 1
     M = S.relation_matrix.copy()
@@ -245,7 +243,7 @@ def test_certificate_checks_every_row_block():
     p, only in rows x0 and p^-1(x0); with both in the last block, only
     the check of that block sees it."""
     fld = field(25)
-    S = fi.psl_scheme(fld)
+    S = fi.labeled_scheme(fld, "psl")
     n = S.n
     last = sc._row_blocks(n, n)[-1][0]
     assert last > 0
@@ -268,7 +266,7 @@ def test_matrix_free_parameters_equal_a_dense_certified_rebuild(q):
     fld = field(q)
     for kind in ("pairs",) if q == 81 else ("pairs", "hyp-lines", "hyp-points"):
         dom_ = fi.domain_for(fld, kind)
-        for gid in GROUPS_FOR(fld):
+        for gid in mo.groups(fld):
             S = orbital_scheme_via_stabilizer(fld, gid, dom_)
             assert S.verified_by == "orbits"
             base_row = S.row(dom_.base_index)
@@ -306,7 +304,7 @@ def test_p_tensor_equals_the_count_over_every_pair(q):
     cases = [fi.build_ft(fld), triangular_scheme(fi.domain_for(fld, "pairs"))]
     for kind in ("pairs", "hyp-lines", "hyp-points"):
         dom_ = fi.domain_for(fld, kind)
-        for gid in GROUPS_FOR(fld):
+        for gid in mo.groups(fld):
             cases += [orbital_scheme_via_stabilizer(fld, gid, dom_), group_orbital_scheme(fld, gid, dom_)]
     for S in cases:
         P = S.p_tensor()
@@ -361,7 +359,7 @@ def test_composed_label_rows_equal_the_generic_path(q):
     from the rows is the generic scheme's, counted from its matrix."""
     fld = field(q)
     dom_ = pairs_domain(Plane(fld))
-    for gid in GROUPS_FOR(fld):
+    for gid in mo.groups(fld):
         S = orbital_scheme_via_stabilizer(fld, gid, dom_)
         generic = group_orbital_scheme(fld, gid, dom_)
         M = generic.relation_matrix
@@ -514,8 +512,8 @@ def _one_plane_image_swapped(monkeypatch):
 
 
 def _without_the_shift(monkeypatch):
-    calls = []
-    monkeypatch.setattr(mo, "generators", lambda fld, gid: calls.append(gid) or mo.stabilizer_generators(fld, gid))
+    calls, real = [], mo.generators
+    monkeypatch.setattr(mo, "generators", lambda fld, gid: calls.append(gid) or real(fld, gid)[1:])
     return calls
 
 
@@ -576,7 +574,7 @@ def test_each_builder_records_the_check_it_passed(t10):
         "certificate": [certified],
         "orbits": [
             psl,
-            fi.m_scheme(fld),
+            fi.labeled_scheme(fld, "m"),
             orbital_scheme_via_stabilizer(fld, "pgl", domain(pl, "hyp-points")),
             group_orbital_scheme(fld, "pgammal", domain(pl, "hyp-lines")),
         ],
@@ -622,7 +620,7 @@ def test_blocked_checks_reach_the_last_row_block(fault, message):
 def test_axiom_identities(q):
     fld = field(q)
     dom_ = pairs_domain(Plane(fld))
-    for gid in GROUPS_FOR(fld):
+    for gid in mo.groups(fld):
         S = orbital_scheme_via_stabilizer(fld, gid, dom_)
         P = S.p_tensor()
         k = S.valencies
@@ -648,7 +646,7 @@ def test_axiom_identities(q):
 def test_exhaustive_constancy(q):
     fld = field(q)
     dom_ = pairs_domain(Plane(fld))
-    for gid in GROUPS_FOR(fld):
+    for gid in mo.groups(fld):
         orbital_scheme_via_stabilizer(fld, gid, dom_).verify_exhaustive()
 
 
@@ -679,7 +677,7 @@ def _first_inconstant_pair(M, P):
 
 
 def test_packed_exhaustive_check_names_the_first_failing_pair():
-    fine = fi.psl_scheme(field(9))
+    fine = fi.labeled_scheme(field(9), "psl")
     fused = np.array([0, 1, 1, 2, 1, 1, 1, 1, 1], dtype=np.uint8)[fine.relation_matrix]
     valid = orbital_scheme_via_stabilizer(field(13), "psl", pairs_domain(Plane(field(13))))
     swapped = valid.relation_matrix.copy()
@@ -744,7 +742,7 @@ def test_fusion_checks_compare_in_the_coarse_dtype():
     # measured 2.0 n^2 bytes: the fused uint8 copy and the comparison
     # (9.0 with an int64 n x n copy)
     fld = field(49)
-    ft, psl = fi.build_ft(fld), fi.psl_scheme(fld)
+    ft, psl = fi.build_ft(fld), fi.labeled_scheme(fld, "psl")
     part = fusion_map(ft, psl)
     tracemalloc.start()
     try:
@@ -793,7 +791,7 @@ def test_fusion_checks_refuse_a_partition_of_the_wrong_length(extra):
     indexed past its end in `fuse`, and a long one was called not
     admissible."""
     fld = field(9)
-    psl, m = fi.psl_scheme(fld), fi.m_scheme(fld)
+    psl, m = fi.labeled_scheme(fld, "psl"), fi.labeled_scheme(fld, "m")
     part = fusion_map(m, psl)
     wrong = np.concatenate([part, [1]])[: len(part) + extra]
     for call in (lambda: fuse(psl, wrong), lambda: is_fusion(m, psl, wrong)):
@@ -817,7 +815,7 @@ def test_fusion_check_is_not_fooled_by_sampled_rows():
     nontrivial class together form an admissible partition whose fused
     numbers look constant on the sampled rows, yet the fused matrix is
     not a scheme: neither the exhaustive check nor `fuse` builds it."""
-    fine = fi.psl_scheme(field(9))
+    fine = fi.labeled_scheme(field(9), "psl")
     part = np.array([0, 1, 1, 2, 1, 1, 1, 1, 1])
     with pytest.raises(NotASchemeError, match="not constant"):
         Scheme(part[fine.relation_matrix].astype(np.uint8))
@@ -827,9 +825,9 @@ def test_fusion_check_is_not_fooled_by_sampled_rows():
 
 def test_is_fusion_rejects_transpose_open_partition():
     fld = field(13)
-    from scheme_forge.fission import psl_scheme
+    from scheme_forge.fission import labeled_scheme
 
-    fine = psl_scheme(fld)
+    fine = labeled_scheme(fld, "psl")
     paired = [
         k
         for k in range(1, fine.d + 1)
@@ -863,7 +861,7 @@ def test_is_fusion_is_false_where_fine_does_not_refine_coarse():
     """FT does not refine psl, so fusion_map gives None: no fusion, where
     the report edges once raised TypeError."""
     fld = field(9)
-    psl9, ft9 = fi.psl_scheme(fld), fi.build_ft(fld)
+    psl9, ft9 = fi.labeled_scheme(fld, "psl"), fi.build_ft(fld)
     assert fusion_map(psl9, ft9) is None
     assert is_fusion(psl9, ft9, fusion_map(psl9, ft9)) is False
 
@@ -1034,7 +1032,7 @@ def test_p_polynomial_orderings_match_the_dense_oracle_on_the_verify_plan(q, mon
         kinds = ("pairs", "hyp-lines", "hyp-points")
         built += [
             group_orbital_scheme(fld, gid, fi.domain_for(fld, kind))
-            for gid in GROUPS_FOR(fld)
+            for gid in mo.groups(fld)
             for kind in kinds
             if (gid, kind) != ("pgl", "pairs")
         ]
@@ -1050,7 +1048,7 @@ def test_p_polynomial_orderings_match_the_dense_oracle_on_the_verify_plan(q, mon
 def test_p_polynomial_orderings_fill_no_matrix(q):
     fld = field(q)
     dom_ = pairs_domain(Plane(fld))
-    for gid in GROUPS_FOR(fld):
+    for gid in mo.groups(fld):
         S = orbital_scheme_via_stabilizer(fld, gid, dom_)
         orders = p_polynomial_orderings(S)
         assert S._matrix is None
@@ -1062,9 +1060,9 @@ def test_each_fusion_edge_is_one_comparison(monkeypatch):
     schemes = (
         triangular_scheme(fi.domain_for(fld, "pairs")),
         fi.build_ft(fld),
-        fi.psl_scheme(fld),
-        fi.pgammal_scheme(fld),
-        fi.m_scheme(fld),
+        fi.labeled_scheme(fld, "psl"),
+        fi.labeled_scheme(fld, "pgammal"),
+        fi.labeled_scheme(fld, "m"),
     )
     calls = []
     real = sc._fuses_onto
@@ -1185,7 +1183,7 @@ def _admissible_by_blocks(fine, part):
 
 
 def test_admissibility_rejects_a_transposed_block_inside_a_larger_block():
-    fine = fi.psl_scheme(field(13))
+    fine = fi.labeled_scheme(field(13), "psl")
     t = fine.transpose_map
     k = next(k for k in range(1, fine.d + 1) if t[k] != k)
     j = next(j for j in range(1, fine.d + 1) if t[j] == j)
@@ -1197,10 +1195,10 @@ def test_admissibility_rejects_a_transposed_block_inside_a_larger_block():
 
 def test_admissibility_does_not_depend_on_block_labels():
     fld = field(25)
-    fine = fi.psl_scheme(fld)
+    fine = fi.labeled_scheme(fld, "psl")
     t = fine.transpose_map
     rng = np.random.default_rng(25)
-    parts = [fusion_map(fi.m_scheme(fld), fine), fusion_map(fi.build_ft(fld), fine)]
+    parts = [fusion_map(fi.labeled_scheme(fld, "m"), fine), fusion_map(fi.build_ft(fld), fine)]
     for _ in range(100):
         sym = rng.integers(1, 4, fine.d + 1)
         parts += [np.minimum(sym, sym[t]), rng.integers(1, 4, fine.d + 1)]
