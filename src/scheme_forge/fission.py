@@ -123,13 +123,12 @@ def build_ft(fld):
     return label_scheme(fld, "pgl", sc.cross_ratio_scheme(domain_for(fld, "pairs"), D, points))
 
 
-def _ft_label_of_pair(fld, pair, gamma=None):
-    """Label of the relation holding between {0, oo} and `pair`."""
-    gamma = gamma or psl_orbit_label(fld, pair)
+def _ft_label(fld, gamma):
+    """FT(q+1) label of the pairs whose Gamma label is `gamma`."""
     return RelationLabel("R", gamma.kind, gamma.rep, 0, gamma.orbit)
 
 
-def _labels_from_base_row(fld, row, dom, d, label_of_pair):
+def _labels_from_base_row(fld, row, dom, d, relabel):
     """Labels of the classes 0..d, read off `row`, the row of the base
     pair {0, oo} of a relation matrix.
 
@@ -137,7 +136,8 @@ def _labels_from_base_row(fld, row, dom, d, label_of_pair):
     its key: the position of r = b/a in PG(1,q), 0 when a = 0 and oo when
     b = oo, and whether a is a square (b when a = 0); the Gamma labels
     read r and the square class of a or of b = r*a, the others read the
-    Gamma label.  The base pair is keyed apart and r = 1 never occurs, so
+    Gamma label, so `relabel(fld, gamma)` maps it to the group's label.
+    The base pair is keyed apart and r = 1 never occurs, so
     there are at most 2q + 1 keys, computed for all pairs in one pass and
     kept by `GF.memo` with the Gamma label of each key's first pair.
     Every key must lie in one class of the row, and each is labeled once,
@@ -161,7 +161,7 @@ def _labels_from_base_row(fld, row, dom, d, label_of_pair):
         raise TheoremViolationError("a cross-ratio key spans two computed orbits")
     labels = [None] * (d + 1)
     for y, gamma in zip(ys.tolist(), gammas):
-        k, lab = int(row[y]), label_of_pair(fld, tuple(pairs[y].tolist()), gamma)
+        k, lab = int(row[y]), relabel(fld, gamma)
         if labels[k] is None:
             labels[k] = lab
         elif labels[k].key() != lab.key():
@@ -211,10 +211,9 @@ def psl_orbit_label(fld, pair):
     return RelationLabel("Γ", "ratio", rep, 0, orbit)
 
 
-def m_orbit_label(fld, pair, gamma=None):
-    """Predicted twisted-group orbit label: Gamma classes fused along the
-    involutory automorphism."""
-    gamma = gamma or psl_orbit_label(fld, pair)
+def m_orbit_label(fld, gamma):
+    """Predicted twisted-group orbit label of the pairs with Gamma label
+    `gamma`: Gamma classes fused along the involutory automorphism."""
     if gamma.kind in ("diagonal", "share", "harmonic"):
         return RelationLabel("Δ", gamma.kind)
     r = gamma.rep
@@ -229,10 +228,10 @@ def m_orbit_label(fld, pair, gamma=None):
     return RelationLabel("Δ", "ratio", rep, sign, orbit)
 
 
-def pgammal_orbit_label(fld, pair, gamma=None):
-    """Predicted semilinear-group orbit label: Gamma classes fused along
-    the group generated by Frobenius and inversion."""
-    gamma = gamma or psl_orbit_label(fld, pair)
+def pgammal_orbit_label(fld, gamma):
+    """Predicted semilinear-group orbit label of the pairs with Gamma label
+    `gamma`: Gamma classes fused along the group generated by Frobenius
+    and inversion."""
     if gamma.kind != "ratio":
         return RelationLabel("Λ", gamma.kind)
     frob = fld.FROB[:, gamma.rep]
@@ -278,12 +277,12 @@ def _m_theorems(fld, S):
             raise TheoremViolationError("non-square ratio classes must have valency 2(q-1)")
 
 
-# group id -> (label of a pair against {0, oo}, given its Gamma label if the
-# caller has it, theorem check or None), in the order of the reports; the
-# class counts are `PREDICTIONS`, reported rather than checked at each build
+# group id -> (label of the pairs with a given Gamma label against {0, oo},
+# theorem check or None), in the order of the reports; the class counts
+# are `PREDICTIONS`, reported rather than checked at each build
 GROUP_SCHEMES = {
-    "pgl": (_ft_label_of_pair, None),
-    "psl": (lambda fld, pair, gamma=None: gamma or psl_orbit_label(fld, pair), None),
+    "pgl": (_ft_label, None),
+    "psl": (lambda fld, gamma: gamma, None),
     "pgammal": (pgammal_orbit_label, None),
     "m": (m_orbit_label, _m_theorems),
 }
@@ -293,8 +292,8 @@ def label_scheme(fld, gid, S):
     """Attach the closed-form labels of group `gid` to its scheme on pairs
     and run the group's theorem check; TheoremViolationError if the
     labels or the theorems disagree with the relation matrix."""
-    label_of_pair, theorems = GROUP_SCHEMES[gid]
-    S.labels = _labels_from_base_row(fld, S.row(S.domain.base_index), S.domain, S.d, label_of_pair)
+    relabel, theorems = GROUP_SCHEMES[gid]
+    S.labels = _labels_from_base_row(fld, S.row(S.domain.base_index), S.domain, S.d, relabel)
     if theorems is not None:
         theorems(fld, S)
     return S
@@ -375,10 +374,9 @@ def report_theorem(theorem_id, S, predicted=None):
     fld = S.domain.field
     if predicted is None:
         predicted = PREDICTIONS[theorem_id][1](fld)
-    t0 = time.perf_counter()
     orderings = functools.cache(lambda: sc.p_polynomial_orderings(S))
     computed = {key: OBSERVED[key](S, orderings) for key in predicted}
-    return TheoremReport(theorem_id, fld.q, predicted, computed, time.perf_counter() - t0)
+    return TheoremReport(theorem_id, fld.q, predicted, computed)
 
 
 def report_ft(ft, pgl_orbital):
@@ -393,7 +391,6 @@ def report_ft(ft, pgl_orbital):
         "equals_orbital": True,
         "symmetric": True,
     }
-    t0 = time.perf_counter()
     v = {lab.kind: int(ft.valencies[k]) for k, lab in enumerate(ft.labels) if k}
     computed = {
         "classes": ft.d,
@@ -403,8 +400,7 @@ def report_ft(ft, pgl_orbital):
         "equals_orbital": sc.partition_bijection(ft, pgl_orbital) is not None,
         "symmetric": ft.is_symmetric(),
     }
-    dt = time.perf_counter() - t0
-    return TheoremReport("ft-cross-ratio", q, predicted, computed, dt)
+    return TheoremReport("ft-cross-ratio", q, predicted, computed)
 
 
 def report_transpose_rules(S):
@@ -413,7 +409,6 @@ def report_transpose_rules(S):
     reading of the superscript the computation supports."""
     fld = S.domain.field
     q = fld.q
-    t0 = time.perf_counter()
     tmap = S.transpose_map
     by_key = {lab.key(): k for k, lab in enumerate(S.labels)}
 
@@ -462,10 +457,9 @@ def report_transpose_rules(S):
         if (lab.kind, lab.rep) != (lab2.kind, lab2.rep):
             ok = False
             details["label_crossing"] = f"class {k} transposes across labels"
-    dt = time.perf_counter() - t0
     predicted = {"all_rules_hold": True}
     computed = {"all_rules_hold": bool(ok)}
-    return TheoremReport("transpose-rules", q, predicted, computed, dt, note=str(details))
+    return TheoremReport("transpose-rules", q, predicted, computed, note=str(details))
 
 
 def report_three_domain_isomorphism(fld, gid):
@@ -478,23 +472,31 @@ def report_three_domain_isomorphism(fld, gid):
     matrices are equal entry by entry: a permutation isomorphism, which
     is stronger than one pair partition up to the names of the classes.
     """
-    predicted = {"isomorphic": True}
-    t0 = time.perf_counter()
     pairs, *plane = [mo.generator_perms(gid, domain_for(fld, kind)) for kind in Domain.KINDS]
     computed = {"isomorphic": all(np.array_equal(pairs, perms) for perms in plane)}
-    dt = time.perf_counter() - t0
-    return TheoremReport(f"three-domain-isomorphism[{gid}]", fld.q, predicted, computed, dt)
+    return TheoremReport(f"three-domain-isomorphism[{gid}]", fld.q, {"isomorphic": True}, computed)
 
 
-def report_q9_fusion_diagram(tri, ft, psl, pgml, msch):
+# (coarse, fine) scheme ids of the edges of the fusion lattice, each a
+# `fusion_map` comparison, in report order: "t" is T(q+1), "ft" FT(q+1)
+LATTICE_EDGES = (("t", "ft"), ("ft", "psl"), ("pgammal", "ft"), ("pgammal", "psl"), ("m", "psl"), ("pgammal", "m"))
+
+
+def _fusions(schemes, edges):
+    """{"<coarse>_fuses_<fine>": whether the fine scheme refines the coarse
+    one} for each edge, the schemes read by id from `schemes`."""
+    return {f"{c}_fuses_{f}": sc.fusion_map(schemes[c], schemes[f]) is not None for c, f in edges}
+
+
+def report_q9_fusion_diagram(schemes):
     """The three-row fusion diagram at q = 9, checked edge by edge on the
-    triangular, FT, `psl`, `pgammal` and `m` schemes, one `fusion_map`
-    comparison per edge, as in `report_fusion_lattice`."""
+    schemes of `schemes` keyed by id ("t", "ft", "psl", "pgammal", "m"),
+    one `fusion_map` comparison per edge, as in `report_fusion_lattice`."""
+    ft, psl, pgml, msch = (schemes[i] for i in ("ft", "psl", "pgammal", "m"))
     fld = ft.domain.field
     g = fld.primitive_element()
     g2 = fld.mul(g, g)
     g3 = fld.mul(g2, g)
-    t0 = time.perf_counter()
 
     def ratio_rep(r):
         return min(r, fld.inv(r), key=fld.rank)
@@ -515,6 +517,7 @@ def report_q9_fusion_diagram(tri, ft, psl, pgml, msch):
     t_orbit = tuple(sorted({g, fld.inv(g), fld.sigma(g), fld.inv(fld.sigma(g))}, key=fld.rank))
     m_expected = {("ratio", tuple(sorted((g2, fld.inv(g2)), key=fld.rank))), ("ratio", t_orbit)}
 
+    fusions = _fusions(schemes, [("ft", "psl"), ("m", "psl"), ("m", "ft"), ("t", "ft")])
     computed = {
         "ft_classes": ft.d,
         "ft_label_set_ok": ft_classes == ft_expected,
@@ -522,13 +525,8 @@ def report_q9_fusion_diagram(tri, ft, psl, pgml, msch):
         "psl_split_ok": psl_split == expected_split,
         "m_nontrivial_classes": msch.d,
         "m_ratio_labels_ok": m_labels == m_expected,
-        "pgammal_equals_m": bool(
-            np.array_equal(pgml.relation_matrix, msch.relation_matrix)
-        ),
-        "ft_fuses_psl": sc.fusion_map(ft, psl) is not None,
-        "m_fuses_psl": sc.fusion_map(msch, psl) is not None,
-        "m_fuses_ft": sc.fusion_map(msch, ft) is not None,
-        "t_fuses_ft": sc.fusion_map(tri, ft) is not None,
+        "pgammal_equals_m": bool(np.array_equal(pgml.relation_matrix, msch.relation_matrix)),
+        **fusions,
     }
     predicted = {
         "ft_classes": 5,
@@ -538,42 +536,28 @@ def report_q9_fusion_diagram(tri, ft, psl, pgml, msch):
         "m_nontrivial_classes": 4,
         "m_ratio_labels_ok": True,
         "pgammal_equals_m": True,
-        "ft_fuses_psl": True,
-        "m_fuses_psl": True,
-        "m_fuses_ft": True,
-        "t_fuses_ft": True,
+        **dict.fromkeys(fusions, True),
     }
-    dt = time.perf_counter() - t0
-    return TheoremReport("q9-fusion-diagram", fld.q, predicted, computed, dt)
+    return TheoremReport("q9-fusion-diagram", fld.q, predicted, computed)
 
 
-def report_fusion_lattice(tri, ft, psl, pgml, msch=None):
-    """Every edge of the group lattice gives a fusion of schemes: the
-    triangular, FT, `psl` and `pgammal` schemes, and the `m` scheme when
-    q is an even power.  Each edge is one comparison, `fusion_map`: all
-    these schemes are proven, and a proven scheme whose relations are a
-    function of a proven scheme's relations is a fusion of it."""
-    q = ft.domain.field.q
-    t0 = time.perf_counter()
-    computed = {
-        "t_fuses_ft": sc.fusion_map(tri, ft) is not None,
-        "ft_fuses_psl": sc.fusion_map(ft, psl) is not None,
-        "pgammal_fuses_ft": sc.fusion_map(pgml, ft) is not None,
-        "pgammal_fuses_psl": sc.fusion_map(pgml, psl) is not None,
-    }
-    if msch is not None:
-        computed["m_fuses_psl"] = sc.fusion_map(msch, psl) is not None
-        computed["pgammal_fuses_m"] = sc.fusion_map(pgml, msch) is not None
-    predicted = {k: True for k in computed}
-    dt = time.perf_counter() - t0
-    return TheoremReport("fusion-lattice", q, predicted, computed, dt)
+def report_fusion_lattice(schemes):
+    """Every edge of `LATTICE_EDGES` between schemes the field defines
+    gives a fusion of the schemes of `schemes`, keyed by id: the `m` edges
+    only when q is an even power.  Each edge is one comparison,
+    `fusion_map`: all these schemes are proven, and a proven scheme whose
+    relations are a function of a proven scheme's relations is a fusion
+    of it."""
+    fld = schemes["ft"].domain.field
+    ids = {"t", "ft", *mo.groups(fld)}
+    computed = _fusions(schemes, [edge for edge in LATTICE_EDGES if ids.issuperset(edge)])
+    return TheoremReport("fusion-lattice", fld.q, dict.fromkeys(computed, True), computed)
 
 
 def report_geometry(fld):
     """Counting and polarity facts of the conic geometry, over all lines
     and secants at once through the batched `Plane` kernels."""
     q = fld.q
-    t0 = time.perf_counter()
     pl = plane_for(fld)
     # conic points on each line: no three are collinear iff no line has more than two
     hits = pl.conic_counts(pl.all_lines())
@@ -605,8 +589,7 @@ def report_geometry(fld):
         "elliptic": q * (q - 1) // 2,
         "perp_formulas": True,
     }
-    dt = time.perf_counter() - t0
-    return TheoremReport("geometry-counts", q, predicted, computed, dt)
+    return TheoremReport("geometry-counts", q, predicted, computed)
 
 
 def report_embedding(fld):
@@ -616,7 +599,6 @@ def report_embedding(fld):
     matrix along its `_cofactors`, and rho moves the conic under every
     generator at once."""
     q = fld.q
-    t0 = time.perf_counter()
     pl = plane_for(fld)
     M, A = fld.MUL, fld.ADD
     maps = mo.generators(fld, "pgammal")
@@ -633,8 +615,7 @@ def report_embedding(fld):
     fix_ok = bool((np.sort(images @ codes, axis=1) == np.sort(C @ codes)).all())
     computed = {"det_cubed": det_ok, "equivariance": equiv_ok, "fixes_conic": fix_ok}
     predicted = {"det_cubed": True, "equivariance": True, "fixes_conic": True}
-    dt = time.perf_counter() - t0
-    return TheoremReport("embedding-contract", q, predicted, computed, dt)
+    return TheoremReport("embedding-contract", q, predicted, computed)
 
 
 def report_scheme_axioms(schemes):
@@ -644,7 +625,6 @@ def report_scheme_axioms(schemes):
     proof it was built with.  One note per failed identity and
     group."""
     q = next(iter(schemes.values())).domain.field.q
-    t0 = time.perf_counter()
     notes = []
     for gid, S in schemes.items():
         P = S.p_tensor()
@@ -665,9 +645,7 @@ def report_scheme_axioms(schemes):
                 S.verify_exhaustive()
             except sc.NotASchemeError as e:
                 notes.append(f"{gid}: {e}")
-    ok = not notes
-    dt = time.perf_counter() - t0
-    return TheoremReport("scheme-axioms", q, {"all_pass": True}, {"all_pass": ok}, dt, note="; ".join(notes))
+    return TheoremReport("scheme-axioms", q, {"all_pass": True}, {"all_pass": not notes}, note="; ".join(notes))
 
 
 # -- the full suite ----------------------------------------------------------------------
@@ -688,25 +666,36 @@ def verify_paper(qs):
     return reports
 
 
+def _timed(report, *args):
+    """`report(*args)`, its `elapsed` set to the time the call took: the one
+    place where a report is timed."""
+    t0 = time.perf_counter()
+    rep = report(*args)
+    rep.elapsed = time.perf_counter() - t0
+    return rep
+
+
 def _group_reports(gid, S):
     """The reports that read only the labeled scheme `S` of one group: its
     `PREDICTIONS` entries that predict something at this q, in table
     order, then the transpose rules for `psl`."""
     fld = S.domain.field
     predictions = [(tid, predict(fld)) for tid, (g, predict) in PREDICTIONS.items() if g == gid]
-    reports = [report_theorem(tid, S, p) for tid, p in predictions if p is not None]
+    reports = [_timed(report_theorem, tid, S, p) for tid, p in predictions if p is not None]
     if gid == "psl":
-        reports.append(report_transpose_rules(S))
+        reports.append(_timed(report_transpose_rules, S))
     return reports
 
 
 def _reports_at(fld):
     """The reports of one q, in a fixed order, and the plan of the builds
     they read: each scheme is built once and passed to every report that
-    reads it, so a report's `elapsed` times its checks, not builds.
+    reads it, so a report's `elapsed`, set by `_timed`, times its checks,
+    not builds.
 
     At q <= 13 every matrix is under 9 kB, and everything is built up
-    front: FT(q+1), T(q+1), each group's labeled scheme on pairs, and the
+    front: FT(q+1), T(q+1), each group's labeled scheme on pairs, kept
+    by id ("ft", "t" and the group ids) for the fusion reports, and the
     generic-path `pgl` scheme on pairs, `report_ft`'s cross-check.  The
     three-domain reports build no scheme (see their proof).
     Above, only the labeled `psl`, `pgammal` and `m` schemes are read.
@@ -718,21 +707,20 @@ def _reports_at(fld):
     gids = [gid for gid in GROUP_SCHEMES if gid in mo.groups(fld)]
     if q > 13:
         return [r for gid in gids[1:] for r in _group_reports(gid, _labeled_scheme(fld, gid))]
-    ft = build_ft(fld)
-    tri = sc.triangular_scheme(domain_for(fld, "pairs"))
+    schemes = {"ft": build_ft(fld), "t": sc.triangular_scheme(domain_for(fld, "pairs"))}
     labeled = {gid: _labeled_scheme(fld, gid) for gid in gids}
+    schemes |= labeled
     pgl_orbital = sc.group_orbital_scheme(fld, "pgl", domain_for(fld, "pairs"))
-    psl, pgml, msch = labeled["psl"], labeled["pgammal"], labeled.get("m")
     reports = [
-        report_geometry(fld),
-        report_embedding(fld),
-        report_ft(ft, pgl_orbital),
-        report_scheme_axioms(labeled),
-        report_fusion_lattice(tri, ft, psl, pgml, msch),
+        _timed(report_geometry, fld),
+        _timed(report_embedding, fld),
+        _timed(report_ft, schemes["ft"], pgl_orbital),
+        _timed(report_scheme_axioms, labeled),
+        _timed(report_fusion_lattice, schemes),
     ]
-    reports += [report_three_domain_isomorphism(fld, gid) for gid in gids]
+    reports += [_timed(report_three_domain_isomorphism, fld, gid) for gid in gids]
     for gid in gids[1:]:
         reports += _group_reports(gid, labeled[gid])
     if q == 9:
-        reports.append(report_q9_fusion_diagram(tri, ft, psl, pgml, msch))
+        reports.append(_timed(report_q9_fusion_diagram, schemes))
     return reports

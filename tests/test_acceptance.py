@@ -78,10 +78,11 @@ def test_criterion_04_ft_construction():
 
 def test_criterion_05_q9_fusion_diagram():
     fld = field(9)
-    tri = triangular_scheme(fi.domain_for(fld, "pairs"))
-    rep = fi.report_q9_fusion_diagram(
-        tri, fi.build_ft(fld), fi.labeled_scheme(fld, "psl"), fi.labeled_scheme(fld, "pgammal"), fi.labeled_scheme(fld, "m")
-    )
+    rep = fi.report_q9_fusion_diagram({
+        "t": triangular_scheme(fi.domain_for(fld, "pairs")),
+        "ft": fi.build_ft(fld),
+        **{gid: fi.labeled_scheme(fld, gid) for gid in ("psl", "pgammal", "m")},
+    })
     _report(5, "q=9 three-row fusion diagram with all fusion edges", rep.passed)
 
 

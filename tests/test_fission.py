@@ -363,16 +363,16 @@ def test_psl_labels_match_independent_orbitals(q):
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27, 49, 81])
 def test_closed_forms_agree_with_the_keyed_labels_at_every_pair(q):
-    """Each group's closed form, called on every pair of the base row,
-    gives the label that the once-per-key pass gave that pair's class:
-    the closed forms are constant on the cross-ratio keys."""
+    """Each group's closed form, called on the Gamma label of every pair of
+    the base row, gives the label that the once-per-key pass gave that
+    pair's class: the closed forms are constant on the cross-ratio keys."""
     fld = field(q)
     for gid in mo.groups(fld):
-        label_of_pair = fi.GROUP_SCHEMES[gid][0]
+        relabel = fi.GROUP_SCHEMES[gid][0]
         S = fi._labeled_scheme(fld, gid)
         row = S.relation_matrix[S.domain.base_index].tolist()
         for k, pair in zip(row, S.domain.plane.pg1.pairs.tolist()):
-            assert label_of_pair(fld, tuple(pair)) == S.labels[k], (gid, pair)
+            assert relabel(fld, fi.psl_orbit_label(fld, tuple(pair))) == S.labels[k], (gid, pair)
 
 
 def test_labels_that_do_not_match_the_classes_raise():
@@ -384,11 +384,11 @@ def test_labels_that_do_not_match_the_classes_raise():
     dom = S.domain
     row = S.row(dom.base_index)
     with pytest.raises(fi.TheoremViolationError, match="two distinct computed orbits"):
-        fi._labels_from_base_row(fld, row, dom, S.d, fi._ft_label_of_pair)
+        fi._labels_from_base_row(fld, row, dom, S.d, fi._ft_label)
     split = row.copy()
     split[S.n - 1] = S.d + 1
     with pytest.raises(fi.TheoremViolationError, match="key spans two"):
-        fi._labels_from_base_row(fld, split, dom, S.d + 1, fi.psl_orbit_label)
+        fi._labels_from_base_row(fld, split, dom, S.d + 1, fi.GROUP_SCHEMES["psl"][0])
 
 
 @pytest.mark.parametrize("q", [5, 9, 13, 25])
@@ -506,7 +506,7 @@ def test_m_labels_match_independent_orbitals(q):
     dom = S.domain
     base = dom.base_index
     for y in range(0, dom.n, 7):
-        lab = fi.m_orbit_label(fld, tuple(int(v) for v in dom.plane.pg1.pairs[y]))
+        lab = fi.m_orbit_label(fld, fi.psl_orbit_label(fld, tuple(int(v) for v in dom.plane.pg1.pairs[y])))
         k = int(S.relation_matrix[base, y])
         assert S.labels[k].key() == lab.key()
 
@@ -753,29 +753,39 @@ def test_three_domain_report_fails_on_a_swapped_line_permutation(monkeypatch):
 
 
 def _lattice_schemes(fld):
-    """The triangular, FT, psl, pgammal and (at even powers) m schemes."""
-    gids = [gid for gid in fi.GROUP_SCHEMES if gid in mo.groups(fld)][1:]
+    """The triangular, FT and group schemes of the field, keyed by id."""
     tri = triangular_scheme(fi.domain_for(fld, "pairs"))
-    return [tri, fi.build_ft(fld)] + [fi._labeled_scheme(fld, gid) for gid in gids]
+    return {"t": tri, "ft": fi.build_ft(fld), **{gid: fi._labeled_scheme(fld, gid) for gid in mo.groups(fld)}}
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
 def test_fusion_lattice(q):
-    rep = fi.report_fusion_lattice(*_lattice_schemes(field(q)))
+    rep = fi.report_fusion_lattice(_lattice_schemes(field(q)))
     assert rep.passed, rep.computed
+    assert len(rep.computed) == (6 if q == 9 else 4)
 
 
 def test_fusion_lattice_fails_on_swapped_schemes():
     """FT in the place of psl and psl in the place of FT: psl does not
     refine FT, so that edge is reported failed, not raised."""
-    tri, ft, psl, pgml = _lattice_schemes(field(5))
-    rep = fi.report_fusion_lattice(tri, psl, ft, pgml)
+    S = _lattice_schemes(field(5))
+    rep = fi.report_fusion_lattice({**S, "ft": S["psl"], "psl": S["ft"]})
     assert not rep.passed
     assert rep.computed["ft_fuses_psl"] is False
 
 
+def test_fusion_lattice_reads_the_m_edges_from_the_field():
+    """At q = 9 the lattice has the `m` edges whatever schemes it is
+    given: a dict without the `m` scheme is an error, not a lattice of
+    four edges."""
+    S = _lattice_schemes(field(9))
+    del S["m"]
+    with pytest.raises(KeyError):
+        fi.report_fusion_lattice(S)
+
+
 def test_q9_fusion_diagram():
-    rep = fi.report_q9_fusion_diagram(*_lattice_schemes(field(9)))
+    rep = fi.report_q9_fusion_diagram(_lattice_schemes(field(9)))
     assert rep.passed, rep.computed
     assert rep.computed["m_nontrivial_classes"] == 4
     assert rep.computed["pgammal_equals_m"]
@@ -887,20 +897,28 @@ def _reports_called_directly(q):
         fi.report_embedding(fld),
         fi.report_ft(fi.build_ft(fld), group_orbital_scheme(fld, "pgl", fi.domain_for(fld, "pairs"))),
         fi.report_scheme_axioms({gid: fi._labeled_scheme(fld, gid) for gid in gids}),
-        fi.report_fusion_lattice(*_lattice_schemes(fld)),
+        fi.report_fusion_lattice(_lattice_schemes(fld)),
         *(fi.report_three_domain_isomorphism(fld, gid) for gid in gids),
         fi.report_theorem("psl-class-count", fi.labeled_scheme(fld, "psl")),
         fi.report_transpose_rules(fi.labeled_scheme(fld, "psl")),
         fi.report_theorem("pgammal-class-count", fi.labeled_scheme(fld, "pgammal")),
         fi.report_theorem("m-commutativity", fi.labeled_scheme(fld, "m")),
         fi.report_theorem("m9-octagon", fi.labeled_scheme(fld, "m")),
-        fi.report_q9_fusion_diagram(*_lattice_schemes(fld)),
+        fi.report_q9_fusion_diagram(_lattice_schemes(fld)),
     ]
 
 
 @pytest.mark.parametrize("q", [9, 25])
 def test_verify_paper_equals_the_reports_called_directly(q):
     assert _stripped(fi.verify_paper([q])) == _stripped(_reports_called_directly(q))
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_verify_paper_times_every_report(q):
+    """The plan times each report; a report called by itself is not timed."""
+    reports = fi.verify_paper([q])
+    assert reports and all(r.elapsed > 0 for r in reports)
+    assert fi.report_theorem("psl-class-count", fi.labeled_scheme(field(q), "psl")).elapsed == 0.0
 
 
 def test_verify_paper_keeps_the_benchmark_reference_order(monkeypatch):

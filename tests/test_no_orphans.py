@@ -1,6 +1,7 @@
 """Every function, method and class of the package has a reader: its name
 occurs somewhere in the package, the demos or the benchmark besides its
-own `def`, so a helper kept alive only by its own tests fails.  The
+own `def`, so a helper kept alive only by its own tests fails.  So does
+every table or constant assigned at the top level of a module.  The
 scalar oracles of the tests stay independent of the package and are all
 read by a test."""
 
@@ -21,13 +22,29 @@ def _words(paths):
     return words
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(path, nested=True):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [
         node.name
         for node in (ast.walk(tree) if nested else tree.body)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _dunder(node.name)
+    ]
+
+
+def _assigned(path):
+    """The names bound by the top-level assignments of a module, once per
+    assignment, dunders (`__version__`) left out as in `_definitions`."""
+    return [
+        target.id
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and not _dunder(target.id)
     ]
 
 
@@ -36,6 +53,14 @@ def test_every_definition_is_named_outside_its_def():
     defs = Counter(name for path in (ROOT / "src" / "scheme_forge").glob("*.py") for name in _definitions(path))
     assert defs
     orphans = sorted(name for name, count in defs.items() if words[name] <= count)
+    assert orphans == []
+
+
+def test_every_module_level_name_is_named_outside_its_assignment():
+    words = _words(path for top in READERS for path in (ROOT / top).rglob("*.py"))
+    names = Counter(name for path in (ROOT / "src" / "scheme_forge").glob("*.py") for name in _assigned(path))
+    assert "LATTICE_EDGES" in names
+    orphans = sorted(name for name, count in names.items() if words[name] <= count)
     assert orphans == []
 
 

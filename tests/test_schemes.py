@@ -1057,20 +1057,18 @@ def test_p_polynomial_orderings_fill_no_matrix(q):
 
 def test_each_fusion_edge_is_one_comparison(monkeypatch):
     fld = field(9)
-    schemes = (
-        triangular_scheme(fi.domain_for(fld, "pairs")),
-        fi.build_ft(fld),
-        fi.labeled_scheme(fld, "psl"),
-        fi.labeled_scheme(fld, "pgammal"),
-        fi.labeled_scheme(fld, "m"),
-    )
+    schemes = {
+        "t": triangular_scheme(fi.domain_for(fld, "pairs")),
+        "ft": fi.build_ft(fld),
+        **{gid: fi.labeled_scheme(fld, gid) for gid in ("psl", "pgammal", "m")},
+    }
     calls = []
     real = sc._fuses_onto
     monkeypatch.setattr(sc, "_fuses_onto", lambda *args: calls.append(1) or real(*args))
-    lattice = fi.report_fusion_lattice(*schemes)
+    lattice = fi.report_fusion_lattice(schemes)
     assert lattice.passed and len(calls) == len(lattice.computed) == 6
     calls.clear()
-    diagram = fi.report_q9_fusion_diagram(*schemes)
+    diagram = fi.report_q9_fusion_diagram(schemes)
     assert diagram.passed and len(calls) == 4
 
 
